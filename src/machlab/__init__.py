@@ -35,7 +35,6 @@ from .geometry import (
     ExtensionFieldSample,
     Grid,
     MotionPath,
-    build_extension_field,
     build_grid,
     build_rectangle_grid,
     eval_motion,

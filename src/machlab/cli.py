@@ -9,11 +9,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import spectral as sp
 from .config import canonical_text, parse_config
 from .errors import ConfigParseError, ConfigValidationError, MachlabError
-from .storage import write_csv
-from .sweep import build_scenario, run_sweep
+from .sweep import build_scenario, decompose, run_sweep, write_eigenvalues
 from .verify import format_report, verify_run, verify_to_json
 
 EXIT_OK = 0
@@ -61,22 +59,14 @@ def _cmd_verify(args):
 
 def _cmd_spectrum(args):
     cfg = _load_config(args.config)
-    scenario = build_scenario(cfg)
-    lap = sp.assemble_neumann_laplacian(scenario.grid)
-    dec = sp.spectral_decompose(
-        lap, min(cfg["numerics"]["modes"], scenario.grid.n_active)
-    )
-    rows = [
-        (k + 1, float(lam), float(res))
-        for k, (lam, res) in enumerate(zip(dec.eigenvalues, dec.residuals))
-    ]
+    dec = decompose(cfg, build_scenario(cfg).grid)
     if args.out:
-        write_csv(args.out, ["k", "lambda", "residual"], rows)
-        print(f"wrote {len(rows)} eigenvalues to {args.out}")
+        write_eigenvalues(args.out, dec)
+        print(f"wrote {dec.modes} eigenvalues to {args.out}")
     else:
         print("k,lambda,residual")
-        for row in rows:
-            print(f"{row[0]},{row[1]:.12g},{row[2]:.3e}")
+        for k, (lam, res) in enumerate(zip(dec.eigenvalues, dec.residuals), start=1):
+            print(f"{k},{lam:.12g},{res:.3e}")
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ state to emulate radiation to infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,19 +25,25 @@ from .constitutive import (
     stress,
 )
 from .errors import CflViolation, NanDetected, VacuumState
-from .geometry import ExtensionField, Grid, MotionPath, eval_motion
+from .geometry import Grid, MotionPath, build_lifting, enforce_bc, eval_motion
+from .operators import component_masks, face_to_center, mirror_laplacian, upwind_transport
 from .spectral import lifting_time_derivative, velocity_gradient
 
 
 @dataclass(frozen=True)
 class FluidState:
-    """Density at centers, velocity components at faces, in the fixed frame."""
+    """Density at centers, velocity components at faces, in the fixed frame.
+
+    sponge_mass is the mass the sponge added in the step that produced
+    this state (zero for initial states).
+    """
 
     rho: np.ndarray  # (nx, ny)
     u: np.ndarray  # (nx+1, ny)
     v: np.ndarray  # (nx, ny+1)
     t: float
     eps: float
+    sponge_mass: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ class SolverOptions:
     sponge_width: float = 0.0
     sponge_enabled: bool = True
     lifting_radius: float | None = None
-    data_bound: float = 100.0
+    tol_energy: float = 1e-3
 
 
 @dataclass
@@ -89,6 +95,15 @@ class Trajectory:
     sponge_mass: list = field(default_factory=list)
 
 
+def instant_energy(grid: Grid, law: PressureLaw, state: FluidState) -> float:
+    """Kinetic plus scaled internal (relative-entropy) energy of a state."""
+    uc, vc = face_to_center(state.u, state.v)
+    kinetic = 0.5 * state.rho * (uc**2 + vc**2)
+    internal = relative_entropy(law, state.rho) / state.eps**2
+    total = np.where(grid.active, kinetic + internal, 0.0)
+    return float(np.sum(total)) * grid.h**2
+
+
 class CompressibleSolver:
     """Owns the discretization of one (grid, law, viscosity, path) setup."""
 
@@ -106,16 +121,9 @@ class CompressibleSolver:
         self.path = path
         self.options = options or SolverOptions()
         self._build_sponge()
-        radius = self.options.lifting_radius
-        if radius is None:
-            radius = min(3.0 * grid.obstacle_radius, 0.9 * self._inner_extent())
-        self.lifting = None
-        if grid.obstacle_radius > 0.0 and path.kind != "static":
-            self.lifting = ExtensionField(grid, path, radius)
-
-    def _inner_extent(self):
-        g = self.grid
-        return min(g.x1, -g.x0, g.y1, -g.y0) - self.options.sponge_width
+        self.lifting = build_lifting(
+            grid, path, self.options.lifting_radius, self.options.sponge_width
+        )
 
     def _build_sponge(self):
         g = self.grid
@@ -153,22 +161,7 @@ class CompressibleSolver:
         rho = np.where(g.active, self.law.rho_ref + data.eps * data.rho1, self.law.rho_ref)
         if np.any(rho[g.active] <= 0.0):
             raise VacuumState("initial density is not positive everywhere")
-        u = data.u0.copy()
-        v = data.v0.copy()
-        state = FluidState(rho, u, v, 0.0, data.eps)
-        return self._enforce_bc(state)
-
-    def _enforce_bc(self, state: FluidState) -> FluidState:
-        """Obstacle faces move with the body, the truncation rim is at rest."""
-        g = self.grid
-        _, mp, _ = eval_motion(self.path, state.t)
-        u = state.u.copy()
-        v = state.v.copy()
-        u[~g.uface_interior] = mp[0]
-        v[~g.vface_interior] = mp[1]
-        u[g.uface_rim] = 0.0
-        v[g.vface_rim] = 0.0
-        return replace(state, u=u, v=v)
+        return enforce_bc(g, self.path, FluidState(rho, data.u0, data.v0, 0.0, data.eps))
 
     # -- stability ----------------------------------------------------------
 
@@ -239,16 +232,13 @@ class CompressibleSolver:
         p_cell = pressure(law, rho)
         div_full = g.ops.div(u, v, include_boundary_faces=True)
 
+        x_masks, y_masks = component_masks(g)
         u_new = self._momentum_update(
-            rho, rho_new, u, wu, wv, c_cell, p_cell, div_full, eps, dt,
-            g.uface_interior, g.uface_boundary,
-            g.vface_interior | g.vface_boundary, g.active,
+            rho, rho_new, u, wu, wv, p_cell, div_full, eps, dt, *x_masks
         )
         v_new = self._momentum_update(
-            rho.T, rho_new.T, v.T, wv.T, wu.T, c_cell.T, p_cell.T, div_full.T,
-            eps, dt,
-            g.vface_interior.T, g.vface_boundary.T,
-            (g.uface_interior | g.uface_boundary).T, g.active.T,
+            rho.T, rho_new.T, v.T, wv.T, wu.T, p_cell.T, div_full.T, eps, dt,
+            *y_masks,
         ).T
 
         # sponge relaxation toward the far-field rest state, mass change logged
@@ -261,19 +251,19 @@ class CompressibleSolver:
             u_new = u_new * (1.0 - self.sponge_u)
             v_new = v_new * (1.0 - self.sponge_v)
 
-        out = FluidState(rho_new, u_new, v_new, state.t + dt, eps)
-        out = self._enforce_bc(out)
+        out = enforce_bc(
+            g, self.path, FluidState(rho_new, u_new, v_new, state.t + dt, eps, sponge_mass)
+        )
         if not (
             np.all(np.isfinite(out.rho))
             and np.all(np.isfinite(out.u))
             and np.all(np.isfinite(out.v))
         ):
             raise NanDetected(f"non-finite field value at t = {out.t:.6g}")
-        object.__setattr__(out, "_sponge_mass", sponge_mass)
         return out
 
     def _momentum_update(
-        self, rho, rho_new, un, wn, wt, c_cell, p_cell, div_full, eps, dt,
+        self, rho, rho_new, un, wn, wt, p_cell, div_full, eps, dt,
         interior, boundary, other_ok, cell_act,
     ):
         """Update one velocity component (oriented as u on x-faces).
@@ -283,7 +273,6 @@ class CompressibleSolver:
         y-component call arrives transposed so both share this code path.
         """
         h = self.grid.h
-        nx, ny = rho.shape
 
         rho_f = np.zeros_like(un)
         rho_f[1:-1, :] = 0.5 * (rho[1:, :] + rho[:-1, :])
@@ -291,61 +280,17 @@ class CompressibleSolver:
         rho_f[-1, :] = rho[-1, :]
         q = rho_f * un
 
-        # normal-direction upwind flux, one value per cell column; the
-        # momentum dissipation stays on the advective scale |w| (the
+        # upwind momentum transport on the advective scale |w| (the
         # acoustic-scale stabilization lives in the mass flux), which keeps
         # the effective viscosity Mach-uniform instead of O(h/eps)
-        wc = 0.5 * (wn[1:, :] + wn[:-1, :])
-        lam = np.abs(wc)
-        flux_n = 0.5 * wc * (q[1:, :] + q[:-1, :]) - 0.5 * lam * (q[1:, :] - q[:-1, :])
-        flux_n[~cell_act] = 0.0
-
-        # transverse upwind flux at corners between neighboring faces;
-        # closures at walls reduce to zero flux (mirror state, zero normal w)
-        wtm = np.where(other_ok, wt, 0.0)
-        flux_t = np.zeros((nx + 1, ny + 1))
-        wcorn = 0.5 * (wtm[1:, 1:-1] + wtm[:-1, 1:-1])
-        qa = q[1:-1, :-1]
-        qb = q[1:-1, 1:]
-        lamc = np.abs(wcorn)
-        flux_t[1:-1, 1:-1] = 0.5 * wcorn * (qa + qb) - 0.5 * lamc * (qb - qa)
-        pair_ok = np.zeros((nx + 1, ny + 1), dtype=bool)
-        pair_ok[1:-1, 1:-1] = interior[1:-1, :-1] & interior[1:-1, 1:]
-        flux_t[~pair_ok] = 0.0
-
-        dq = np.zeros_like(q)
-        dq[1:-1, :] = (flux_n[1:, :] - flux_n[:-1, :]) / h
-        dq[1:-1, :] += (flux_t[1:-1, 1:] - flux_t[1:-1, :-1]) / h
+        dq = upwind_transport(q, wn, wt, interior, other_ok, cell_act, h)
 
         # centered pressure gradient carrying the 1/eps^2 stiffness
         dq[1:-1, :] += (p_cell[1:, :] - p_cell[:-1, :]) / (h * eps**2)
 
-        # viscous mu*(lap u + (1/3) grad div u) + eta*grad div u; neighbors at
-        # dead faces mirror the center value (free-slip closure)
+        # viscous mu*(lap u + (1/3) grad div u) + eta*grad div u
         mu, eta = self.visc.shear, self.visc.bulk
-        good = interior | boundary
-
-        def neighbor(shift_axis, step):
-            val = np.empty_like(un)
-            ok = np.empty_like(good)
-            if shift_axis == 0 and step == 1:
-                val[:-1, :], val[-1, :] = un[1:, :], un[-1, :]
-                ok[:-1, :], ok[-1, :] = good[1:, :], False
-            elif shift_axis == 0:
-                val[1:, :], val[0, :] = un[:-1, :], un[0, :]
-                ok[1:, :], ok[0, :] = good[:-1, :], False
-            elif step == 1:
-                val[:, :-1], val[:, -1] = un[:, 1:], un[:, -1]
-                ok[:, :-1], ok[:, -1] = good[:, 1:], False
-            else:
-                val[:, 1:], val[:, 0] = un[:, :-1], un[:, 0]
-                ok[:, 1:], ok[:, 0] = good[:, :-1], False
-            return np.where(ok, val, un)
-
-        lap_u = (
-            neighbor(0, 1) + neighbor(0, -1) + neighbor(1, 1) + neighbor(1, -1)
-            - 4.0 * un
-        ) / h**2
+        lap_u = mirror_laplacian(un, interior | boundary, h)
         ddiv = np.zeros_like(un)
         ddiv[1:-1, :] = (div_full[1:, :] - div_full[:-1, :]) / h
         dq[1:-1, :] -= mu * lap_u[1:-1, :] + (mu / 3.0 + eta) * ddiv[1:-1, :]
@@ -362,7 +307,6 @@ class CompressibleSolver:
         state0: FluidState,
         sample_times: Sequence[float],
         dt_policy="adaptive",
-        energy_tol: float | None = None,
     ) -> Trajectory:
         """Advance from state0 hitting each sample time exactly.
 
@@ -385,11 +329,11 @@ class CompressibleSolver:
                 dt = limit if dt_policy == "adaptive" else min(float(dt_policy), limit)
                 dt = min(dt, target - state.t)
                 new_state = self.step(state, dt)
-                sponge_total += getattr(new_state, "_sponge_mass", 0.0)
+                sponge_total += new_state.sponge_mass
                 self._accumulate(ledger, state, dt)
                 state = new_state
             traj.states.append(state)
-            traj.energy.append(self.energy_report(state, ledger, tol=energy_tol))
+            traj.energy.append(self.energy_report(state, ledger))
             traj.total_mass.append(self._total_mass(state))
             traj.sponge_mass.append(sponge_total)
         return traj
@@ -399,30 +343,19 @@ class CompressibleSolver:
 
     # -- energy inequality monitor -------------------------------------------
 
-    def _instant_energy(self, state: FluidState) -> float:
-        g = self.grid
-        uc = 0.5 * (state.u[1:, :] + state.u[:-1, :])
-        vc = 0.5 * (state.v[:, 1:] + state.v[:, :-1])
-        kinetic = 0.5 * state.rho * (uc**2 + vc**2)
-        internal = relative_entropy(self.law, state.rho) / state.eps**2
-        total = np.where(g.active, kinetic + internal, 0.0)
-        return float(np.sum(total)) * g.h**2
-
     def _v_coupling(self, state: FluidState) -> float:
         if self.lifting is None:
             return 0.0
         g = self.grid
         ext = self.lifting.sample(state.t)
-        uc = 0.5 * (state.u[1:, :] + state.u[:-1, :])
-        vc = 0.5 * (state.v[:, 1:] + state.v[:, :-1])
-        ecu = 0.5 * (ext.u[1:, :] + ext.u[:-1, :])
-        ecv = 0.5 * (ext.v[:, 1:] + ext.v[:, :-1])
+        uc, vc = face_to_center(state.u, state.v)
+        ecu, ecv = face_to_center(ext.u, ext.v)
         val = state.rho * (uc * ecu + vc * ecv)
         return float(np.sum(val[g.active])) * g.h**2
 
     def _open_ledger(self, state0: FluidState) -> EnergyLedger:
         return EnergyLedger(
-            initial_energy=self._instant_energy(state0),
+            initial_energy=instant_energy(self.grid, self.law, state0),
             initial_v_coupling=self._v_coupling(state0),
         )
 
@@ -438,9 +371,7 @@ class CompressibleSolver:
         ext = self.lifting.sample(state.t)
         ext_dt = self.lifting.sample_dt(state.t)
         grad_v = velocity_gradient(g, ext.u, ext.v)
-        uc = 0.5 * (state.u[1:, :] + state.u[:-1, :])
-        vc = 0.5 * (state.v[:, 1:] + state.v[:, :-1])
-        vel = np.stack([uc, vc], axis=-1)
+        vel = np.stack(face_to_center(state.u, state.v), axis=-1)
         uu = state.rho[..., None, None] * vel[..., :, None] * vel[..., None, :]
         dv_moving = lifting_time_derivative(g, ext, ext_dt, mp)
         integrand = (
@@ -450,28 +381,23 @@ class CompressibleSolver:
         )
         ledger.v_work += dt * float(np.sum(integrand[g.active])) * g.h**2
 
-    def energy_report(
-        self, state: FluidState, ledger: EnergyLedger, tol: float | None = None
-    ) -> EnergyRecord:
+    def energy_report(self, state: FluidState, ledger: EnergyLedger) -> EnergyRecord:
         """Both sides of the discrete energy inequality and the verdict flag.
 
-        The default tolerance is 1e-3 of the initial energy; runs started
-        from rest with a moving obstacle fall back to the kinetic scale of
-        the lifting field so the comparison has a usable yardstick.
+        The tolerance is options.tol_energy times the initial energy; runs
+        started from rest with a moving obstacle fall back to the kinetic
+        scale of the lifting field so the comparison has a usable yardstick.
         """
-        lhs = self._instant_energy(state) + ledger.dissipation
+        lhs = instant_energy(self.grid, self.law, state) + ledger.dissipation
         rhs = (
             ledger.initial_energy
             + self._v_coupling(state)
             - ledger.initial_v_coupling
             + ledger.v_work
         )
-        if tol is None:
-            scale = ledger.initial_energy
-            if scale <= 0.0 and self.lifting is not None:
-                ext = self.lifting.sample(state.t)
-                scale = 0.5 * self.law.rho_ref * self.grid.ops.face_l2norm(
-                    ext.u, ext.v
-                ) ** 2
-            tol = 1e-3 * scale
+        scale = ledger.initial_energy
+        if scale <= 0.0 and self.lifting is not None:
+            ext = self.lifting.sample(state.t)
+            scale = 0.5 * self.law.rho_ref * self.grid.ops.face_l2norm(ext.u, ext.v) ** 2
+        tol = self.options.tol_energy * scale
         return EnergyRecord(state.t, state.eps, lhs, rhs, bool(lhs <= rhs + tol))

@@ -13,6 +13,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .errors import ConfigParseError, ConfigValidationError
+from .geometry import default_lifting_radius
 
 # (type, default); defaults of None are derived during validation
 SCHEMA = {
@@ -182,7 +183,7 @@ def _derive_defaults(cfg: ExperimentConfig):
     if n["sponge_width"] is None:
         n["sponge_width"] = g["extent"] / 4.0
     if n["lifting_radius"] is None:
-        n["lifting_radius"] = min(3.0 * a, 0.9 * (g["extent"] - n["sponge_width"]))
+        n["lifting_radius"] = default_lifting_radius(a, g["extent"], n["sponge_width"])
     if m["horizon"] is None:
         m["horizon"] = cfg["schedule"]["horizon"]
     if s["source_center_x"] is None:
@@ -266,6 +267,9 @@ def validate(cfg: ExperimentConfig):
         v.append("pulse_width must be positive")
     if ini["data_bound"] <= 0:
         v.append("data_bound must be positive")
+    if not 0.0 < cfg["spectral"]["quadrature_factor"] <= 0.5:
+        # rage_decay's step is factor / omega_max, which it bounds by 0.5 / omega_max
+        v.append("quadrature_factor must lie in (0, 0.5]")
     return v
 
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from .constitutive import PressureLaw
 from .errors import ScheduleMismatch
-from .geometry import Grid, MotionPath
+from .geometry import Grid, MotionPath, lifting_sample
+from .operators import face_to_center
 from .spectral import helmholtz_project, shifted_momentum
 
 
@@ -70,17 +71,7 @@ def solenoidal_test_function(grid: Grid, r_inner: float, r_outer: float):
     wid = 0.5 * (r_outer - r_inner)
     s = np.clip((r - mid) / wid, -1.0, 1.0)
     psi = (1.0 - s**2) ** 3 * wid  # C2 bump, scaled to O(wid) amplitude
-    fu = (psi[:, 1:] - psi[:, :-1]) / grid.h
-    fv = -(psi[1:, :] - psi[:-1, :]) / grid.h
-    fu[~(grid.uface_interior)] = 0.0
-    fv[~(grid.vface_interior)] = 0.0
-    return fu, fv
-
-
-def _center_speed_fields(state):
-    uc = 0.5 * (state.u[1:, :] + state.u[:-1, :])
-    vc = 0.5 * (state.v[:, 1:] + state.v[:, :-1])
-    return uc, vc
+    return grid.ops.curl(psi)
 
 
 def _check_schedules(times_a, times_b):
@@ -127,7 +118,7 @@ def uniform_estimate_report(
         sup["res_density_lq"] = max(
             sup["res_density_lq"], grid.lq_norm(split_scaled.residual, q)
         )
-        uc, vc = _center_speed_fields(state)
+        uc, vc = face_to_center(state.u, state.v)
         speed_sq = np.where(grid.active, rho * (uc**2 + vc**2), 0.0)
         sup["sqrt_rho_u_l2"] = max(
             sup["sqrt_rho_u_l2"], float(np.sqrt(np.sum(speed_sq)) * grid.h)
@@ -194,15 +185,12 @@ def convergence_metrics(
     pair_inc = []
     for cstate, istate in zip(comp_traj.states, inc_traj.states):
         density_scale = max(density_scale, grid.l2norm(cstate.rho - rbar) / eps)
-        cu, cv = _center_speed_fields(cstate)
-        iu, iv = _center_speed_fields(istate)
+        cu, cv = face_to_center(cstate.u, cstate.v)
+        iu, iv = face_to_center(istate.u, istate.v)
         diff = np.where(window, (cu - iu) ** 2 + (cv - iv) ** 2, 0.0)
         gap_sq.append(float(np.sum(diff)) * h2)
 
-        ext = lifting.sample(cstate.t) if lifting is not None else None
-        if ext is None:
-            zero = (np.zeros_like(cstate.u), np.zeros_like(cstate.v))
-            ext = type("Zero", (), {"u": zero[0], "v": zero[1]})()
+        ext = lifting_sample(lifting, grid, cstate.t)
         wu, wv = shifted_momentum(cstate, grid, path, law, ext)
         pair_comp.append(grid.ops.face_dot(wu, wv, phi_h_u, phi_h_v) * h2)
         swu = rbar * (istate.u - ext.u)

@@ -29,10 +29,6 @@ class NanDetected(MachlabError, RuntimeError):
     """Non-finite value appeared in a solver field."""
 
 
-class SolverDivergence(MachlabError, RuntimeError):
-    """An inner iterative construction failed to reach tolerance."""
-
-
 class PoissonFailure(MachlabError, RuntimeError):
     """The Neumann Poisson solve did not meet its residual tolerance."""
 

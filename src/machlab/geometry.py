@@ -10,12 +10,13 @@ that carry a boundary normal (obstacle stair-step or outer rim).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import GeometryTooCoarse, OutOfHorizon
+from .operators import nodal_curl
 
 FLUID, SOLID, CUT = 0, 1, 2
 
@@ -139,7 +140,8 @@ class Grid:
 
         self.n_active = int(np.count_nonzero(act))
         self.n_solid = int(np.count_nonzero(solid))
-        self.n_cut = int(np.count_nonzero(cut))
+        # outermost ring of active cells, where the far field is checked
+        self.cell_rim = act & rim
 
     # -- cached discrete operators ----------------------------------------
 
@@ -265,6 +267,19 @@ def eval_motion(path: MotionPath, t: float):
     )
 
 
+def enforce_bc(grid: Grid, path: MotionPath, state):
+    """Copy of a fluid state (any dataclass with u, v, t) whose obstacle
+    faces move with the body and whose truncation rim is at rest."""
+    _, mp, _ = eval_motion(path, state.t)
+    u = state.u.copy()
+    v = state.v.copy()
+    u[~grid.uface_interior] = mp[0]
+    v[~grid.vface_interior] = mp[1]
+    u[grid.uface_rim] = 0.0
+    v[grid.vface_rim] = 0.0
+    return replace(state, u=u, v=v)
+
+
 # -- divergence-free extension field ---------------------------------------
 
 
@@ -320,9 +335,7 @@ class ExtensionField:
         xn, yn = g.nodes()
         r = np.sqrt(xn**2 + yn**2)
         psi = _taper(r, self.collar, self.support_radius - g.h) * (vx * yn - vy * xn)
-        u = (psi[:, 1:] - psi[:, :-1]) / g.h  # (nx+1, ny)
-        v = -(psi[1:, :] - psi[:-1, :]) / g.h  # (nx, ny+1)
-        return u, v
+        return nodal_curl(psi, g.h)
 
     def sample(self, t: float) -> ExtensionFieldSample:
         """V(t, .) on faces."""
@@ -337,44 +350,26 @@ class ExtensionField:
         return ExtensionFieldSample(u, v, self.support_radius, t)
 
 
-def build_extension_field(
-    grid: Grid, path: MotionPath, t: float, support_radius: float
-) -> ExtensionFieldSample:
-    """Sample the divergence-free lifting field at time t."""
-    return ExtensionField(grid, path, support_radius).sample(t)
+def lifting_sample(lifting, grid: Grid, t: float) -> ExtensionFieldSample:
+    """V(t) of a lifting field; zero when there is none."""
+    if lifting is None:
+        zu, zv = np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1))
+        return ExtensionFieldSample(zu, zv, 0.0, t)
+    return lifting.sample(t)
 
 
-# -- frame correspondence ---------------------------------------------------
+def default_lifting_radius(obstacle_radius, half_width, sponge_width):
+    """Support radius of the lifting: three obstacle radii, kept inside the
+    sponge-free part of a box of the given half-width."""
+    return min(3.0 * obstacle_radius, 0.9 * (half_width - sponge_width))
 
 
-def transport_to_fixed(grid: Grid, cell_field: np.ndarray, m) -> np.ndarray:
-    """Sample a moving-frame cell field at y + m: f~(t, y) = f(t, y + m)."""
-    return _bilinear_shift(grid, cell_field, np.asarray(m, dtype=float))
-
-
-def transport_to_moving(grid: Grid, cell_field: np.ndarray, m) -> np.ndarray:
-    """Inverse of transport_to_fixed up to interpolation error."""
-    return _bilinear_shift(grid, cell_field, -np.asarray(m, dtype=float))
-
-
-def _bilinear_shift(grid: Grid, f: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    h = grid.h
-    # fractional index of the sample point, clamped to the box
-    gx = np.arange(grid.nx) + shift[0] / h
-    gy = np.arange(grid.ny) + shift[1] / h
-    gx = np.clip(gx, 0.0, grid.nx - 1.0)
-    gy = np.clip(gy, 0.0, grid.ny - 1.0)
-    ix = np.minimum(gx.astype(int), grid.nx - 2)
-    iy = np.minimum(gy.astype(int), grid.ny - 2)
-    fx = (gx - ix)[:, None]
-    fy = (gy - iy)[None, :]
-    f00 = f[np.ix_(ix, iy)]
-    f10 = f[np.ix_(ix + 1, iy)]
-    f01 = f[np.ix_(ix, iy + 1)]
-    f11 = f[np.ix_(ix + 1, iy + 1)]
-    return (
-        (1 - fx) * (1 - fy) * f00
-        + fx * (1 - fy) * f10
-        + (1 - fx) * fy * f01
-        + fx * fy * f11
-    )
+def build_lifting(grid: Grid, path: MotionPath, radius=None, sponge_width=0.0):
+    """The lifting field of a moving obstacle, or None when there is no
+    obstacle or it does not move; radius None takes the default."""
+    if grid.obstacle_radius <= 0.0 or path.kind == "static":
+        return None
+    if radius is None:
+        half_width = min(grid.x1, -grid.x0, grid.y1, -grid.y0)
+        radius = default_lifting_radius(grid.obstacle_radius, half_width, sponge_width)
+    return ExtensionField(grid, path, radius)

@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CflViolation, NanDetected
-from .geometry import Grid, MotionPath, eval_motion
+from .geometry import Grid, MotionPath, enforce_bc, eval_motion
+from .operators import component_masks, face_to_center, mirror_laplacian, upwind_transport
 from .spectral import helmholtz_project
 
 
@@ -60,27 +61,13 @@ class IncompressibleSolver:
         """
         g = self.grid
         hu, hv = project_initial(u0, v0, g)
-        state = self._enforce_bc(
-            IncompressibleState(hu, hv, np.zeros((g.nx, g.ny)), 0.0)
+        state = enforce_bc(
+            g, self.path, IncompressibleState(hu, hv, np.zeros((g.nx, g.ny)), 0.0)
         )
         rhs = -g.ops.pack(g.ops.div(state.u, state.v, include_boundary_faces=True))
         theta = g.ops.unpack(g.ops.poisson_solve(rhs))
         gu, gv = g.ops.grad(theta)
-        return self._enforce_bc(
-            replace(state, u=state.u - gu, v=state.v - gv)
-        )
-
-    def _enforce_bc(self, state: IncompressibleState) -> IncompressibleState:
-        """Obstacle faces move with the body, the truncation rim is at rest."""
-        g = self.grid
-        _, mp, _ = eval_motion(self.path, state.t)
-        u = state.u.copy()
-        v = state.v.copy()
-        u[~g.uface_interior] = mp[0]
-        v[~g.vface_interior] = mp[1]
-        u[g.uface_rim] = 0.0
-        v[g.vface_rim] = 0.0
-        return replace(state, u=u, v=v)
+        return enforce_bc(g, self.path, replace(state, u=state.u - gu, v=state.v - gv))
 
     def cfl_limit(self, state: IncompressibleState) -> float:
         g = self.grid
@@ -105,25 +92,19 @@ class IncompressibleSolver:
         wu = state.u - mp[0]
         wv = state.v - mp[1]
 
-        u_star = self._transport(
-            state.u, wu, wv, dt,
-            g.uface_interior, g.uface_boundary,
-            g.vface_interior | g.vface_boundary, g.active,
-        )
-        v_star = self._transport(
-            state.v.T, wv.T, wu.T, dt,
-            g.vface_interior.T, g.vface_boundary.T,
-            (g.uface_interior | g.uface_boundary).T, g.active.T,
-        ).T
+        x_masks, y_masks = component_masks(g)
+        u_star = self._transport(state.u, wu, wv, dt, *x_masks)
+        v_star = self._transport(state.v.T, wv.T, wu.T, dt, *y_masks).T
 
-        star = self._enforce_bc(replace(state, u=u_star, v=v_star))
+        star = enforce_bc(g, self.path, replace(state, u=u_star, v=v_star))
         rhs = -g.ops.pack(g.ops.div(star.u, star.v, include_boundary_faces=True))
         theta = g.ops.unpack(g.ops.poisson_solve(rhs))
         gu, gv = g.ops.grad(theta)
         u_new = star.u - gu
         v_new = star.v - gv
-        out = IncompressibleState(u_new, v_new, theta / dt, state.t + dt)
-        out = self._enforce_bc(out)
+        out = enforce_bc(
+            g, self.path, IncompressibleState(u_new, v_new, theta / dt, state.t + dt)
+        )
         if not (np.all(np.isfinite(out.u)) and np.all(np.isfinite(out.v))):
             raise NanDetected(f"non-finite velocity at t = {out.t:.6g}")
         return out
@@ -131,51 +112,8 @@ class IncompressibleSolver:
     def _transport(self, un, wn, wt, dt, interior, boundary, other_ok, cell_act):
         """Upwind advection and explicit diffusion of one component."""
         h = self.grid.h
-        nx, ny = cell_act.shape
-
-        wc = 0.5 * (wn[1:, :] + wn[:-1, :])
-        flux_n = 0.5 * wc * (un[1:, :] + un[:-1, :]) - 0.5 * np.abs(wc) * (
-            un[1:, :] - un[:-1, :]
-        )
-        flux_n[~cell_act] = 0.0
-
-        wtm = np.where(other_ok, wt, 0.0)
-        flux_t = np.zeros((nx + 1, ny + 1))
-        wcorn = 0.5 * (wtm[1:, 1:-1] + wtm[:-1, 1:-1])
-        qa = un[1:-1, :-1]
-        qb = un[1:-1, 1:]
-        flux_t[1:-1, 1:-1] = 0.5 * wcorn * (qa + qb) - 0.5 * np.abs(wcorn) * (qb - qa)
-        pair_ok = np.zeros((nx + 1, ny + 1), dtype=bool)
-        pair_ok[1:-1, 1:-1] = interior[1:-1, :-1] & interior[1:-1, 1:]
-        flux_t[~pair_ok] = 0.0
-
-        du = np.zeros_like(un)
-        du[1:-1, :] = (flux_n[1:, :] - flux_n[:-1, :]) / h
-        du[1:-1, :] += (flux_t[1:-1, 1:] - flux_t[1:-1, :-1]) / h
-
-        good = interior | boundary
-
-        def neighbor(shift_axis, step):
-            val = np.empty_like(un)
-            ok = np.empty_like(good)
-            if shift_axis == 0 and step == 1:
-                val[:-1, :], val[-1, :] = un[1:, :], un[-1, :]
-                ok[:-1, :], ok[-1, :] = good[1:, :], False
-            elif shift_axis == 0:
-                val[1:, :], val[0, :] = un[:-1, :], un[0, :]
-                ok[1:, :], ok[0, :] = good[:-1, :], False
-            elif step == 1:
-                val[:, :-1], val[:, -1] = un[:, 1:], un[:, -1]
-                ok[:, :-1], ok[:, -1] = good[:, 1:], False
-            else:
-                val[:, 1:], val[:, 0] = un[:, :-1], un[:, 0]
-                ok[:, 1:], ok[:, 0] = good[:, :-1], False
-            return np.where(ok, val, un)
-
-        lap = (
-            neighbor(0, 1) + neighbor(0, -1) + neighbor(1, 1) + neighbor(1, -1)
-            - 4.0 * un
-        ) / h**2
+        du = upwind_transport(un, wn, wt, interior, other_ok, cell_act, h)
+        lap = mirror_laplacian(un, interior | boundary, h)
         du[1:-1, :] -= self.nu * lap[1:-1, :]
         return np.where(interior, un - dt * du, un)
 
@@ -205,7 +143,6 @@ class IncompressibleSolver:
 
     def kinetic_energy(self, state: IncompressibleState) -> float:
         g = self.grid
-        uc = 0.5 * (state.u[1:, :] + state.u[:-1, :])
-        vc = 0.5 * (state.v[:, 1:] + state.v[:, :-1])
+        uc, vc = face_to_center(state.u, state.v)
         val = 0.5 * (uc**2 + vc**2)
         return float(np.sum(val[g.active])) * g.h**2

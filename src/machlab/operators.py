@@ -124,6 +124,13 @@ class DiscreteOperators:
         out[~g.active] = 0.0
         return out
 
+    def curl(self, psi):
+        """Masked nodal curl to faces; zero on boundary and dead faces."""
+        u, v = nodal_curl(psi, self.h)
+        u[~self.grid.uface_interior] = 0.0
+        v[~self.grid.vface_interior] = 0.0
+        return u, v
+
     def face_dot(self, au, av, bu, bv):
         """l2 inner product over interior faces."""
         g = self.grid
@@ -187,3 +194,111 @@ class DiscreteOperators:
         # sign: laplacian = G^T G and div = -G^T, so A theta = -div gives
         # theta with grad(theta) carrying the full divergence of (u, v)
         return um - gu, vm - gv, theta
+
+
+# -- staggered-grid stencils shared by the solvers and the analysis ----------
+
+
+def face_to_center(u, v):
+    """Cell-center averages of x-face and y-face components."""
+    return 0.5 * (u[1:, :] + u[:-1, :]), 0.5 * (v[:, 1:] + v[:, :-1])
+
+
+def center_to_xface(c):
+    """x-face averages of a cell field; the two edge columns stay zero."""
+    out = np.zeros((c.shape[0] + 1, c.shape[1]))
+    out[1:-1, :] = 0.5 * (c[1:, :] + c[:-1, :])
+    return out
+
+
+def center_to_yface(c):
+    """y-face averages of a cell field; the two edge rows stay zero."""
+    out = np.zeros((c.shape[0], c.shape[1] + 1))
+    out[:, 1:-1] = 0.5 * (c[:, 1:] + c[:, :-1])
+    return out
+
+
+def nodal_curl(psi, h):
+    """Face velocity (d psi/dy, -d psi/dx) of a nodal stream function.
+
+    The discrete divergence of the result vanishes identically.
+    """
+    return (psi[:, 1:] - psi[:, :-1]) / h, -(psi[1:, :] - psi[:-1, :]) / h
+
+
+def component_masks(grid):
+    """Face masks for updating u on x-faces and, transposed, v on y-faces.
+
+    Each entry is (interior, boundary, transverse_ok, active), oriented so
+    that the y-component call reads exactly like the x-component one.
+    """
+    g = grid
+    return (
+        (g.uface_interior, g.uface_boundary,
+         g.vface_interior | g.vface_boundary, g.active),
+        (g.vface_interior.T, g.vface_boundary.T,
+         (g.uface_interior | g.uface_boundary).T, g.active.T),
+    )
+
+
+def upwind_transport(q, wn, wt, interior, other_ok, cell_act, h):
+    """Divergence of the first-order upwind fluxes of one face component.
+
+    q is the transported quantity on x-faces (the y-component arrives
+    transposed), wn the frame-relative normal velocity on the same faces,
+    wt the relative transverse velocity on the other face family. The
+    dissipation is on the advective scale |w|. Returns an array shaped like
+    q that is zero on the two edge columns.
+    """
+    nx, ny = cell_act.shape
+
+    # normal-direction flux, one value per cell column
+    wc = 0.5 * (wn[1:, :] + wn[:-1, :])
+    lam = np.abs(wc)
+    flux_n = 0.5 * wc * (q[1:, :] + q[:-1, :]) - 0.5 * lam * (q[1:, :] - q[:-1, :])
+    flux_n[~cell_act] = 0.0
+
+    # transverse flux at corners between neighboring faces; closures at
+    # walls reduce to zero flux (mirror state, zero normal w)
+    wtm = np.where(other_ok, wt, 0.0)
+    flux_t = np.zeros((nx + 1, ny + 1))
+    wcorn = 0.5 * (wtm[1:, 1:-1] + wtm[:-1, 1:-1])
+    qa = q[1:-1, :-1]
+    qb = q[1:-1, 1:]
+    lamc = np.abs(wcorn)
+    flux_t[1:-1, 1:-1] = 0.5 * wcorn * (qa + qb) - 0.5 * lamc * (qb - qa)
+    pair_ok = np.zeros((nx + 1, ny + 1), dtype=bool)
+    pair_ok[1:-1, 1:-1] = interior[1:-1, :-1] & interior[1:-1, 1:]
+    flux_t[~pair_ok] = 0.0
+
+    dq = np.zeros_like(q)
+    dq[1:-1, :] = (flux_n[1:, :] - flux_n[:-1, :]) / h
+    dq[1:-1, :] += (flux_t[1:-1, 1:] - flux_t[1:-1, :-1]) / h
+    return dq
+
+
+def mirror_laplacian(f, good, h):
+    """Five-point Laplacian of a face component; neighbors that are not
+    `good` (dead faces, beyond the box) mirror the center value, which is
+    the free-slip closure."""
+
+    def neighbor(shift_axis, step):
+        val = np.empty_like(f)
+        ok = np.empty_like(good)
+        if shift_axis == 0 and step == 1:
+            val[:-1, :], val[-1, :] = f[1:, :], f[-1, :]
+            ok[:-1, :], ok[-1, :] = good[1:, :], False
+        elif shift_axis == 0:
+            val[1:, :], val[0, :] = f[:-1, :], f[0, :]
+            ok[1:, :], ok[0, :] = good[:-1, :], False
+        elif step == 1:
+            val[:, :-1], val[:, -1] = f[:, 1:], f[:, -1]
+            ok[:, :-1], ok[:, -1] = good[:, 1:], False
+        else:
+            val[:, 1:], val[:, 0] = f[:, :-1], f[:, 0]
+            ok[:, 1:], ok[:, 0] = good[:, :-1], False
+        return np.where(ok, val, f)
+
+    return (
+        neighbor(0, 1) + neighbor(0, -1) + neighbor(1, 1) + neighbor(1, -1) - 4.0 * f
+    ) / h**2

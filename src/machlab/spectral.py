@@ -30,6 +30,7 @@ from .errors import (
     UnresolvedOscillation,
 )
 from .geometry import ExtensionFieldSample, Grid, MotionPath, eval_motion
+from .operators import center_to_xface, center_to_yface, face_to_center
 
 DESK_CELL_CAP = 128 * 128
 DESK_MODE_CAP = 2000
@@ -330,26 +331,6 @@ class ForcingAssembly:
     eps: float
 
 
-def _interp_u_to_center(u):
-    return 0.5 * (u[1:, :] + u[:-1, :])
-
-
-def _interp_v_to_center(v):
-    return 0.5 * (v[:, 1:] + v[:, :-1])
-
-
-def _center_to_xface(c):
-    out = np.zeros((c.shape[0] + 1, c.shape[1]))
-    out[1:-1, :] = 0.5 * (c[1:, :] + c[:-1, :])
-    return out
-
-
-def _center_to_yface(c):
-    out = np.zeros((c.shape[0], c.shape[1] + 1))
-    out[:, 1:-1] = 0.5 * (c[:, 1:] + c[:, :-1])
-    return out
-
-
 def velocity_gradient(grid: Grid, u, v):
     """Cell-centered velocity gradient tensor from face components."""
     g = grid
@@ -359,8 +340,7 @@ def velocity_gradient(grid: Grid, u, v):
     vm = np.where(g.vface_interior | g.vface_boundary, v, 0.0)
     gu[:, :, 0, 0] = (um[1:, :] - um[:-1, :]) / h
     gu[:, :, 1, 1] = (vm[:, 1:] - vm[:, :-1]) / h
-    uc = _interp_u_to_center(um)
-    vc = _interp_v_to_center(vm)
+    uc, vc = face_to_center(um, vm)
     # tangential derivatives by central differences with mirrored edges
     gu[1:-1, :, 1, 0] = (vc[2:, :] - vc[:-2, :]) / (2 * h)
     gu[:, 1:-1, 0, 1] = (uc[:, 2:] - uc[:, :-2]) / (2 * h)
@@ -416,9 +396,7 @@ def lifting_time_derivative(grid: Grid, ext, ext_dt, m_prime):
     The lifting lives on the fixed frame, so the physical time derivative
     picks up the advective correction: dV/dt|_x = dV~/dt|_y - (m'.grad) V~.
     """
-    dv = np.stack(
-        [_interp_u_to_center(ext_dt.u), _interp_v_to_center(ext_dt.v)], axis=-1
-    )
+    dv = np.stack(face_to_center(ext_dt.u, ext_dt.v), axis=-1)
     grad_v = velocity_gradient(grid, ext.u, ext.v)
     return dv - np.einsum("xyij,j->xyi", grad_v, np.asarray(m_prime, dtype=float))
 
@@ -448,17 +426,19 @@ def assemble_forcing(
     ess_mask = ((0.5 * rbar < rho) & (rho < 2.0 * rbar) & g.active).astype(float)
     res_mask = g.active.astype(float) - ess_mask
 
-    uc = _interp_u_to_center(np.where(g.uface_interior | g.uface_boundary, state.u, 0.0))
-    vc = _interp_v_to_center(np.where(g.vface_interior | g.vface_boundary, state.v, 0.0))
-    vel = np.stack([uc, vc], axis=-1)
+    vel = np.stack(
+        face_to_center(
+            np.where(g.uface_interior | g.uface_boundary, state.u, 0.0),
+            np.where(g.vface_interior | g.vface_boundary, state.v, 0.0),
+        ),
+        axis=-1,
+    )
 
     grad_u = velocity_gradient(g, state.u, state.v)
     s_tensor = stress(visc, grad_u)
     uu = vel[..., :, None] * vel[..., None, :]
 
-    vext = np.stack(
-        [_interp_u_to_center(ext.u), _interp_v_to_center(ext.v)], axis=-1
-    )
+    vext = np.stack(face_to_center(ext.u, ext.v), axis=-1)
     mom = rho[..., None] * vel - rbar * vext  # momentum relative to lifting
     r_cells = (rho - rbar) / eps
     wmom = mom - eps * r_cells[..., None] * mp[None, None, :]
@@ -469,11 +449,9 @@ def assemble_forcing(
         terms.append(ForcingTerm(label, "tensor", tensor_divdiv(g, tensor)))
 
     def add_vector(label, vecfield):
-        fu = _center_to_xface(vecfield[..., 0])
-        fv = _center_to_yface(vecfield[..., 1])
-        terms.append(
-            ForcingTerm(label, "vector", g.ops.div(fu, fv))
-        )
+        fu = center_to_xface(vecfield[..., 0])
+        fv = center_to_yface(vecfield[..., 1])
+        terms.append(ForcingTerm(label, "vector", g.ops.div(fu, fv)))
 
     add_tensor("viscous", s_tensor)
     add_tensor("convective_ess", -(ess_mask * rho)[..., None, None] * uu)
@@ -545,33 +523,21 @@ def extract_acoustic_potential(
     part of the shifted momentum rho*u - rho_ref*V - eps*m'*r, which is
     tangent at boundaries by construction.
     """
-    g = grid
-    eps = state.eps
-    rbar = law.rho_ref
-    _, mp, _ = eval_motion(path, state.t)
-    r_cells = (state.rho - rbar) / eps
-
-    rho_xf = _center_to_xface(state.rho)
-    rho_yf = _center_to_yface(state.rho)
-    r_xf = _center_to_xface(r_cells)
-    r_yf = _center_to_yface(r_cells)
-    wu = rho_xf * state.u - rbar * ext.u - eps * mp[0] * r_xf
-    wv = rho_yf * state.v - rbar * ext.v - eps * mp[1] * r_yf
-    wu[~g.uface_interior] = 0.0
-    wv[~g.vface_interior] = 0.0
-    _, psi = helmholtz_project(g, wu, wv)
-    r_field = np.where(g.active, r_cells, 0.0)
-    return AcousticState(r_field, psi, eps, state.t)
+    wu, wv = shifted_momentum(state, grid, path, law, ext)
+    _, psi = helmholtz_project(grid, wu, wv)
+    r_field = np.where(grid.active, (state.rho - law.rho_ref) / state.eps, 0.0)
+    return AcousticState(r_field, psi, state.eps, state.t)
 
 
 def shifted_momentum(state, grid: Grid, path: MotionPath, law: PressureLaw, ext):
-    """Face components of the shifted momentum W used by the diagnostics."""
+    """Face components of the shifted momentum rho*u - rho_ref*V - eps*m'*r,
+    zero off the interior faces."""
     eps = state.eps
     rbar = law.rho_ref
     _, mp, _ = eval_motion(path, state.t)
     r_cells = (state.rho - rbar) / eps
-    wu = _center_to_xface(state.rho) * state.u - rbar * ext.u - eps * mp[0] * _center_to_xface(r_cells)
-    wv = _center_to_yface(state.rho) * state.v - rbar * ext.v - eps * mp[1] * _center_to_yface(r_cells)
+    wu = center_to_xface(state.rho) * state.u - rbar * ext.u - eps * mp[0] * center_to_xface(r_cells)
+    wv = center_to_yface(state.rho) * state.v - rbar * ext.v - eps * mp[1] * center_to_yface(r_cells)
     wu[~grid.uface_interior] = 0.0
     wv[~grid.vface_interior] = 0.0
     return wu, wv

@@ -22,6 +22,7 @@ from .compressible import CompressibleSolver, IllPreparedData, SolverOptions
 from .config import ExperimentConfig, canonical_text
 from .constitutive import PressureLaw, ViscosityPair
 from .diagnostics import (
+    MetricsRecord,
     convergence_metrics,
     default_window,
     solenoidal_test_function,
@@ -31,6 +32,8 @@ from .geometry import (
     ExtensionField,
     Grid,
     build_grid,
+    build_lifting,
+    lifting_sample,
     linear_path,
     sinusoidal_path,
     static_path,
@@ -39,6 +42,7 @@ from .incompressible import IncompressibleSolver
 from .storage import write_csv, write_manifest, write_snapshot
 
 CHANNEL_NAMES = tuple(f"forcing_channel_{i + 1}" for i in range(5))
+RAGE_HEADER = ["eps", "D", "T", "K", "truncation_remainder"]
 
 
 @dataclass
@@ -49,12 +53,7 @@ class Scenario:
     path: object
     options: SolverOptions
     cfg: ExperimentConfig
-
-    @property
-    def lifting(self):
-        if self.grid.obstacle_radius <= 0.0 or self.path.kind == "static":
-            return None
-        return ExtensionField(self.grid, self.path, self.options.lifting_radius)
+    lifting: ExtensionField | None
 
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:
@@ -78,9 +77,10 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
         sponge_width=n["sponge_width"],
         sponge_enabled=n["sponge_enabled"],
         lifting_radius=n["lifting_radius"],
-        data_bound=cfg["initial"]["data_bound"],
+        tol_energy=n["tol_energy"],
     )
-    return Scenario(grid, law, visc, path, options, cfg)
+    lifting = build_lifting(grid, path, options.lifting_radius)
+    return Scenario(grid, law, visc, path, options, cfg, lifting)
 
 
 def _cell_bump(grid: Grid, center, width, amplitude):
@@ -97,14 +97,6 @@ def _node_bump(grid: Grid, center, width):
     r2 = (xn - center[0]) ** 2 + (yn - center[1]) ** 2
     w2 = width**2
     return np.where(r2 < w2, (1.0 - r2 / w2) ** 3, 0.0)
-
-
-def _nodal_curl(grid: Grid, psi):
-    u = (psi[:, 1:] - psi[:, :-1]) / grid.h
-    v = -(psi[1:, :] - psi[:-1, :]) / grid.h
-    u[~grid.uface_interior] = 0.0
-    v[~grid.vface_interior] = 0.0
-    return u, v
 
 
 def initial_velocity(cfg: ExperimentConfig, grid: Grid, rng: np.random.Generator):
@@ -125,13 +117,13 @@ def initial_velocity(cfg: ExperimentConfig, grid: Grid, rng: np.random.Generator
 
         psi = gaussian_filter(rng.standard_normal((grid.nx + 1, grid.ny + 1)), 4.0)
         taper = _node_bump(grid, (0.0, 0.0), 0.7 * L)
-        cu, cv = _nodal_curl(grid, psi * taper)
+        cu, cv = grid.ops.curl(psi * taper)
         q = gaussian_filter(rng.standard_normal((grid.nx, grid.ny)), 4.0)
         q *= _cell_bump(grid, (0.0, 0.0), 0.7 * L, 1.0)
         gq = grid.ops.grad(q)
     else:
         psi = _node_bump(grid, (-0.3 * L, -0.175 * L), 0.15 * L)
-        cu, cv = _nodal_curl(grid, psi)
+        cu, cv = grid.ops.curl(psi)
         q = _cell_bump(
             grid,
             (ini["pulse_center_x"], ini["pulse_center_y"]),
@@ -198,6 +190,34 @@ def rage_probe(cfg: ExperimentConfig, grid: Grid, dec: sp.SpectralDecomposition)
     return x_field, chi, window
 
 
+def rage_row(cfg: ExperimentConfig, dec, law: PressureLaw, eps: float, probe, horizon):
+    """One rage.csv row: D(eps) over [0, horizon]; zero for an empty horizon."""
+    x_field, chi, window = probe
+    if horizon <= 0.0:
+        return (eps, 0.0, 0.0, dec.modes, dec.truncation_remainder(x_field))
+    res = sp.rage_decay(
+        dec, law, eps, x_field, chi, window, horizon,
+        quadrature_factor=cfg["spectral"]["quadrature_factor"],
+    )
+    return (eps, res.value, res.horizon, res.modes, res.truncation_remainder)
+
+
+def decompose(cfg: ExperimentConfig, grid: Grid) -> sp.SpectralDecomposition:
+    """The configured number of Neumann eigenpairs, capped by the cell count."""
+    lap = sp.assemble_neumann_laplacian(grid)
+    return sp.spectral_decompose(lap, min(cfg["numerics"]["modes"], grid.n_active))
+
+
+def write_eigenvalues(path, dec: sp.SpectralDecomposition):
+    """The eigenvalue table k, lambda, residual as CSV."""
+    write_csv(
+        path,
+        ["k", "lambda", "residual"],
+        [(k + 1, float(l), float(r)) for k, (l, r) in
+         enumerate(zip(dec.eigenvalues, dec.residuals))],
+    )
+
+
 # -- per-eps job ------------------------------------------------------------
 
 
@@ -205,14 +225,8 @@ def _channel_series(scenario: Scenario, dec, traj, lifting):
     """Per-channel L2((0,T) x Omega) norms from the snapshot series."""
     vals = []
     for state in traj.states:
-        if lifting is not None:
-            ext = lifting.sample(state.t)
-            ext_dt = lifting.sample_dt(state.t)
-        else:
-            zu = np.zeros_like(state.u)
-            zv = np.zeros_like(state.v)
-            ext = sp.ExtensionFieldSample(zu, zv, 0.0, state.t)
-            ext_dt = sp.ExtensionFieldSample(zu.copy(), zv.copy(), 0.0, state.t)
+        ext = lifting_sample(lifting, scenario.grid, state.t)
+        ext_dt = ext if lifting is None else lifting.sample_dt(state.t)
         assembly = sp.assemble_forcing(
             state, scenario.grid, scenario.law, scenario.visc, scenario.path, ext, ext_dt
         )
@@ -238,12 +252,7 @@ def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
     lifting = scenario.lifting
     acoustics = []
     for state in traj.states:
-        if lifting is not None:
-            ext = lifting.sample(state.t)
-        else:
-            ext = sp.ExtensionFieldSample(
-                np.zeros_like(state.u), np.zeros_like(state.v), 0.0, state.t
-            )
+        ext = lifting_sample(lifting, scenario.grid, state.t)
         acoustics.append(
             sp.extract_acoustic_potential(state, scenario.grid, scenario.path,
                                           scenario.law, ext)
@@ -262,19 +271,9 @@ def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
 
     channels = _channel_series(scenario, dec, traj, lifting)
 
-    x_field, chi, window = rage_probe(cfg, scenario.grid, dec)
-    horizon = rage_horizon(cfg)
-    if horizon > 0.0:
-        rage = sp.rage_decay(
-            dec, scenario.law, eps, x_field, chi, window, horizon,
-            quadrature_factor=cfg["spectral"]["quadrature_factor"],
-        )
-        rage_row = (eps, rage.value, rage.horizon, rage.modes,
-                    rage.truncation_remainder)
-    else:
-        rage_row = (eps, 0.0, 0.0, dec.modes, dec.truncation_remainder(x_field))
-
-    return traj, channels, rage_row
+    probe = rage_probe(cfg, scenario.grid, dec)
+    row = rage_row(cfg, dec, scenario.law, eps, probe, rage_horizon(cfg))
+    return traj, channels, row
 
 
 def _eps_dirname(eps: float) -> str:
@@ -296,8 +295,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     eps_list = list(cfg["sweep"]["eps"])
     seed = cfg["run"]["seed"]
 
-    lap = sp.assemble_neumann_laplacian(grid)
-    dec = sp.spectral_decompose(lap, min(cfg["numerics"]["modes"], grid.n_active))
+    dec = decompose(cfg, grid)
 
     # incompressible reference run (eps-independent)
     rng = np.random.default_rng(seed)
@@ -339,7 +337,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     a = grid.obstacle_radius
     phi = solenoidal_test_function(grid, 1.2 * a, 3.0 * a)
     for eps in eps_list:
-        traj, channels, rage_row = jobs[eps]
+        traj, channels, decay = jobs[eps]
         for rec in traj.energy:
             energy_rows.append((rec.t, rec.eps, rec.lhs, rec.rhs, int(rec.flag)))
         for t, m, s in zip(traj.times, traj.total_mass, traj.sponge_mass):
@@ -358,7 +356,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             )
         channel_sum = float(np.sum(channels))
         metric_records.append(_metric(run_id, eps, "forcing_channel_sum", channel_sum))
-        rage_rows.append(rage_row)
+        rage_rows.append(decay)
         by_name = {r.metric_name: r.value for r in conv}
         res_l1 = next(
             r.value for r in metric_records
@@ -370,7 +368,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
                 by_name["density_scale"],
                 by_name["velocity_gap"],
                 by_name["solenoidal_pairing_gap"],
-                rage_row[1],
+                decay[1],
                 channel_sum,
                 res_l1,
                 int(all(rec.flag for rec in traj.energy)),
@@ -388,14 +386,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             for r in metric_records
         ],
     )
-    write_csv(out_dir / "rage.csv", ["eps", "D", "T", "K", "truncation_remainder"],
-              rage_rows)
-    write_csv(
-        out_dir / "eigenvalues.csv",
-        ["k", "lambda", "residual"],
-        [(k + 1, float(l), float(r)) for k, (l, r) in
-         enumerate(zip(dec.eigenvalues, dec.residuals))],
-    )
+    write_csv(out_dir / "rage.csv", RAGE_HEADER, rage_rows)
+    write_eigenvalues(out_dir / "eigenvalues.csv", dec)
     header = ["eps", "density_scale", "velocity_gap", "solenoidal_pairing_gap",
               "rage_d", "forcing_channel_sum", "res_indicator_l1", "energy_ok"]
     write_csv(out_dir / "summary.csv", header, summary_rows)
@@ -405,8 +397,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def _metric(run_id, eps, name, value):
-    from .diagnostics import MetricsRecord
-
     return MetricsRecord(run_id, eps, name, 2.0, "full", "integral_t", value)
 
 
@@ -416,10 +406,7 @@ def _run_one_eps_job(cfg_text: str, eps: float, out_dir: str):
 
     cfg = parse_config(cfg_text)
     scenario = build_scenario(cfg)
-    lap = sp.assemble_neumann_laplacian(scenario.grid)
-    dec = sp.spectral_decompose(
-        lap, min(cfg["numerics"]["modes"], scenario.grid.n_active)
-    )
+    dec = decompose(cfg, scenario.grid)
     times = sample_schedule(cfg)
     return run_one_eps(
         scenario, dec, eps, times, cfg["run"]["seed"],
@@ -435,28 +422,15 @@ def run_spectral_study(cfg: ExperimentConfig, out_dir) -> dict:
     run_id = cfg.digest()
 
     scenario = build_scenario(cfg)
-    grid = scenario.grid
-    lap = sp.assemble_neumann_laplacian(grid)
-    dec = sp.spectral_decompose(lap, min(cfg["numerics"]["modes"], grid.n_active))
-    x_field, chi, window = rage_probe(cfg, grid, dec)
+    dec = decompose(cfg, scenario.grid)
+    probe = rage_probe(cfg, scenario.grid, dec)
     horizon = rage_horizon(cfg)
-
-    rage_rows = []
-    for eps in cfg["sweep"]["eps"]:
-        res = sp.rage_decay(
-            dec, scenario.law, eps, x_field, chi, window, horizon,
-            quadrature_factor=cfg["spectral"]["quadrature_factor"],
-        )
-        rage_rows.append((eps, res.value, res.horizon, res.modes,
-                          res.truncation_remainder))
-    write_csv(out_dir / "rage.csv", ["eps", "D", "T", "K", "truncation_remainder"],
-              rage_rows)
-    write_csv(
-        out_dir / "eigenvalues.csv",
-        ["k", "lambda", "residual"],
-        [(k + 1, float(l), float(r)) for k, (l, r) in
-         enumerate(zip(dec.eigenvalues, dec.residuals))],
-    )
+    rage_rows = [
+        rage_row(cfg, dec, scenario.law, eps, probe, horizon)
+        for eps in cfg["sweep"]["eps"]
+    ]
+    write_csv(out_dir / "rage.csv", RAGE_HEADER, rage_rows)
+    write_eigenvalues(out_dir / "eigenvalues.csv", dec)
     header = ["eps", "rage_d"]
     summary = [(eps, row[1]) for eps, row in zip(cfg["sweep"]["eps"], rage_rows)]
     write_csv(out_dir / "summary.csv", header, summary)

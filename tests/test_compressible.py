@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from machlab.compressible import (
     CompressibleSolver,
+    EnergyLedger,
+    FluidState,
     IllPreparedData,
     SolverOptions,
 )
@@ -112,6 +116,24 @@ class TestStep:
             state = sol.step(state, sol.cfl_limit(state))
         assert abs(sol._total_mass(state) - m0) <= 1e-12 * m0
 
+    def test_commutes_with_diagonal_reflection(self, obstacle_grid):
+        # swapping x and y maps u-faces onto v-faces, so the transposed
+        # y-component pass through the shared transport kernel must agree
+        # with the x-component pass
+        g = obstacle_grid
+        sol = make_solver(grid=g)
+        rng = np.random.default_rng(3)
+        base = pulse_data(g, center=(0.4, -0.2))
+        data = IllPreparedData(base.rho1, 0.05 * rng.standard_normal(base.u0.shape),
+                               0.05 * rng.standard_normal(base.v0.shape), base.eps)
+        s0 = sol.init_state(data)
+        dt = 0.5 * sol.cfl_limit(s0)
+        s1 = sol.step(s0, dt)
+        r1 = sol.step(FluidState(s0.rho.T, s0.v.T, s0.u.T, s0.t, s0.eps), dt)
+        assert np.abs(r1.rho - s1.rho.T).max() <= 1e-12
+        assert np.abs(r1.u - s1.v.T).max() <= 1e-12
+        assert np.abs(r1.v - s1.u.T).max() <= 1e-12
+
     def test_wavefront_speed(self):
         # pulse expands at the scaled sound speed sqrt(p'(1))/eps within 5%
         grid = build_rectangle_grid(-1.0, 1.0, -1.0, 1.0, 1.0 / 64.0)
@@ -209,6 +231,18 @@ class TestEnergyInequality:
         assert any(rec.rhs != 0.0 for rec in traj.energy[1:])
         for rec in traj.energy:
             assert rec.flag
+
+    def test_tol_energy_sets_flag_tolerance(self):
+        # lhs exceeds rhs by 5e-4 of the initial energy: inside the default
+        # 1e-3 tolerance, outside a tolerance of 1e-4
+        sol = make_solver()
+        strict = CompressibleSolver(sol.grid, LAW, VISC, sol.path,
+                                    replace(sol.options, tol_energy=1e-4))
+        state = sol.init_state(rest_data(sol.grid))
+        ledger = EnergyLedger(initial_energy=1.0, initial_v_coupling=0.0,
+                              dissipation=1.0005)
+        assert sol.energy_report(state, ledger).flag
+        assert not strict.energy_report(state, ledger).flag
 
     def test_sponge_mass_flux_logged(self):
         sol = make_solver()

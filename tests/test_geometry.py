@@ -7,15 +7,11 @@ from machlab.geometry import (
     FLUID,
     SOLID,
     ExtensionField,
-    build_extension_field,
     build_grid,
-    build_rectangle_grid,
     eval_motion,
     linear_path,
     sinusoidal_path,
     static_path,
-    transport_to_fixed,
-    transport_to_moving,
 )
 
 
@@ -105,26 +101,26 @@ class TestExtensionField:
         self.path = linear_path((1.0, 0.0), 1.0)
 
     def test_static_motion_gives_zero_field(self):
-        ext = build_extension_field(self.grid, static_path(1.0), 0.5, 0.75)
+        ext = ExtensionField(self.grid, static_path(1.0), 0.75).sample(0.5)
         assert np.abs(ext.u).max() == 0.0
         assert np.abs(ext.v).max() == 0.0
 
     def test_divergence_within_tolerance(self):
         g = self.grid
-        ext = build_extension_field(g, self.path, 0.0, 0.75)
+        ext = ExtensionField(g, self.path, 0.75).sample(0.0)
         div = g.ops.div(ext.u, ext.v, include_boundary_faces=True)
         assert np.abs(div[g.active]).max() <= 10.0 * g.h**2
 
     def test_boundary_match(self):
         g = self.grid
-        ext = build_extension_field(g, self.path, 0.0, 0.75)
+        ext = ExtensionField(g, self.path, 0.75).sample(0.0)
         tol = 10.0 * g.h**2
         assert np.abs(ext.u[g.uface_obstacle] - 1.0).max() <= tol
         assert np.abs(ext.v[g.vface_obstacle]).max() <= tol
 
     def test_compact_support(self):
         g = self.grid
-        ext = build_extension_field(g, self.path, 0.0, 0.75)
+        ext = ExtensionField(g, self.path, 0.75).sample(0.0)
         xf, yf = g.xface_coords()
         assert np.abs(ext.u[xf**2 + yf**2 > 0.75**2 + 1e-12]).max() == 0.0
         xv, yv = g.yface_coords()
@@ -143,19 +139,3 @@ class TestExtensionField:
         with pytest.raises(ValueError):
             ExtensionField(self.grid, self.path, 2.5)  # outside the box
 
-
-def test_frame_transport_roundtrip_second_order():
-    errs = []
-    for n in (32, 64):
-        g = build_rectangle_grid(-1.0, 1.0, -1.0, 1.0, 2.0 / n)
-        xc, yc = g.cell_centers()
-        f = np.sin(2.0 * xc) * np.cos(1.5 * yc)
-        m = np.array([0.31 * g.h * 7, -0.22 * g.h * 5])  # generic subcell shift
-        back = transport_to_moving(g, transport_to_fixed(g, f, m), m)
-        interior = np.zeros_like(f, dtype=bool)
-        k = int(np.ceil(abs(m).max() / g.h)) + 2
-        interior[k:-k, k:-k] = True
-        errs.append(np.abs((back - f)[interior]).max())
-    # halving h should shrink the roundtrip error by about 4
-    assert errs[1] <= errs[0] / 2.5
-    assert errs[0] < 0.05

@@ -166,6 +166,14 @@ class TestCli:
         bad.write_text("[physics]\ngamma = 1.0\n")
         assert cli_main(["run", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("factor", ["0", "0.6"])
+    def test_quadrature_factor_out_of_range_exit_code(self, tmp_path, factor):
+        # rage_decay needs 0 < quadrature_factor <= 0.5; outside that range
+        # the config is rejected before any computation
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MINI_CFG + f"\n[spectral]\nquadrature_factor = {factor}\n")
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
     def test_verify_failure_exit_code(self, mini_run, tmp_path):
         broken = tmp_path / "broken"
         shutil.copytree(mini_run["out_dir"], broken)
