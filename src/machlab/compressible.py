@@ -373,7 +373,7 @@ class CompressibleSolver:
         grad_v = velocity_gradient(g, ext.u, ext.v)
         vel = np.stack(face_to_center(state.u, state.v), axis=-1)
         uu = state.rho[..., None, None] * vel[..., :, None] * vel[..., None, :]
-        dv_moving = lifting_time_derivative(g, ext, ext_dt, mp)
+        dv_moving = lifting_time_derivative(grad_v, ext_dt, mp)
         integrand = (
             np.einsum("xyij,xyij->xy", s_tensor, grad_v)
             - np.einsum("xyij,xyij->xy", uu, grad_v)

@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .errors import ConfigParseError, ConfigValidationError
-from .geometry import default_lifting_radius
+from .geometry import default_lifting_radius, lifting_collar
 
 # (type, default); defaults of None are derived during validation
 SCHEMA = {
@@ -261,6 +261,11 @@ def validate(cfg: ExperimentConfig):
         v.append("modes must be at least 1")
     if a > 0 and not a < n["lifting_radius"] < L:
         v.append("lifting_radius must lie between obstacle_radius and extent")
+    elif a > 0 and h > 0 and m["kind"] != "static":
+        try:
+            lifting_collar(a, h, n["lifting_radius"])
+        except ValueError as exc:
+            v.append(f"lifting_radius {n['lifting_radius']}: {exc}")
     if run["seed"] < 0:
         v.append("seed must be nonnegative")
     if ini["pulse_width"] <= 0:

@@ -64,11 +64,6 @@ def pressure_slope(law: PressureLaw, rho):
     return law.coeff * law.gamma * np.asarray(rho, dtype=float) ** (law.gamma - 1.0)
 
 
-def sound_speed(law: PressureLaw, rho, eps: float):
-    """Scaled sound speed sqrt(p'(rho)) / eps."""
-    return np.sqrt(pressure_slope(law, rho)) / eps
-
-
 def pressure_potential(law: PressureLaw, rho):
     """P(rho) = rho * integral_1^rho p(z)/z**2 dz, in closed form.
 

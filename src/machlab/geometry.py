@@ -10,7 +10,7 @@ that carry a boundary normal (obstacle stair-step or outer rim).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -291,15 +291,26 @@ def _taper(r, r_inner, r_outer):
 
 @dataclass(frozen=True)
 class ExtensionFieldSample:
-    """One time slice of the lifting field V: face components and metadata."""
+    """One time slice of the lifting field V: its face components."""
 
     u: np.ndarray
     v: np.ndarray
-    support_radius: float
-    t: float
 
 
-@dataclass(frozen=True)
+def lifting_collar(obstacle_radius, cell_size, support_radius):
+    """Inner radius of the lifting's taper, inside which V = m'.
+
+    The stream function must die one cell before the support radius so
+    every face beyond it has all its nodes in the zero region; a support
+    radius leaving no room for that raises ValueError.
+    """
+    a, h, R = obstacle_radius, cell_size, support_radius
+    collar = a + max(4.0 * h, 0.15 * (R - a))
+    if collar >= R - h:
+        raise ValueError("support radius leaves no room for the taper")
+    return collar
+
+
 class ExtensionField:
     """Compactly supported divergence-free lifting of the obstacle velocity.
 
@@ -307,54 +318,45 @@ class ExtensionField:
     psi = taper(|y|) * (vx*y - vy*x), so the discrete divergence vanishes
     identically, V equals m'(t) in a collar around the obstacle (hence
     matches the boundary normal velocity exactly), and V = 0 beyond the
-    support radius.
+    support radius. The nodes and the taper are computed once; a sample
+    only scales them by the obstacle velocity.
     """
 
-    grid: Grid
-    path: MotionPath
-    support_radius: float
-    collar: float = field(default=0.0)
-
-    def __post_init__(self):
-        g, R = self.grid, self.support_radius
-        a = g.obstacle_radius
-        if not a < R:
+    def __init__(self, grid: Grid, path: MotionPath, support_radius: float):
+        g, R = grid, support_radius
+        if not g.obstacle_radius < R:
             raise ValueError("support radius must exceed the obstacle radius")
         if R >= min(g.x1, g.y1, -g.x0, -g.y0):
             raise ValueError("support radius must stay inside the box")
-        collar = a + max(4.0 * g.h, 0.15 * (R - a))
-        # the stream function must die one cell early so every face beyond
-        # the support radius has all its nodes in the zero region
-        if collar >= R - g.h:
-            raise ValueError("support radius leaves no room for the taper")
-        object.__setattr__(self, "collar", collar)
+        self.grid = grid
+        self.path = path
+        self.support_radius = support_radius
+        self.collar = lifting_collar(g.obstacle_radius, g.h, R)
+        self._xn, self._yn = g.nodes()
+        r = np.sqrt(self._xn**2 + self._yn**2)
+        self._taper = _taper(r, self.collar, R - g.h)
 
     def _curl_of(self, velocity):
-        g = self.grid
         vx, vy = float(velocity[0]), float(velocity[1])
-        xn, yn = g.nodes()
-        r = np.sqrt(xn**2 + yn**2)
-        psi = _taper(r, self.collar, self.support_radius - g.h) * (vx * yn - vy * xn)
-        return nodal_curl(psi, g.h)
+        psi = self._taper * (vx * self._yn - vy * self._xn)
+        return nodal_curl(psi, self.grid.h)
 
     def sample(self, t: float) -> ExtensionFieldSample:
         """V(t, .) on faces."""
         _, mp, _ = eval_motion(self.path, t)
-        u, v = self._curl_of(mp)
-        return ExtensionFieldSample(u, v, self.support_radius, t)
+        return ExtensionFieldSample(*self._curl_of(mp))
 
     def sample_dt(self, t: float) -> ExtensionFieldSample:
         """Fixed-frame time derivative d/dt V(t, y); linear in m''."""
         _, _, mpp = eval_motion(self.path, t)
-        u, v = self._curl_of(mpp)
-        return ExtensionFieldSample(u, v, self.support_radius, t)
+        return ExtensionFieldSample(*self._curl_of(mpp))
 
 
 def lifting_sample(lifting, grid: Grid, t: float) -> ExtensionFieldSample:
     """V(t) of a lifting field; zero when there is none."""
     if lifting is None:
         zu, zv = np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1))
-        return ExtensionFieldSample(zu, zv, 0.0, t)
+        return ExtensionFieldSample(zu, zv)
     return lifting.sample(t)
 
 

@@ -390,14 +390,14 @@ def tensor_divdiv(grid: Grid, tensor):
     return out
 
 
-def lifting_time_derivative(grid: Grid, ext, ext_dt, m_prime):
+def lifting_time_derivative(grad_v, ext_dt, m_prime):
     """Moving-frame d/dt of the lifting field, at cell centers.
 
     The lifting lives on the fixed frame, so the physical time derivative
-    picks up the advective correction: dV/dt|_x = dV~/dt|_y - (m'.grad) V~.
+    picks up the advective correction: dV/dt|_x = dV~/dt|_y - (m'.grad) V~,
+    with grad_v the lifting's velocity gradient.
     """
     dv = np.stack(face_to_center(ext_dt.u, ext_dt.v), axis=-1)
-    grad_v = velocity_gradient(grid, ext.u, ext.v)
     return dv - np.einsum("xyij,j->xyi", grad_v, np.asarray(m_prime, dtype=float))
 
 
@@ -460,7 +460,8 @@ def assemble_forcing(
         ForcingTerm("pressure", "scalar", pressure_entropy(law, rho) / eps**2)
     )
 
-    dv_moving = lifting_time_derivative(g, ext, ext_dt, mp)
+    grad_v = velocity_gradient(g, ext.u, ext.v)
+    dv_moving = lifting_time_derivative(grad_v, ext_dt, mp)
     add_vector("extension_accel", -rbar * dv_moving)
 
     outer_m = mom[..., :, None] * mp[None, None, None, :]
@@ -635,10 +636,13 @@ def rage_decay(
     ev = dec.eigenvectors
     h2 = dec.grid.h**2
 
+    # ev @ phase copies ev to complex; row blocks keep that copy near 1 MB
+    # instead of a full-size one per node
+    blocks = [slice(i, i + 1024) for i in range(0, ev.shape[0], 1024)]
     vals = np.empty(len(times))
     for i, t in enumerate(times):
         phase = np.exp(1j * omega * t) * coeffs
-        field = ev @ phase
+        field = np.concatenate([ev[b] @ phase for b in blocks])
         vals[i] = h2 * float(np.sum((chi_vec * np.abs(field)) ** 2))
     value = float(np.trapezoid(vals, times))
     return RageResult(

@@ -29,10 +29,8 @@ from .diagnostics import (
     uniform_estimate_report,
 )
 from .geometry import (
-    ExtensionField,
     Grid,
     build_grid,
-    build_lifting,
     lifting_sample,
     linear_path,
     sinusoidal_path,
@@ -43,17 +41,21 @@ from .storage import write_csv, write_manifest, write_snapshot
 
 CHANNEL_NAMES = tuple(f"forcing_channel_{i + 1}" for i in range(5))
 RAGE_HEADER = ["eps", "D", "T", "K", "truncation_remainder"]
+SUMMARY_HEADER = ["eps", "density_scale", "velocity_gap", "solenoidal_pairing_gap",
+                  "rage_d", "forcing_channel_sum", "res_indicator_l1", "energy_ok"]
 
 
 @dataclass
 class Scenario:
+    """The configured setup and its one eps-independent compressible solver,
+    which owns the sponge profiles and the lifting field."""
+
     grid: Grid
     law: PressureLaw
     visc: ViscosityPair
     path: object
-    options: SolverOptions
     cfg: ExperimentConfig
-    lifting: ExtensionField | None
+    solver: CompressibleSolver
 
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:
@@ -79,8 +81,8 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
         lifting_radius=n["lifting_radius"],
         tol_energy=n["tol_energy"],
     )
-    lifting = build_lifting(grid, path, options.lifting_radius)
-    return Scenario(grid, law, visc, path, options, cfg, lifting)
+    solver = CompressibleSolver(grid, law, visc, path, options)
+    return Scenario(grid, law, visc, path, cfg, solver)
 
 
 def _cell_bump(grid: Grid, center, width, amplitude):
@@ -221,57 +223,41 @@ def write_eigenvalues(path, dec: sp.SpectralDecomposition):
 # -- per-eps job ------------------------------------------------------------
 
 
-def _channel_series(scenario: Scenario, dec, traj, lifting):
-    """Per-channel L2((0,T) x Omega) norms from the snapshot series."""
+def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
+                out_dir: Path):
+    """Compressible run plus all per-eps analysis; returns record rows.
+
+    One pass over the snapshots writes each with its acoustic pair and
+    assembles its forcing; one lifting sample per snapshot feeds both.
+    """
+    cfg = scenario.cfg
+    grid, solver, lifting = scenario.grid, scenario.solver, scenario.solver.lifting
+    rng = np.random.default_rng(rng_seed)
+    data = initial_data(cfg, grid, eps, rng)
+    traj = solver.run(solver.init_state(data), times)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
     vals = []
-    for state in traj.states:
-        ext = lifting_sample(lifting, scenario.grid, state.t)
+    for i, state in enumerate(traj.states):
+        ext = lifting_sample(lifting, grid, state.t)
         ext_dt = ext if lifting is None else lifting.sample_dt(state.t)
+        ac = sp.extract_acoustic_potential(state, grid, scenario.path, scenario.law, ext)
+        write_snapshot(
+            out_dir / f"snap_{i:03d}.dat", grid, state.t,
+            {"rho": state.rho, "u": state.u, "v": state.v, "r": ac.r, "psi": ac.psi},
+        )
         assembly = sp.assemble_forcing(
-            state, scenario.grid, scenario.law, scenario.visc, scenario.path, ext, ext_dt
+            state, grid, scenario.law, scenario.visc, scenario.path, ext, ext_dt
         )
         vals.append(sp.forcing_channel_norms(assembly, dec))
+    # per-channel L2((0,T) x Omega) norms of the snapshot series
     vals = np.array(vals)
     if len(traj.times) == 1:
-        return np.zeros(vals.shape[1])
-    return np.sqrt(np.trapezoid(vals**2, traj.times, axis=0))
+        channels = np.zeros(vals.shape[1])
+    else:
+        channels = np.sqrt(np.trapezoid(vals**2, traj.times, axis=0))
 
-
-def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
-                out_dir: Path | None):
-    """Compressible run plus all per-eps analysis; returns record rows."""
-    cfg = scenario.cfg
-    rng = np.random.default_rng(rng_seed)
-    data = initial_data(cfg, scenario.grid, eps, rng)
-    solver = CompressibleSolver(
-        scenario.grid, scenario.law, scenario.visc, scenario.path, scenario.options
-    )
-    state0 = solver.init_state(data)
-    traj = solver.run(state0, times)
-
-    lifting = scenario.lifting
-    acoustics = []
-    for state in traj.states:
-        ext = lifting_sample(lifting, scenario.grid, state.t)
-        acoustics.append(
-            sp.extract_acoustic_potential(state, scenario.grid, scenario.path,
-                                          scenario.law, ext)
-        )
-
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, (state, ac) in enumerate(zip(traj.states, acoustics)):
-            write_snapshot(
-                out_dir / f"snap_{i:03d}.dat",
-                scenario.grid,
-                state.t,
-                {"rho": state.rho, "u": state.u, "v": state.v,
-                 "r": ac.r, "psi": ac.psi},
-            )
-
-    channels = _channel_series(scenario, dec, traj, lifting)
-
-    probe = rage_probe(cfg, scenario.grid, dec)
+    probe = rage_probe(cfg, grid, dec)
     row = rage_row(cfg, dec, scenario.law, eps, probe, rage_horizon(cfg))
     return traj, channels, row
 
@@ -281,21 +267,48 @@ def _eps_dirname(eps: float) -> str:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
-    """Full pipeline for the configured scenario; returns the summary table."""
-    if cfg["run"]["scenario"] == "spectral":
-        return run_spectral_study(cfg, out_dir)
+    """Full pipeline for the configured scenario; returns the summary table.
+
+    The spectral scenario only tabulates D(eps); the fluid scenario runs
+    the whole sweep. Both write config.txt, rage.csv, eigenvalues.csv,
+    summary.csv and the manifest the same way.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(canonical_text(cfg))
     run_id = cfg.digest()
 
     scenario = build_scenario(cfg)
+    dec = decompose(cfg, scenario.grid)
+    if cfg["run"]["scenario"] == "spectral":
+        probe = rage_probe(cfg, scenario.grid, dec)
+        horizon = rage_horizon(cfg)
+        rage_rows = [
+            rage_row(cfg, dec, scenario.law, eps, probe, horizon)
+            for eps in cfg["sweep"]["eps"]
+        ]
+        header = ["eps", "rage_d"]
+        summary_rows = [(row[0], row[1]) for row in rage_rows]
+    else:
+        rage_rows, summary_rows = _fluid_sweep(scenario, dec, run_id, out_dir)
+        header = SUMMARY_HEADER
+
+    write_csv(out_dir / "rage.csv", RAGE_HEADER, rage_rows)
+    write_eigenvalues(out_dir / "eigenvalues.csv", dec)
+    write_csv(out_dir / "summary.csv", header, summary_rows)
+    write_manifest(out_dir, run_id)
+    return {"run_id": run_id, "summary": summary_rows, "header": header,
+            "out_dir": str(out_dir)}
+
+
+def _fluid_sweep(scenario: Scenario, dec, run_id: str, out_dir: Path):
+    """Reference run, eps members and their tables; returns the rage.csv
+    and summary.csv rows."""
+    cfg = scenario.cfg
     grid = scenario.grid
     times = sample_schedule(cfg)
     eps_list = list(cfg["sweep"]["eps"])
     seed = cfg["run"]["seed"]
-
-    dec = decompose(cfg, grid)
 
     # incompressible reference run (eps-independent)
     rng = np.random.default_rng(seed)
@@ -342,26 +355,18 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             energy_rows.append((rec.t, rec.eps, rec.lhs, rec.rhs, int(rec.flag)))
         for t, m, s in zip(traj.times, traj.total_mass, traj.sponge_mass):
             mass_rows.append((float(t), eps, m, s))
-        metric_records.extend(
-            uniform_estimate_report(traj, grid, scenario.law, eps, run_id=run_id)
-        )
-        conv = convergence_metrics(
-            traj, inc_traj, grid, scenario.law, scenario.path, scenario.lifting,
+        records = uniform_estimate_report(traj, grid, scenario.law, eps, run_id=run_id)
+        records += convergence_metrics(
+            traj, inc_traj, grid, scenario.law, scenario.path, scenario.solver.lifting,
             window=window, phi=phi, run_id=run_id,
         )
-        metric_records.extend(conv)
-        for name, value in zip(CHANNEL_NAMES, channels):
-            metric_records.append(
-                _metric(run_id, eps, name, value)
-            )
+        records += [_metric(run_id, eps, name, value)
+                    for name, value in zip(CHANNEL_NAMES, channels)]
         channel_sum = float(np.sum(channels))
-        metric_records.append(_metric(run_id, eps, "forcing_channel_sum", channel_sum))
+        records.append(_metric(run_id, eps, "forcing_channel_sum", channel_sum))
+        metric_records.extend(records)
         rage_rows.append(decay)
-        by_name = {r.metric_name: r.value for r in conv}
-        res_l1 = next(
-            r.value for r in metric_records
-            if r.eps == eps and r.metric_name == "res_indicator_l1"
-        )
+        by_name = {r.metric_name: r.value for r in records}
         summary_rows.append(
             (
                 eps,
@@ -370,7 +375,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
                 by_name["solenoidal_pairing_gap"],
                 decay[1],
                 channel_sum,
-                res_l1,
+                by_name["res_indicator_l1"],
                 int(all(rec.flag for rec in traj.energy)),
             )
         )
@@ -386,14 +391,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             for r in metric_records
         ],
     )
-    write_csv(out_dir / "rage.csv", RAGE_HEADER, rage_rows)
-    write_eigenvalues(out_dir / "eigenvalues.csv", dec)
-    header = ["eps", "density_scale", "velocity_gap", "solenoidal_pairing_gap",
-              "rage_d", "forcing_channel_sum", "res_indicator_l1", "energy_ok"]
-    write_csv(out_dir / "summary.csv", header, summary_rows)
-    write_manifest(out_dir, run_id)
-    return {"run_id": run_id, "summary": summary_rows, "header": header,
-            "out_dir": str(out_dir)}
+    return rage_rows, summary_rows
 
 
 def _metric(run_id, eps, name, value):
@@ -412,28 +410,3 @@ def _run_one_eps_job(cfg_text: str, eps: float, out_dir: str):
         scenario, dec, eps, times, cfg["run"]["seed"],
         Path(out_dir) / _eps_dirname(eps),
     )
-
-
-def run_spectral_study(cfg: ExperimentConfig, out_dir) -> dict:
-    """Pure spectral scenario: eigentable and the D(eps) decay series."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(canonical_text(cfg))
-    run_id = cfg.digest()
-
-    scenario = build_scenario(cfg)
-    dec = decompose(cfg, scenario.grid)
-    probe = rage_probe(cfg, scenario.grid, dec)
-    horizon = rage_horizon(cfg)
-    rage_rows = [
-        rage_row(cfg, dec, scenario.law, eps, probe, horizon)
-        for eps in cfg["sweep"]["eps"]
-    ]
-    write_csv(out_dir / "rage.csv", RAGE_HEADER, rage_rows)
-    write_eigenvalues(out_dir / "eigenvalues.csv", dec)
-    header = ["eps", "rage_d"]
-    summary = [(eps, row[1]) for eps, row in zip(cfg["sweep"]["eps"], rage_rows)]
-    write_csv(out_dir / "summary.csv", header, summary)
-    write_manifest(out_dir, run_id)
-    return {"run_id": run_id, "summary": summary, "header": header,
-            "out_dir": str(out_dir)}

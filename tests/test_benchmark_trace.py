@@ -1,0 +1,38 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+perfbench/spans.py replaces machlab functions at the names their callers
+look them up. A refactor that renames or bypasses one of them would only
+surface in a traced benchmark run; this test runs one on the mini config.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from conftest import MINI_CFG
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_traced_child_run_on_mini_config(tmp_path):
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CFG)
+    env = {k: v for k, v in os.environ.items() if k != "MACHLAB_WORKERS"}
+    env["PYTHONPATH"] = str(REPO / "src")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "child.py"), str(cfg),
+         str(tmp_path / "run"), repr(time.monotonic()), "trace"],
+        cwd=REPO, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["verify_ok"], out["verify_failures"]
+    assert out["counts"]["spectral.eigensolve_calls"] == 1
+    assert out["counts"]["geometry.lifting_calls"] > 0
+    assert set(out["dt"]) == {"0.2", "0.1"}
+    assert {"compressible.step", "sweep.self"} <= set(out["layers"])

@@ -7,12 +7,15 @@ from machlab.geometry import (
     FLUID,
     SOLID,
     ExtensionField,
+    _taper,
     build_grid,
     eval_motion,
+    lifting_collar,
     linear_path,
     sinusoidal_path,
     static_path,
 )
+from machlab.operators import nodal_curl
 
 
 def test_too_coarse_obstacle_rejected():
@@ -138,4 +141,32 @@ class TestExtensionField:
             ExtensionField(self.grid, self.path, 0.2)  # inside the obstacle
         with pytest.raises(ValueError):
             ExtensionField(self.grid, self.path, 2.5)  # outside the box
+        with pytest.raises(ValueError, match="no room for the taper"):
+            ExtensionField(self.grid, self.path, 0.4)  # collar 0.375 >= R - h
+
+    def test_collar_rule(self):
+        # collar = a + max(4h, 0.15 (R - a)), and it must end one cell
+        # before the support radius
+        assert lifting_collar(0.25, 1.0 / 32.0, 0.75) == 0.25 + 0.125
+        assert lifting_collar(0.25, 1.0 / 32.0, 1.5) == 0.25 + 0.15 * 1.25
+        with pytest.raises(ValueError):
+            lifting_collar(0.15, 1.0 / 32.0, 0.2)
+        assert ExtensionField(self.grid, self.path, 0.75).collar == 0.375
+
+    @pytest.mark.parametrize("t", [0.3, 0.7])
+    def test_samples_match_stream_function_oracle(self, t):
+        # the cached nodes and taper reproduce the curl of the stream
+        # function rebuilt from scratch, bit for bit
+        g, R = self.grid, 0.75
+        path = sinusoidal_path((0.2, 0.1), 2.0, 1.0)
+        field = ExtensionField(g, path, R)
+        collar = lifting_collar(g.obstacle_radius, g.h, R)
+        _, mp, mpp = eval_motion(path, t)
+        for sample, (vx, vy) in ((field.sample(t), mp), (field.sample_dt(t), mpp)):
+            xn, yn = g.nodes()
+            r = np.sqrt(xn**2 + yn**2)
+            psi = _taper(r, collar, R - g.h) * (vx * yn - vy * xn)
+            u, v = nodal_curl(psi, g.h)
+            np.testing.assert_array_equal(sample.u, u)
+            np.testing.assert_array_equal(sample.v, v)
 

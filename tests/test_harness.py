@@ -174,6 +174,17 @@ class TestCli:
         bad.write_text(MINI_CFG + f"\n[spectral]\nquadrature_factor = {factor}\n")
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    def test_lifting_radius_without_taper_room_exit_code(self, tmp_path):
+        # the moving obstacle's lifting has no room for its taper between the
+        # collar and a support radius of 0.2; static runs build no lifting
+        text = MINI_CFG + "\n[numerics]\nlifting_radius = 0.2\n"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        with pytest.raises(ConfigValidationError, match="no room for the taper"):
+            parse_config(text)
+        parse_config(text + "\n[motion]\nkind = static\n")
+
     def test_verify_failure_exit_code(self, mini_run, tmp_path):
         broken = tmp_path / "broken"
         shutil.copytree(mini_run["out_dir"], broken)

@@ -364,8 +364,7 @@ class TestForcing:
 
     def _zero_ext(self, grid):
         return sp.ExtensionFieldSample(
-            np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)),
-            0.0, 0.0,
+            np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1))
         )
 
     def test_rest_state_zero_forcing(self, obstacle_grid):
@@ -472,9 +471,17 @@ class TestRageDecay:
                           dt=1.0)
 
     def test_trapezoid_matches_closed_form(self, square_dec):
+        self._check_closed_form(square_dec)
+
+    def test_trapezoid_matches_closed_form_over_row_blocks(self, obstacle_grid):
+        # rage_decay multiplies the eigenvectors in blocks of 1,024 rows;
+        # the obstacle grid's active cells span four of them
+        lap = sp.assemble_neumann_laplacian(obstacle_grid)
+        self._check_closed_form(sp.spectral_decompose(lap, 40))
+
+    def _check_closed_form(self, dec):
         # independent oracle: expand the time integral per mode pair,
         # integral of cos((w_k - w_l) t) having an exact antiderivative
-        dec = square_dec
         g = dec.grid
         eps, horizon = 0.15, 0.12
         rng = np.random.default_rng(12)
@@ -522,7 +529,7 @@ class TestAcousticExtraction:
         u[~g.uface_interior] = 0.0
         v[~g.vface_interior] = 0.0
         state = FluidState(np.ones((g.nx, g.ny)), u, v, 0.0, 0.1)
-        ext = sp.ExtensionFieldSample(np.zeros_like(u), np.zeros_like(v), 0.0, 0.0)
+        ext = sp.ExtensionFieldSample(np.zeros_like(u), np.zeros_like(v))
         ac = sp.extract_acoustic_potential(state, g, static_path(1.0), LAW, ext)
         assert np.abs(ac.psi).max() <= 1e-10
         wu, wv = sp.shifted_momentum(state, g, static_path(1.0), LAW, ext)
