@@ -45,11 +45,9 @@ from .geometry import (
 from .incompressible import IncompressibleSolver, IncompressibleState, project_initial
 from .spectral import (
     AcousticState,
-    NeumannLaplacian,
     SpectralDecomposition,
     acoustic_energy,
     assemble_forcing,
-    assemble_neumann_laplacian,
     duhamel_solve,
     extract_acoustic_potential,
     forcing_channel_norms,

@@ -61,7 +61,6 @@ class IllPreparedData:
 class SolverOptions:
     cfl: float = 0.4
     sponge_width: float = 0.0
-    sponge_enabled: bool = True
     lifting_radius: float | None = None
     tol_energy: float = 1e-3
 
@@ -104,6 +103,20 @@ def instant_energy(grid: Grid, law: PressureLaw, state: FluidState) -> float:
     return float(np.sum(total)) * grid.h**2
 
 
+def _mass_flux(rho, wn, c_cell, interior):
+    """Rusanov mass flux on x-faces (the y-faces arrive transposed).
+
+    Only interior faces carry flux; boundary faces carry zero relative flux.
+    """
+    f = np.zeros_like(wn)
+    lam = np.abs(wn[1:-1, :]) + np.maximum(c_cell[1:, :], c_cell[:-1, :])
+    f[1:-1, :] = 0.5 * wn[1:-1, :] * (rho[1:, :] + rho[:-1, :]) - 0.5 * lam * (
+        rho[1:, :] - rho[:-1, :]
+    )
+    f[~interior] = 0.0
+    return f
+
+
 class CompressibleSolver:
     """Owns the discretization of one (grid, law, viscosity, path) setup."""
 
@@ -128,7 +141,7 @@ class CompressibleSolver:
     def _build_sponge(self):
         g = self.grid
         w = self.options.sponge_width
-        if w <= 0.0 or not self.options.sponge_enabled:
+        if w <= 0.0:
             self.sponge_cell = np.zeros((g.nx, g.ny))
             self.sponge_u = np.zeros((g.nx + 1, g.ny))
             self.sponge_v = np.zeros((g.nx, g.ny + 1))
@@ -208,19 +221,8 @@ class CompressibleSolver:
         wv = v - mp[1]
         c_cell = np.sqrt(pressure_slope(law, np.maximum(rho, 1e-300))) / eps
 
-        # mass fluxes on interior faces; boundary faces carry zero relative flux
-        fmx = np.zeros_like(u)
-        lam = np.abs(wu[1:-1, :]) + np.maximum(c_cell[1:, :], c_cell[:-1, :])
-        fmx[1:-1, :] = 0.5 * wu[1:-1, :] * (rho[1:, :] + rho[:-1, :]) - 0.5 * lam * (
-            rho[1:, :] - rho[:-1, :]
-        )
-        fmx[~g.uface_interior] = 0.0
-        fmy = np.zeros_like(v)
-        lam = np.abs(wv[:, 1:-1]) + np.maximum(c_cell[:, 1:], c_cell[:, :-1])
-        fmy[:, 1:-1] = 0.5 * wv[:, 1:-1] * (rho[:, 1:] + rho[:, :-1]) - 0.5 * lam * (
-            rho[:, 1:] - rho[:, :-1]
-        )
-        fmy[~g.vface_interior] = 0.0
+        fmx = _mass_flux(rho, wu, c_cell, g.uface_interior)
+        fmy = _mass_flux(rho.T, wv.T, c_cell.T, g.vface_interior.T).T
 
         rho_new = rho - (dt / h) * (
             fmx[1:, :] - fmx[:-1, :] + fmy[:, 1:] - fmy[:, :-1]
@@ -243,7 +245,7 @@ class CompressibleSolver:
 
         # sponge relaxation toward the far-field rest state, mass change logged
         sponge_mass = 0.0
-        if self.options.sponge_enabled and self.options.sponge_width > 0.0:
+        if self.options.sponge_width > 0.0:
             before = float(np.sum(rho_new[g.active]))
             rho_new = law.rho_ref + (rho_new - law.rho_ref) * (1.0 - self.sponge_cell)
             rho_new[~g.active] = law.rho_ref

@@ -52,7 +52,6 @@ SCHEMA = {
     "numerics": {
         "cfl": ("float", 0.4),
         "sponge_width": ("float", None),
-        "sponge_enabled": ("bool", True),
         "tol_div": ("float", 1e-8),
         "tol_energy": ("float", 1e-3),
         "modes": ("int", 350),
@@ -108,12 +107,6 @@ def _parse_value(kind, raw, line_no, col):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
         if kind == "floats":
             parts = [p for p in raw.split(",") if p.strip()]
             if not parts:
@@ -281,8 +274,6 @@ def validate(cfg: ExperimentConfig):
 def _format_value(kind, value):
     if kind == "float":
         return repr(float(value))
-    if kind == "bool":
-        return "true" if value else "false"
     if kind == "floats":
         return ", ".join(repr(float(x)) for x in value)
     return str(value)

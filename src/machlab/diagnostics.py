@@ -83,12 +83,13 @@ def _check_schedules(times_a, times_b):
 
 
 def uniform_estimate_report(
-    traj, grid: Grid, law: PressureLaw, eps: float, q: float = 1.0, run_id: str = ""
+    traj, grid: Grid, law: PressureLaw, eps: float, run_id: str = ""
 ):
     """Sup-in-time uniform-estimate monitors of one compressible trajectory.
 
     Covers the essential L2 bound on (rho - rho_ref)/eps, the residual
-    L^gamma and L^1 smallness, the residual L^q bound, the dissipation
+    L^gamma and indicator-L^1 smallness, the L^1 bound on the residual part
+    of (rho - rho_ref)/eps, the dissipation
     norm of u, and the sup-in-time L2 bound on sqrt(rho) u.
     """
     rbar = law.rho_ref
@@ -116,7 +117,7 @@ def uniform_estimate_report(
             sup["res_indicator_l1"], grid.lq_norm(split_one.residual, 1.0)
         )
         sup["res_density_lq"] = max(
-            sup["res_density_lq"], grid.lq_norm(split_scaled.residual, q)
+            sup["res_density_lq"], grid.lq_norm(split_scaled.residual, 1.0)
         )
         uc, vc = face_to_center(state.u, state.v)
         speed_sq = np.where(grid.active, rho * (uc**2 + vc**2), 0.0)
@@ -136,7 +137,7 @@ def uniform_estimate_report(
     records = [
         MetricsRecord(run_id, eps, name, {"res_density_lgamma": law.gamma,
                                           "res_indicator_l1": 1.0,
-                                          "res_density_lq": q,
+                                          "res_density_lq": 1.0,
                                           }.get(name, 2.0),
                       "full", "sup_t", value)
         for name, value in sup.items()
@@ -155,24 +156,20 @@ def convergence_metrics(
     law: PressureLaw,
     path: MotionPath,
     lifting,
-    window: np.ndarray | None = None,
-    phi=None,
     run_id: str = "",
 ):
     """The three limit metrics: density scale, velocity gap, solenoidal pairing.
 
     (i)  max over snapshots of ||rho - rho_ref||_L2 / eps;
-    (ii) space-time L2 distance of the velocities over the compact window;
+    (ii) space-time L2 distance of the velocities over the annulus window;
     (iii) L2(0,T) distance of the shifted-momentum pairings with a fixed
-          solenoidal test function, using the Helmholtz-projected pairing
-          on the compressible side.
+          solenoidal test function supported in that annulus, using the
+          Helmholtz-projected pairing on the compressible side.
     """
     times = _check_schedules(comp_traj.times, inc_traj.times)
-    if window is None:
-        window = default_window(grid)
-    if phi is None:
-        a = grid.obstacle_radius
-        phi = solenoidal_test_function(grid, 1.2 * a, 3.0 * a)
+    window = default_window(grid)
+    a = grid.obstacle_radius
+    phi = solenoidal_test_function(grid, 1.2 * a, 3.0 * a)
     eps = comp_traj.eps
     rbar = law.rho_ref
     h2 = grid.h**2

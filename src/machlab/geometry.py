@@ -2,9 +2,9 @@
 
 The computational domain is a truncated box around a disk obstacle centered
 at the origin of the fixed frame. Scalars live at cell centers, velocity
-components at faces (MAC staggering). Cell classification is a partition
-into fluid, solid and boundary-cut cells; cut cells are the active cells
-that carry a boundary normal (obstacle stair-step or outer rim).
+components at faces (MAC staggering). Cells inside the disk are inactive;
+faces are classified as interior (carrying an unknown), obstacle stair
+faces, or outer-rim faces.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import GeometryTooCoarse, OutOfHorizon
 from .operators import nodal_curl
-
-FLUID, SOLID, CUT = 0, 1, 2
 
 
 class Grid:
@@ -70,48 +68,11 @@ class Grid:
     def _classify(self):
         xc, yc = self.cell_centers()
         a = self.obstacle_radius
-        solid = np.zeros((self.nx, self.ny), dtype=bool)
+        act = np.ones((self.nx, self.ny), dtype=bool)
         if a > 0.0:
-            solid = xc**2 + yc**2 < a**2
-        self.active = ~solid
-        cell_type = np.full((self.nx, self.ny), FLUID, dtype=np.int8)
-        cell_type[solid] = SOLID
+            act = xc**2 + yc**2 >= a**2
+        self.active = act
 
-        # cut cells: active cells face-adjacent to solid, or on the outer rim
-        near_solid = np.zeros_like(solid)
-        near_solid[1:, :] |= solid[:-1, :]
-        near_solid[:-1, :] |= solid[1:, :]
-        near_solid[:, 1:] |= solid[:, :-1]
-        near_solid[:, :-1] |= solid[:, 1:]
-        rim = np.zeros_like(solid)
-        rim[0, :] = rim[-1, :] = rim[:, 0] = rim[:, -1] = True
-        cut = self.active & (near_solid | rim)
-        cell_type[cut] = CUT
-        self.cell_type = cell_type
-
-        # outward (out of the fluid) unit normals carried by cut cells:
-        # analytic disk normal -y/|y| at obstacle cells, box normal at the rim
-        nxa = np.zeros((self.nx, self.ny))
-        nya = np.zeros((self.nx, self.ny))
-        obst_cut = cut & near_solid
-        r = np.sqrt(xc**2 + yc**2)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            nxa[obst_cut] = -(xc / r)[obst_cut]
-            nya[obst_cut] = -(yc / r)[obst_cut]
-        rim_only = cut & rim & ~near_solid
-        bx = np.where(xc > 0, 1.0, -1.0) * (
-            np.minimum(self.x1 - xc, xc - self.x0)
-            <= np.minimum(self.y1 - yc, yc - self.y0)
-        )
-        by = np.where(yc > 0, 1.0, -1.0) * (
-            np.minimum(self.y1 - yc, yc - self.y0)
-            < np.minimum(self.x1 - xc, xc - self.x0)
-        )
-        nxa[rim_only] = bx[rim_only]
-        nya[rim_only] = by[rim_only]
-        self.cut_normal = (nxa, nya)
-
-        act = self.active
         # interior faces: unknown-carrying, both neighbor cells active
         self.uface_interior = np.zeros((self.nx + 1, self.ny), dtype=bool)
         self.uface_interior[1:-1, :] = act[:-1, :] & act[1:, :]
@@ -139,9 +100,9 @@ class Grid:
         self.vface_boundary = vo | vr
 
         self.n_active = int(np.count_nonzero(act))
-        self.n_solid = int(np.count_nonzero(solid))
         # outermost ring of active cells, where the far field is checked
-        self.cell_rim = act & rim
+        self.cell_rim = act.copy()
+        self.cell_rim[1:-1, 1:-1] = False
 
     # -- cached discrete operators ----------------------------------------
 
@@ -330,7 +291,6 @@ class ExtensionField:
             raise ValueError("support radius must stay inside the box")
         self.grid = grid
         self.path = path
-        self.support_radius = support_radius
         self.collar = lifting_collar(g.obstacle_radius, g.h, R)
         self._xn, self._yn = g.nodes()
         r = np.sqrt(self._xn**2 + self._yn**2)

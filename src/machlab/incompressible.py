@@ -9,14 +9,14 @@ reference density is divided out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CflViolation, NanDetected
 from .geometry import Grid, MotionPath, enforce_bc, eval_motion
-from .operators import component_masks, face_to_center, mirror_laplacian, upwind_transport
+from .operators import component_masks, mirror_laplacian, upwind_transport
 from .spectral import helmholtz_project
 
 
@@ -32,8 +32,6 @@ class IncompressibleState:
 class IncompressibleTrajectory:
     times: np.ndarray
     states: list
-    kinetic: list = field(default_factory=list)
-    max_divergence: list = field(default_factory=list)
 
 
 def project_initial(u0, v0, grid: Grid):
@@ -96,14 +94,16 @@ class IncompressibleSolver:
         u_star = self._transport(state.u, wu, wv, dt, *x_masks)
         v_star = self._transport(state.v.T, wv.T, wu.T, dt, *y_masks).T
 
-        star = enforce_bc(g, self.path, replace(state, u=u_star, v=v_star))
+        # the projection must see the obstacle velocity of the new time
+        t_new = state.t + dt
+        star = enforce_bc(g, self.path, replace(state, u=u_star, v=v_star, t=t_new))
         rhs = -g.ops.pack(g.ops.div(star.u, star.v, include_boundary_faces=True))
         theta = g.ops.unpack(g.ops.poisson_solve(rhs))
         gu, gv = g.ops.grad(theta)
         u_new = star.u - gu
         v_new = star.v - gv
         out = enforce_bc(
-            g, self.path, IncompressibleState(u_new, v_new, theta / dt, state.t + dt)
+            g, self.path, IncompressibleState(u_new, v_new, theta / dt, t_new)
         )
         if not (np.all(np.isfinite(out.u)) and np.all(np.isfinite(out.v))):
             raise NanDetected(f"non-finite velocity at t = {out.t:.6g}")
@@ -126,7 +126,6 @@ class IncompressibleSolver:
         times = [float(s) for s in sample_times]
         if times != sorted(times) or times[0] < state0.t - 1e-12:
             raise ValueError("sample times must be increasing and start at t0")
-        g = self.grid
         traj = IncompressibleTrajectory(np.array(times), [])
         state = state0
         for target in times:
@@ -136,13 +135,4 @@ class IncompressibleSolver:
                 dt = min(dt, target - state.t)
                 state = self.step(state, dt)
             traj.states.append(state)
-            traj.kinetic.append(self.kinetic_energy(state))
-            div = g.ops.div(state.u, state.v, include_boundary_faces=True)
-            traj.max_divergence.append(float(np.abs(div[g.active]).max()))
         return traj
-
-    def kinetic_energy(self, state: IncompressibleState) -> float:
-        g = self.grid
-        uc, vc = face_to_center(state.u, state.v)
-        val = 0.5 * (uc**2 + vc**2)
-        return float(np.sum(val[g.active])) * g.h**2

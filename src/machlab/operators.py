@@ -56,27 +56,20 @@ class DiscreteOperators:
         idx = self.active_index
         # gradient incidence: one row per interior face, entries +-1/h
         rows, cols, vals = [], [], []
-        nface = 0
         iu, ju = np.nonzero(g.uface_interior)
-        self.uface_rows = np.full(g.uface_interior.shape, -1, dtype=np.int64)
-        self.uface_rows[iu, ju] = np.arange(len(iu))
         for s, sgn in ((0, -1.0), (1, 1.0)):
             rows.append(np.arange(len(iu)))
             cols.append(idx[iu - 1 + s, ju])
             vals.append(np.full(len(iu), sgn / h))
         nface = len(iu)
         iv, jv = np.nonzero(g.vface_interior)
-        self.vface_rows = np.full(g.vface_interior.shape, -1, dtype=np.int64)
-        self.vface_rows[iv, jv] = nface + np.arange(len(iv))
         for s, sgn in ((0, -1.0), (1, 1.0)):
             rows.append(nface + np.arange(len(iv)))
             cols.append(idx[iv, jv - 1 + s])
             vals.append(np.full(len(iv), sgn / h))
-        nface += len(iv)
-        self.n_faces = nface
         self.gradient_matrix = sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nface, g.n_active),
+            shape=(nface + len(iv), g.n_active),
         )
         self.laplacian_matrix = (
             (self.gradient_matrix.T @ self.gradient_matrix).tocsr()

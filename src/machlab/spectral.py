@@ -38,23 +38,6 @@ DENSE_FALLBACK = 3000
 
 
 @dataclass(frozen=True)
-class NeumannLaplacian:
-    """Sparse nonnegative self-adjoint operator on active-cell scalars."""
-
-    grid: Grid
-    matrix: sp.csr_matrix
-
-    def apply(self, cell_field):
-        ops = self.grid.ops
-        return ops.unpack(self.matrix @ ops.pack(cell_field))
-
-
-def assemble_neumann_laplacian(grid: Grid) -> NeumannLaplacian:
-    """Five-point Neumann Laplacian G^T G on the connected fluid region."""
-    return NeumannLaplacian(grid, grid.ops.laplacian_matrix)
-
-
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Retained eigenpairs of the Neumann Laplacian, ascending, l2-orthonormal.
 
@@ -85,14 +68,13 @@ class SpectralDecomposition:
         return self.grid.h * float(np.linalg.norm(tail))
 
 
-def spectral_decompose(lap: NeumannLaplacian, modes: int) -> SpectralDecomposition:
-    """Lowest `modes` eigenpairs of the Neumann Laplacian.
+def spectral_decompose(grid: Grid, modes: int) -> SpectralDecomposition:
+    """Lowest `modes` eigenpairs of the grid's Neumann Laplacian G^T G.
 
     Uses shift-inverted ARPACK with a fixed start vector (deterministic),
     falling back to a dense solve on small grids. Grids beyond the desk
     cap are rejected: the eigensolve is the budget-limiting step.
     """
-    grid = lap.grid
     n = grid.n_active
     k = int(modes)
     if k < 1 or k > n:
@@ -102,7 +84,7 @@ def spectral_decompose(lap: NeumannLaplacian, modes: int) -> SpectralDecompositi
     if k > DESK_MODE_CAP:
         raise ValueError(f"modes {k} beyond the desk-scale cap {DESK_MODE_CAP}")
 
-    a = lap.matrix
+    a = grid.ops.laplacian_matrix
     if n <= DENSE_FALLBACK or k > n - 2:
         w, v = np.linalg.eigh(a.toarray())
         w, v = w[:k], v[:, :k]
@@ -552,20 +534,19 @@ def _smoothstep(x):
     return s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def make_spectral_window(dec: SpectralDecomposition, lo_start=None, lo_end=None,
-                         hi_start=None, hi_end=None) -> Callable:
-    """C2 bump G with 0 <= G <= 1, equal to 1 on [lo_end, hi_start].
+def make_spectral_window(dec: SpectralDecomposition) -> Callable:
+    """C2 bump G with 0 <= G <= 1 on the retained spectrum.
 
-    Defaults: rises over [lambda_2, lambda_5], falls over
-    [lambda_{K/2}, min(lambda_K, 1.5 lambda_{K/2})]; support avoids the
+    G rises over [lambda_2, lambda_5] and falls over
+    [lambda_{K/2}, min(lambda_K, 1.5 lambda_{K/2})]; its support avoids the
     kernel and the top of the retained span.
     """
     lam = dec.eigenvalues
     k = dec.modes
-    lo_start = lam[1] if lo_start is None else lo_start
-    lo_end = lam[min(4, k - 1)] if lo_end is None else lo_end
-    hi_start = lam[k // 2] if hi_start is None else hi_start
-    hi_end = min(lam[-1], 1.5 * lam[k // 2]) if hi_end is None else hi_end
+    lo_start = lam[1]
+    lo_end = lam[min(4, k - 1)]
+    hi_start = lam[k // 2]
+    hi_end = min(lam[-1], 1.5 * lam[k // 2])
     if not (0.0 < lo_start < lo_end <= hi_start < hi_end):
         raise ValueError("window breakpoints must be increasing and positive")
 

@@ -3,8 +3,9 @@
 run_sweep drives, per Mach number: the compressible run, acoustic
 extraction, forcing channels, the local-decay functional, and the
 diagnostics records, plus one incompressible reference run; everything is
-written to a run directory closed by a manifest. All outputs are a pure
-function of (config, seed).
+written to a run directory closed by a manifest. At a fixed BLAS thread
+count all outputs are a pure function of (config, seed); the eigenpair
+residuals in eigenvalues.csv move at rounding level with the thread count.
 """
 
 from __future__ import annotations
@@ -20,14 +21,8 @@ import numpy as np
 from . import spectral as sp
 from .compressible import CompressibleSolver, IllPreparedData, SolverOptions
 from .config import ExperimentConfig, canonical_text
-from .constitutive import PressureLaw, ViscosityPair
-from .diagnostics import (
-    MetricsRecord,
-    convergence_metrics,
-    default_window,
-    solenoidal_test_function,
-    uniform_estimate_report,
-)
+from .constitutive import PressureLaw, ViscosityPair, pressure_slope
+from .diagnostics import MetricsRecord, convergence_metrics, uniform_estimate_report
 from .geometry import (
     Grid,
     build_grid,
@@ -77,7 +72,6 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
     options = SolverOptions(
         cfl=n["cfl"],
         sponge_width=n["sponge_width"],
-        sponge_enabled=n["sponge_enabled"],
         lifting_radius=n["lifting_radius"],
         tol_energy=n["tol_energy"],
     )
@@ -165,7 +159,7 @@ def sample_schedule(cfg: ExperimentConfig) -> np.ndarray:
     return np.linspace(0.0, sch["horizon"], sch["snapshots"])
 
 
-def rage_horizon(cfg: ExperimentConfig) -> float:
+def rage_horizon(cfg: ExperimentConfig, law: PressureLaw) -> float:
     """Observation horizon capped below the reflection-return time.
 
     Waves must leave the cutoff support and not re-enter it within the
@@ -174,11 +168,9 @@ def rage_horizon(cfg: ExperimentConfig) -> float:
     """
     s = cfg["spectral"]
     L = cfg["geometry"]["extent"]
-    law_pp = cfg["physics"]["pressure_coeff"] * cfg["physics"]["gamma"] * (
-        cfg["physics"]["reference_density"] ** (cfg["physics"]["gamma"] - 1.0)
-    )
+    pp = float(pressure_slope(law, law.rho_ref))
     eps_min = min(cfg["sweep"]["eps"])
-    cap = s["reflection_safety"] * 2.0 * (L - s["cutoff_zero"]) * eps_min / math.sqrt(law_pp)
+    cap = s["reflection_safety"] * 2.0 * (L - s["cutoff_zero"]) * eps_min / math.sqrt(pp)
     return min(cfg["schedule"]["horizon"], cap)
 
 
@@ -206,8 +198,7 @@ def rage_row(cfg: ExperimentConfig, dec, law: PressureLaw, eps: float, probe, ho
 
 def decompose(cfg: ExperimentConfig, grid: Grid) -> sp.SpectralDecomposition:
     """The configured number of Neumann eigenpairs, capped by the cell count."""
-    lap = sp.assemble_neumann_laplacian(grid)
-    return sp.spectral_decompose(lap, min(cfg["numerics"]["modes"], grid.n_active))
+    return sp.spectral_decompose(grid, min(cfg["numerics"]["modes"], grid.n_active))
 
 
 def write_eigenvalues(path, dec: sp.SpectralDecomposition):
@@ -258,7 +249,7 @@ def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
         channels = np.sqrt(np.trapezoid(vals**2, traj.times, axis=0))
 
     probe = rage_probe(cfg, grid, dec)
-    row = rage_row(cfg, dec, scenario.law, eps, probe, rage_horizon(cfg))
+    row = rage_row(cfg, dec, scenario.law, eps, probe, rage_horizon(cfg, scenario.law))
     return traj, channels, row
 
 
@@ -282,7 +273,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     dec = decompose(cfg, scenario.grid)
     if cfg["run"]["scenario"] == "spectral":
         probe = rage_probe(cfg, scenario.grid, dec)
-        horizon = rage_horizon(cfg)
+        horizon = rage_horizon(cfg, scenario.law)
         rage_rows = [
             rage_row(cfg, dec, scenario.law, eps, probe, horizon)
             for eps in cfg["sweep"]["eps"]
@@ -346,9 +337,6 @@ def _fluid_sweep(scenario: Scenario, dec, run_id: str, out_dir: Path):
     mass_rows = []
     rage_rows = []
     summary_rows = []
-    window = default_window(grid)
-    a = grid.obstacle_radius
-    phi = solenoidal_test_function(grid, 1.2 * a, 3.0 * a)
     for eps in eps_list:
         traj, channels, decay = jobs[eps]
         for rec in traj.energy:
@@ -358,7 +346,7 @@ def _fluid_sweep(scenario: Scenario, dec, run_id: str, out_dir: Path):
         records = uniform_estimate_report(traj, grid, scenario.law, eps, run_id=run_id)
         records += convergence_metrics(
             traj, inc_traj, grid, scenario.law, scenario.path, scenario.solver.lifting,
-            window=window, phi=phi, run_id=run_id,
+            run_id=run_id,
         )
         records += [_metric(run_id, eps, name, value)
                     for name, value in zip(CHANNEL_NAMES, channels)]

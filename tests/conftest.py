@@ -86,5 +86,22 @@ def mini_run(mini_cfg, tmp_path_factory):
     return run_sweep(mini_cfg, out)
 
 
+# the mini sweep with an accelerating obstacle (m'' != 0), so the lifting's
+# time derivative enters the forcing and the energy ledger
+SINUSOIDAL_MINI_CFG = MINI_CFG + """
+[motion]
+kind = sinusoidal
+amplitude_x = 0.02
+amplitude_y = 0.01
+frequency = 8.0
+"""
+
+
+@pytest.fixture(scope="session")
+def sinusoidal_mini_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sinusoidal-mini-run")
+    return run_sweep(parse_config(SINUSOIDAL_MINI_CFG), out)
+
+
 def rest_motion():
     return static_path(1.0)

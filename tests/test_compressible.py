@@ -26,8 +26,7 @@ VISC = ViscosityPair(0.01)
 def make_solver(grid=None, path=None, sponge=True, visc=VISC, cfl=0.4):
     grid = grid or build_grid(2, 1.0, 0.15, 1.0 / 32.0)
     path = path or static_path(10.0)
-    opts = SolverOptions(cfl=cfl, sponge_width=0.25 if sponge else 0.0,
-                         sponge_enabled=sponge)
+    opts = SolverOptions(cfl=cfl, sponge_width=0.25 if sponge else 0.0)
     return CompressibleSolver(grid, LAW, visc, path, opts)
 
 
@@ -139,7 +138,7 @@ class TestStep:
         grid = build_rectangle_grid(-1.0, 1.0, -1.0, 1.0, 1.0 / 64.0)
         sol = CompressibleSolver(
             grid, LAW, ViscosityPair(1e-8), static_path(1.0),
-            SolverOptions(sponge_enabled=False, sponge_width=0.0),
+            SolverOptions(sponge_width=0.0),
         )
         xc, yc = grid.cell_centers()
         rho1 = 0.5 * np.exp(-(xc**2 + yc**2) / 0.01)
@@ -191,7 +190,7 @@ class TestRun:
         grid = build_grid(2, 1.0, 0.15, 1.0 / 16.0)
         sol = CompressibleSolver(
             grid, LAW, VISC, static_path(1.0),
-            SolverOptions(sponge_enabled=False, sponge_width=0.0),
+            SolverOptions(sponge_width=0.0),
         )
         data = pulse_data(grid, eps=0.2, width=0.16)
         horizon = 0.02

@@ -3,9 +3,6 @@ import pytest
 
 from machlab.errors import GeometryTooCoarse, OutOfHorizon
 from machlab.geometry import (
-    CUT,
-    FLUID,
-    SOLID,
     ExtensionField,
     _taper,
     build_grid,
@@ -32,22 +29,34 @@ def test_solid_count_matches_enumeration():
     g = build_grid(2, 2.0, 0.25, 1.0 / 64.0)
     xc, yc = g.cell_centers()
     enumerated = int(np.count_nonzero(xc**2 + yc**2 < 0.25**2))
-    assert g.n_solid == enumerated
-    # pi a^2 / h^2 up to cut-cell rounding
-    assert abs(g.n_solid - np.pi * 0.25**2 / g.h**2) < 0.1 * g.n_solid
+    n_solid = g.nx * g.ny - g.n_active
+    assert n_solid == enumerated
+    assert np.count_nonzero(g.active) == g.n_active
+    # pi a^2 / h^2 up to stair-step rounding
+    assert abs(n_solid - np.pi * 0.25**2 / g.h**2) < 0.1 * n_solid
 
 
 def test_classification_is_partition_and_reproducible():
     g1 = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
     g2 = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
-    np.testing.assert_array_equal(g1.cell_type, g2.cell_type)
-    counts = [(g1.cell_type == kind).sum() for kind in (FLUID, SOLID, CUT)]
-    assert sum(counts) == g1.nx * g1.ny
-    assert g1.n_active == counts[0] + counts[2] > 0
-    # cut cells carry unit normals
-    nxa, nya = g1.cut_normal
-    mags = np.sqrt(nxa**2 + nya**2)[g1.cell_type == CUT]
-    np.testing.assert_allclose(mags, 1.0, rtol=1e-12)
+    np.testing.assert_array_equal(g1.active, g2.active)
+    # every face next to an active cell is exactly one of interior,
+    # obstacle stair face or outer-rim face; the rest are dead
+    act = g1.active
+    near_u = np.zeros_like(g1.uface_interior)
+    near_u[:-1, :] |= act
+    near_u[1:, :] |= act
+    near_v = np.zeros_like(g1.vface_interior)
+    near_v[:, :-1] |= act
+    near_v[:, 1:] |= act
+    for kinds, near in (
+        ((g1.uface_interior, g1.uface_obstacle, g1.uface_rim), near_u),
+        ((g1.vface_interior, g1.vface_obstacle, g1.vface_rim), near_v),
+    ):
+        np.testing.assert_array_equal(sum(k.astype(int) for k in kinds), near)
+        assert all(k.any() for k in kinds)
+    # the far-field rim is the outermost ring of cells, all of them active
+    assert g1.cell_rim.sum() == 2 * (g1.nx + g1.ny) - 4
 
 
 def test_cell_size_must_divide_box():

@@ -123,8 +123,9 @@ class TestSweep:
 
 
 class TestVerify:
-    def test_fresh_run_all_pass(self, mini_run):
-        report = verify_run(mini_run["out_dir"])
+    @pytest.mark.parametrize("run", ["mini_run", "sinusoidal_mini_run"])
+    def test_fresh_run_all_pass(self, run, request):
+        report = verify_run(request.getfixturevalue(run)["out_dir"])
         assert report["ok"], [c for c in report["checks"] if not c["passed"]]
 
     def _copy(self, src, tmp_path, name):

@@ -19,46 +19,45 @@ from machlab.geometry import (
     static_path,
 )
 from machlab import spectral as sp
+from machlab.operators import DiscreteOperators
 
 LAW = PressureLaw(1.0, 2.0, 1.0)
 
 
 @pytest.fixture(scope="module")
 def square_dec(unit_square_grid):
-    lap = sp.assemble_neumann_laplacian(unit_square_grid)
-    return sp.spectral_decompose(lap, 40)
+    return sp.spectral_decompose(unit_square_grid, 40)
 
 
 class TestNeumannLaplacian:
     def test_constants_in_kernel_exactly(self, unit_square_grid):
-        lap = sp.assemble_neumann_laplacian(unit_square_grid)
-        ones = np.ones((unit_square_grid.nx, unit_square_grid.ny))
-        assert np.abs(lap.apply(ones)[unit_square_grid.active]).max() < 1e-13
+        lap = unit_square_grid.ops.laplacian_matrix
+        ones = np.ones(unit_square_grid.n_active)
+        assert np.abs(lap @ ones).max() < 1e-13
 
     def test_symmetry_on_random_pairs(self, obstacle_grid):
-        lap = sp.assemble_neumann_laplacian(obstacle_grid)
-        ops = obstacle_grid.ops
+        lap = obstacle_grid.ops.laplacian_matrix
         rng = np.random.default_rng(7)
         for _ in range(10):
             w = rng.standard_normal(obstacle_grid.n_active)
             v = rng.standard_normal(obstacle_grid.n_active)
-            lhs = float((lap.matrix @ w) @ v)
-            rhs = float(w @ (lap.matrix @ v))
+            lhs = float((lap @ w) @ v)
+            rhs = float(w @ (lap @ v))
             scale = np.linalg.norm(w) * np.linalg.norm(v) / obstacle_grid.h**2
             assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_nonnegative_quadratic_form(self, obstacle_grid):
-        lap = sp.assemble_neumann_laplacian(obstacle_grid)
+        lap = obstacle_grid.ops.laplacian_matrix
         rng = np.random.default_rng(8)
         for _ in range(10):
             w = rng.standard_normal(obstacle_grid.n_active)
-            assert float(w @ (lap.matrix @ w)) >= -1e-10
+            assert float(w @ (lap @ w)) >= -1e-10
 
     def test_disconnected_domain_rejected(self):
         # a disk wider than the strip splits the fluid into two components
         grid = Grid(-1.0, -0.1, 40, 4, 0.05, obstacle_radius=0.18)
         with pytest.raises(DisconnectedDomain):
-            sp.assemble_neumann_laplacian(grid)
+            DiscreteOperators(grid)
 
 
 class TestSpectralDecomposition:
@@ -78,8 +77,7 @@ class TestSpectralDecomposition:
         )
 
     def test_single_mode_request(self, unit_square_grid):
-        lap = sp.assemble_neumann_laplacian(unit_square_grid)
-        dec = sp.spectral_decompose(lap, 1)
+        dec = sp.spectral_decompose(unit_square_grid, 1)
         assert dec.eigenvalues[0] == 0.0
 
     def test_residuals_and_gram(self, square_dec):
@@ -92,16 +90,14 @@ class TestSpectralDecomposition:
 
     def test_desk_scale_caps(self):
         big = build_rectangle_grid(0.0, 1.0, 0.0, 1.0, 1.0 / 160.0)
-        lap = sp.assemble_neumann_laplacian(big)
         with pytest.raises(ValueError):
-            sp.spectral_decompose(lap, 10)
+            sp.spectral_decompose(big, 10)
 
     def test_modes_bounds(self, unit_square_grid):
-        lap = sp.assemble_neumann_laplacian(unit_square_grid)
         with pytest.raises(ValueError):
-            sp.spectral_decompose(lap, 0)
+            sp.spectral_decompose(unit_square_grid, 0)
         with pytest.raises(ValueError):
-            sp.spectral_decompose(lap, unit_square_grid.n_active + 1)
+            sp.spectral_decompose(unit_square_grid, unit_square_grid.n_active + 1)
 
 
 class TestFractionalPowers:
@@ -113,11 +109,11 @@ class TestFractionalPowers:
         np.testing.assert_allclose(out, field, atol=1e-12)
 
     def test_power_one_matches_operator(self, square_dec, unit_square_grid):
-        lap = sp.assemble_neumann_laplacian(unit_square_grid)
+        ops = unit_square_grid.ops
         rng = np.random.default_rng(1)
         field = square_dec.reconstruct(rng.standard_normal(square_dec.modes))
         out, _ = sp.fractional_power_apply(square_dec, 1.0, field)
-        direct = lap.apply(field)
+        direct = ops.unpack(ops.laplacian_matrix @ ops.pack(field))
         scale = np.abs(direct).max()
         assert np.abs(out - direct).max() <= 1e-8 * max(scale, 1.0)
 
@@ -144,8 +140,7 @@ class TestFractionalPowers:
         # ||(-lap)^(1/2) w|| equals the discrete gradient norm on smooth
         # mean-zero fields, to the consistency order of the stencils
         g = unit_square_grid
-        lap = sp.assemble_neumann_laplacian(g)
-        dec = sp.spectral_decompose(lap, 60)
+        dec = sp.spectral_decompose(g, 60)
         xc, yc = g.cell_centers()
         w = np.cos(xc) * np.cos(2 * yc)
         out, _ = sp.fractional_power_apply(dec, 0.5, w)
@@ -413,8 +408,7 @@ class TestForcing:
 
     def test_zero_forcing_zero_channels(self, square_dec, obstacle_grid):
         g = obstacle_grid
-        lap = sp.assemble_neumann_laplacian(g)
-        dec = sp.spectral_decompose(lap, 20)
+        dec = sp.spectral_decompose(g, 20)
         asm = sp.assemble_forcing(
             self._rest_state(g), g, LAW, ViscosityPair(0.01), static_path(1.0),
             self._zero_ext(g), self._zero_ext(g),
@@ -476,8 +470,7 @@ class TestRageDecay:
     def test_trapezoid_matches_closed_form_over_row_blocks(self, obstacle_grid):
         # rage_decay multiplies the eigenvectors in blocks of 1,024 rows;
         # the obstacle grid's active cells span four of them
-        lap = sp.assemble_neumann_laplacian(obstacle_grid)
-        self._check_closed_form(sp.spectral_decompose(lap, 40))
+        self._check_closed_form(sp.spectral_decompose(obstacle_grid, 40))
 
     def _check_closed_form(self, dec):
         # independent oracle: expand the time integral per mode pair,
