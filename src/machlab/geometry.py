@@ -301,6 +301,12 @@ class ExtensionField:
         psi = self._taper * (vx * self._yn - vy * self._xn)
         return nodal_curl(psi, self.grid.h)
 
+    def unit_fields(self) -> tuple[ExtensionFieldSample, ExtensionFieldSample]:
+        """The liftings of the unit velocities e_x and e_y; V(t) is
+        m'_x times the first plus m'_y times the second."""
+        units = ((1.0, 0.0), (0.0, 1.0))
+        return tuple(ExtensionFieldSample(*self._curl_of(e)) for e in units)
+
     def sample(self, t: float) -> ExtensionFieldSample:
         """V(t, .) on faces."""
         _, mp, _ = eval_motion(self.path, t)

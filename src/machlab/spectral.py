@@ -309,8 +309,6 @@ class ForcingTerm:
 @dataclass(frozen=True)
 class ForcingAssembly:
     terms: tuple
-    t: float
-    eps: float
 
 
 def velocity_gradient(grid: Grid, u, v):
@@ -458,7 +456,7 @@ def assemble_forcing(
     add_vector("acceleration_coupling_ess", ess_mask[..., None] * accel)
     add_vector("acceleration_coupling_res", res_mask[..., None] * accel)
 
-    return ForcingAssembly(tuple(terms), state.t, eps)
+    return ForcingAssembly(tuple(terms))
 
 
 def forcing_channel_norms(assembly: ForcingAssembly, dec: SpectralDecomposition):

@@ -10,14 +10,19 @@ from machlab.compressible import (
     IllPreparedData,
     SolverOptions,
 )
-from machlab.constitutive import PressureLaw, ViscosityPair
+from machlab.constitutive import PressureLaw, ViscosityPair, stress
 from machlab.errors import CflViolation, VacuumState
 from machlab.geometry import (
     build_grid,
     build_rectangle_grid,
+    enforce_bc,
+    eval_motion,
     linear_path,
+    sinusoidal_path,
     static_path,
 )
+from machlab.operators import face_to_center
+from machlab.spectral import lifting_time_derivative, velocity_gradient
 
 LAW = PressureLaw(1.0, 2.0, 1.0)
 VISC = ViscosityPair(0.01)
@@ -248,3 +253,77 @@ class TestEnergyInequality:
         traj = sol.run(sol.init_state(pulse_data(sol.grid)), np.linspace(0, 0.05, 6))
         drift = traj.total_mass[-1] - traj.total_mass[0]
         assert drift == pytest.approx(traj.sponge_mass[-1], abs=1e-10)
+
+
+def _tensor_ledger(sol, state, dt):
+    """Dissipation and lifting work of one step by the full-grid tensor
+    formulation: the stress tensor field, the lifting samples and einsums."""
+    g = sol.grid
+    grad_u = velocity_gradient(g, state.u, state.v)
+    s_tensor = stress(sol.visc, grad_u)
+    diss = np.einsum("xyij,xyij->xy", s_tensor, grad_u)
+    dissipation = dt * float(np.sum(diss[g.active])) * g.h**2
+    if sol.lifting is None:
+        return dissipation, 0.0
+    _, mp, _ = eval_motion(sol.path, state.t)
+    ext = sol.lifting.sample(state.t)
+    ext_dt = sol.lifting.sample_dt(state.t)
+    grad_v = velocity_gradient(g, ext.u, ext.v)
+    vel = np.stack(face_to_center(state.u, state.v), axis=-1)
+    uu = state.rho[..., None, None] * vel[..., :, None] * vel[..., None, :]
+    dv_moving = lifting_time_derivative(grad_v, ext_dt, mp)
+    integrand = (
+        np.einsum("xyij,xyij->xy", s_tensor, grad_v)
+        - np.einsum("xyij,xyij->xy", uu, grad_v)
+        - state.rho * np.einsum("xyi,xyi->xy", vel, dv_moving)
+    )
+    return dissipation, dt * float(np.sum(integrand[g.active])) * g.h**2
+
+
+LEDGER_PATHS = {
+    "static": static_path(1.0),
+    "linear": linear_path((0.1, -0.05), 1.0),
+    "sinusoidal": sinusoidal_path((0.02, 0.01), 8.0, 1.0),
+}
+
+
+class TestLedgerOracle:
+    @pytest.mark.parametrize("kind", sorted(LEDGER_PATHS))
+    def test_accumulate_matches_tensor_formulation(self, obstacle_grid, kind):
+        g = obstacle_grid
+        sol = CompressibleSolver(g, LAW, ViscosityPair(0.01, 0.004), LEDGER_PATHS[kind],
+                                 SolverOptions(sponge_width=0.25))
+        rng = np.random.default_rng(7)
+        rho = np.where(g.active, 1.0 + 0.1 * rng.standard_normal((g.nx, g.ny)), 1.0)
+        state = enforce_bc(g, sol.path, FluidState(
+            rho, 0.3 * rng.standard_normal((g.nx + 1, g.ny)),
+            0.3 * rng.standard_normal((g.nx, g.ny + 1)), 0.13, 0.1,
+        ))
+        if kind == "sinusoidal":
+            assert np.abs(eval_motion(sol.path, state.t)[2]).max() > 0.0
+        ledger = EnergyLedger(initial_energy=0.0, initial_v_coupling=0.0)
+        sol._accumulate(ledger, state, 1e-3)
+        dissipation, v_work = _tensor_ledger(sol, state, 1e-3)
+        assert dissipation > 0.0
+        assert ledger.dissipation == pytest.approx(dissipation, rel=1e-12)
+        if kind == "static":
+            assert sol.lifting_support is None and ledger.v_work == 0.0
+        else:
+            assert v_work != 0.0
+            assert ledger.v_work == pytest.approx(v_work, rel=1e-12)
+
+    def test_support_box_holds_every_nonzero_cell(self, obstacle_grid):
+        g = obstacle_grid
+        sol = make_solver(grid=g, path=LEDGER_PATHS["linear"])
+        rows, cols = sol.lifting_support.box
+        inside = np.zeros((g.nx, g.ny), dtype=bool)
+        inside[rows, cols] = True
+        assert not inside.all()
+        for unit in sol.lifting.unit_fields():
+            centers = np.stack(face_to_center(unit.u, unit.v), axis=-1)
+            grads = velocity_gradient(g, unit.u, unit.v)
+            nonzero = g.active & (
+                np.any(centers != 0.0, axis=-1) | np.any(grads != 0.0, axis=(-2, -1))
+            )
+            assert nonzero.any()
+            assert not (nonzero & ~inside).any()

@@ -426,7 +426,7 @@ class TestForcing:
         for channel, power in ((0, -1.0), (2, 0.0), (4, 1.0)):
             term = sp.ForcingTerm("synthetic", "scalar", density,
                                   channels=(channel,))
-            asm = sp.ForcingAssembly((term,), 0.0, 0.1)
+            asm = sp.ForcingAssembly((term,))
             norms = sp.forcing_channel_norms(asm, dec)
             expected = abs(c) * lam ** (-power)
             assert norms[channel] == pytest.approx(expected, rel=1e-10)
