@@ -11,7 +11,14 @@ from pathlib import Path
 
 from .config import canonical_text, parse_config
 from .errors import ConfigParseError, ConfigValidationError, MachlabError
-from .sweep import build_scenario, decompose, run_sweep, write_eigenvalues
+from .sweep import (
+    EIGENVALUE_HEADER,
+    build_scenario,
+    decompose,
+    eigenvalue_rows,
+    run_sweep,
+    write_eigenvalues,
+)
 from .verify import format_report, verify_run, verify_to_json
 
 EXIT_OK = 0
@@ -64,9 +71,9 @@ def _cmd_spectrum(args):
         write_eigenvalues(args.out, dec)
         print(f"wrote {dec.modes} eigenvalues to {args.out}")
     else:
-        print("k,lambda,residual")
-        for k, (lam, res) in enumerate(zip(dec.eigenvalues, dec.residuals), start=1):
-            print(f"{k},{lam:.12g},{res:.3e}")
+        print(",".join(EIGENVALUE_HEADER))
+        for row in eigenvalue_rows(dec):
+            print(",".join(map(str, row)))
     return EXIT_OK
 
 

@@ -177,6 +177,7 @@ class CompressibleSolver:
             grid, path, self.options.lifting_radius, self.options.sponge_width
         )
         self.lifting_support = lifting_support(grid, self.lifting)
+        self._limit_of = None  # (state, cfl_limit(state)) of the last step
 
     def _build_sponge(self):
         g = self.grid
@@ -240,16 +241,22 @@ class CompressibleSolver:
             bounds.append(g.h / (d * umax))
         return self.options.cfl * min(bounds)
 
+    def _stable_dt(self, state: FluidState) -> float:
+        """cfl_limit(state), evaluated once per state: run sizes the step
+        with it and step's guard reads the same value."""
+        if self._limit_of is None or self._limit_of[0] is not state:
+            self._limit_of = (state, self.cfl_limit(state))
+        return self._limit_of[1]
+
     # -- single step ----------------------------------------------------------
 
     def step(self, state: FluidState, dt: float) -> FluidState:
         """One conservative explicit update; raises on CFL, vacuum, or NaN."""
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        if dt > self.cfl_limit(state) * (1.0 + 1e-9):
-            raise CflViolation(
-                f"dt = {dt:.3e} exceeds the stability bound {self.cfl_limit(state):.3e}"
-            )
+        limit = self._stable_dt(state)
+        if dt > limit * (1.0 + 1e-9):
+            raise CflViolation(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e}")
         g = self.grid
         h = g.h
         law = self.law
@@ -367,7 +374,7 @@ class CompressibleSolver:
         sponge_total = 0.0
         for target in times:
             while state.t < target - 1e-12:
-                limit = self.cfl_limit(state)
+                limit = self._stable_dt(state)
                 dt = limit if dt_policy == "adaptive" else min(float(dt_policy), limit)
                 dt = min(dt, target - state.t)
                 new_state = self.step(state, dt)

@@ -1,11 +1,15 @@
 """Scenario assembly and the eps-sweep pipeline behind the CLI.
 
-run_sweep drives, per Mach number: the compressible run, acoustic
-extraction, forcing channels, the local-decay functional, and the
-diagnostics records, plus one incompressible reference run; everything is
-written to a run directory closed by a manifest. At a fixed BLAS thread
-count all outputs are a pure function of (config, seed); the eigenpair
-residuals in eigenvalues.csv move at rounding level with the thread count.
+run_sweep solves the Neumann eigenproblem once per scenario, then drives,
+per Mach number: the compressible run, acoustic extraction, forcing
+channels, the local-decay functional, and the diagnostics records, plus
+one incompressible reference run; everything is written to a run
+directory closed by a manifest. With MACHLAB_WORKERS > 1 the members run
+in a process pool and each worker receives the parent's eigenpairs, so
+the sweep still makes one eigensolve and its files equal the sequential
+run's byte for byte. At a fixed BLAS thread count all outputs are a pure
+function of (config, seed); the eigenpair residuals in eigenvalues.csv
+(printed as %.3e) move at rounding level with the thread count.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .storage import write_csv, write_manifest, write_snapshot
 
 CHANNEL_NAMES = tuple(f"forcing_channel_{i + 1}" for i in range(5))
 RAGE_HEADER = ["eps", "D", "T", "K", "truncation_remainder"]
+EIGENVALUE_HEADER = ["k", "lambda", "residual"]
 SUMMARY_HEADER = ["eps", "density_scale", "velocity_gap", "solenoidal_pairing_gap",
                   "rage_d", "forcing_channel_sum", "res_indicator_l1", "energy_ok"]
 
@@ -201,14 +206,16 @@ def decompose(cfg: ExperimentConfig, grid: Grid) -> sp.SpectralDecomposition:
     return sp.spectral_decompose(grid, min(cfg["numerics"]["modes"], grid.n_active))
 
 
+def eigenvalue_rows(dec: sp.SpectralDecomposition) -> list:
+    """Rows k, lambda, residual of the eigenvalue table, formatted: lambda to
+    12 significant digits, the rounding-level residual as %.3e."""
+    return [(k, f"{lam:.12g}", f"{res:.3e}")
+            for k, (lam, res) in enumerate(zip(dec.eigenvalues, dec.residuals), start=1)]
+
+
 def write_eigenvalues(path, dec: sp.SpectralDecomposition):
-    """The eigenvalue table k, lambda, residual as CSV."""
-    write_csv(
-        path,
-        ["k", "lambda", "residual"],
-        [(k + 1, float(l), float(r)) for k, (l, r) in
-         enumerate(zip(dec.eigenvalues, dec.residuals))],
-    )
+    """The eigenvalue table as CSV."""
+    write_csv(path, EIGENVALUE_HEADER, eigenvalue_rows(dec))
 
 
 # -- per-eps job ------------------------------------------------------------
@@ -319,9 +326,10 @@ def _fluid_sweep(scenario: Scenario, dec, run_id: str, out_dir: Path):
     jobs = {}
     if workers > 1:
         text = canonical_text(cfg)
+        pairs = (dec.eigenvalues, dec.eigenvectors, dec.residuals)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                eps: pool.submit(_run_one_eps_job, text, eps, str(out_dir))
+                eps: pool.submit(_run_one_eps_job, text, pairs, eps, str(out_dir))
                 for eps in eps_list
             }
             for eps, fut in futures.items():
@@ -386,13 +394,14 @@ def _metric(run_id, eps, name, value):
     return MetricsRecord(run_id, eps, name, 2.0, "full", "integral_t", value)
 
 
-def _run_one_eps_job(cfg_text: str, eps: float, out_dir: str):
-    """Worker-pool entry: rebuilds the scenario from the canonical text."""
+def _run_one_eps_job(cfg_text: str, pairs, eps: float, out_dir: str):
+    """Worker-pool entry: rebuilds the scenario from the canonical text and
+    the decomposition from the parent's eigenpairs (no second eigensolve)."""
     from .config import parse_config
 
     cfg = parse_config(cfg_text)
     scenario = build_scenario(cfg)
-    dec = decompose(cfg, scenario.grid)
+    dec = sp.SpectralDecomposition(scenario.grid, *pairs)
     times = sample_schedule(cfg)
     return run_one_eps(
         scenario, dec, eps, times, cfg["run"]["seed"],

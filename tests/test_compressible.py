@@ -102,6 +102,33 @@ class TestStep:
         with pytest.raises(CflViolation):
             sol.step(s0, 10.0 * sol.cfl_limit(s0))
 
+    def test_run_evaluates_cfl_limit_once_per_step(self, monkeypatch):
+        calls = {"cfl_limit": 0, "step": 0}
+
+        def counted(name):
+            fn = getattr(CompressibleSolver, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(CompressibleSolver, name, counted(name))
+        sol = make_solver(path=linear_path((0.1, 0.0), 10.0))
+        s0 = sol.init_state(pulse_data(sol.grid))
+        traj = sol.run(s0, [0.0, 0.005, 0.01])
+        assert calls["step"] > 2
+        assert calls["cfl_limit"] == calls["step"]
+        # the first step from `state` stores its limit; the guard of the
+        # second reads the stored value and must still refuse a too-large dt
+        state = traj.states[-1]
+        limit = sol.cfl_limit(state)
+        sol.step(state, limit)
+        with pytest.raises(CflViolation):
+            sol.step(state, 1.01 * limit)
+
     def test_mass_conserved_without_sponge(self):
         sol = make_solver(sponge=False)
         state = sol.init_state(pulse_data(sol.grid))

@@ -116,7 +116,15 @@ class TestSweep:
                                             monkeypatch):
         monkeypatch.setenv("MACHLAB_WORKERS", "2")
         parallel = run_sweep(mini_cfg, tmp_path / "parallel")
-        for name in ("metrics.csv", "energy.csv", "summary.csv"):
+
+        def files(root):
+            return sorted(p.relative_to(root) for p in Path(root).rglob("*")
+                          if p.is_file())
+
+        names = files(mini_run["out_dir"])
+        assert files(parallel["out_dir"]) == names
+        assert Path("eps_0p1", "snap_004.dat") in names
+        for name in names:
             a = (Path(mini_run["out_dir"]) / name).read_bytes()
             b = (Path(parallel["out_dir"]) / name).read_bytes()
             assert a == b, name

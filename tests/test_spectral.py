@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 from machlab.compressible import FluidState
 from machlab.constitutive import PressureLaw, ViscosityPair
@@ -98,6 +100,92 @@ class TestSpectralDecomposition:
             sp.spectral_decompose(unit_square_grid, 0)
         with pytest.raises(ValueError):
             sp.spectral_decompose(unit_square_grid, unit_square_grid.n_active + 1)
+
+
+def _mirror_flags(grid):
+    act = grid.active
+    return np.array_equal(act, act[::-1, :]), np.array_equal(act, act[:, ::-1])
+
+
+def _check_against_oracle(dec, w_oracle, v_oracle):
+    """Eigenvalues within 1e-10 and the same retained subspace."""
+    k = dec.modes
+    np.testing.assert_allclose(dec.eigenvalues, w_oracle[:k], rtol=1e-10, atol=1e-10)
+    sv = np.linalg.svd(v_oracle[:, :k].T @ dec.eigenvectors, compute_uv=False)
+    assert sv.min() >= 1.0 - 1e-10
+    assert dec.residuals.max() <= 1e-8
+
+
+class TestSectorSolve:
+    """spectral_decompose against eigensolves of the full operator, written
+    here: the sector split must give the same pairs as no split at all."""
+
+    @staticmethod
+    def _dense_oracle(grid):
+        return np.linalg.eigh(grid.ops.laplacian_matrix.toarray())
+
+    @pytest.mark.parametrize(
+        "grid, modes",
+        [
+            # centred disk: both mirrors, four sectors; 1008 keeps every
+            # pair, so each sector takes the dense path
+            (build_grid(2, 1.0, 0.15, 1.0 / 16.0), 1),
+            (build_grid(2, 1.0, 0.15, 1.0 / 16.0), 40),
+            (build_grid(2, 1.0, 0.15, 1.0 / 16.0), 600),
+            (build_grid(2, 1.0, 0.15, 1.0 / 16.0), 1008),
+            # odd cell count: the middle row and column are their own mirror
+            (build_grid(2, 1.0, 0.15, 2.0 / 41.0), 30),
+            # off-centre box: no mirror symmetry, one sector
+            (Grid(-0.9, -1.1, 30, 34, 1.0 / 16.0, obstacle_radius=0.2), 25),
+            # thin strip: the 40 lowest modes are all y-even, so the two
+            # y-even sectors must be re-solved with larger counts
+            (build_rectangle_grid(0.0, 8.0, 0.0, 0.125, 1.0 / 16.0), 40),
+        ],
+        ids=["disk-1", "disk-40", "disk-600", "disk-all", "odd-30", "off-centre-25",
+             "strip-40"],
+    )
+    def test_matches_dense_eigh(self, grid, modes):
+        w, v = self._dense_oracle(grid)
+        if modes < grid.n_active:
+            # the cutoff falls in a spectral gap, so the subspace is unique
+            assert w[modes] - w[modes - 1] > 1e-3 * w[modes]
+        _check_against_oracle(sp.spectral_decompose(grid, modes), w, v)
+
+    def test_grids_cover_the_sector_cases(self):
+        assert _mirror_flags(build_grid(2, 1.0, 0.15, 1.0 / 16.0)) == (True, True)
+        assert build_grid(2, 1.0, 0.15, 2.0 / 41.0).nx % 2 == 1
+        off = Grid(-0.9, -1.1, 30, 34, 1.0 / 16.0, obstacle_radius=0.2)
+        assert _mirror_flags(off) == (False, False)
+
+    def test_matches_full_shift_invert_on_spectral_grid(self, spectral_cfg):
+        # 16,260 cells: each of the four sectors holds over 3,000, so every
+        # sector goes through ARPACK
+        g = spectral_cfg["geometry"]
+        grid = build_grid(g["dimension"], g["extent"], g["obstacle_radius"],
+                          g["cell_size"])
+        assert grid.n_active // 4 > 3000
+        k = 120
+        a = grid.ops.laplacian_matrix
+        n = grid.n_active
+        sigma = -1e-3 * (4.0 / grid.h**2)
+        lu = spla.splu((a - sigma * sparse.identity(n, format="csr")).tocsc())
+        opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        v0 = np.cos(np.linspace(0.0, 13.0, n)) + 0.5
+        w, v = spla.eigsh(a, k=k + 1, sigma=sigma, which="LM", OPinv=opinv, v0=v0)
+        order = np.argsort(w)
+        w, v = w[order], v[:, order]
+        assert w[k] - w[k - 1] > 1e-3 * w[k]
+        _check_against_oracle(sp.spectral_decompose(grid, k), w, v)
+
+    def test_split_degenerate_pair_is_deterministic(self, obstacle_grid):
+        # K = 50 cuts through a pair that differs only at rounding level
+        w = np.linalg.eigvalsh(obstacle_grid.ops.laplacian_matrix.toarray())
+        assert w[50] - w[49] < 1e-9 * w[50]
+        first = sp.spectral_decompose(obstacle_grid, 50)
+        second = sp.spectral_decompose(obstacle_grid, 50)
+        np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+        np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
+        np.testing.assert_array_equal(first.residuals, second.residuals)
 
 
 class TestFractionalPowers:
