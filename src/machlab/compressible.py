@@ -5,7 +5,9 @@ and transport happens with the relative velocity u - m'(t): mass and
 momentum fluxes are Rusanov-stabilized first-order upwind, the pressure
 gradient (carrying the 1/eps^2 stiffness) and viscous terms are centered,
 and a cosine-ramped sponge layer relaxes the rim toward the far-field
-state to emulate radiation to infinity.
+state to emulate radiation to infinity. The energy ledger reads the
+lifting's velocity gradient and moving-frame derivative from the lifting
+field itself, on its support box.
 """
 
 from __future__ import annotations
@@ -25,8 +27,13 @@ from .constitutive import (
 )
 from .errors import CflViolation, NanDetected, VacuumState
 from .geometry import Grid, MotionPath, build_lifting, enforce_bc, eval_motion
-from .operators import component_masks, face_to_center, mirror_laplacian, upwind_transport
-from .spectral import velocity_gradient
+from .operators import (
+    component_masks,
+    face_to_center,
+    mirror_laplacian,
+    upwind_transport,
+    velocity_gradient,
+)
 
 
 @dataclass(frozen=True)
@@ -83,46 +90,6 @@ class EnergyRecord:
     flag: bool
 
 
-@dataclass(frozen=True)
-class LiftingSupport:
-    """The lifting's two unit fields (V = m'_x V_x + m'_y V_y) cut to the
-    bounding box of the active cells where either, or its velocity
-    gradient, is nonzero; outside the box the lifting work vanishes.
-
-    The box is a (rows, columns) pair of cell slices; center_* are
-    cell-centred values (bx, by, 2), grad_* velocity gradients
-    (bx, by, 2, 2).
-    """
-
-    box: tuple
-    active: np.ndarray
-    center_x: np.ndarray
-    center_y: np.ndarray
-    grad_x: np.ndarray
-    grad_y: np.ndarray
-
-
-def lifting_support(grid: Grid, lifting) -> LiftingSupport | None:
-    """Box-cut unit fields of a lifting; None when there is no lifting."""
-    if lifting is None:
-        return None
-    units = lifting.unit_fields()
-    centers = [np.stack(face_to_center(f.u, f.v), axis=-1) for f in units]
-    grads = [velocity_gradient(grid, f.u, f.v) for f in units]
-    nonzero = grid.active & (
-        np.any(centers[0] != 0.0, axis=-1)
-        | np.any(centers[1] != 0.0, axis=-1)
-        | np.any(grads[0] != 0.0, axis=(-2, -1))
-        | np.any(grads[1] != 0.0, axis=(-2, -1))
-    )
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    cols = np.flatnonzero(nonzero.any(axis=0))
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    return LiftingSupport(
-        box, grid.active[box].copy(), *(a[box].copy() for a in centers + grads)
-    )
-
-
 @dataclass
 class Trajectory:
     times: np.ndarray
@@ -176,7 +143,6 @@ class CompressibleSolver:
         self.lifting = build_lifting(
             grid, path, self.options.lifting_radius, self.options.sponge_width
         )
-        self.lifting_support = lifting_support(grid, self.lifting)
         self._limit_of = None  # (state, cfl_limit(state)) of the last step
 
     def _build_sponge(self):
@@ -413,8 +379,7 @@ class CompressibleSolver:
 
         S:grad u is formed in closed form from the gradient components.
         The lifting work S:grad V - rho (u x u):grad V - rho u.dV/dt is
-        integrated on the lifting's support box only, with grad V and
-        dV/dt = m''.V_unit - (grad V) m' scaled from the cached unit fields.
+        integrated on the lifting's support box only, from its box fields.
         """
         g = self.grid
         mu, eta = self.visc.shear, self.visc.bulk
@@ -427,18 +392,11 @@ class CompressibleSolver:
         diss = mu * (2.0 * (gxx**2 + gyy**2) + shear**2 - (2.0 / 3.0) * div**2)
         diss += eta * div**2
         ledger.dissipation += dt * float(np.sum(diss[g.active])) * g.h**2
-        sup = self.lifting_support
-        if sup is None:
+        lifting = self.lifting
+        if lifting is None:
             return
-        _, mp, mpp = eval_motion(self.path, state.t)
-        gv = mp[0] * sup.grad_x + mp[1] * sup.grad_y
-        vxx, vxy = gv[..., 0, 0], gv[..., 0, 1]
-        vyx, vyy = gv[..., 1, 0], gv[..., 1, 1]
-        dv = mpp[0] * sup.center_x + mpp[1] * sup.center_y
-        dvx = dv[..., 0] - (vxx * mp[0] + vxy * mp[1])
-        dvy = dv[..., 1] - (vyx * mp[0] + vyy * mp[1])
-
-        box = sup.box
+        gv, dv = lifting.box_fields(state.t)
+        box = lifting.box
         i, j = box
         rho = state.rho[box]
         uc, vc = face_to_center(state.u[i.start:i.stop + 1, j], state.v[i, j.start:j.stop + 1])
@@ -447,12 +405,12 @@ class CompressibleSolver:
         syy = 2.0 * mu * gyy[box] + lam * div[box]
         sxy = mu * shear[box]
         integrand = (
-            (sxx - rho * uc * uc) * vxx
-            + (sxy - rho * uc * vc) * (vxy + vyx)
-            + (syy - rho * vc * vc) * vyy
-            - rho * (uc * dvx + vc * dvy)
+            (sxx - rho * uc * uc) * gv[..., 0, 0]
+            + (sxy - rho * uc * vc) * (gv[..., 0, 1] + gv[..., 1, 0])
+            + (syy - rho * vc * vc) * gv[..., 1, 1]
+            - rho * (uc * dv[..., 0] + vc * dv[..., 1])
         )
-        ledger.v_work += dt * float(np.sum(integrand[sup.active])) * g.h**2
+        ledger.v_work += dt * float(np.sum(integrand[lifting.box_active])) * g.h**2
 
     def energy_report(self, state: FluidState, ledger: EnergyLedger) -> EnergyRecord:
         """Both sides of the discrete energy inequality and the verdict flag.

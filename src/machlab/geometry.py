@@ -4,7 +4,10 @@ The computational domain is a truncated box around a disk obstacle centered
 at the origin of the fixed frame. Scalars live at cell centers, velocity
 components at faces (MAC staggering). Cells inside the disk are inactive;
 faces are classified as interior (carrying an unknown), obstacle stair
-faces, or outer-rim faces.
+faces, or outer-rim faces. The lifting field owns everything derived from
+it: its face samples, its two unit fields cut to its support box, and its
+velocity gradient and moving-frame derivative there, which the energy
+ledger and the wave forcing both read.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GeometryTooCoarse, OutOfHorizon
-from .operators import nodal_curl
+from .operators import face_to_center, nodal_curl, velocity_gradient
 
 
 class Grid:
@@ -114,15 +117,13 @@ class Grid:
             self._ops = DiscreteOperators(self)
         return self._ops
 
-    def l2norm(self, cell_field, mask=None):
+    def l2norm(self, cell_field):
         """Grid L2 norm of a cell field, restricted to active cells."""
-        m = self.active if mask is None else (self.active & mask)
-        return self.h * math.sqrt(float(np.sum(cell_field[m] ** 2)))
+        return self.h * math.sqrt(float(np.sum(cell_field[self.active] ** 2)))
 
-    def lq_norm(self, cell_field, q, mask=None):
+    def lq_norm(self, cell_field, q):
         """Grid Lq norm over active cells; q = inf gives the max norm."""
-        m = self.active if mask is None else (self.active & mask)
-        vals = np.abs(cell_field[m])
+        vals = np.abs(cell_field[self.active])
         if np.isinf(q):
             return float(vals.max(initial=0.0))
         return float((self.h**2 * np.sum(vals**q)) ** (1.0 / q))
@@ -281,6 +282,12 @@ class ExtensionField:
     matches the boundary normal velocity exactly), and V = 0 beyond the
     support radius. The nodes and the taper are computed once; a sample
     only scales them by the obstacle velocity.
+
+    The constructor also cuts the liftings of e_x and e_y (V = m'_x V_x +
+    m'_y V_y) to `box`, the bounding box of the active cells where either,
+    or its velocity gradient, is nonzero: `box_fields` forms grad V and the
+    moving-frame derivative from them there, and both vanish outside it.
+    `sample` and `sample_dt` keep their own arithmetic on the full grid.
     """
 
     def __init__(self, grid: Grid, path: MotionPath, support_radius: float):
@@ -296,16 +303,27 @@ class ExtensionField:
         r = np.sqrt(self._xn**2 + self._yn**2)
         self._taper = _taper(r, self.collar, R - g.h)
 
+        units = [self._curl_of(e) for e in ((1.0, 0.0), (0.0, 1.0))]
+        centers = [np.stack(face_to_center(u, v), axis=-1) for u, v in units]
+        grads = [velocity_gradient(g, u, v) for u, v in units]
+        nonzero = g.active & (
+            np.any(centers[0] != 0.0, axis=-1)
+            | np.any(centers[1] != 0.0, axis=-1)
+            | np.any(grads[0] != 0.0, axis=(-2, -1))
+            | np.any(grads[1] != 0.0, axis=(-2, -1))
+        )
+        rows = np.flatnonzero(nonzero.any(axis=1))
+        cols = np.flatnonzero(nonzero.any(axis=0))
+        self.box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        self.box_active = g.active[self.box].copy()
+        # cell-centred values (bx, by, 2) and gradients (bx, by, 2, 2)
+        self._centers = [c[self.box].copy() for c in centers]
+        self._grads = [gr[self.box].copy() for gr in grads]
+
     def _curl_of(self, velocity):
         vx, vy = float(velocity[0]), float(velocity[1])
         psi = self._taper * (vx * self._yn - vy * self._xn)
         return nodal_curl(psi, self.grid.h)
-
-    def unit_fields(self) -> tuple[ExtensionFieldSample, ExtensionFieldSample]:
-        """The liftings of the unit velocities e_x and e_y; V(t) is
-        m'_x times the first plus m'_y times the second."""
-        units = ((1.0, 0.0), (0.0, 1.0))
-        return tuple(ExtensionFieldSample(*self._curl_of(e)) for e in units)
 
     def sample(self, t: float) -> ExtensionFieldSample:
         """V(t, .) on faces."""
@@ -316,6 +334,21 @@ class ExtensionField:
         """Fixed-frame time derivative d/dt V(t, y); linear in m''."""
         _, _, mpp = eval_motion(self.path, t)
         return ExtensionFieldSample(*self._curl_of(mpp))
+
+    def box_fields(self, t: float):
+        """(grad V, dV/dt) at cell centres on `box`, shapes (bx, by, 2, 2)
+        and (bx, by, 2).
+
+        The lifting lives on the fixed frame, so its physical time
+        derivative picks up the advective correction:
+        dV/dt = m''_x V_x + m''_y V_y - (grad V) m'.
+        """
+        _, mp, mpp = eval_motion(self.path, t)
+        (gx, gy), (cx, cy) = self._grads, self._centers
+        gv = mp[0] * gx + mp[1] * gy
+        dv = mpp[0] * cx + mpp[1] * cy
+        dv -= gv[..., 0] * mp[0] + gv[..., 1] * mp[1]
+        return gv, dv
 
 
 def lifting_sample(lifting, grid: Grid, t: float) -> ExtensionFieldSample:

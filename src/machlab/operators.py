@@ -5,6 +5,9 @@ boundary and dead faces, which encodes the homogeneous Neumann condition),
 and the divergence is exactly -G^T, so the five-point Neumann Laplacian is
 the Gram matrix G^T G. Helmholtz projections and pressure projections built
 from these operators are therefore exact discrete orthogonal splittings.
+The module also holds the staggered stencils every other module shares:
+face/center averages, the nodal curl, the cell-centred velocity gradient,
+upwind transport and the free-slip face Laplacian.
 """
 
 from __future__ import annotations
@@ -209,6 +212,24 @@ def center_to_yface(c):
     out = np.zeros((c.shape[0], c.shape[1] + 1))
     out[:, 1:-1] = 0.5 * (c[:, 1:] + c[:, :-1])
     return out
+
+
+def velocity_gradient(grid, u, v):
+    """Cell-centered velocity gradient tensor (nx, ny, 2, 2) from face
+    components; zero on inactive cells."""
+    g = grid
+    h = g.h
+    gu = np.zeros((g.nx, g.ny, 2, 2))
+    um = np.where(g.uface_interior | g.uface_boundary, u, 0.0)
+    vm = np.where(g.vface_interior | g.vface_boundary, v, 0.0)
+    gu[:, :, 0, 0] = (um[1:, :] - um[:-1, :]) / h
+    gu[:, :, 1, 1] = (vm[:, 1:] - vm[:, :-1]) / h
+    uc, vc = face_to_center(um, vm)
+    # tangential derivatives by central differences with mirrored edges
+    gu[1:-1, :, 1, 0] = (vc[2:, :] - vc[:-2, :]) / (2 * h)
+    gu[:, 1:-1, 0, 1] = (uc[:, 2:] - uc[:, :-2]) / (2 * h)
+    gu[~g.active] = 0.0
+    return gu
 
 
 def nodal_curl(psi, h):

@@ -4,7 +4,9 @@ Everything here runs on the retained eigenspan of the discrete Neumann
 Laplacian: fractional operator powers, the Helmholtz projection, the
 two-component acoustic wave propagator with its Duhamel quadrature, the
 forcing-channel bookkeeping of the wave source, and the time-averaged
-local-decay functional measuring acoustic dispersion.
+local-decay functional measuring acoustic dispersion. The wave source
+takes the lifting's moving-frame derivative from the lifting field, on
+its support box; the staggered stencils come from operators.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .errors import (
     KernelSingularity,
     UnresolvedOscillation,
 )
-from .geometry import ExtensionFieldSample, Grid, MotionPath, eval_motion
-from .operators import center_to_xface, center_to_yface, face_to_center
+from .geometry import ExtensionField, ExtensionFieldSample, Grid, MotionPath, eval_motion
+from .operators import center_to_xface, center_to_yface, face_to_center, velocity_gradient
 
 DESK_CELL_CAP = 128 * 128
 DESK_MODE_CAP = 2000
@@ -194,13 +196,16 @@ def spectral_decompose(grid: Grid, modes: int) -> SpectralDecomposition:
         v[:, j] /= np.linalg.norm(v[:, j])
     w = np.maximum(w, 0.0)
 
-    # full-space residuals over blocks of 32 columns: no (n, K) temporaries
+    # full-space residuals and column norms over blocks of 32 columns: no
+    # (n, K) temporaries
     resid = np.empty(k)
+    scale = np.empty(k)
     for j in range(0, k, 32):
         cols = slice(j, j + 32)
         resid[cols] = np.linalg.norm(a @ v[:, cols] - v[:, cols] * w[None, cols], axis=0)
+        scale[cols] = np.linalg.norm(v[:, cols], axis=0)
     dec = SpectralDecomposition(grid, w, v, resid)
-    bad = resid > 1e-8 * np.maximum(1.0, np.linalg.norm(v, axis=0))
+    bad = resid > 1e-8 * np.maximum(1.0, scale)
     if np.any(bad):
         raise EigensolverFailure(
             f"{int(bad.sum())} eigenpairs exceed the 1e-8 residual bound"
@@ -281,7 +286,7 @@ def _mode_rotation(lam, pp, eps, t):
     return cos, r_from_psi, psi_from_r
 
 
-def _gauge(dec: SpectralDecomposition, coeffs):
+def _gauge(coeffs):
     out = np.array(coeffs, dtype=float)
     out[0] = 0.0
     return out
@@ -302,7 +307,7 @@ def wave_propagate(
     """
     pp = float(pressure_slope(law, law.rho_ref))
     rc = dec.coefficients(state0.r)
-    pc = _gauge(dec, dec.coefficients(state0.psi))
+    pc = _gauge(dec.coefficients(state0.psi))
     cos, r_from_psi, psi_from_r = _mode_rotation(dec.eigenvalues, pp, eps, t)
     rn = cos * rc + r_from_psi * pc
     pn = cos * pc + psi_from_r * rc
@@ -337,7 +342,7 @@ def duhamel_solve(
         raise ValueError("sample times must lie within [0, horizon]")
 
     rc = dec.coefficients(state0.r)
-    pc = _gauge(dec, dec.coefficients(state0.psi))
+    pc = _gauge(dec.coefficients(state0.psi))
     out = []
     t = 0.0
     for target in sample_times:
@@ -400,24 +405,6 @@ class ForcingAssembly:
     terms: tuple
 
 
-def velocity_gradient(grid: Grid, u, v):
-    """Cell-centered velocity gradient tensor from face components."""
-    g = grid
-    h = g.h
-    gu = np.zeros((g.nx, g.ny, 2, 2))
-    um = np.where(g.uface_interior | g.uface_boundary, u, 0.0)
-    vm = np.where(g.vface_interior | g.vface_boundary, v, 0.0)
-    gu[:, :, 0, 0] = (um[1:, :] - um[:-1, :]) / h
-    gu[:, :, 1, 1] = (vm[:, 1:] - vm[:, :-1]) / h
-    uc, vc = face_to_center(um, vm)
-    # tangential derivatives by central differences with mirrored edges
-    gu[1:-1, :, 1, 0] = (vc[2:, :] - vc[:-2, :]) / (2 * h)
-    gu[:, 1:-1, 0, 1] = (uc[:, 2:] - uc[:, :-2]) / (2 * h)
-    inact = ~g.active
-    gu[inact] = 0.0
-    return gu
-
-
 def tensor_divdiv(grid: Grid, tensor):
     """div div of a cell tensor field, with masked one-sided closures."""
     g = grid
@@ -459,17 +446,6 @@ def tensor_divdiv(grid: Grid, tensor):
     return out
 
 
-def lifting_time_derivative(grad_v, ext_dt, m_prime):
-    """Moving-frame d/dt of the lifting field, at cell centers.
-
-    The lifting lives on the fixed frame, so the physical time derivative
-    picks up the advective correction: dV/dt|_x = dV~/dt|_y - (m'.grad) V~,
-    with grad_v the lifting's velocity gradient.
-    """
-    dv = np.stack(face_to_center(ext_dt.u, ext_dt.v), axis=-1)
-    return dv - np.einsum("xyij,j->xyi", grad_v, np.asarray(m_prime, dtype=float))
-
-
 def assemble_forcing(
     state,
     grid: Grid,
@@ -477,14 +453,15 @@ def assemble_forcing(
     visc: ViscosityPair,
     path: MotionPath,
     ext: ExtensionFieldSample,
-    ext_dt: ExtensionFieldSample,
+    lifting: ExtensionField | None,
 ) -> ForcingAssembly:
     """Build the named wave-source terms from a fluid snapshot.
 
     Terms carry their functional density (scalar cell field) and are split
     into essential and residual parts wherever the routing distinguishes
-    them. ext / ext_dt are the lifting field and its fixed-frame partial
-    time derivative at state.t (the advective correction is applied here).
+    them. ext is the lifting field V at state.t; the lifting (None when
+    there is none) gives its moving-frame derivative on its support box,
+    which is zero elsewhere.
     """
     g = grid
     eps = state.eps
@@ -529,8 +506,9 @@ def assemble_forcing(
         ForcingTerm("pressure", "scalar", pressure_entropy(law, rho) / eps**2)
     )
 
-    grad_v = velocity_gradient(g, ext.u, ext.v)
-    dv_moving = lifting_time_derivative(grad_v, ext_dt, mp)
+    dv_moving = np.zeros((g.nx, g.ny, 2))
+    if lifting is not None:
+        dv_moving[lifting.box] = lifting.box_fields(state.t)[1]
     add_vector("extension_accel", -rbar * dv_moving)
 
     outer_m = mom[..., :, None] * mp[None, None, None, :]

@@ -238,14 +238,13 @@ def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
     vals = []
     for i, state in enumerate(traj.states):
         ext = lifting_sample(lifting, grid, state.t)
-        ext_dt = ext if lifting is None else lifting.sample_dt(state.t)
         ac = sp.extract_acoustic_potential(state, grid, scenario.path, scenario.law, ext)
         write_snapshot(
             out_dir / f"snap_{i:03d}.dat", grid, state.t,
             {"rho": state.rho, "u": state.u, "v": state.v, "r": ac.r, "psi": ac.psi},
         )
         assembly = sp.assemble_forcing(
-            state, grid, scenario.law, scenario.visc, scenario.path, ext, ext_dt
+            state, grid, scenario.law, scenario.visc, scenario.path, ext, lifting
         )
         vals.append(sp.forcing_channel_norms(assembly, dec))
     # per-channel L2((0,T) x Omega) norms of the snapshot series

@@ -21,8 +21,8 @@ from machlab.geometry import (
     sinusoidal_path,
     static_path,
 )
-from machlab.operators import face_to_center
-from machlab.spectral import lifting_time_derivative, velocity_gradient
+from machlab.operators import center_to_xface, center_to_yface, face_to_center, velocity_gradient
+from machlab.spectral import assemble_forcing
 
 LAW = PressureLaw(1.0, 2.0, 1.0)
 VISC = ViscosityPair(0.01)
@@ -282,6 +282,16 @@ class TestEnergyInequality:
         assert drift == pytest.approx(traj.sponge_mass[-1], abs=1e-10)
 
 
+def _moving_frame_derivative(grid, lifting, t):
+    """grad V and the moving-frame dV/dt on the full grid, from the lifting's
+    face samples: dV/dt|_x = dV~/dt|_y - (m'.grad) V~."""
+    _, mp, _ = eval_motion(lifting.path, t)
+    ext, ext_dt = lifting.sample(t), lifting.sample_dt(t)
+    grad_v = velocity_gradient(grid, ext.u, ext.v)
+    dv = np.stack(face_to_center(ext_dt.u, ext_dt.v), axis=-1)
+    return grad_v, dv - np.einsum("xyij,j->xyi", grad_v, mp)
+
+
 def _tensor_ledger(sol, state, dt):
     """Dissipation and lifting work of one step by the full-grid tensor
     formulation: the stress tensor field, the lifting samples and einsums."""
@@ -292,13 +302,9 @@ def _tensor_ledger(sol, state, dt):
     dissipation = dt * float(np.sum(diss[g.active])) * g.h**2
     if sol.lifting is None:
         return dissipation, 0.0
-    _, mp, _ = eval_motion(sol.path, state.t)
-    ext = sol.lifting.sample(state.t)
-    ext_dt = sol.lifting.sample_dt(state.t)
-    grad_v = velocity_gradient(g, ext.u, ext.v)
+    grad_v, dv_moving = _moving_frame_derivative(g, sol.lifting, state.t)
     vel = np.stack(face_to_center(state.u, state.v), axis=-1)
     uu = state.rho[..., None, None] * vel[..., :, None] * vel[..., None, :]
-    dv_moving = lifting_time_derivative(grad_v, ext_dt, mp)
     integrand = (
         np.einsum("xyij,xyij->xy", s_tensor, grad_v)
         - np.einsum("xyij,xyij->xy", uu, grad_v)
@@ -314,18 +320,23 @@ LEDGER_PATHS = {
 }
 
 
+def _random_state(sol):
+    g = sol.grid
+    rng = np.random.default_rng(7)
+    rho = np.where(g.active, 1.0 + 0.1 * rng.standard_normal((g.nx, g.ny)), 1.0)
+    return enforce_bc(g, sol.path, FluidState(
+        rho, 0.3 * rng.standard_normal((g.nx + 1, g.ny)),
+        0.3 * rng.standard_normal((g.nx, g.ny + 1)), 0.13, 0.1,
+    ))
+
+
 class TestLedgerOracle:
     @pytest.mark.parametrize("kind", sorted(LEDGER_PATHS))
     def test_accumulate_matches_tensor_formulation(self, obstacle_grid, kind):
         g = obstacle_grid
         sol = CompressibleSolver(g, LAW, ViscosityPair(0.01, 0.004), LEDGER_PATHS[kind],
                                  SolverOptions(sponge_width=0.25))
-        rng = np.random.default_rng(7)
-        rho = np.where(g.active, 1.0 + 0.1 * rng.standard_normal((g.nx, g.ny)), 1.0)
-        state = enforce_bc(g, sol.path, FluidState(
-            rho, 0.3 * rng.standard_normal((g.nx + 1, g.ny)),
-            0.3 * rng.standard_normal((g.nx, g.ny + 1)), 0.13, 0.1,
-        ))
+        state = _random_state(sol)
         if kind == "sinusoidal":
             assert np.abs(eval_motion(sol.path, state.t)[2]).max() > 0.0
         ledger = EnergyLedger(initial_energy=0.0, initial_v_coupling=0.0)
@@ -334,19 +345,42 @@ class TestLedgerOracle:
         assert dissipation > 0.0
         assert ledger.dissipation == pytest.approx(dissipation, rel=1e-12)
         if kind == "static":
-            assert sol.lifting_support is None and ledger.v_work == 0.0
+            assert sol.lifting is None and ledger.v_work == 0.0
         else:
             assert v_work != 0.0
             assert ledger.v_work == pytest.approx(v_work, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["linear", "sinusoidal"])
+    def test_forcing_matches_full_grid_formulation(self, obstacle_grid, kind):
+        """extension_accel from the box fields equals div(-rho_ref dV/dt)
+        with dV/dt formed on the full grid from the lifting's samples; the
+        lifting changes no other term."""
+        g = obstacle_grid
+        sol = make_solver(grid=g, path=LEDGER_PATHS[kind])
+        state = _random_state(sol)
+        ext = sol.lifting.sample(state.t)
+        args = (state, g, LAW, sol.visc, sol.path, ext)
+        terms = assemble_forcing(*args, sol.lifting).terms
+        without = assemble_forcing(*args, None).terms
+        vec = -LAW.rho_ref * _moving_frame_derivative(g, sol.lifting, state.t)[1]
+        oracle = g.ops.div(center_to_xface(vec[..., 0]), center_to_yface(vec[..., 1]))
+        assert np.abs(oracle).max() > 0.0
+        assert [t.label for t in terms] == [t.label for t in without]
+        for term, other in zip(terms, without):
+            expected = oracle if term.label == "extension_accel" else other.density
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(term.density, expected, rtol=0.0,
+                                       atol=1e-12 * scale, err_msg=term.label)
+
     def test_support_box_holds_every_nonzero_cell(self, obstacle_grid):
         g = obstacle_grid
-        sol = make_solver(grid=g, path=LEDGER_PATHS["linear"])
-        rows, cols = sol.lifting_support.box
+        rows, cols = make_solver(grid=g, path=LEDGER_PATHS["linear"]).lifting.box
         inside = np.zeros((g.nx, g.ny), dtype=bool)
         inside[rows, cols] = True
         assert not inside.all()
-        for unit in sol.lifting.unit_fields():
+        for e in ((1.0, 0.0), (0.0, 1.0)):
+            # the lifting of a body moving at the unit velocity e
+            unit = make_solver(grid=g, path=linear_path(e, 1.0)).lifting.sample(0.0)
             centers = np.stack(face_to_center(unit.u, unit.v), axis=-1)
             grads = velocity_gradient(g, unit.u, unit.v)
             nonzero = g.active & (

@@ -455,7 +455,7 @@ class TestForcing:
         visc = ViscosityPair(0.01)
         asm = sp.assemble_forcing(
             self._rest_state(g), g, LAW, visc, static_path(1.0),
-            self._zero_ext(g), self._zero_ext(g),
+            self._zero_ext(g), None,
         )
         for term in asm.terms:
             assert np.abs(term.density).max() == 0.0, term.label
@@ -472,7 +472,7 @@ class TestForcing:
             0.1,
         )
         asm = sp.assemble_forcing(state, g, LAW, visc, static_path(1.0),
-                                  self._zero_ext(g), self._zero_ext(g))
+                                  self._zero_ext(g), None)
         by_label = {t.label: t for t in asm.terms}
         assert np.abs(by_label["pressure"].density).max() == 0.0
         assert np.abs(by_label["viscous"].density).max() > 0.0
@@ -487,8 +487,7 @@ class TestForcing:
         state = FluidState(rho, np.zeros((g.nx + 1, g.ny)),
                            np.zeros((g.nx, g.ny + 1)), 0.0, eps)
         asm = sp.assemble_forcing(state, g, LAW, ViscosityPair(0.01),
-                                  static_path(1.0), self._zero_ext(g),
-                                  self._zero_ext(g))
+                                  static_path(1.0), self._zero_ext(g), None)
         by_label = {t.label: t for t in asm.terms}
         expected = np.where(g.active, ((rho - 1.0) / eps) ** 2, 0.0)
         np.testing.assert_allclose(by_label["pressure"].density, expected,
@@ -499,7 +498,7 @@ class TestForcing:
         dec = sp.spectral_decompose(g, 20)
         asm = sp.assemble_forcing(
             self._rest_state(g), g, LAW, ViscosityPair(0.01), static_path(1.0),
-            self._zero_ext(g), self._zero_ext(g),
+            self._zero_ext(g), None,
         )
         np.testing.assert_allclose(sp.forcing_channel_norms(asm, dec), 0.0)
 
