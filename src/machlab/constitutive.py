@@ -1,4 +1,5 @@
-"""Barotropic pressure law, viscous stress, and entropy-type diagnostics.
+"""Barotropic pressure law, viscous stress, the essential-set indicator, and
+entropy-type diagnostics.
 
 The pressure is the power law p(rho) = a * rho**gamma; the pressure
 potential P and the relative entropy built from it drive every energy
@@ -105,6 +106,12 @@ def pressure_entropy(law: PressureLaw, rho):
         - pressure_slope(law, rr) * (np.asarray(rho, dtype=float) - rr)
         - pressure(law, rr)
     )
+
+
+def essential_indicator(rho, rho_ref: float):
+    """1 on the essential set rho_ref/2 < rho < 2 rho_ref, 0 on the residual set."""
+    rho = np.asarray(rho)
+    return ((0.5 * rho_ref < rho) & (rho < 2.0 * rho_ref)).astype(float)
 
 
 def stress(visc: ViscosityPair, grad_u: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import PressureLaw
+from .constitutive import PressureLaw, essential_indicator
 from .errors import ScheduleMismatch
 from .geometry import Grid, MotionPath, lifting_sample
 from .operators import face_to_center
@@ -30,7 +30,7 @@ class EssResSplit:
 def split_ess_res(rho: np.ndarray, f: np.ndarray, rho_ref: float) -> EssResSplit:
     if rho.shape != np.asarray(f).shape:
         raise ValueError("rho and f must share a grid")
-    ind = ((0.5 * rho_ref < rho) & (rho < 2.0 * rho_ref)).astype(float)
+    ind = essential_indicator(rho, rho_ref)
     ess = np.asarray(f) * ind
     return EssResSplit(ess, np.asarray(f) - ess, ind)
 
@@ -106,7 +106,6 @@ def uniform_estimate_report(
         scaled = (rho - rbar) / eps
         split_scaled = split_ess_res(rho, scaled, rbar)
         split_rho = split_ess_res(rho, rho, rbar)
-        split_one = split_ess_res(rho, np.ones_like(rho), rbar)
         sup["ess_density_l2"] = max(
             sup["ess_density_l2"], grid.l2norm(split_scaled.essential)
         )
@@ -114,7 +113,7 @@ def uniform_estimate_report(
             sup["res_density_lgamma"], grid.lq_norm(split_rho.residual, law.gamma)
         )
         sup["res_indicator_l1"] = max(
-            sup["res_indicator_l1"], grid.lq_norm(split_one.residual, 1.0)
+            sup["res_indicator_l1"], grid.lq_norm(1.0 - split_scaled.indicator, 1.0)
         )
         sup["res_density_lq"] = max(
             sup["res_density_lq"], grid.lq_norm(split_scaled.residual, 1.0)

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import CflViolation, NanDetected
 from .geometry import Grid, MotionPath, enforce_bc, eval_motion
 from .operators import component_masks, mirror_laplacian, upwind_transport
-from .spectral import helmholtz_project
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ class IncompressibleTrajectory:
 
 def project_initial(u0, v0, grid: Grid):
     """Initial data for the target system: the solenoidal part of u0."""
-    (hu, hv), _ = helmholtz_project(grid, u0, v0)
+    hu, hv, _ = grid.ops.helmholtz(u0, v0)
     return hu, hv
 
 

@@ -4,9 +4,12 @@ Everything here runs on the retained eigenspan of the discrete Neumann
 Laplacian: fractional operator powers, the Helmholtz projection, the
 two-component acoustic wave propagator with its Duhamel quadrature, the
 forcing-channel bookkeeping of the wave source, and the time-averaged
-local-decay functional measuring acoustic dispersion. The wave source
-takes the lifting's moving-frame derivative from the lifting field, on
-its support box; the staggered stencils come from operators.
+local-decay functional measuring acoustic dispersion. One table,
+FORCING_TERMS, names the wave source's terms with their inverse-Laplacian
+pairing and channels; their densities are projected on the span in one
+product. The wave source takes the lifting's moving-frame derivative from
+the lifting field, on its support box; the staggered stencils come from
+operators. D(eps) is evaluated on the spatial cutoff's support only.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import scipy.sparse.linalg as spla
 from .constitutive import (
     PressureLaw,
     ViscosityPair,
+    essential_indicator,
     pressure_entropy,
     pressure_slope,
     stress,
@@ -367,83 +371,55 @@ def duhamel_solve(
 
 CHANNEL_POWERS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 
-# channel sets per source term, mirroring how the interpolation estimates
-# route each term: powers are indices into CHANNEL_POWERS (0-based)
-TERM_CHANNELS = {
-    "viscous": (0, 2),
-    "convective_ess": (0, 1, 2, 3),
-    "convective_res": (0, 2, 4),
-    "pressure": (2, 3, 4),
-    "extension_accel": (3,),
-    "momentum_translation_ess": (0, 2),
-    "momentum_translation_res": (0, 2, 4),
-    "wave_translation_ess": (0, 2),
-    "wave_translation_res": (0, 2, 4),
-    "acceleration_coupling_ess": (3,),
-    "acceleration_coupling_res": (2, 4),
+# the wave source's terms in assembly order, each with whether it pairs
+# with the inverse Laplacian (weight 1/lambda: tensor terms after two
+# integrations by parts, vector terms after one; scalar terms pair with the
+# test function directly) and its channel set, as indices into
+# CHANNEL_POWERS, mirroring how the interpolation estimates route each term
+FORCING_TERMS = {
+    "viscous": (True, (0, 2)),
+    "convective_ess": (True, (0, 1, 2, 3)),
+    "convective_res": (True, (0, 2, 4)),
+    "pressure": (False, (2, 3, 4)),
+    "extension_accel": (True, (3,)),
+    "momentum_translation_ess": (True, (0, 2)),
+    "momentum_translation_res": (True, (0, 2, 4)),
+    "wave_translation_ess": (True, (0, 2)),
+    "wave_translation_res": (True, (0, 2, 4)),
+    "acceleration_coupling_ess": (True, (3,)),
+    "acceleration_coupling_res": (True, (2, 4)),
 }
-
-
-@dataclass(frozen=True)
-class ForcingTerm:
-    """One named source term reduced to a scalar functional density.
-
-    kind 'tensor' terms pair with the Hessian of the inverse Laplacian
-    (weight 1/lambda after two integrations by parts), 'vector' terms with
-    its gradient (weight 1/lambda after one), and 'scalar' terms pair with
-    the test function directly. channels overrides the routing table.
-    """
-
-    label: str
-    kind: str  # tensor | vector | scalar
-    density: np.ndarray  # cell scalars: divdiv(A), div(B), or F3
-    channels: tuple | None = None
-
-
-@dataclass(frozen=True)
-class ForcingAssembly:
-    terms: tuple
 
 
 def tensor_divdiv(grid: Grid, tensor):
     """div div of a cell tensor field, with masked one-sided closures."""
     g = grid
-    h = g.h
     act = g.active.astype(float)
-
-    def ddx(f):
-        face = np.zeros((g.nx + 1, g.ny))
-        face[1:-1, :] = (f[1:, :] - f[:-1, :]) / h
-        face[~g.uface_interior] = 0.0
-        return (face[1:, :] - face[:-1, :]) / h
-
-    def ddy(f):
-        face = np.zeros((g.nx, g.ny + 1))
-        face[:, 1:-1] = (f[:, 1:] - f[:, :-1]) / h
-        face[~g.vface_interior] = 0.0
-        return (face[:, 1:] - face[:, :-1]) / h
 
     def dxy(f):
         # corner-averaged cross difference restricted to active data
         fm = f * act
-        w = act.copy()
         corner = np.zeros((g.nx + 1, g.ny + 1))
         den = np.zeros((g.nx + 1, g.ny + 1))
         corner[1:-1, 1:-1] = fm[1:, 1:] + fm[:-1, 1:] + fm[1:, :-1] + fm[:-1, :-1]
-        den[1:-1, 1:-1] = w[1:, 1:] + w[:-1, 1:] + w[1:, :-1] + w[:-1, :-1]
+        den[1:-1, 1:-1] = act[1:, 1:] + act[:-1, 1:] + act[1:, :-1] + act[:-1, :-1]
         corner = np.where(den > 0, corner / np.maximum(den, 1.0), 0.0)
         return (
             corner[1:, 1:] - corner[:-1, 1:] - corner[1:, :-1] + corner[:-1, :-1]
-        ) / h**2
+        ) / g.h**2
 
     out = (
-        ddx(tensor[:, :, 0, 0])
-        + ddy(tensor[:, :, 1, 1])
+        g.ops.div(g.ops.grad(tensor[:, :, 0, 0])[0], g.ops.grad(tensor[:, :, 1, 1])[1])
         + dxy(tensor[:, :, 0, 1])
         + dxy(tensor[:, :, 1, 0])
     )
     out[~g.active] = 0.0
     return out
+
+
+def _vector_div(grid: Grid, field):
+    """div of a cell vector field through its face averages."""
+    return grid.ops.div(center_to_xface(field[..., 0]), center_to_yface(field[..., 1]))
 
 
 def assemble_forcing(
@@ -454,14 +430,16 @@ def assemble_forcing(
     path: MotionPath,
     ext: ExtensionFieldSample,
     lifting: ExtensionField | None,
-) -> ForcingAssembly:
-    """Build the named wave-source terms from a fluid snapshot.
+) -> dict:
+    """The wave source's term densities (scalar cell fields) of a snapshot.
 
-    Terms carry their functional density (scalar cell field) and are split
-    into essential and residual parts wherever the routing distinguishes
-    them. ext is the lifting field V at state.t; the lifting (None when
-    there is none) gives its moving-frame derivative on its support box,
-    which is zero elsewhere.
+    Returns a dict from each FORCING_TERMS label to its density, in table
+    order: divdiv of the tensor terms, div of the vector terms, the scalar
+    pressure term itself. Terms are split into essential and residual parts
+    by essential_indicator wherever the routing distinguishes them. ext is
+    the lifting field V at state.t; the lifting (None when there is none)
+    gives its moving-frame derivative on its support box, which is zero
+    elsewhere.
     """
     g = grid
     eps = state.eps
@@ -469,8 +447,10 @@ def assemble_forcing(
     rho = state.rho
     rbar = law.rho_ref
 
-    ess_mask = ((0.5 * rbar < rho) & (rho < 2.0 * rbar) & g.active).astype(float)
+    ess_mask = essential_indicator(rho, rbar) * g.active
     res_mask = g.active.astype(float) - ess_mask
+    ess = ess_mask[..., None, None]
+    res = res_mask[..., None, None]
 
     vel = np.stack(
         face_to_center(
@@ -479,80 +459,61 @@ def assemble_forcing(
         ),
         axis=-1,
     )
-
-    grad_u = velocity_gradient(g, state.u, state.v)
-    s_tensor = stress(visc, grad_u)
     uu = vel[..., :, None] * vel[..., None, :]
-
     vext = np.stack(face_to_center(ext.u, ext.v), axis=-1)
     mom = rho[..., None] * vel - rbar * vext  # momentum relative to lifting
     r_cells = (rho - rbar) / eps
     wmom = mom - eps * r_cells[..., None] * mp[None, None, :]
-
-    terms = []
-
-    def add_tensor(label, tensor):
-        terms.append(ForcingTerm(label, "tensor", tensor_divdiv(g, tensor)))
-
-    def add_vector(label, vecfield):
-        fu = center_to_xface(vecfield[..., 0])
-        fv = center_to_yface(vecfield[..., 1])
-        terms.append(ForcingTerm(label, "vector", g.ops.div(fu, fv)))
-
-    add_tensor("viscous", s_tensor)
-    add_tensor("convective_ess", -(ess_mask * rho)[..., None, None] * uu)
-    add_tensor("convective_res", -(res_mask * rho)[..., None, None] * uu)
-    terms.append(
-        ForcingTerm("pressure", "scalar", pressure_entropy(law, rho) / eps**2)
-    )
-
+    outer_m = mom[..., :, None] * mp[None, None, None, :]
+    outer_w = eps * mp[None, None, :, None] * wmom[..., None, :]
+    accel = -eps * r_cells[..., None] * mpp[None, None, :]
     dv_moving = np.zeros((g.nx, g.ny, 2))
     if lifting is not None:
         dv_moving[lifting.box] = lifting.box_fields(state.t)[1]
-    add_vector("extension_accel", -rbar * dv_moving)
 
-    outer_m = mom[..., :, None] * mp[None, None, None, :]
-    add_tensor("momentum_translation_ess", ess_mask[..., None, None] * outer_m)
-    add_tensor("momentum_translation_res", res_mask[..., None, None] * outer_m)
+    return {
+        "viscous": tensor_divdiv(g, stress(visc, velocity_gradient(g, state.u, state.v))),
+        "convective_ess": tensor_divdiv(g, -(ess_mask * rho)[..., None, None] * uu),
+        "convective_res": tensor_divdiv(g, -(res_mask * rho)[..., None, None] * uu),
+        "pressure": pressure_entropy(law, rho) / eps**2,
+        "extension_accel": _vector_div(g, -rbar * dv_moving),
+        "momentum_translation_ess": tensor_divdiv(g, ess * outer_m),
+        "momentum_translation_res": tensor_divdiv(g, res * outer_m),
+        "wave_translation_ess": tensor_divdiv(g, ess * outer_w),
+        "wave_translation_res": tensor_divdiv(g, res * outer_w),
+        "acceleration_coupling_ess": _vector_div(g, ess_mask[..., None] * accel),
+        "acceleration_coupling_res": _vector_div(g, res_mask[..., None] * accel),
+    }
 
-    outer_w = eps * mp[None, None, :, None] * wmom[..., None, :]
-    add_tensor("wave_translation_ess", ess_mask[..., None, None] * outer_w)
-    add_tensor("wave_translation_res", res_mask[..., None, None] * outer_w)
 
-    accel = -eps * r_cells[..., None] * mpp[None, None, :]
-    add_vector("acceleration_coupling_ess", ess_mask[..., None] * accel)
-    add_vector("acceleration_coupling_res", res_mask[..., None] * accel)
-
-    return ForcingAssembly(tuple(terms))
-
-
-def forcing_channel_norms(assembly: ForcingAssembly, dec: SpectralDecomposition):
+def forcing_channel_norms(densities: dict, dec: SpectralDecomposition):
     """Instantaneous L2 norms of the five channel representatives.
 
-    Each term's functional coefficients (its density projected on the
-    retained span, weighted 1/lambda for tensor and vector kinds) are
-    allocated across the term's channel set by the per-mode minimum-norm
-    split; the constant mode is excluded, consistent with the zero-mean
-    gauge. Returns an array of 5 nonnegative numbers.
+    All term densities are projected on the retained span in one product;
+    each term's functional coefficients (weighted 1/lambda where
+    FORCING_TERMS pairs it with the inverse Laplacian) are allocated across
+    its channel set by the per-mode minimum-norm split. The constant mode
+    is excluded, consistent with the zero-mean gauge. Returns an array of 5
+    nonnegative numbers.
     """
     lam = dec.eigenvalues
-    h = dec.grid.h
-    channel_sq = np.zeros(len(CHANNEL_POWERS))
     active = lam > 0.0
     inv_lam = np.where(active, 1.0 / np.where(active, lam, 1.0), 0.0)
-    for term in assembly.terms:
-        # L2-orthonormal-basis coefficients of the term's functional
-        coeffs = dec.coefficients(term.density) * h
-        if term.kind in ("tensor", "vector"):
-            coeffs = coeffs * inv_lam
-        coeffs[~active] = 0.0
-        idxs = term.channels if term.channels is not None else TERM_CHANNELS[term.label]
+    lam_safe = np.where(active, lam, 1.0)
+    stack = np.stack([dec.grid.ops.pack(d) for d in densities.values()], axis=1)
+    # L2-orthonormal-basis coefficients of every term's functional, (K, terms)
+    coeffs = (dec.eigenvectors.T @ stack) * dec.grid.h
+    inverse = np.array([FORCING_TERMS[label][0] for label in densities])
+    coeffs = np.where(inverse[None, :], coeffs * inv_lam[:, None], coeffs)
+    coeffs[~active] = 0.0
+    channel_sq = np.zeros(len(CHANNEL_POWERS))
+    for label, c in zip(densities, coeffs.T):
+        idxs = FORCING_TERMS[label][1]
         powers = CHANNEL_POWERS[list(idxs)]
-        lam_safe = np.where(active, lam, 1.0)
         lam_p = np.where(active[None, :], lam_safe[None, :] ** powers[:, None], 0.0)
         denom = np.sum(lam_p**2, axis=0)
         denom = np.where(denom > 0.0, denom, 1.0)
-        alloc = coeffs[None, :] * lam_p / denom
+        alloc = c[None, :] * lam_p / denom
         for row, i in enumerate(idxs):
             channel_sq[i] += float(np.sum(alloc[row] ** 2))
     return np.sqrt(channel_sq)
@@ -678,18 +639,17 @@ def rage_decay(
 
     coeffs = dec.coefficients(x_field) * window(lam)
     omega = np.sqrt(pp * lam) / eps
+    # cells where chi vanishes add exact zeros: keep the cutoff's support
     chi_vec = dec.grid.ops.pack(chi)
-    ev = dec.eigenvectors
+    support = chi_vec != 0.0
+    chi_vec = chi_vec[support]
+    ev = dec.eigenvectors[support]
     h2 = dec.grid.h**2
 
-    # ev @ phase copies ev to complex; row blocks keep that copy near 1 MB
-    # instead of a full-size one per node
-    blocks = [slice(i, i + 1024) for i in range(0, ev.shape[0], 1024)]
     vals = np.empty(len(times))
     for i, t in enumerate(times):
         phase = np.exp(1j * omega * t) * coeffs
-        field = np.concatenate([ev[b] @ phase for b in blocks])
-        vals[i] = h2 * float(np.sum((chi_vec * np.abs(field)) ** 2))
+        vals[i] = h2 * float(np.sum((chi_vec * np.abs(ev @ phase)) ** 2))
     value = float(np.trapezoid(vals, times))
     return RageResult(
         value, horizon, dec.modes, dec.truncation_remainder(x_field), float(dt)

@@ -243,10 +243,10 @@ def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
             out_dir / f"snap_{i:03d}.dat", grid, state.t,
             {"rho": state.rho, "u": state.u, "v": state.v, "r": ac.r, "psi": ac.psi},
         )
-        assembly = sp.assemble_forcing(
+        densities = sp.assemble_forcing(
             state, grid, scenario.law, scenario.visc, scenario.path, ext, lifting
         )
-        vals.append(sp.forcing_channel_norms(assembly, dec))
+        vals.append(sp.forcing_channel_norms(densities, dec))
     # per-channel L2((0,T) x Omega) norms of the snapshot series
     vals = np.array(vals)
     if len(traj.times) == 1:

@@ -37,5 +37,8 @@ def test_traced_child_run_on_mini_config(tmp_path):
     # (energy report, acoustic extraction, convergence metrics); the ledger
     # and the forcing read the lifting's cached box fields instead
     assert out["counts"]["geometry.lifting_calls"] == 2 * (1 + 5 * 3)
+    # per member and snapshot: one forcing assembly and one projection of
+    # all its terms
+    assert out["counts"]["spectral.forcing_calls"] == 2 * 5 * 2
     assert set(out["dt"]) == {"0.2", "0.1"}
     assert {"compressible.step", "sweep.self"} <= set(out["layers"])

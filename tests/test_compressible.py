@@ -360,17 +360,17 @@ class TestLedgerOracle:
         state = _random_state(sol)
         ext = sol.lifting.sample(state.t)
         args = (state, g, LAW, sol.visc, sol.path, ext)
-        terms = assemble_forcing(*args, sol.lifting).terms
-        without = assemble_forcing(*args, None).terms
+        densities = assemble_forcing(*args, sol.lifting)
+        without = assemble_forcing(*args, None)
         vec = -LAW.rho_ref * _moving_frame_derivative(g, sol.lifting, state.t)[1]
         oracle = g.ops.div(center_to_xface(vec[..., 0]), center_to_yface(vec[..., 1]))
         assert np.abs(oracle).max() > 0.0
-        assert [t.label for t in terms] == [t.label for t in without]
-        for term, other in zip(terms, without):
-            expected = oracle if term.label == "extension_accel" else other.density
+        assert list(densities) == list(without)
+        for label, density in densities.items():
+            expected = oracle if label == "extension_accel" else without[label]
             scale = np.abs(expected).max()
-            np.testing.assert_allclose(term.density, expected, rtol=0.0,
-                                       atol=1e-12 * scale, err_msg=term.label)
+            np.testing.assert_allclose(density, expected, rtol=0.0,
+                                       atol=1e-12 * scale, err_msg=label)
 
     def test_support_box_holds_every_nonzero_cell(self, obstacle_grid):
         g = obstacle_grid

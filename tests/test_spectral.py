@@ -18,6 +18,7 @@ from machlab.geometry import (
     build_grid,
     build_rectangle_grid,
     linear_path,
+    sinusoidal_path,
     static_path,
 )
 from machlab import spectral as sp
@@ -453,12 +454,20 @@ class TestForcing:
     def test_rest_state_zero_forcing(self, obstacle_grid):
         g = obstacle_grid
         visc = ViscosityPair(0.01)
-        asm = sp.assemble_forcing(
+        densities = sp.assemble_forcing(
             self._rest_state(g), g, LAW, visc, static_path(1.0),
             self._zero_ext(g), None,
         )
-        for term in asm.terms:
-            assert np.abs(term.density).max() == 0.0, term.label
+        for label, density in densities.items():
+            assert np.abs(density).max() == 0.0, label
+
+    def test_labels_follow_the_term_table(self, obstacle_grid):
+        g = obstacle_grid
+        densities = sp.assemble_forcing(
+            self._rest_state(g), g, LAW, ViscosityPair(0.01), static_path(1.0),
+            self._zero_ext(g), None,
+        )
+        assert list(densities) == list(sp.FORCING_TERMS)
 
     def test_reference_density_kills_pressure_term(self, obstacle_grid):
         g = obstacle_grid
@@ -471,12 +480,11 @@ class TestForcing:
             0.0,
             0.1,
         )
-        asm = sp.assemble_forcing(state, g, LAW, visc, static_path(1.0),
-                                  self._zero_ext(g), None)
-        by_label = {t.label: t for t in asm.terms}
-        assert np.abs(by_label["pressure"].density).max() == 0.0
-        assert np.abs(by_label["viscous"].density).max() > 0.0
-        assert np.abs(by_label["convective_ess"].density).max() > 0.0
+        densities = sp.assemble_forcing(state, g, LAW, visc, static_path(1.0),
+                                        self._zero_ext(g), None)
+        assert np.abs(densities["pressure"]).max() == 0.0
+        assert np.abs(densities["viscous"]).max() > 0.0
+        assert np.abs(densities["convective_ess"]).max() > 0.0
 
     def test_quadratic_law_pressure_density(self, obstacle_grid):
         # for p = rho^2 the wave source is exactly ((rho - 1)/eps)^2
@@ -486,23 +494,21 @@ class TestForcing:
         rho = np.where(g.active, 1.0 + eps * 0.3 * np.cos(xc), 1.0)
         state = FluidState(rho, np.zeros((g.nx + 1, g.ny)),
                            np.zeros((g.nx, g.ny + 1)), 0.0, eps)
-        asm = sp.assemble_forcing(state, g, LAW, ViscosityPair(0.01),
-                                  static_path(1.0), self._zero_ext(g), None)
-        by_label = {t.label: t for t in asm.terms}
+        densities = sp.assemble_forcing(state, g, LAW, ViscosityPair(0.01),
+                                        static_path(1.0), self._zero_ext(g), None)
         expected = np.where(g.active, ((rho - 1.0) / eps) ** 2, 0.0)
-        np.testing.assert_allclose(by_label["pressure"].density, expected,
-                                   atol=1e-12)
+        np.testing.assert_allclose(densities["pressure"], expected, atol=1e-12)
 
     def test_zero_forcing_zero_channels(self, square_dec, obstacle_grid):
         g = obstacle_grid
         dec = sp.spectral_decompose(g, 20)
-        asm = sp.assemble_forcing(
+        densities = sp.assemble_forcing(
             self._rest_state(g), g, LAW, ViscosityPair(0.01), static_path(1.0),
             self._zero_ext(g), None,
         )
-        np.testing.assert_allclose(sp.forcing_channel_norms(asm, dec), 0.0)
+        np.testing.assert_allclose(sp.forcing_channel_norms(densities, dec), 0.0)
 
-    def test_single_mode_synthetic_channel(self, square_dec):
+    def test_single_mode_synthetic_channel(self, square_dec, monkeypatch):
         # a scalar term with coefficient c at mode k routed to one channel
         # has norm |c| * lambda_k^(-power) by direct mode arithmetic
         dec = square_dec
@@ -511,13 +517,67 @@ class TestForcing:
         h = dec.grid.h
         density = dec.reconstruct(np.eye(dec.modes)[k]) * (c / h)
         for channel, power in ((0, -1.0), (2, 0.0), (4, 1.0)):
-            term = sp.ForcingTerm("synthetic", "scalar", density,
-                                  channels=(channel,))
-            asm = sp.ForcingAssembly((term,))
-            norms = sp.forcing_channel_norms(asm, dec)
+            monkeypatch.setitem(sp.FORCING_TERMS, "synthetic", (False, (channel,)))
+            norms = sp.forcing_channel_norms({"synthetic": density}, dec)
             expected = abs(c) * lam ** (-power)
             assert norms[channel] == pytest.approx(expected, rel=1e-10)
             assert np.abs(np.delete(norms, channel)).max() == 0.0
+
+    def test_channel_norms_match_per_term_projection(self, obstacle_grid):
+        # oracle: one coefficient projection per term, weighted 1/lambda for
+        # every term but the scalar pressure one, split per mode over the
+        # term's channels with the routing written out here
+        routing = {
+            "viscous": (0, 2),
+            "convective_ess": (0, 1, 2, 3),
+            "convective_res": (0, 2, 4),
+            "pressure": (2, 3, 4),
+            "extension_accel": (3,),
+            "momentum_translation_ess": (0, 2),
+            "momentum_translation_res": (0, 2, 4),
+            "wave_translation_ess": (0, 2),
+            "wave_translation_res": (0, 2, 4),
+            "acceleration_coupling_ess": (3,),
+            "acceleration_coupling_res": (2, 4),
+        }
+        g = obstacle_grid
+        dec = sp.spectral_decompose(g, 30)
+        path = sinusoidal_path((0.02, 0.01), 8.0, 1.0)
+        lifting = ExtensionField(g, path, 0.45)
+        rng = np.random.default_rng(13)
+        rho = np.where(g.active, 1.0 + 0.1 * rng.standard_normal((g.nx, g.ny)), 1.0)
+        # densities outside [rho_ref/2, 2 rho_ref] feed the residual terms
+        xc, yc = g.cell_centers()
+        rho[(xc > 0.4) & (yc > 0.4)] = 2.5
+        rho[(xc < -0.4) & (yc < -0.4)] = 0.3
+        t = 0.13
+        state = FluidState(rho, 0.3 * rng.standard_normal((g.nx + 1, g.ny)),
+                           0.3 * rng.standard_normal((g.nx, g.ny + 1)), t, 0.1)
+        densities = sp.assemble_forcing(state, g, LAW, ViscosityPair(0.01), path,
+                                        lifting.sample(t), lifting)
+        assert list(densities) == list(routing)
+        for label, density in densities.items():
+            assert np.abs(density).max() > 0.0, label
+
+        lam = dec.eigenvalues
+        active = lam > 0.0
+        lam_safe = np.where(active, lam, 1.0)
+        expected = np.zeros(5)
+        for label, density in densities.items():
+            coeffs = dec.coefficients(density) * g.h
+            if label != "pressure":
+                coeffs = coeffs / lam_safe
+            coeffs[~active] = 0.0
+            powers = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])[list(routing[label])]
+            lam_p = np.where(active[None, :], lam_safe[None, :] ** powers[:, None], 0.0)
+            denom = np.sum(lam_p**2, axis=0)
+            alloc = coeffs[None, :] * lam_p / np.where(denom > 0.0, denom, 1.0)
+            for row, i in enumerate(routing[label]):
+                expected[i] += float(np.sum(alloc[row] ** 2))
+        expected = np.sqrt(expected)
+        assert expected.min() > 0.0
+        np.testing.assert_allclose(sp.forcing_channel_norms(densities, dec),
+                                   expected, rtol=1e-13)
 
 
 class TestRageDecay:
@@ -554,10 +614,33 @@ class TestRageDecay:
     def test_trapezoid_matches_closed_form(self, square_dec):
         self._check_closed_form(square_dec)
 
-    def test_trapezoid_matches_closed_form_over_row_blocks(self, obstacle_grid):
-        # rage_decay multiplies the eigenvectors in blocks of 1,024 rows;
-        # the obstacle grid's active cells span four of them
+    def test_trapezoid_matches_closed_form_on_obstacle_grid(self, obstacle_grid):
+        # the cutoff's support is a strict subset of the active cells
         self._check_closed_form(sp.spectral_decompose(obstacle_grid, 40))
+
+    def test_support_rows_match_all_cells(self, obstacle_grid):
+        # rage_decay keeps the cells where chi != 0; summing over every
+        # active cell, zeros included, gives the same trapezoid
+        dec = sp.spectral_decompose(obstacle_grid, 40)
+        g = dec.grid
+        eps, horizon, factor = 0.15, 0.12, 0.05
+        rng = np.random.default_rng(14)
+        x_field = dec.reconstruct(rng.standard_normal(dec.modes))
+        chi = sp.make_spatial_cutoff(g, 0.5, 0.9)
+        chi_vec = g.ops.pack(chi)
+        assert 0 < np.count_nonzero(chi_vec) < g.n_active
+        window = sp.make_spectral_window(dec)
+        res = sp.rage_decay(dec, LAW, eps, x_field, chi, window, horizon,
+                            quadrature_factor=factor)
+
+        omega = np.sqrt(2.0 * dec.eigenvalues) / eps
+        coeffs = dec.coefficients(x_field) * window(dec.eigenvalues)
+        times = np.linspace(0.0, horizon, max(2, math.ceil(horizon / res.quadrature_dt)) + 1)
+        vals = [
+            g.h**2 * np.sum((chi_vec * np.abs(dec.eigenvectors @ (np.exp(1j * omega * t) * coeffs))) ** 2)
+            for t in times
+        ]
+        assert res.value == pytest.approx(float(np.trapezoid(vals, times)), rel=1e-12)
 
     def _check_closed_form(self, dec):
         # independent oracle: expand the time integral per mode pair,
