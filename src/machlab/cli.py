@@ -35,23 +35,14 @@ def _load_config(path, eps_override=None):
 
 
 def _cmd_run(args):
-    cfg = _load_config(args.config)
+    """`run` and `sweep`: the run directory, then the summary table as CSV."""
+    cfg = _load_config(args.config, eps_override=args.eps)
     out = args.out or f"runs/{cfg['run']['label']}-{cfg.digest()}"
     result = run_sweep(cfg, out)
     print(f"run directory: {result['out_dir']}")
     print(",".join(result["header"]))
     for row in result["summary"]:
         print(",".join(f"{x:g}" if isinstance(x, float) else str(x) for x in row))
-    return EXIT_OK
-
-
-def _cmd_sweep(args):
-    cfg = _load_config(args.config, eps_override=args.eps)
-    out = args.out or f"runs/{cfg['run']['label']}-{cfg.digest()}"
-    result = run_sweep(cfg, out)
-    print(f"run directory: {result['out_dir']}")
-    for row in result["summary"]:
-        print(row)
     return EXIT_OK
 
 
@@ -89,13 +80,13 @@ def build_parser():
     p_run = sub.add_parser("run", help="run the configured scenario end to end")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, eps=None)
 
     p_sweep = sub.add_parser("sweep", help="run with an eps-list override")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--eps", default=None, help="comma-separated eps list")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="re-check invariants of a run directory")
     p_verify.add_argument("directory")

@@ -67,7 +67,6 @@ class IllPreparedData:
 class SolverOptions:
     cfl: float = 0.4
     sponge_width: float = 0.0
-    lifting_radius: float | None = None
     tol_energy: float = 1e-3
 
 
@@ -140,9 +139,7 @@ class CompressibleSolver:
         self.path = path
         self.options = options or SolverOptions()
         self._build_sponge()
-        self.lifting = build_lifting(
-            grid, path, self.options.lifting_radius, self.options.sponge_width
-        )
+        self.lifting = build_lifting(grid, path, self.options.sponge_width)
         self._limit_of = None  # (state, cfl_limit(state)) of the last step
 
     def _build_sponge(self):

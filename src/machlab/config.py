@@ -37,7 +37,6 @@ SCHEMA = {
         "amplitude_x": ("float", 0.0),
         "amplitude_y": ("float", 0.0),
         "frequency": ("float", 0.0),
-        "horizon": ("float", None),
     },
     "initial": {
         "pulse_amplitude": ("float", 1.0),
@@ -47,15 +46,12 @@ SCHEMA = {
         "velocity_kind": ("str", "vortex+gradient"),
         "vortex_amplitude": ("float", 0.3),
         "gradient_amplitude": ("float", 0.3),
-        "data_bound": ("float", 100.0),
     },
     "numerics": {
         "cfl": ("float", 0.4),
         "sponge_width": ("float", None),
-        "tol_div": ("float", 1e-8),
         "tol_energy": ("float", 1e-3),
         "modes": ("int", 350),
-        "lifting_radius": ("float", None),
     },
     "sweep": {
         "eps": ("floats", (0.2, 0.1, 0.05, 0.025)),
@@ -70,8 +66,6 @@ SCHEMA = {
         "source_width": ("float", None),
         "cutoff_one": ("float", None),
         "cutoff_zero": ("float", None),
-        "quadrature_factor": ("float", 0.2),
-        "reflection_safety": ("float", 0.9),
     },
     "run": {
         "seed": ("int", 0),
@@ -170,15 +164,10 @@ def default_config() -> ExperimentConfig:
 def _derive_defaults(cfg: ExperimentConfig):
     g = cfg["geometry"]
     n = cfg["numerics"]
-    m = cfg["motion"]
     s = cfg["spectral"]
     a = g["obstacle_radius"]
     if n["sponge_width"] is None:
         n["sponge_width"] = g["extent"] / 4.0
-    if n["lifting_radius"] is None:
-        n["lifting_radius"] = default_lifting_radius(a, g["extent"], n["sponge_width"])
-    if m["horizon"] is None:
-        m["horizon"] = cfg["schedule"]["horizon"]
     if s["source_center_x"] is None:
         s["source_center_x"] = 1.8 * a
     if s["source_width"] is None:
@@ -240,34 +229,31 @@ def validate(cfg: ExperimentConfig):
         v.append("schedule horizon must be nonnegative")
     if sch["snapshots"] < 1:
         v.append("snapshots must be at least 1")
-    if m["horizon"] < sch["horizon"]:
-        v.append("motion horizon must cover the schedule horizon")
 
     if not 0.0 < n["cfl"] <= 0.4:
         v.append("cfl must lie in (0, 0.4]")
-    for tol_key in ("tol_div", "tol_energy"):
-        if n[tol_key] <= 0:
-            v.append(f"{tol_key} must be positive")
+    if n["tol_energy"] <= 0:
+        v.append("tol_energy must be positive")
     if n["sponge_width"] < 0:
         v.append("sponge_width must be nonnegative")
     if n["modes"] < 1:
         v.append("modes must be at least 1")
-    if a > 0 and not a < n["lifting_radius"] < L:
-        v.append("lifting_radius must lie between obstacle_radius and extent")
-    elif a > 0 and h > 0 and m["kind"] != "static":
-        try:
-            lifting_collar(a, h, n["lifting_radius"])
-        except ValueError as exc:
-            v.append(f"lifting_radius {n['lifting_radius']}: {exc}")
+    if m["kind"] != "static" and a > 0 and h > 0:
+        # the moving obstacle's lifting, whose radius the sponge width sets
+        w = n["sponge_width"]
+        R = default_lifting_radius(a, L, w)
+        if not a < R:
+            v.append(f"sponge_width {w} leaves the lifting a radius {R:g}, "
+                     "not above obstacle_radius")
+        else:
+            try:
+                lifting_collar(a, h, R)
+            except ValueError as exc:
+                v.append(f"sponge_width {w}: lifting radius {R:g}: {exc}")
     if run["seed"] < 0:
         v.append("seed must be nonnegative")
     if ini["pulse_width"] <= 0:
         v.append("pulse_width must be positive")
-    if ini["data_bound"] <= 0:
-        v.append("data_bound must be positive")
-    if not 0.0 < cfg["spectral"]["quadrature_factor"] <= 0.5:
-        # rage_decay's step is factor / omega_max, which it bounds by 0.5 / omega_max
-        v.append("quadrature_factor must lie in (0, 0.5]")
     return v
 
 

@@ -365,12 +365,11 @@ def default_lifting_radius(obstacle_radius, half_width, sponge_width):
     return min(3.0 * obstacle_radius, 0.9 * (half_width - sponge_width))
 
 
-def build_lifting(grid: Grid, path: MotionPath, radius=None, sponge_width=0.0):
-    """The lifting field of a moving obstacle, or None when there is no
-    obstacle or it does not move; radius None takes the default."""
+def build_lifting(grid: Grid, path: MotionPath, sponge_width: float):
+    """The lifting field of a moving obstacle at the default radius, or None
+    when there is no obstacle or it does not move."""
     if grid.obstacle_radius <= 0.0 or path.kind == "static":
         return None
-    if radius is None:
-        half_width = min(grid.x1, -grid.x0, grid.y1, -grid.y0)
-        radius = default_lifting_radius(grid.obstacle_radius, half_width, sponge_width)
+    half_width = min(grid.x1, -grid.x0, grid.y1, -grid.y0)
+    radius = default_lifting_radius(grid.obstacle_radius, half_width, sponge_width)
     return ExtensionField(grid, path, radius)

@@ -1,15 +1,17 @@
 """Scenario assembly and the eps-sweep pipeline behind the CLI.
 
-run_sweep solves the Neumann eigenproblem once per scenario, then drives,
-per Mach number: the compressible run, acoustic extraction, forcing
-channels, the local-decay functional, and the diagnostics records, plus
-one incompressible reference run; everything is written to a run
-directory closed by a manifest. With MACHLAB_WORKERS > 1 the members run
-in a process pool and each worker receives the parent's eigenpairs, so
-the sweep still makes one eigensolve and its files equal the sequential
-run's byte for byte. At a fixed BLAS thread count all outputs are a pure
-function of (config, seed); the eigenpair residuals in eigenvalues.csv
-(printed as %.3e) move at rounding level with the thread count.
+run_sweep solves the Neumann eigenproblem once per scenario and tabulates
+the local-decay functional D(eps) from one probe and one horizon for every
+Mach number; the fluid scenario then drives, per Mach number: the
+compressible run, acoustic extraction, forcing channels and the
+diagnostics records, plus one incompressible reference run; everything is
+written to a run directory closed by a manifest. With MACHLAB_WORKERS > 1
+the members run in a process pool and each worker receives the parent's
+eigenpairs, so the sweep still makes one eigensolve and its files equal
+the sequential run's byte for byte. At a fixed BLAS thread count all
+outputs are a pure function of (config, seed); the eigenpair residuals in
+eigenvalues.csv (printed as %.3e) move at rounding level with the thread
+count.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .storage import write_csv, write_manifest, write_snapshot
 CHANNEL_NAMES = tuple(f"forcing_channel_{i + 1}" for i in range(5))
 RAGE_HEADER = ["eps", "D", "T", "K", "truncation_remainder"]
 EIGENVALUE_HEADER = ["k", "lambda", "residual"]
+REFLECTION_SAFETY = 0.9  # share of the reflection-return time D(eps) observes
 SUMMARY_HEADER = ["eps", "density_scale", "velocity_gap", "solenoidal_pairing_gap",
                   "rage_d", "forcing_channel_sum", "res_indicator_l1", "energy_ok"]
 
@@ -63,21 +66,21 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
     p = cfg["physics"]
     m = cfg["motion"]
     n = cfg["numerics"]
+    horizon = cfg["schedule"]["horizon"]
     grid = build_grid(g["dimension"], g["extent"], g["obstacle_radius"], g["cell_size"])
     law = PressureLaw(p["pressure_coeff"], p["gamma"], p["reference_density"])
     visc = ViscosityPair(p["shear_viscosity"], p["bulk_viscosity"])
     if m["kind"] == "static":
-        path = static_path(m["horizon"])
+        path = static_path(horizon)
     elif m["kind"] == "linear":
-        path = linear_path((m["velocity_x"], m["velocity_y"]), m["horizon"])
+        path = linear_path((m["velocity_x"], m["velocity_y"]), horizon)
     else:
         path = sinusoidal_path(
-            (m["amplitude_x"], m["amplitude_y"]), m["frequency"], m["horizon"]
+            (m["amplitude_x"], m["amplitude_y"]), m["frequency"], horizon
         )
     options = SolverOptions(
         cfl=n["cfl"],
         sponge_width=n["sponge_width"],
-        lifting_radius=n["lifting_radius"],
         tol_energy=n["tol_energy"],
     )
     solver = CompressibleSolver(grid, law, visc, path, options)
@@ -154,7 +157,7 @@ def initial_data(cfg: ExperimentConfig, grid: Grid, eps: float,
         ini["pulse_amplitude"],
     )
     u0, v0 = initial_velocity(cfg, grid, rng)
-    return IllPreparedData(rho1, u0, v0, eps, bound=ini["data_bound"])
+    return IllPreparedData(rho1, u0, v0, eps)
 
 
 def sample_schedule(cfg: ExperimentConfig) -> np.ndarray:
@@ -175,7 +178,7 @@ def rage_horizon(cfg: ExperimentConfig, law: PressureLaw) -> float:
     L = cfg["geometry"]["extent"]
     pp = float(pressure_slope(law, law.rho_ref))
     eps_min = min(cfg["sweep"]["eps"])
-    cap = s["reflection_safety"] * 2.0 * (L - s["cutoff_zero"]) * eps_min / math.sqrt(pp)
+    cap = REFLECTION_SAFETY * 2.0 * (L - s["cutoff_zero"]) * eps_min / math.sqrt(pp)
     return min(cfg["schedule"]["horizon"], cap)
 
 
@@ -189,16 +192,21 @@ def rage_probe(cfg: ExperimentConfig, grid: Grid, dec: sp.SpectralDecomposition)
     return x_field, chi, window
 
 
-def rage_row(cfg: ExperimentConfig, dec, law: PressureLaw, eps: float, probe, horizon):
+def rage_row(dec, law: PressureLaw, eps: float, probe, horizon):
     """One rage.csv row: D(eps) over [0, horizon]; zero for an empty horizon."""
     x_field, chi, window = probe
     if horizon <= 0.0:
         return (eps, 0.0, 0.0, dec.modes, dec.truncation_remainder(x_field))
-    res = sp.rage_decay(
-        dec, law, eps, x_field, chi, window, horizon,
-        quadrature_factor=cfg["spectral"]["quadrature_factor"],
-    )
+    res = sp.rage_decay(dec, law, eps, x_field, chi, window, horizon)
     return (eps, res.value, res.horizon, res.modes, res.truncation_remainder)
+
+
+def rage_table(cfg: ExperimentConfig, scenario: Scenario, dec) -> list:
+    """The rage.csv rows of every eps of the sweep: one probe, one horizon."""
+    probe = rage_probe(cfg, scenario.grid, dec)
+    horizon = rage_horizon(cfg, scenario.law)
+    return [rage_row(dec, scenario.law, eps, probe, horizon)
+            for eps in cfg["sweep"]["eps"]]
 
 
 def decompose(cfg: ExperimentConfig, grid: Grid) -> sp.SpectralDecomposition:
@@ -223,7 +231,8 @@ def write_eigenvalues(path, dec: sp.SpectralDecomposition):
 
 def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
                 out_dir: Path):
-    """Compressible run plus all per-eps analysis; returns record rows.
+    """Compressible run plus its per-snapshot analysis; returns the
+    trajectory and the forcing-channel norms.
 
     One pass over the snapshots writes each with its acoustic pair and
     assembles its forcing; one lifting sample per snapshot feeds both.
@@ -253,10 +262,7 @@ def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
         channels = np.zeros(vals.shape[1])
     else:
         channels = np.sqrt(np.trapezoid(vals**2, traj.times, axis=0))
-
-    probe = rage_probe(cfg, grid, dec)
-    row = rage_row(cfg, dec, scenario.law, eps, probe, rage_horizon(cfg, scenario.law))
-    return traj, channels, row
+    return traj, channels
 
 
 def _eps_dirname(eps: float) -> str:
@@ -266,9 +272,9 @@ def _eps_dirname(eps: float) -> str:
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Full pipeline for the configured scenario; returns the summary table.
 
-    The spectral scenario only tabulates D(eps); the fluid scenario runs
-    the whole sweep. Both write config.txt, rage.csv, eigenvalues.csv,
-    summary.csv and the manifest the same way.
+    Both scenarios tabulate D(eps) here; the spectral scenario stops
+    there, the fluid scenario runs the whole sweep. Both write config.txt,
+    rage.csv, eigenvalues.csv, summary.csv and the manifest the same way.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -277,17 +283,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
 
     scenario = build_scenario(cfg)
     dec = decompose(cfg, scenario.grid)
+    rage_rows = rage_table(cfg, scenario, dec)
     if cfg["run"]["scenario"] == "spectral":
-        probe = rage_probe(cfg, scenario.grid, dec)
-        horizon = rage_horizon(cfg, scenario.law)
-        rage_rows = [
-            rage_row(cfg, dec, scenario.law, eps, probe, horizon)
-            for eps in cfg["sweep"]["eps"]
-        ]
         header = ["eps", "rage_d"]
         summary_rows = [(row[0], row[1]) for row in rage_rows]
     else:
-        rage_rows, summary_rows = _fluid_sweep(scenario, dec, run_id, out_dir)
+        decay = [row[1] for row in rage_rows]
+        summary_rows = _fluid_sweep(scenario, dec, decay, run_id, out_dir)
         header = SUMMARY_HEADER
 
     write_csv(out_dir / "rage.csv", RAGE_HEADER, rage_rows)
@@ -298,9 +300,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             "out_dir": str(out_dir)}
 
 
-def _fluid_sweep(scenario: Scenario, dec, run_id: str, out_dir: Path):
-    """Reference run, eps members and their tables; returns the rage.csv
-    and summary.csv rows."""
+def _fluid_sweep(scenario: Scenario, dec, decay, run_id: str, out_dir: Path):
+    """Reference run, eps members and their tables; returns the summary.csv
+    rows, whose rage_d column is `decay` (one D value per eps)."""
     cfg = scenario.cfg
     grid = scenario.grid
     times = sample_schedule(cfg)
@@ -342,10 +344,9 @@ def _fluid_sweep(scenario: Scenario, dec, run_id: str, out_dir: Path):
     energy_rows = []
     metric_records = []
     mass_rows = []
-    rage_rows = []
     summary_rows = []
-    for eps in eps_list:
-        traj, channels, decay = jobs[eps]
+    for eps, d in zip(eps_list, decay):
+        traj, channels = jobs[eps]
         for rec in traj.energy:
             energy_rows.append((rec.t, rec.eps, rec.lhs, rec.rhs, int(rec.flag)))
         for t, m, s in zip(traj.times, traj.total_mass, traj.sponge_mass):
@@ -360,7 +361,6 @@ def _fluid_sweep(scenario: Scenario, dec, run_id: str, out_dir: Path):
         channel_sum = float(np.sum(channels))
         records.append(_metric(run_id, eps, "forcing_channel_sum", channel_sum))
         metric_records.extend(records)
-        rage_rows.append(decay)
         by_name = {r.metric_name: r.value for r in records}
         summary_rows.append(
             (
@@ -368,7 +368,7 @@ def _fluid_sweep(scenario: Scenario, dec, run_id: str, out_dir: Path):
                 by_name["density_scale"],
                 by_name["velocity_gap"],
                 by_name["solenoidal_pairing_gap"],
-                decay[1],
+                d,
                 channel_sum,
                 by_name["res_indicator_l1"],
                 int(all(rec.flag for rec in traj.energy)),
@@ -386,7 +386,7 @@ def _fluid_sweep(scenario: Scenario, dec, run_id: str, out_dir: Path):
             for r in metric_records
         ],
     )
-    return rage_rows, summary_rows
+    return summary_rows
 
 
 def _metric(run_id, eps, name, value):

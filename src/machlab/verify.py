@@ -14,6 +14,8 @@ from .geometry import eval_motion
 from .storage import check_artifacts, read_csv, read_manifest, read_snapshot
 from .sweep import _eps_dirname, build_scenario
 
+TOL_DIV = 1e-8  # bound on the reference snapshots' discrete divergence
+
 
 @dataclass
 class CheckResult:
@@ -121,14 +123,13 @@ def verify_run(run_dir) -> dict:
         )
 
     # reference snapshots stay divergence-free
-    tol_div = cfg["numerics"]["tol_div"]
     max_div = 0.0
     for path in _snapshot_files(run_dir, "reference"):
         _, fields = read_snapshot(path)
         div = grid.ops.div(fields["u"], fields["v"], include_boundary_faces=True)
         max_div = max(max_div, float(np.abs(div[grid.active]).max()))
     checks.append(
-        CheckResult("reference_divergence", "all", max_div, tol_div, max_div <= tol_div)
+        CheckResult("reference_divergence", "all", max_div, TOL_DIV, max_div <= TOL_DIV)
     )
 
     # headline sweep behavior recorded in the summary table
