@@ -202,6 +202,17 @@ class TestCli:
         bad.write_text("[physics]\ngamma = 1.0\n")
         assert cli_main(["run", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("factor", ["0", "0.6"])
+    def test_quadrature_factor_out_of_range_exit_code(self, tmp_path, factor, capsys):
+        # rage_decay's quadrature factor is a constant now; a config that
+        # still sets it, in range or not, is rejected before any computation
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MINI_CFG + f"\n[spectral]\nquadrature_factor = {factor}\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lifting_radius_without_taper_room_exit_code(self, tmp_path):
         # the sponge width sets the moving obstacle's lifting radius R; static
         # runs build no lifting, so the same widths are fine for them
