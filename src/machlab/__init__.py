@@ -60,6 +60,6 @@ from .spectral import (
     wave_propagate,
 )
 from .sweep import run_sweep
-from .verify import verify_run
+from .verify import stored_acoustic_pair, verify_run
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from .operators import component_masks, mirror_laplacian, upwind_transport
 class IncompressibleState:
     u: np.ndarray  # (nx+1, ny)
     v: np.ndarray  # (nx, ny+1)
-    pressure: np.ndarray  # (nx, ny), kinematic
     t: float
 
 
@@ -58,9 +57,7 @@ class IncompressibleSolver:
         """
         g = self.grid
         hu, hv = project_initial(u0, v0, g)
-        state = enforce_bc(
-            g, self.path, IncompressibleState(hu, hv, np.zeros((g.nx, g.ny)), 0.0)
-        )
+        state = enforce_bc(g, self.path, IncompressibleState(hu, hv, 0.0))
         rhs = -g.ops.pack(g.ops.div(state.u, state.v, include_boundary_faces=True))
         theta = g.ops.unpack(g.ops.poisson_solve(rhs))
         gu, gv = g.ops.grad(theta)
@@ -99,11 +96,7 @@ class IncompressibleSolver:
         rhs = -g.ops.pack(g.ops.div(star.u, star.v, include_boundary_faces=True))
         theta = g.ops.unpack(g.ops.poisson_solve(rhs))
         gu, gv = g.ops.grad(theta)
-        u_new = star.u - gu
-        v_new = star.v - gv
-        out = enforce_bc(
-            g, self.path, IncompressibleState(u_new, v_new, theta / dt, t_new)
-        )
+        out = enforce_bc(g, self.path, replace(star, u=star.u - gu, v=star.v - gv))
         if not (np.all(np.isfinite(out.u)) and np.all(np.isfinite(out.v))):
             raise NanDetected(f"non-finite velocity at t = {out.t:.6g}")
         return out

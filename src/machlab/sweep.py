@@ -3,15 +3,14 @@
 run_sweep solves the Neumann eigenproblem once per scenario and tabulates
 the local-decay functional D(eps) from one probe and one horizon for every
 Mach number; the fluid scenario then drives, per Mach number: the
-compressible run, acoustic extraction, forcing channels and the
-diagnostics records, plus one incompressible reference run; everything is
-written to a run directory closed by a manifest. With MACHLAB_WORKERS > 1
-the members run in a process pool and each worker receives the parent's
-eigenpairs, so the sweep still makes one eigensolve and its files equal
-the sequential run's byte for byte. At a fixed BLAS thread count all
-outputs are a pure function of (config, seed); the eigenpair residuals in
-eigenvalues.csv (printed as %.3e) move at rounding level with the thread
-count.
+compressible run, forcing channels and the diagnostics records, plus one
+incompressible reference run; everything is written to a run directory
+closed by a manifest. With MACHLAB_WORKERS > 1 the members run in a
+process pool and each worker receives the parent's eigenpairs, so the
+sweep still makes one eigensolve and its files equal the sequential run's
+byte for byte. At a fixed BLAS thread count all outputs are a pure
+function of (config, seed); the eigenpair residuals in eigenvalues.csv
+(printed as %.3e) move at rounding level with the thread count.
 """
 
 from __future__ import annotations
@@ -234,8 +233,8 @@ def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
     """Compressible run plus its per-snapshot analysis; returns the
     trajectory and the forcing-channel norms.
 
-    One pass over the snapshots writes each with its acoustic pair and
-    assembles its forcing; one lifting sample per snapshot feeds both.
+    One pass over the snapshots writes each snapshot's rho, u, v and
+    assembles its forcing from one lifting sample.
     """
     cfg = scenario.cfg
     grid, solver, lifting = scenario.grid, scenario.solver, scenario.solver.lifting
@@ -246,12 +245,9 @@ def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
     out_dir.mkdir(parents=True, exist_ok=True)
     vals = []
     for i, state in enumerate(traj.states):
+        write_snapshot(out_dir / f"snap_{i:03d}.dat", grid, state.t,
+                       {"rho": state.rho, "u": state.u, "v": state.v})
         ext = lifting_sample(lifting, grid, state.t)
-        ac = sp.extract_acoustic_potential(state, grid, scenario.path, scenario.law, ext)
-        write_snapshot(
-            out_dir / f"snap_{i:03d}.dat", grid, state.t,
-            {"rho": state.rho, "u": state.u, "v": state.v, "r": ac.r, "psi": ac.psi},
-        )
         densities = sp.assemble_forcing(
             state, grid, scenario.law, scenario.visc, scenario.path, ext, lifting
         )
@@ -318,10 +314,7 @@ def _fluid_sweep(scenario: Scenario, dec, decay, run_id: str, out_dir: Path):
     ref_dir = out_dir / "reference"
     ref_dir.mkdir(exist_ok=True)
     for i, st in enumerate(inc_traj.states):
-        write_snapshot(
-            ref_dir / f"snap_{i:03d}.dat", grid, st.t,
-            {"u": st.u, "v": st.v, "pressure": st.pressure},
-        )
+        write_snapshot(ref_dir / f"snap_{i:03d}.dat", grid, st.t, {"u": st.u, "v": st.v})
 
     workers = int(os.environ.get("MACHLAB_WORKERS", "1"))
     jobs = {}

@@ -1,4 +1,5 @@
-"""Re-evaluation of the invariant suites against a stored run directory."""
+"""Re-evaluation of a stored run directory: its invariants and, on demand,
+the acoustic pair of one of its snapshots."""
 
 from __future__ import annotations
 
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import spectral as sp
 from .compressible import FluidState, instant_energy
 from .config import parse_config
-from .geometry import eval_motion
+from .geometry import eval_motion, lifting_sample
 from .storage import check_artifacts, read_csv, read_manifest, read_snapshot
 from .sweep import _eps_dirname, build_scenario
 
@@ -142,6 +144,17 @@ def verify_run(run_dir) -> dict:
         )
     checks.extend(_check_rage_table(run_dir))
     return _report(checks)
+
+
+def stored_acoustic_pair(run_dir, eps: float, index: int) -> sp.AcousticState:
+    """The acoustic pair (r, psi) of stored fluid snapshot `index` at `eps`,
+    rebuilt from its rho, u, v and time and the run's config."""
+    run_dir = Path(run_dir)
+    sc = build_scenario(parse_config((run_dir / "config.txt").read_text()))
+    meta, fields = read_snapshot(run_dir / _eps_dirname(eps) / f"snap_{index:03d}.dat")
+    state = FluidState(fields["rho"], fields["u"], fields["v"], meta["time"], eps)
+    ext = lifting_sample(sc.solver.lifting, sc.grid, state.t)
+    return sp.extract_acoustic_potential(state, sc.grid, sc.path, sc.law, ext)
 
 
 def _check_rage_table(run_dir: Path):

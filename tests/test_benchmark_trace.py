@@ -34,11 +34,16 @@ def test_traced_child_run_on_mini_config(tmp_path):
     assert out["verify_ok"], out["verify_failures"]
     assert out["counts"]["spectral.eigensolve_calls"] == 1
     # per member: one sample opens the ledger, then three per snapshot
-    # (energy report, acoustic extraction, convergence metrics); the ledger
-    # and the forcing read the lifting's cached box fields instead
+    # (energy report, wave forcing, convergence metrics); the ledger and the
+    # forcing read the lifting's cached box fields instead
     assert out["counts"]["geometry.lifting_calls"] == 2 * (1 + 5 * 3)
     # per member and snapshot: one forcing assembly and one projection of
     # all its terms
     assert out["counts"]["spectral.forcing_calls"] == 2 * 5 * 2
+    # 12 reference steps, two projections of the reference initial data and
+    # one test-function projection per member in the convergence metrics;
+    # no snapshot pays a Helmholtz extraction of its acoustic pair (that was
+    # 2 members x 5 snapshots more)
+    assert out["counts"]["operators.poisson_solves"] == 16
     assert set(out["dt"]) == {"0.2", "0.1"}
     assert {"compressible.step", "sweep.self"} <= set(out["layers"])

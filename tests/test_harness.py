@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from machlab import spectral as sp
+from machlab import verify
 from machlab.cli import main as cli_main
+from machlab.compressible import FluidState
 from machlab.config import SCHEMA, canonical_text, default_config, parse_config
 from machlab.errors import (
     ConfigParseError,
@@ -15,10 +18,17 @@ from machlab.errors import (
     IncompleteRun,
     MissingArtifact,
 )
-from machlab.geometry import build_grid
-from machlab.storage import read_csv, read_snapshot, write_snapshot
-from machlab.sweep import SUMMARY_HEADER, run_sweep
-from machlab.verify import verify_run
+from machlab.geometry import build_grid, lifting_sample
+from machlab.storage import read_csv, read_snapshot, write_manifest, write_snapshot
+from machlab.sweep import (
+    SUMMARY_HEADER,
+    _eps_dirname,
+    build_scenario,
+    initial_data,
+    run_sweep,
+    sample_schedule,
+)
+from machlab.verify import stored_acoustic_pair, verify_run
 
 from conftest import MINI_CFG
 
@@ -109,6 +119,27 @@ class TestSnapshotFormat:
         for name in fields:
             np.testing.assert_allclose(back[name], fields[name], rtol=1e-11)
 
+    @pytest.mark.parametrize("defect, message", [
+        ("no_header", "not a machlab snapshot"),
+        ("stray_line", "unexpected snapshot line"),
+        ("shape", "has shape"),
+    ])
+    def test_malformed_refused(self, defect, message, tmp_path):
+        grid = build_grid(2, 1.0, 0.15, 1.0 / 16.0)
+        path = tmp_path / "snap.dat"
+        write_snapshot(path, grid, 0.0, {"rho": np.ones((grid.nx, grid.ny))})
+        text = path.read_text()
+        if defect == "no_header":
+            text = text.split("\n", 1)[1]
+        elif defect == "stray_line":
+            text += "pressure 0 0\n"
+        else:
+            text = text.replace(f"field rho {grid.nx} {grid.ny}",
+                                f"field rho {grid.nx} {grid.ny + 1}")
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_snapshot(path)
+
 
 class TestSweep:
     def test_zero_horizon_run(self, tmp_path):
@@ -138,6 +169,21 @@ class TestSweep:
         np.testing.assert_allclose(
             times, np.linspace(0.0, 0.08, 5), atol=1e-12
         )
+
+    def test_every_stored_field_is_read(self, mini_run):
+        # a snapshot field no reader reads is dead weight in every run
+        # directory; verify's readers subscript `fields` by name
+        out = Path(mini_run["out_dir"])
+        stored = {}
+        for path in out.rglob("snap_*.dat"):
+            stored.setdefault(path.parent.name, set()).update(read_snapshot(path)[1])
+        assert stored == {"eps_0p2": {"rho", "u", "v"}, "eps_0p1": {"rho", "u", "v"},
+                          "reference": {"u", "v"}}
+        tree = ast.parse(Path(verify.__file__).read_text())
+        read = {node.slice.value for node in ast.walk(tree)
+                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "fields" and isinstance(node.slice, ast.Constant)}
+        assert {"rho", "u", "v"} <= read
 
     def test_worker_pool_matches_sequential(self, mini_cfg, mini_run, tmp_path,
                                             monkeypatch):
@@ -176,6 +222,26 @@ class TestVerify:
             verify_run(broken)
         assert victim.name in str(err.value)
 
+    def test_old_extra_fields_still_verify(self, mini_cfg, mini_run, tmp_path):
+        # run directories written while snapshots still stored r, psi and
+        # the reference pressure must keep verifying
+        old = self._copy(mini_run["out_dir"], tmp_path, "old")
+        grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
+        for eps in mini_cfg["sweep"]["eps"]:
+            for i, path in enumerate(sorted((old / _eps_dirname(eps)).glob("snap_*.dat"))):
+                meta, fields = read_snapshot(path)
+                ac = stored_acoustic_pair(old, eps, i)
+                write_snapshot(path, grid, meta["time"], {**fields, "r": ac.r, "psi": ac.psi})
+        for path in (old / "reference").glob("snap_*.dat"):
+            meta, fields = read_snapshot(path)
+            pressure = np.zeros((grid.nx, grid.ny))
+            write_snapshot(path, grid, meta["time"], {**fields, "pressure": pressure})
+        write_manifest(old, mini_cfg.digest())
+        assert set(read_snapshot(old / "eps_0p1" / "snap_004.dat")[1]) == {
+            "rho", "u", "v", "r", "psi"}
+        report = verify_run(old)
+        assert report["ok"], [c for c in report["checks"] if not c["passed"]]
+
     def test_no_manifest_refused(self, mini_run, tmp_path):
         broken = self._copy(mini_run["out_dir"], tmp_path, "incomplete")
         (broken / "manifest.json").unlink()
@@ -194,6 +260,56 @@ class TestVerify:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failed & {"energy_snapshot_consistent", "density_positive",
                          "far_field_quiet"}
+
+
+class TestStoredAcousticPair:
+    @pytest.fixture(scope="class")
+    def in_memory(self, mini_cfg):
+        """Per eps, each snapshot's density and acoustic pair, rerun in
+        memory the way run_one_eps runs the member."""
+        sc = build_scenario(mini_cfg)
+        out = {}
+        for eps in mini_cfg["sweep"]["eps"]:
+            data = initial_data(mini_cfg, sc.grid, eps,
+                                np.random.default_rng(mini_cfg["run"]["seed"]))
+            traj = sc.solver.run(sc.solver.init_state(data), sample_schedule(mini_cfg))
+            out[eps] = [(st.rho, sp.extract_acoustic_potential(
+                            st, sc.grid, sc.path, sc.law,
+                            lifting_sample(sc.solver.lifting, sc.grid, st.t)))
+                        for st in traj.states]
+        return out
+
+    @staticmethod
+    def _agrees(rebuilt, rho, ref):
+        """r and psi agree in max norm relative to the in-memory fields: psi
+        to 1e-9; r to 1e-9 at eps = 0.2 and, at every eps, to the rounding
+        the file holds. %.12g keeps rho to 5e-12 relative, and
+        r = (rho - rho_ref)/eps carries that rounding times 1/eps (3e-9 of
+        the decayed r field at eps = 0.1)."""
+        err_r = np.abs(rebuilt.r - ref.r).max() / np.abs(ref.r).max()
+        err_psi = np.abs(rebuilt.psi - ref.psi).max() / np.abs(ref.psi).max()
+        rounding = 5e-12 * np.abs(rho).max() / (ref.eps * np.abs(ref.r).max())
+        return (err_psi <= 1e-9 and err_r <= 1.001 * rounding
+                and (ref.eps != 0.2 or err_r <= 1e-9))
+
+    def test_matches_in_memory_pair(self, mini_run, in_memory):
+        assert [len(pairs) for pairs in in_memory.values()] == [5, 5]
+        for eps, pairs in in_memory.items():
+            for i, (rho, ref) in enumerate(pairs):
+                rebuilt = stored_acoustic_pair(mini_run["out_dir"], eps, i)
+                assert (rebuilt.eps, rebuilt.t) == (ref.eps, ref.t)
+                assert self._agrees(rebuilt, rho, ref), (eps, i)
+
+    @pytest.mark.parametrize("mutation", ["wrong_eps", "wrong_snapshot"])
+    def test_mutated_rebuild_fails(self, mutation, mini_run, in_memory, monkeypatch):
+        if mutation == "wrong_eps":
+            monkeypatch.setattr(verify, "FluidState",
+                                lambda rho, u, v, t, eps: FluidState(rho, u, v, t, 2.0 * eps))
+        shift = int(mutation == "wrong_snapshot")
+        for eps, pairs in in_memory.items():
+            for i, (rho, ref) in enumerate(pairs[:-1]):
+                rebuilt = stored_acoustic_pair(mini_run["out_dir"], eps, i + shift)
+                assert not self._agrees(rebuilt, rho, ref), (eps, i)
 
 
 class TestCli:
