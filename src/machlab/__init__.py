@@ -42,7 +42,7 @@ from .geometry import (
     sinusoidal_path,
     static_path,
 )
-from .incompressible import IncompressibleSolver, IncompressibleState, project_initial
+from .incompressible import IncompressibleSolver, IncompressibleState
 from .spectral import (
     AcousticState,
     SpectralDecomposition,
@@ -52,7 +52,6 @@ from .spectral import (
     extract_acoustic_potential,
     forcing_channel_norms,
     fractional_power_apply,
-    helmholtz_project,
     make_spatial_cutoff,
     make_spectral_window,
     rage_decay,

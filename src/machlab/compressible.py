@@ -28,6 +28,7 @@ from .constitutive import (
 from .errors import CflViolation, NanDetected, VacuumState
 from .geometry import Grid, MotionPath, build_lifting, enforce_bc, eval_motion
 from .operators import (
+    center_to_xface,
     component_masks,
     face_to_center,
     mirror_laplacian,
@@ -156,12 +157,9 @@ class CompressibleSolver:
             s = np.clip((w - d) / w, 0.0, 1.0)
             return np.sin(0.5 * math.pi * s) ** 2
 
-        xc, yc = g.cell_centers()
-        self.sponge_cell = profile(xc, yc)
-        xu, yu = g.xface_coords()
-        self.sponge_u = profile(xu, yu)
-        xv, yv = g.yface_coords()
-        self.sponge_v = profile(xv, yv)
+        self.sponge_cell = profile(*g.cell_centers())
+        self.sponge_u = profile(*g.xface_coords())
+        self.sponge_v = profile(*g.yface_coords())
 
     # -- state construction -------------------------------------------------
 
@@ -276,7 +274,7 @@ class CompressibleSolver:
 
     def _momentum_update(
         self, rho, rho_new, un, wn, wt, p_cell, div_full, eps, dt,
-        interior, boundary, other_ok, cell_act,
+        interior, known, other_known, cell_act,
     ):
         """Update one velocity component (oriented as u on x-faces).
 
@@ -286,30 +284,26 @@ class CompressibleSolver:
         """
         h = self.grid.h
 
-        rho_f = np.zeros_like(un)
-        rho_f[1:-1, :] = 0.5 * (rho[1:, :] + rho[:-1, :])
-        rho_f[0, :] = rho[0, :]
-        rho_f[-1, :] = rho[-1, :]
-        q = rho_f * un
+        # the edge faces are rim faces at rest: a zero density there is exact
+        q = center_to_xface(rho) * un
 
         # upwind momentum transport on the advective scale |w| (the
         # acoustic-scale stabilization lives in the mass flux), which keeps
         # the effective viscosity Mach-uniform instead of O(h/eps)
-        dq = upwind_transport(q, wn, wt, interior, other_ok, cell_act, h)
+        dq = upwind_transport(q, wn, wt, interior, other_known, cell_act, h)
 
         # centered pressure gradient carrying the 1/eps^2 stiffness
         dq[1:-1, :] += (p_cell[1:, :] - p_cell[:-1, :]) / (h * eps**2)
 
         # viscous mu*(lap u + (1/3) grad div u) + eta*grad div u
         mu, eta = self.visc.shear, self.visc.bulk
-        lap_u = mirror_laplacian(un, interior | boundary, h)
+        lap_u = mirror_laplacian(un, known, h)
         ddiv = np.zeros_like(un)
         ddiv[1:-1, :] = (div_full[1:, :] - div_full[:-1, :]) / h
         dq[1:-1, :] -= mu * lap_u[1:-1, :] + (mu / 3.0 + eta) * ddiv[1:-1, :]
 
         q_new = q - dt * dq
-        rho_f_new = np.zeros_like(un)
-        rho_f_new[1:-1, :] = 0.5 * (rho_new[1:, :] + rho_new[:-1, :])
+        rho_f_new = center_to_xface(rho_new)
         return np.where(interior, q_new / np.where(rho_f_new > 0, rho_f_new, 1.0), un)
 
     # -- trajectory ----------------------------------------------------------

@@ -15,7 +15,7 @@ from .constitutive import PressureLaw, essential_indicator
 from .errors import ScheduleMismatch
 from .geometry import Grid, MotionPath, lifting_sample
 from .operators import face_to_center
-from .spectral import helmholtz_project, shifted_momentum
+from .spectral import shifted_momentum
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def convergence_metrics(
     rbar = law.rho_ref
     h2 = grid.h**2
 
-    (phi_h_u, phi_h_v), _ = helmholtz_project(grid, phi[0], phi[1])
+    phi_h_u, phi_h_v, _ = grid.ops.helmholtz(phi[0], phi[1])
 
     density_scale = 0.0
     gap_sq = []
@@ -213,7 +213,7 @@ def assembly_identity_residual(grid: Grid, wu, wv, psi, phi_u, phi_v) -> float:
     integration-by-parts sketch; the discrete duality fixes it).
     """
     h2 = grid.h**2
-    (phu, phv), theta = helmholtz_project(grid, phi_u, phi_v)
+    phu, phv, theta = grid.ops.helmholtz(phi_u, phi_v)
     gpu, gpv = grid.ops.grad(theta)
     div_perp = grid.ops.div(gpu, gpv)
     lhs = grid.ops.face_dot(wu, wv, phi_u, phi_v) * h2

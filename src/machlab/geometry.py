@@ -4,10 +4,11 @@ The computational domain is a truncated box around a disk obstacle centered
 at the origin of the fixed frame. Scalars live at cell centers, velocity
 components at faces (MAC staggering). Cells inside the disk are inactive;
 faces are classified as interior (carrying an unknown), obstacle stair
-faces, or outer-rim faces. The lifting field owns everything derived from
-it: its face samples, its two unit fields cut to its support box, and its
-velocity gradient and moving-frame derivative there, which the energy
-ledger and the wave forcing both read.
+faces, or outer-rim faces; the known faces (interior or prescribed) are
+stored once for every stencil that reads them. The lifting field owns
+everything derived from it: its face samples, its two unit fields cut to
+its support box, and its velocity gradient and moving-frame derivative
+there, which the energy ledger and the wave forcing both read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GeometryTooCoarse, OutOfHorizon
-from .operators import face_to_center, nodal_curl, velocity_gradient
+from .operators import face_to_center, nodal_curl, smoothstep, velocity_gradient
 
 
 class Grid:
@@ -46,27 +47,26 @@ class Grid:
 
     # -- geometry helpers -------------------------------------------------
 
+    def _mesh(self, x_shift, y_shift):
+        """Meshgrid of the points (x0 + (i + x_shift) h, y0 + (j + y_shift) h);
+        an axis with zero shift runs over the cell edges, one point more."""
+        x = self.x0 + (np.arange(self.nx + (x_shift == 0)) + x_shift) * self.h
+        y = self.y0 + (np.arange(self.ny + (y_shift == 0)) + y_shift) * self.h
+        return np.meshgrid(x, y, indexing="ij")
+
     def cell_centers(self):
         """Meshgrid (X, Y) of cell-center coordinates, shape (nx, ny)."""
-        x = self.x0 + (np.arange(self.nx) + 0.5) * self.h
-        y = self.y0 + (np.arange(self.ny) + 0.5) * self.h
-        return np.meshgrid(x, y, indexing="ij")
+        return self._mesh(0.5, 0.5)
 
     def nodes(self):
         """Meshgrid of node coordinates, shape (nx+1, ny+1)."""
-        x = self.x0 + np.arange(self.nx + 1) * self.h
-        y = self.y0 + np.arange(self.ny + 1) * self.h
-        return np.meshgrid(x, y, indexing="ij")
+        return self._mesh(0, 0)
 
     def xface_coords(self):
-        x = self.x0 + np.arange(self.nx + 1) * self.h
-        y = self.y0 + (np.arange(self.ny) + 0.5) * self.h
-        return np.meshgrid(x, y, indexing="ij")
+        return self._mesh(0, 0.5)
 
     def yface_coords(self):
-        x = self.x0 + (np.arange(self.nx) + 0.5) * self.h
-        y = self.y0 + np.arange(self.ny + 1) * self.h
-        return np.meshgrid(x, y, indexing="ij")
+        return self._mesh(0.5, 0)
 
     def _classify(self):
         xc, yc = self.cell_centers()
@@ -101,6 +101,9 @@ class Grid:
         vr[:, -1] = act[:, -1]
         self.vface_rim = vr
         self.vface_boundary = vo | vr
+        # faces whose value is known: unknown-carrying or prescribed
+        self.uface_known = self.uface_interior | self.uface_boundary
+        self.vface_known = self.vface_interior | self.vface_boundary
 
         self.n_active = int(np.count_nonzero(act))
         # outermost ring of active cells, where the far field is checked
@@ -245,12 +248,6 @@ def enforce_bc(grid: Grid, path: MotionPath, state):
 # -- divergence-free extension field ---------------------------------------
 
 
-def _taper(r, r_inner, r_outer):
-    """Quintic C2 cutoff: 1 for r <= r_inner, 0 for r >= r_outer."""
-    s = np.clip((r - r_inner) / (r_outer - r_inner), 0.0, 1.0)
-    return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
-
-
 @dataclass(frozen=True)
 class ExtensionFieldSample:
     """One time slice of the lifting field V: its face components."""
@@ -301,7 +298,7 @@ class ExtensionField:
         self.collar = lifting_collar(g.obstacle_radius, g.h, R)
         self._xn, self._yn = g.nodes()
         r = np.sqrt(self._xn**2 + self._yn**2)
-        self._taper = _taper(r, self.collar, R - g.h)
+        self._taper = 1.0 - smoothstep((r - self.collar) / (R - g.h - self.collar))
 
         units = [self._curl_of(e) for e in ((1.0, 0.0), (0.0, 1.0))]
         centers = [np.stack(face_to_center(u, v), axis=-1) for u, v in units]

@@ -1,10 +1,11 @@
 """Chorin-projection solver for the incompressible target system.
 
-Shares the staggered grid, upwind transport, and Neumann Poisson solver
-with the compressible solver so the two trajectories carry the same
-discretization bias; the fixed frame again makes the obstacle static with
-relative transport velocity U - m'(t). Kinematic form: the constant
-reference density is divided out.
+Shares the staggered grid and upwind transport with the compressible
+solver so the two trajectories carry the same discretization bias, and
+projects through DiscreteOperators.helmholtz, the one projection; the
+fixed frame again makes the obstacle static with relative transport
+velocity U - m'(t). Kinematic form: the constant reference density is
+divided out.
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ class IncompressibleTrajectory:
     states: list
 
 
-def project_initial(u0, v0, grid: Grid):
-    """Initial data for the target system: the solenoidal part of u0."""
-    hu, hv, _ = grid.ops.helmholtz(u0, v0)
-    return hu, hv
-
-
 class IncompressibleSolver:
     def __init__(self, grid: Grid, kinematic_viscosity: float, path: MotionPath,
                  cfl: float = 0.4):
@@ -56,12 +51,15 @@ class IncompressibleSolver:
         follows; for a static obstacle it is an exact no-op.
         """
         g = self.grid
-        hu, hv = project_initial(u0, v0, g)
-        state = enforce_bc(g, self.path, IncompressibleState(hu, hv, 0.0))
-        rhs = -g.ops.pack(g.ops.div(state.u, state.v, include_boundary_faces=True))
-        theta = g.ops.unpack(g.ops.poisson_solve(rhs))
-        gu, gv = g.ops.grad(theta)
-        return enforce_bc(g, self.path, replace(state, u=state.u - gu, v=state.v - gv))
+        hu, hv, _ = g.ops.helmholtz(u0, v0)
+        return self._project(enforce_bc(g, self.path, IncompressibleState(hu, hv, 0.0)))
+
+    def _project(self, state: IncompressibleState) -> IncompressibleState:
+        """Pressure projection of a state whose boundary faces hold their
+        prescribed values: the boundary flux enters the divergence, and
+        the boundary condition is imposed again on the result."""
+        hu, hv, _ = self.grid.ops.helmholtz(state.u, state.v, include_boundary_faces=True)
+        return enforce_bc(self.grid, self.path, replace(state, u=hu, v=hv))
 
     def cfl_limit(self, state: IncompressibleState) -> float:
         g = self.grid
@@ -92,20 +90,18 @@ class IncompressibleSolver:
 
         # the projection must see the obstacle velocity of the new time
         t_new = state.t + dt
-        star = enforce_bc(g, self.path, replace(state, u=u_star, v=v_star, t=t_new))
-        rhs = -g.ops.pack(g.ops.div(star.u, star.v, include_boundary_faces=True))
-        theta = g.ops.unpack(g.ops.poisson_solve(rhs))
-        gu, gv = g.ops.grad(theta)
-        out = enforce_bc(g, self.path, replace(star, u=star.u - gu, v=star.v - gv))
+        out = self._project(
+            enforce_bc(g, self.path, replace(state, u=u_star, v=v_star, t=t_new))
+        )
         if not (np.all(np.isfinite(out.u)) and np.all(np.isfinite(out.v))):
             raise NanDetected(f"non-finite velocity at t = {out.t:.6g}")
         return out
 
-    def _transport(self, un, wn, wt, dt, interior, boundary, other_ok, cell_act):
+    def _transport(self, un, wn, wt, dt, interior, known, other_known, cell_act):
         """Upwind advection and explicit diffusion of one component."""
         h = self.grid.h
-        du = upwind_transport(un, wn, wt, interior, other_ok, cell_act, h)
-        lap = mirror_laplacian(un, interior | boundary, h)
+        du = upwind_transport(un, wn, wt, interior, other_known, cell_act, h)
+        lap = mirror_laplacian(un, known, h)
         du[1:-1, :] -= self.nu * lap[1:-1, :]
         return np.where(interior, un - dt * du, un)
 

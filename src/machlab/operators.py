@@ -3,11 +3,13 @@
 The discrete gradient G maps cell scalars to interior faces (zero on
 boundary and dead faces, which encodes the homogeneous Neumann condition),
 and the divergence is exactly -G^T, so the five-point Neumann Laplacian is
-the Gram matrix G^T G. Helmholtz projections and pressure projections built
-from these operators are therefore exact discrete orthogonal splittings.
-The module also holds the staggered stencils every other module shares:
-face/center averages, the nodal curl, the cell-centred velocity gradient,
-upwind transport and the free-slip face Laplacian.
+the Gram matrix G^T G. DiscreteOperators.helmholtz, built from these
+operators, is an exact discrete orthogonal splitting and the one pressure
+projection: the Helmholtz split and both projections of the incompressible
+solver call it. The module also holds the staggered stencils every other
+module shares, all reading the grid's known-face masks: face/center
+averages, the nodal curl, the cell-centred velocity gradient, upwind
+transport, the free-slip face Laplacian and the quintic C2 step.
 """
 
 from __future__ import annotations
@@ -28,51 +30,33 @@ class DiscreteOperators:
         act = grid.active
         self.active_index = -np.ones(act.shape, dtype=np.int64)
         self.active_index[act] = np.arange(grid.n_active)
-        self._check_connected()
         self._assemble()
+        # the Laplacian's off-diagonal pattern is the cell adjacency
+        ncomp = sp.csgraph.connected_components(self.laplacian_matrix, return_labels=False)
+        if ncomp != 1:
+            raise DisconnectedDomain(f"fluid region has {ncomp} components")
         self._lu = None
 
     # -- assembly ----------------------------------------------------------
-
-    def _check_connected(self):
-        g = self.grid
-        n = g.n_active
-        rows, cols = [], []
-        idx = self.active_index
-        act = g.active
-        both = act[:-1, :] & act[1:, :]
-        rows.append(idx[:-1, :][both])
-        cols.append(idx[1:, :][both])
-        both = act[:, :-1] & act[:, 1:]
-        rows.append(idx[:, :-1][both])
-        cols.append(idx[:, 1:][both])
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        adj = sp.coo_matrix((np.ones(len(r)), (r, c)), shape=(n, n))
-        ncomp = sp.csgraph.connected_components(adj, directed=False, return_labels=False)
-        if ncomp != 1:
-            raise DisconnectedDomain(f"fluid region has {ncomp} components")
 
     def _assemble(self):
         g = self.grid
         h = self.h
         idx = self.active_index
-        # gradient incidence: one row per interior face, entries +-1/h
+        # gradient incidence: one row per interior face, x-faces first,
+        # -1/h on the cell behind it and +1/h on the cell ahead
         rows, cols, vals = [], [], []
-        iu, ju = np.nonzero(g.uface_interior)
-        for s, sgn in ((0, -1.0), (1, 1.0)):
-            rows.append(np.arange(len(iu)))
-            cols.append(idx[iu - 1 + s, ju])
-            vals.append(np.full(len(iu), sgn / h))
-        nface = len(iu)
-        iv, jv = np.nonzero(g.vface_interior)
-        for s, sgn in ((0, -1.0), (1, 1.0)):
-            rows.append(nface + np.arange(len(iv)))
-            cols.append(idx[iv, jv - 1 + s])
-            vals.append(np.full(len(iv), sgn / h))
+        nface = 0
+        for interior, (di, dj) in ((g.uface_interior, (1, 0)), (g.vface_interior, (0, 1))):
+            fi, fj = np.nonzero(interior)
+            for back, sgn in ((1, -1.0), (0, 1.0)):
+                rows.append(nface + np.arange(len(fi)))
+                cols.append(idx[fi - back * di, fj - back * dj])
+                vals.append(np.full(len(fi), sgn / h))
+            nface += len(fi)
         self.gradient_matrix = sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nface + len(iv), g.n_active),
+            shape=(nface, g.n_active),
         )
         self.laplacian_matrix = (
             (self.gradient_matrix.T @ self.gradient_matrix).tocsr()
@@ -111,8 +95,8 @@ class DiscreteOperators:
         """
         g = self.grid
         if include_boundary_faces:
-            um = np.where(g.uface_interior | g.uface_boundary, u, 0.0)
-            vm = np.where(g.vface_interior | g.vface_boundary, v, 0.0)
+            um = np.where(g.uface_known, u, 0.0)
+            vm = np.where(g.vface_known, v, 0.0)
         else:
             um = np.where(g.uface_interior, u, 0.0)
             vm = np.where(g.vface_interior, v, 0.0)
@@ -172,18 +156,23 @@ class DiscreteOperators:
             )
         return x
 
-    def helmholtz(self, u, v):
+    def helmholtz(self, u, v, include_boundary_faces=False):
         """Split a face field into solenoidal-tangent and gradient parts.
 
-        Returns (hu, hv, theta) with (hu, hv) = (u, v) - grad(theta) on
-        interior faces, exactly divergence-free and l2-orthogonal to every
-        discrete gradient. Boundary-face components are treated as zero
-        (fields fed to the projection satisfy the impermeability condition).
+        Returns (hu, hv, theta) with (hu, hv) = (u, v) - grad(theta): by
+        default boundary-face components are treated as zero and (hu, hv)
+        is exactly divergence-free, tangent and l2-orthogonal to every
+        discrete gradient. With include_boundary_faces the prescribed
+        boundary values enter the divergence, as in div, and pass through
+        unchanged: the pressure projection of the incompressible solver.
         """
         g = self.grid
-        um = np.where(g.uface_interior, u, 0.0)
-        vm = np.where(g.vface_interior, v, 0.0)
-        rhs = -self.pack(self.div(um, vm))
+        if include_boundary_faces:
+            um, vm = u, v
+        else:
+            um = np.where(g.uface_interior, u, 0.0)
+            vm = np.where(g.vface_interior, v, 0.0)
+        rhs = -self.pack(self.div(um, vm, include_boundary_faces))
         theta_vec = self.poisson_solve(rhs)
         theta = self.unpack(theta_vec)
         gu, gv = self.grad(theta)
@@ -220,8 +209,8 @@ def velocity_gradient(grid, u, v):
     g = grid
     h = g.h
     gu = np.zeros((g.nx, g.ny, 2, 2))
-    um = np.where(g.uface_interior | g.uface_boundary, u, 0.0)
-    vm = np.where(g.vface_interior | g.vface_boundary, v, 0.0)
+    um = np.where(g.uface_known, u, 0.0)
+    vm = np.where(g.vface_known, v, 0.0)
     gu[:, :, 0, 0] = (um[1:, :] - um[:-1, :]) / h
     gu[:, :, 1, 1] = (vm[:, 1:] - vm[:, :-1]) / h
     uc, vc = face_to_center(um, vm)
@@ -230,6 +219,12 @@ def velocity_gradient(grid, u, v):
     gu[:, 1:-1, 0, 1] = (uc[:, 2:] - uc[:, :-2]) / (2 * h)
     gu[~g.active] = 0.0
     return gu
+
+
+def smoothstep(x):
+    """Quintic C2 step: 0 for x <= 0, 1 for x >= 1, s(1 - x) = 1 - s(x)."""
+    s = np.clip(x, 0.0, 1.0)
+    return s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
 def nodal_curl(psi, h):
@@ -243,15 +238,13 @@ def nodal_curl(psi, h):
 def component_masks(grid):
     """Face masks for updating u on x-faces and, transposed, v on y-faces.
 
-    Each entry is (interior, boundary, transverse_ok, active), oriented so
+    Each entry is (interior, known, transverse_known, active), oriented so
     that the y-component call reads exactly like the x-component one.
     """
     g = grid
     return (
-        (g.uface_interior, g.uface_boundary,
-         g.vface_interior | g.vface_boundary, g.active),
-        (g.vface_interior.T, g.vface_boundary.T,
-         (g.uface_interior | g.uface_boundary).T, g.active.T),
+        (g.uface_interior, g.uface_known, g.vface_known, g.active),
+        (g.vface_interior.T, g.vface_known.T, g.uface_known.T, g.active.T),
     )
 
 

@@ -1,15 +1,17 @@
 """Neumann Laplacian spectral calculus, acoustic propagator, and decay probes.
 
 Everything here runs on the retained eigenspan of the discrete Neumann
-Laplacian: fractional operator powers, the Helmholtz projection, the
-two-component acoustic wave propagator with its Duhamel quadrature, the
-forcing-channel bookkeeping of the wave source, and the time-averaged
-local-decay functional measuring acoustic dispersion. One table,
-FORCING_TERMS, names the wave source's terms with their inverse-Laplacian
-pairing and channels; their densities are projected on the span in one
-product. The wave source takes the lifting's moving-frame derivative from
-the lifting field, on its support box; the staggered stencils come from
-operators. D(eps) is evaluated on the spatial cutoff's support only.
+Laplacian: fractional operator powers, the two-component acoustic wave
+propagator with its Duhamel quadrature, the forcing-channel bookkeeping of
+the wave source, and the time-averaged local-decay functional measuring
+acoustic dispersion. One table, FORCING_TERMS, names the wave source's
+terms with their inverse-Laplacian pairing and channels; their densities
+are projected on the span in one product. The wave source takes the
+lifting's moving-frame derivative from the lifting field, on its support
+box. The Helmholtz projection (DiscreteOperators.helmholtz), the staggered
+stencils and the C2 step of the spectral window and the spatial cutoff
+come from operators. D(eps) is evaluated on the spatial cutoff's support
+only.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from .errors import (
     UnresolvedOscillation,
 )
 from .geometry import ExtensionField, ExtensionFieldSample, Grid, MotionPath, eval_motion
-from .operators import center_to_xface, center_to_yface, face_to_center, velocity_gradient
+from .operators import (
+    center_to_xface, center_to_yface, face_to_center, smoothstep, velocity_gradient,
+)
 
 DESK_CELL_CAP = 128 * 128
 DESK_MODE_CAP = 2000
@@ -242,16 +246,6 @@ def fractional_power_apply(dec: SpectralDecomposition, s: float, cell_field):
     return dec.reconstruct(c * scale), remainder
 
 
-def helmholtz_project(grid: Grid, u, v):
-    """Helmholtz split of a face field: (solenoidal (u, v), potential).
-
-    The solenoidal part is exactly divergence-free, tangent at boundaries,
-    and l2-orthogonal to all discrete gradients; potential is mean-zero.
-    """
-    hu, hv, theta = grid.ops.helmholtz(u, v)
-    return (hu, hv), theta
-
-
 # -- acoustic states and the wave propagator --------------------------------
 
 
@@ -454,8 +448,7 @@ def assemble_forcing(
 
     vel = np.stack(
         face_to_center(
-            np.where(g.uface_interior | g.uface_boundary, state.u, 0.0),
-            np.where(g.vface_interior | g.vface_boundary, state.v, 0.0),
+            np.where(g.uface_known, state.u, 0.0), np.where(g.vface_known, state.v, 0.0)
         ),
         axis=-1,
     )
@@ -533,7 +526,7 @@ def extract_acoustic_potential(
     tangent at boundaries by construction.
     """
     wu, wv = shifted_momentum(state, grid, path, law, ext)
-    _, psi = helmholtz_project(grid, wu, wv)
+    _, _, psi = grid.ops.helmholtz(wu, wv)
     r_field = np.where(grid.active, (state.rho - law.rho_ref) / state.eps, 0.0)
     return AcousticState(r_field, psi, state.eps, state.t)
 
@@ -555,11 +548,6 @@ def shifted_momentum(state, grid: Grid, path: MotionPath, law: PressureLaw, ext)
 # -- spectral window, spatial cutoff, and the decay functional ---------------
 
 
-def _smoothstep(x):
-    s = np.clip(x, 0.0, 1.0)
-    return s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
-
-
 def make_spectral_window(dec: SpectralDecomposition) -> Callable:
     """C2 bump G with 0 <= G <= 1 on the retained spectrum.
 
@@ -578,8 +566,8 @@ def make_spectral_window(dec: SpectralDecomposition) -> Callable:
 
     def window(x):
         x = np.asarray(x, dtype=float)
-        rise = _smoothstep((x - lo_start) / (lo_end - lo_start))
-        fall = 1.0 - _smoothstep((x - hi_start) / (hi_end - hi_start))
+        rise = smoothstep((x - lo_start) / (lo_end - lo_start))
+        fall = 1.0 - smoothstep((x - hi_start) / (hi_end - hi_start))
         return rise * fall
 
     return window
@@ -591,7 +579,7 @@ def make_spatial_cutoff(grid: Grid, r_one: float, r_zero: float) -> np.ndarray:
         raise ValueError("need 0 < r_one < r_zero")
     xc, yc = grid.cell_centers()
     r = np.sqrt(xc**2 + yc**2)
-    chi = 1.0 - _smoothstep((r - r_one) / (r_zero - r_one))
+    chi = 1.0 - smoothstep((r - r_one) / (r_zero - r_one))
     chi[~grid.active] = 0.0
     return chi
 

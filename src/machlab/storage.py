@@ -112,10 +112,10 @@ def read_manifest(run_dir):
     return json.loads(mpath.read_text())
 
 
-def check_artifacts(run_dir, manifest) -> list:
-    """Names of manifest-promised files that are missing; raises on the first."""
+def check_artifacts(run_dir, manifest) -> None:
+    """Raise one MissingArtifact naming every manifest-promised file that
+    is missing."""
     run_dir = Path(run_dir)
     missing = [rel for rel in manifest["files"] if not (run_dir / rel).exists()]
     if missing:
         raise MissingArtifact(f"run directory lacks promised files: {missing}")
-    return missing

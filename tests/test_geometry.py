@@ -4,7 +4,6 @@ import pytest
 from machlab.errors import GeometryTooCoarse, OutOfHorizon
 from machlab.geometry import (
     ExtensionField,
-    _taper,
     build_grid,
     eval_motion,
     lifting_collar,
@@ -12,7 +11,7 @@ from machlab.geometry import (
     sinusoidal_path,
     static_path,
 )
-from machlab.operators import nodal_curl
+from machlab.operators import nodal_curl, smoothstep
 
 
 def test_too_coarse_obstacle_rejected():
@@ -57,6 +56,36 @@ def test_classification_is_partition_and_reproducible():
         assert all(k.any() for k in kinds)
     # the far-field rim is the outermost ring of cells, all of them active
     assert g1.cell_rim.sum() == 2 * (g1.nx + g1.ny) - 4
+
+
+def test_known_faces_are_interior_or_prescribed():
+    g = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
+    for axis, known, interior, boundary in (
+        (0, g.uface_known, g.uface_interior, g.uface_boundary),
+        (1, g.vface_known, g.vface_interior, g.vface_boundary),
+    ):
+        np.testing.assert_array_equal(known, interior | boundary)
+        assert not np.any(interior & boundary)
+        # the cells behind and ahead of each face, False beyond the box
+        act = np.pad(g.active, [(1, 1) if ax == axis else (0, 0) for ax in (0, 1)])
+        n = act.shape[axis]
+        behind = np.take(act, np.arange(n - 1), axis=axis)
+        ahead = np.take(act, np.arange(1, n), axis=axis)
+        assert behind.shape == known.shape
+        assert not np.any(~known & (behind | ahead))
+        assert np.any(~known)
+
+
+def test_smoothstep_is_a_symmetric_step():
+    x = np.linspace(-0.5, 1.5, 2001)
+    s = smoothstep(x)
+    assert np.all(s[x <= 0.0] == 0.0)
+    assert np.all(s[x >= 1.0] == 1.0)
+    assert np.all(np.diff(s) >= 0.0)
+    # dyadic points, so that 1 - x is exact and only the step itself rounds
+    inner = np.arange(4097) / 4096.0
+    np.testing.assert_allclose(smoothstep(1.0 - inner), 1.0 - smoothstep(inner),
+                               rtol=0.0, atol=1e-15)
 
 
 def test_cell_size_must_divide_box():
@@ -174,7 +203,8 @@ class TestExtensionField:
         for sample, (vx, vy) in ((field.sample(t), mp), (field.sample_dt(t), mpp)):
             xn, yn = g.nodes()
             r = np.sqrt(xn**2 + yn**2)
-            psi = _taper(r, collar, R - g.h) * (vx * yn - vy * xn)
+            taper = 1.0 - smoothstep((r - collar) / (R - g.h - collar))
+            psi = taper * (vx * yn - vy * xn)
             u, v = nodal_curl(psi, g.h)
             np.testing.assert_array_equal(sample.u, u)
             np.testing.assert_array_equal(sample.v, v)

@@ -19,7 +19,14 @@ from machlab.errors import (
     MissingArtifact,
 )
 from machlab.geometry import build_grid, lifting_sample
-from machlab.storage import read_csv, read_snapshot, write_manifest, write_snapshot
+from machlab.storage import (
+    check_artifacts,
+    read_csv,
+    read_manifest,
+    read_snapshot,
+    write_manifest,
+    write_snapshot,
+)
 from machlab.sweep import (
     SUMMARY_HEADER,
     _eps_dirname,
@@ -221,6 +228,17 @@ class TestVerify:
         with pytest.raises(MissingArtifact) as err:
             verify_run(broken)
         assert victim.name in str(err.value)
+
+    def test_every_missing_file_named(self, mini_run, tmp_path):
+        broken = self._copy(mini_run["out_dir"], tmp_path, "missing-two")
+        assert check_artifacts(broken, read_manifest(broken)) is None
+        victims = [broken / "eps_0p1" / "snap_001.dat", broken / "energy.csv"]
+        for victim in victims:
+            victim.unlink()
+        with pytest.raises(MissingArtifact) as err:
+            check_artifacts(broken, read_manifest(broken))
+        for victim in victims:
+            assert str(victim.relative_to(broken)) in str(err.value)
 
     def test_old_extra_fields_still_verify(self, mini_cfg, mini_run, tmp_path):
         # run directories written while snapshots still stored r, psi and
