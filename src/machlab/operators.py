@@ -6,10 +6,12 @@ and the divergence is exactly -G^T, so the five-point Neumann Laplacian is
 the Gram matrix G^T G. DiscreteOperators.helmholtz, built from these
 operators, is an exact discrete orthogonal splitting and the one pressure
 projection: the Helmholtz split and both projections of the incompressible
-solver call it. The module also holds the staggered stencils every other
-module shares, all reading the grid's known-face masks: face/center
-averages, the nodal curl, the cell-centred velocity gradient, upwind
-transport, the free-slip face Laplacian and the quintic C2 step.
+solver call it. Neumann Poisson solves ground unknown 0 and reuse one
+SuperLU factor per grid, in symmetric mode: minimum-degree ordering on
+A + A^T and diagonal pivots. The module also holds the staggered stencils
+every other module shares, all reading the grid's known-face masks:
+face/center averages, the nodal curl, the cell-centred velocity gradient,
+upwind transport, the free-slip face Laplacian and the quintic C2 step.
 """
 
 from __future__ import annotations
@@ -124,15 +126,23 @@ class DiscreteOperators:
 
     # -- Neumann Poisson solves ---------------------------------------------
 
+    def grounded_matrix(self):
+        """The Laplacian with unknown 0 grounded: D A D + (I - D), where D
+        is the identity with entry 0 zeroed. Symmetric positive definite on
+        a connected domain; exact for compatible (mean-zero) data."""
+        keep = np.ones(self.grid.n_active)
+        keep[0] = 0.0
+        d = sp.diags(keep)
+        return (d @ self.laplacian_matrix @ d + sp.diags(1.0 - keep)).tocsc()
+
     def _factorization(self):
+        # symmetric minimum-degree ordering on A + A^T with diagonal pivots:
+        # the grounded matrix is SPD, so no row interchange is needed
         if self._lu is None:
-            a = self.laplacian_matrix.tolil(copy=True)
-            # ground one unknown; exact for compatible (mean-zero) data
-            gdof = 0
-            a[gdof, :] = 0.0
-            a[:, gdof] = 0.0
-            a[gdof, gdof] = 1.0
-            self._lu = spla.splu(a.tocsc())
+            self._lu = spla.splu(
+                self.grounded_matrix(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+            )
         return self._lu
 
     def poisson_solve(self, rhs_vec, tol=1e-9):

@@ -204,14 +204,16 @@ def spectral_decompose(grid: Grid, modes: int) -> SpectralDecomposition:
         v[:, j] /= np.linalg.norm(v[:, j])
     w = np.maximum(w, 0.0)
 
-    # full-space residuals and column norms over blocks of 32 columns: no
-    # (n, K) temporaries
+    # full-space residuals and column norms over blocks of 8 columns: no
+    # (n, K) temporaries, and a small peak on top of the lifted vectors; one
+    # contiguous copy of the block serves both products
     resid = np.empty(k)
     scale = np.empty(k)
-    for j in range(0, k, 32):
-        cols = slice(j, j + 32)
-        resid[cols] = np.linalg.norm(a @ v[:, cols] - v[:, cols] * w[None, cols], axis=0)
-        scale[cols] = np.linalg.norm(v[:, cols], axis=0)
+    for j in range(0, k, 8):
+        cols = slice(j, j + 8)
+        block = v[:, cols].copy()
+        resid[cols] = np.linalg.norm(a @ block - block * w[None, cols], axis=0)
+        scale[cols] = np.linalg.norm(block, axis=0)
     dec = SpectralDecomposition(grid, w, v, resid)
     bad = resid > 1e-8 * np.maximum(1.0, scale)
     if np.any(bad):

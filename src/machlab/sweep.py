@@ -5,10 +5,13 @@ the local-decay functional D(eps) from one probe and one horizon for every
 Mach number; the fluid scenario then drives, per Mach number: the
 compressible run, forcing channels and the diagnostics records, plus one
 incompressible reference run; everything is written to a run directory
-closed by a manifest. With MACHLAB_WORKERS > 1 the members run in a
-process pool and each worker receives the parent's eigenpairs, so the
-sweep still makes one eigensolve and its files equal the sequential run's
-byte for byte. At a fixed BLAS thread count all outputs are a pure
+closed by a manifest. Each member is reduced to its table rows as soon as
+it finishes, in eps order, and its trajectory dropped, so the sweep holds
+one member's states at a time. With MACHLAB_WORKERS > 1 (read before
+anything is written; a value that is not an integer >= 1 is a config
+error) the members run in a process pool and each worker receives the parent's eigenpairs, so
+the sweep still makes one eigensolve and its files equal the sequential
+run's byte for byte. At a fixed BLAS thread count all outputs are a pure
 function of (config, seed); the eigenpair residuals in eigenvalues.csv
 (printed as %.3e) move at rounding level with the thread count.
 """
@@ -28,6 +31,7 @@ from .compressible import CompressibleSolver, IllPreparedData, SolverOptions
 from .config import ExperimentConfig, canonical_text
 from .constitutive import PressureLaw, ViscosityPair, pressure_slope
 from .diagnostics import MetricsRecord, convergence_metrics, uniform_estimate_report
+from .errors import ConfigValidationError
 from .geometry import (
     Grid,
     build_grid,
@@ -261,6 +265,21 @@ def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
     return traj, channels
 
 
+def _worker_count() -> int:
+    """The process-pool size from MACHLAB_WORKERS (1 when unset); anything
+    but an integer >= 1 is a config error."""
+    text = os.environ.get("MACHLAB_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigValidationError(
+            [f"MACHLAB_WORKERS must be an integer >= 1, got {text!r}"]
+        )
+    return workers
+
+
 def _eps_dirname(eps: float) -> str:
     return f"eps_{eps:g}".replace(".", "p")
 
@@ -272,6 +291,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     there, the fluid scenario runs the whole sweep. Both write config.txt,
     rage.csv, eigenvalues.csv, summary.csv and the manifest the same way.
     """
+    workers = _worker_count()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(canonical_text(cfg))
@@ -285,7 +305,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
         summary_rows = [(row[0], row[1]) for row in rage_rows]
     else:
         decay = [row[1] for row in rage_rows]
-        summary_rows = _fluid_sweep(scenario, dec, decay, run_id, out_dir)
+        summary_rows = _fluid_sweep(scenario, dec, decay, run_id, out_dir, workers)
         header = SUMMARY_HEADER
 
     write_csv(out_dir / "rage.csv", RAGE_HEADER, rage_rows)
@@ -296,17 +316,19 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             "out_dir": str(out_dir)}
 
 
-def _fluid_sweep(scenario: Scenario, dec, decay, run_id: str, out_dir: Path):
+def _fluid_sweep(scenario: Scenario, dec, decay, run_id: str, out_dir: Path,
+                 workers: int):
     """Reference run, eps members and their tables; returns the summary.csv
-    rows, whose rage_d column is `decay` (one D value per eps)."""
+    rows, whose rage_d column is `decay` (one D value per eps). Each member
+    is reduced to its rows as soon as it finishes, in eps order, and its
+    trajectory dropped before the next one is taken."""
     cfg = scenario.cfg
     grid = scenario.grid
     times = sample_schedule(cfg)
-    eps_list = list(cfg["sweep"]["eps"])
-    seed = cfg["run"]["seed"]
+    decay_of = dict(zip(cfg["sweep"]["eps"], decay))
 
     # incompressible reference run (eps-independent)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["run"]["seed"])
     u0, v0 = initial_velocity(cfg, grid, rng)
     nu = cfg["physics"]["shear_viscosity"] / cfg["physics"]["reference_density"]
     inc = IncompressibleSolver(grid, nu, scenario.path, cfl=cfg["numerics"]["cfl"])
@@ -316,30 +338,13 @@ def _fluid_sweep(scenario: Scenario, dec, decay, run_id: str, out_dir: Path):
     for i, st in enumerate(inc_traj.states):
         write_snapshot(ref_dir / f"snap_{i:03d}.dat", grid, st.t, {"u": st.u, "v": st.v})
 
-    workers = int(os.environ.get("MACHLAB_WORKERS", "1"))
-    jobs = {}
-    if workers > 1:
-        text = canonical_text(cfg)
-        pairs = (dec.eigenvalues, dec.eigenvectors, dec.residuals)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                eps: pool.submit(_run_one_eps_job, text, pairs, eps, str(out_dir))
-                for eps in eps_list
-            }
-            for eps, fut in futures.items():
-                jobs[eps] = fut.result()
-    else:
-        for eps in eps_list:
-            jobs[eps] = run_one_eps(
-                scenario, dec, eps, times, seed, out_dir / _eps_dirname(eps)
-            )
-
     energy_rows = []
     metric_records = []
     mass_rows = []
     summary_rows = []
-    for eps, d in zip(eps_list, decay):
-        traj, channels = jobs[eps]
+    # no zip or enumerate here: their cached result tuple would keep the
+    # previous member alive while the next one runs
+    for eps, traj, channels in _members(scenario, dec, times, out_dir, workers):
         for rec in traj.energy:
             energy_rows.append((rec.t, rec.eps, rec.lhs, rec.rhs, int(rec.flag)))
         for t, m, s in zip(traj.times, traj.total_mass, traj.sponge_mass):
@@ -361,12 +366,13 @@ def _fluid_sweep(scenario: Scenario, dec, decay, run_id: str, out_dir: Path):
                 by_name["density_scale"],
                 by_name["velocity_gap"],
                 by_name["solenoidal_pairing_gap"],
-                d,
+                decay_of[eps],
                 channel_sum,
                 by_name["res_indicator_l1"],
                 int(all(rec.flag for rec in traj.energy)),
             )
         )
+        del traj  # reduced: the next member runs without this one's states
 
     write_csv(out_dir / "energy.csv", ["t", "eps", "lhs", "rhs", "flag"], energy_rows)
     write_csv(out_dir / "mass.csv", ["t", "eps", "total_mass", "sponge_cumulative"],
@@ -380,6 +386,26 @@ def _fluid_sweep(scenario: Scenario, dec, decay, run_id: str, out_dir: Path):
         ],
     )
     return summary_rows
+
+
+def _members(scenario: Scenario, dec, times, out_dir: Path, workers: int):
+    """Yield (eps, trajectory, channels) of each member in eps order. With
+    workers > 1 the members run in a process pool, and each future is
+    popped as its turn comes, so no finished trajectory outlives its turn."""
+    cfg = scenario.cfg
+    eps_list = cfg["sweep"]["eps"]
+    if workers == 1:
+        for eps in eps_list:
+            yield (eps, *run_one_eps(scenario, dec, eps, times, cfg["run"]["seed"],
+                                     out_dir / _eps_dirname(eps)))
+        return
+    text = canonical_text(cfg)
+    pairs = (dec.eigenvalues, dec.eigenvectors, dec.residuals)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {eps: pool.submit(_run_one_eps_job, text, pairs, eps, str(out_dir))
+                   for eps in eps_list}
+        for eps in eps_list:
+            yield (eps, *futures.pop(eps).result())
 
 
 def _metric(run_id, eps, name, value):

@@ -2,13 +2,14 @@ import ast
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from machlab import spectral as sp
-from machlab import verify
+from machlab import sweep, verify
 from machlab.cli import main as cli_main
 from machlab.compressible import FluidState
 from machlab.config import SCHEMA, canonical_text, default_config, parse_config
@@ -209,6 +210,22 @@ class TestSweep:
             b = (Path(parallel["out_dir"]) / name).read_bytes()
             assert a == b, name
 
+    def test_member_reduced_before_next_starts(self, mini_cfg, tmp_path, monkeypatch):
+        # each member becomes its table rows as it finishes; its states must
+        # be gone before the next member runs
+        last_states = []
+        run_member = sweep.run_one_eps
+
+        def tracked(scenario, dec, eps, *args):
+            assert all(ref() is None for ref in last_states), eps
+            traj, channels = run_member(scenario, dec, eps, *args)
+            last_states.append(weakref.ref(traj.states[-1]))
+            return traj, channels
+
+        monkeypatch.setattr(sweep, "run_one_eps", tracked)
+        run_sweep(mini_cfg, tmp_path / "reduced")
+        assert len(last_states) == len(mini_cfg["sweep"]["eps"])
+
 
 class TestVerify:
     @pytest.mark.parametrize("run", ["mini_run", "sinusoidal_mini_run"])
@@ -362,6 +379,17 @@ class TestCli:
             with pytest.raises(ConfigValidationError, match=reason):
                 parse_config(text)
             parse_config(text + "\n[motion]\nkind = static\n")
+
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_bad_worker_count_exit_code(self, value, tmp_path, monkeypatch, capsys):
+        # refused before the run directory exists, not after the reference run
+        monkeypatch.setenv("MACHLAB_WORKERS", value)
+        cfgfile = tmp_path / "mini.cfg"
+        cfgfile.write_text(MINI_CFG)
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert "MACHLAB_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_failure_exit_code(self, mini_run, tmp_path):
         broken = tmp_path / "broken"

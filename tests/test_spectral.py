@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
@@ -11,6 +12,7 @@ from machlab.constitutive import PressureLaw, ViscosityPair
 from machlab.errors import (
     DisconnectedDomain,
     KernelSingularity,
+    PoissonFailure,
     UnresolvedOscillation,
 )
 from machlab.geometry import (
@@ -64,6 +66,42 @@ class TestNeumannLaplacian:
         grid = Grid(-1.0, -0.1, 40, 4, 0.05, obstacle_radius=0.18)
         with pytest.raises(DisconnectedDomain, match="has 2 components"):
             DiscreteOperators(grid)
+
+
+class TestPoissonSolve:
+    def test_incompatible_rhs_refused(self, obstacle_grid):
+        # the grounded row absorbs the mean, so only the residual check sees it
+        rng = np.random.default_rng(11)
+        rhs = 1.0 + rng.standard_normal(obstacle_grid.n_active)
+        with pytest.raises(PoissonFailure, match="residual"):
+            obstacle_grid.ops.poisson_solve(rhs)
+
+    def test_matches_dense_least_squares(self, obstacle_grid):
+        # A + 11^T/n maps mean-zero vectors like A and keeps the constants, so
+        # its dense Cholesky solve is the minimum-norm least-squares solution
+        n = obstacle_grid.n_active
+        rng = np.random.default_rng(12)
+        rhs = rng.standard_normal(n)
+        rhs -= rhs.mean()
+        dense = obstacle_grid.ops.laplacian_matrix.toarray() + 1.0 / n
+        oracle = scipy.linalg.solve(dense, rhs, assume_a="pos")
+        x = obstacle_grid.ops.poisson_solve(rhs)
+        assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    def test_grounded_matrix_symmetric(self, obstacle_grid):
+        a = obstacle_grid.ops.grounded_matrix()
+        assert (a != a.T).nnz == 0
+        lap = obstacle_grid.ops.laplacian_matrix
+        assert a[0, 0] == 1.0 and a[0].nnz == 1
+        assert (a[1:, 1:] != lap[1:, 1:]).nnz == 0
+
+    def test_fill_below_colamd(self):
+        # the default grid's 16,176 cells: COLAMD without symmetric mode
+        # fills L + U with 1,151,704 entries
+        grid = build_grid(2, 2.0, 0.25, 1.0 / 32.0)
+        assert grid.n_active == 16176
+        lu = grid.ops._factorization()
+        assert lu.L.nnz + lu.U.nnz < 1_151_704
 
 
 class TestSpectralDecomposition:
