@@ -29,11 +29,10 @@ from .errors import CflViolation, NanDetected, VacuumState
 from .geometry import Grid, MotionPath, build_lifting, enforce_bc, eval_motion
 from .operators import (
     center_to_xface,
-    component_masks,
     face_to_center,
     mirror_laplacian,
     upwind_transport,
-    velocity_gradient,
+    velocity_gradient_components,
 )
 
 
@@ -109,17 +108,25 @@ def instant_energy(grid: Grid, law: PressureLaw, state: FluidState) -> float:
     return float(np.sum(total)) * grid.h**2
 
 
-def _mass_flux(rho, wn, c_cell, interior):
-    """Rusanov mass flux on x-faces (the y-faces arrive transposed).
+def _mass_flux(rho, wn, c_cell, masks):
+    """Rusanov mass flux on x-faces (the y-faces arrive transposed), laid
+    out like wn: (w/2) (rho+ + rho-) - (lam/2) (rho+ - rho-) with
+    lam = |w| + max(c+, c-).
 
-    Only interior faces carry flux; boundary faces carry zero relative flux.
+    Only interior faces carry flux; boundary and edge faces carry zero
+    relative flux.
     """
-    f = np.zeros_like(wn)
-    lam = np.abs(wn[1:-1, :]) + np.maximum(c_cell[1:, :], c_cell[:-1, :])
-    f[1:-1, :] = 0.5 * wn[1:-1, :] * (rho[1:, :] + rho[:-1, :]) - 0.5 * lam * (
-        rho[1:, :] - rho[:-1, :]
-    )
-    f[~interior] = 0.0
+    f = np.empty_like(wn)  # the edge rows are exterior, zeroed last
+    mid = np.add(rho[1:, :], rho[:-1, :], out=f[1:-1])
+    half_w = np.multiply(wn[1:-1, :], 0.5)
+    mid *= half_w
+    half_lam = np.abs(wn[1:-1, :], out=half_w)
+    half_lam += np.maximum(c_cell[1:, :], c_cell[:-1, :])
+    half_lam *= 0.5
+    jump = np.subtract(rho[1:, :], rho[:-1, :])
+    jump *= half_lam
+    mid -= jump
+    np.copyto(f, 0.0, where=masks.exterior)
     return f
 
 
@@ -139,27 +146,25 @@ class CompressibleSolver:
         self.visc = visc
         self.path = path
         self.options = options or SolverOptions()
-        self._build_sponge()
+        self._keep = self._sponge_keep()
         self.lifting = build_lifting(grid, path, self.options.sponge_width)
         self._limit_of = None  # (state, cfl_limit(state)) of the last step
 
-    def _build_sponge(self):
+    def _sponge_keep(self):
+        """The share 1 - s of the cell, x-face and y-face fields that the
+        sponge keeps in one step, s its sin^2 ramp over the rim layer;
+        None without a sponge."""
         g = self.grid
         w = self.options.sponge_width
         if w <= 0.0:
-            self.sponge_cell = np.zeros((g.nx, g.ny))
-            self.sponge_u = np.zeros((g.nx + 1, g.ny))
-            self.sponge_v = np.zeros((g.nx, g.ny + 1))
-            return
+            return None
 
-        def profile(x, y):
+        def keep(x, y):
             d = np.minimum.reduce([x - g.x0, g.x1 - x, y - g.y0, g.y1 - y])
             s = np.clip((w - d) / w, 0.0, 1.0)
-            return np.sin(0.5 * math.pi * s) ** 2
+            return 1.0 - np.sin(0.5 * math.pi * s) ** 2
 
-        self.sponge_cell = profile(*g.cell_centers())
-        self.sponge_u = profile(*g.xface_coords())
-        self.sponge_v = profile(*g.yface_coords())
+        return keep(*g.cell_centers()), keep(*g.xface_coords()), keep(*g.yface_coords())
 
     # -- state construction -------------------------------------------------
 
@@ -227,39 +232,46 @@ class CompressibleSolver:
         rho, u, v = state.rho, state.u, state.v
         wu = u - mp[0]
         wv = v - mp[1]
-        c_cell = np.sqrt(pressure_slope(law, np.maximum(rho, 1e-300))) / eps
+        c_cell = pressure_slope(law, np.maximum(rho, 1e-300))
+        np.sqrt(c_cell, out=c_cell)
+        c_cell /= eps
 
-        fmx = _mass_flux(rho, wu, c_cell, g.uface_interior)
-        fmy = _mass_flux(rho.T, wv.T, c_cell.T, g.vface_interior.T).T
+        xm, ym = g.component_masks
+        fmx = _mass_flux(rho, wu, c_cell, xm)
+        fmy = _mass_flux(rho.T, wv.T, c_cell.T, ym).T
 
-        rho_new = rho - (dt / h) * (
-            fmx[1:, :] - fmx[:-1, :] + fmy[:, 1:] - fmy[:, :-1]
-        )
-        rho_new[~g.active] = law.rho_ref
+        # rho - (dt/h) (flux differences), accumulated in place
+        rho_new = np.subtract(fmx[1:, :], fmx[:-1, :])
+        rho_new += fmy[:, 1:]
+        rho_new -= fmy[:, :-1]
+        rho_new *= dt / h
+        np.subtract(rho, rho_new, out=rho_new)
+        np.copyto(rho_new, law.rho_ref, where=xm.inactive)
         if np.any(rho_new[g.active] <= 0.0):
             raise VacuumState(f"density lost positivity at t = {state.t:.6g}")
 
         p_cell = pressure(law, rho)
         div_full = g.ops.div(u, v, include_boundary_faces=True)
 
-        x_masks, y_masks = component_masks(g)
         u_new = self._momentum_update(
-            rho, rho_new, u, wu, wv, p_cell, div_full, eps, dt, *x_masks
+            rho, rho_new, u, wu, wv, p_cell, div_full, eps, dt, xm
         )
         v_new = self._momentum_update(
-            rho.T, rho_new.T, v.T, wv.T, wu.T, p_cell.T, div_full.T, eps, dt,
-            *y_masks,
+            rho.T, rho_new.T, v.T, wv.T, wu.T, p_cell.T, div_full.T, eps, dt, ym
         ).T
 
         # sponge relaxation toward the far-field rest state, mass change logged
         sponge_mass = 0.0
-        if self.options.sponge_width > 0.0:
+        if self._keep is not None:
+            keep_cell, keep_u, keep_v = self._keep
             before = float(np.sum(rho_new[g.active]))
-            rho_new = law.rho_ref + (rho_new - law.rho_ref) * (1.0 - self.sponge_cell)
-            rho_new[~g.active] = law.rho_ref
+            rho_new -= law.rho_ref
+            rho_new *= keep_cell
+            rho_new += law.rho_ref
+            np.copyto(rho_new, law.rho_ref, where=xm.inactive)
             sponge_mass = (float(np.sum(rho_new[g.active])) - before) * h**2
-            u_new = u_new * (1.0 - self.sponge_u)
-            v_new = v_new * (1.0 - self.sponge_v)
+            u_new *= keep_u
+            v_new *= keep_v
 
         out = enforce_bc(
             g, self.path, FluidState(rho_new, u_new, v_new, state.t + dt, eps, sponge_mass)
@@ -273,38 +285,50 @@ class CompressibleSolver:
         return out
 
     def _momentum_update(
-        self, rho, rho_new, un, wn, wt, p_cell, div_full, eps, dt,
-        interior, known, other_known, cell_act,
+        self, rho, rho_new, un, wn, wt, p_cell, div_full, eps, dt, masks,
     ):
         """Update one velocity component (oriented as u on x-faces).
 
         un is the component being updated, wn its frame-relative version,
-        wt the relative transverse component on the other face family; the
-        y-component call arrives transposed so both share this code path.
+        wt the relative transverse component on the other face family,
+        masks its ComponentMasks; the y-component call arrives transposed
+        so both share this code path. The result is laid out like un.
         """
         h = self.grid.h
 
         # the edge faces are rim faces at rest: a zero density there is exact
-        q = center_to_xface(rho) * un
+        q = center_to_xface(rho)
+        q *= un
 
         # upwind momentum transport on the advective scale |w| (the
         # acoustic-scale stabilization lives in the mass flux), which keeps
         # the effective viscosity Mach-uniform instead of O(h/eps)
-        dq = upwind_transport(q, wn, wt, interior, other_known, cell_act, h)
+        dq = upwind_transport(q, wn, wt, masks, h)
+        inner = dq[1:-1]
 
         # centered pressure gradient carrying the 1/eps^2 stiffness
-        dq[1:-1, :] += (p_cell[1:, :] - p_cell[:-1, :]) / (h * eps**2)
+        diff = np.subtract(p_cell[1:, :], p_cell[:-1, :])
+        diff /= h * eps**2
+        inner += diff
 
         # viscous mu*(lap u + (1/3) grad div u) + eta*grad div u
         mu, eta = self.visc.shear, self.visc.bulk
-        lap_u = mirror_laplacian(un, known, h)
-        ddiv = np.zeros_like(un)
-        ddiv[1:-1, :] = (div_full[1:, :] - div_full[:-1, :]) / h
-        dq[1:-1, :] -= mu * lap_u[1:-1, :] + (mu / 3.0 + eta) * ddiv[1:-1, :]
+        visc = mirror_laplacian(un, masks.known, h)[1:-1]
+        visc *= mu
+        np.subtract(div_full[1:, :], div_full[:-1, :], out=diff)
+        diff /= h
+        diff *= mu / 3.0 + eta
+        visc += diff
+        inner -= visc
 
-        q_new = q - dt * dq
+        # q - dt dq over the new face density, where that is positive
+        dq *= dt
+        q -= dq
         rho_f_new = center_to_xface(rho_new)
-        return np.where(interior, q_new / np.where(rho_f_new > 0, rho_f_new, 1.0), un)
+        np.copyto(rho_f_new, 1.0, where=~(rho_f_new > 0))
+        q /= rho_f_new
+        np.copyto(q, un, where=masks.exterior)
+        return q
 
     # -- trajectory ----------------------------------------------------------
 
@@ -374,14 +398,23 @@ class CompressibleSolver:
         """
         g = self.grid
         mu, eta = self.visc.shear, self.visc.bulk
-        grad_u = velocity_gradient(g, state.u, state.v)
-        gxx, gxy = grad_u[..., 0, 0], grad_u[..., 0, 1]
-        gyx, gyy = grad_u[..., 1, 0], grad_u[..., 1, 1]
+        gxx, gxy, gyx, gyy = velocity_gradient_components(g, state.u, state.v)
         div = gxx + gyy
         shear = gxy + gyx
-        # mu (|G|^2 + G:G^T - (2/3) div^2) + eta div^2
-        diss = mu * (2.0 * (gxx**2 + gyy**2) + shear**2 - (2.0 / 3.0) * div**2)
-        diss += eta * div**2
+        # mu (2 (gxx^2 + gyy^2) + shear^2 - (2/3) div^2) + eta div^2, which
+        # is mu (|G|^2 + G:G^T - (2/3) div^2) + eta div^2
+        div2 = np.square(div)
+        diss = np.square(gxx)
+        term = np.square(gyy)
+        diss += term
+        diss *= 2.0
+        np.square(shear, out=term)
+        diss += term
+        np.multiply(div2, 2.0 / 3.0, out=term)
+        diss -= term
+        diss *= mu
+        div2 *= eta
+        diss += div2
         ledger.dissipation += dt * float(np.sum(diss[g.active])) * g.h**2
         lifting = self.lifting
         if lifting is None:

@@ -20,7 +20,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import GeometryTooCoarse, OutOfHorizon
-from .operators import face_to_center, nodal_curl, smoothstep, velocity_gradient
+from .operators import (
+    component_masks,
+    face_to_center,
+    nodal_curl,
+    smoothstep,
+    velocity_gradient,
+)
 
 
 class Grid:
@@ -104,6 +110,8 @@ class Grid:
         # faces whose value is known: unknown-carrying or prescribed
         self.uface_known = self.uface_interior | self.uface_boundary
         self.vface_known = self.vface_interior | self.vface_boundary
+        # the two components' stencil masks, the y-component's transposed
+        self.component_masks = component_masks(self)
 
         self.n_active = int(np.count_nonzero(act))
         # outermost ring of active cells, where the far field is checked
@@ -236,10 +244,11 @@ def enforce_bc(grid: Grid, path: MotionPath, state):
     """Copy of a fluid state (any dataclass with u, v, t) whose obstacle
     faces move with the body and whose truncation rim is at rest."""
     _, mp, _ = eval_motion(path, state.t)
+    xm, ym = grid.component_masks
     u = state.u.copy()
     v = state.v.copy()
-    u[~grid.uface_interior] = mp[0]
-    v[~grid.vface_interior] = mp[1]
+    u[xm.exterior] = mp[0]
+    v[ym.exterior.T] = mp[1]
     u[grid.uface_rim] = 0.0
     v[grid.vface_rim] = 0.0
     return replace(state, u=u, v=v)

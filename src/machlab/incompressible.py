@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CflViolation, NanDetected
 from .geometry import Grid, MotionPath, enforce_bc, eval_motion
-from .operators import component_masks, mirror_laplacian, upwind_transport
+from .operators import mirror_laplacian, upwind_transport
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class IncompressibleSolver:
         self.nu = float(kinematic_viscosity)
         self.path = path
         self.cfl = float(cfl)
+        self._limit_of = None  # (state, cfl_limit(state)) of the last step
 
     def init_state(self, u0, v0) -> IncompressibleState:
         """Solenoidal projection of u0, made compatible with the moving BC.
@@ -73,20 +74,26 @@ class IncompressibleSolver:
             bounds.append(g.h / umax)
         return self.cfl * min(bounds)
 
+    def _stable_dt(self, state: IncompressibleState) -> float:
+        """cfl_limit(state), evaluated once per state: run sizes the step
+        with it and step's guard reads the same value."""
+        if self._limit_of is None or self._limit_of[0] is not state:
+            self._limit_of = (state, self.cfl_limit(state))
+        return self._limit_of[1]
+
     def step(self, state: IncompressibleState, dt: float) -> IncompressibleState:
         """Explicit upwind advection-diffusion, then exact discrete projection."""
-        if dt > self.cfl_limit(state) * (1.0 + 1e-9):
-            raise CflViolation(
-                f"dt = {dt:.3e} exceeds the stability bound {self.cfl_limit(state):.3e}"
-            )
+        limit = self._stable_dt(state)
+        if dt > limit * (1.0 + 1e-9):
+            raise CflViolation(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e}")
         g = self.grid
         _, mp, _ = eval_motion(self.path, state.t)
         wu = state.u - mp[0]
         wv = state.v - mp[1]
 
-        x_masks, y_masks = component_masks(g)
-        u_star = self._transport(state.u, wu, wv, dt, *x_masks)
-        v_star = self._transport(state.v.T, wv.T, wu.T, dt, *y_masks).T
+        xm, ym = g.component_masks
+        u_star = self._transport(state.u, wu, wv, dt, xm)
+        v_star = self._transport(state.v.T, wv.T, wu.T, dt, ym).T
 
         # the projection must see the obstacle velocity of the new time
         t_new = state.t + dt
@@ -97,13 +104,18 @@ class IncompressibleSolver:
             raise NanDetected(f"non-finite velocity at t = {out.t:.6g}")
         return out
 
-    def _transport(self, un, wn, wt, dt, interior, known, other_known, cell_act):
-        """Upwind advection and explicit diffusion of one component."""
+    def _transport(self, un, wn, wt, dt, masks):
+        """Upwind advection and explicit diffusion of one component, laid
+        out like un; faces outside the unknowns keep their values."""
         h = self.grid.h
-        du = upwind_transport(un, wn, wt, interior, other_known, cell_act, h)
-        lap = mirror_laplacian(un, known, h)
-        du[1:-1, :] -= self.nu * lap[1:-1, :]
-        return np.where(interior, un - dt * du, un)
+        du = upwind_transport(un, wn, wt, masks, h)
+        lap = mirror_laplacian(un, masks.known, h)[1:-1]
+        lap *= self.nu
+        du[1:-1] -= lap
+        du *= dt
+        np.subtract(un, du, out=du)
+        np.copyto(du, un, where=masks.exterior)
+        return du
 
     def run(
         self,
@@ -118,7 +130,7 @@ class IncompressibleSolver:
         state = state0
         for target in times:
             while state.t < target - 1e-12:
-                limit = self.cfl_limit(state)
+                limit = self._stable_dt(state)
                 dt = limit if dt_policy == "adaptive" else min(float(dt_policy), limit)
                 dt = min(dt, target - state.t)
                 state = self.step(state, dt)

@@ -12,6 +12,8 @@ A + A^T and diagonal pivots. The module also holds the staggered stencils
 every other module shares, all reading the grid's known-face masks:
 face/center averages, the nodal curl, the cell-centred velocity gradient,
 upwind transport, the free-slip face Laplacian and the quintic C2 step.
+The per-step kernels read the per-component masks (ComponentMasks) that
+each grid builds once.
 """
 
 from __future__ import annotations
@@ -102,8 +104,11 @@ class DiscreteOperators:
         else:
             um = np.where(g.uface_interior, u, 0.0)
             vm = np.where(g.vface_interior, v, 0.0)
-        out = (um[1:, :] - um[:-1, :] + vm[:, 1:] - vm[:, :-1]) / self.h
-        out[~g.active] = 0.0
+        out = np.subtract(um[1:, :], um[:-1, :])
+        out += vm[:, 1:]
+        out -= vm[:, :-1]
+        out /= self.h
+        np.copyto(out, 0.0, where=g.component_masks[0].inactive)
         return out
 
     def curl(self, psi):
@@ -192,43 +197,71 @@ class DiscreteOperators:
 
 
 # -- staggered-grid stencils shared by the solvers and the analysis ----------
+#
+# The per-step kernels run once per velocity component, the y-component on
+# transposed (F-ordered) views. Every temporary is made with empty_like or
+# copy(order="K"), so it follows its input's layout and both passes stream
+# memory the same way; the ufuncs write in place.
 
 
 def face_to_center(u, v):
     """Cell-center averages of x-face and y-face components."""
-    return 0.5 * (u[1:, :] + u[:-1, :]), 0.5 * (v[:, 1:] + v[:, :-1])
+    uc = np.add(u[1:, :], u[:-1, :])
+    uc *= 0.5
+    vc = np.add(v[:, 1:], v[:, :-1])
+    vc *= 0.5
+    return uc, vc
 
 
 def center_to_xface(c):
-    """x-face averages of a cell field; the two edge columns stay zero."""
-    out = np.zeros((c.shape[0] + 1, c.shape[1]))
-    out[1:-1, :] = 0.5 * (c[1:, :] + c[:-1, :])
+    """x-face averages of a cell field, laid out like it; the two edge
+    columns stay zero."""
+    out = np.empty_like(c, dtype=float, shape=(c.shape[0] + 1, c.shape[1]))
+    out[0] = 0.0
+    out[-1] = 0.0
+    mid = np.add(c[1:], c[:-1], out=out[1:-1])
+    mid *= 0.5
     return out
 
 
 def center_to_yface(c):
     """y-face averages of a cell field; the two edge rows stay zero."""
-    out = np.zeros((c.shape[0], c.shape[1] + 1))
-    out[:, 1:-1] = 0.5 * (c[:, 1:] + c[:, :-1])
-    return out
+    return center_to_xface(c.T).T
+
+
+def velocity_gradient_components(grid, u, v):
+    """Cell-centred velocity gradient d u_i / d x_j from face components,
+    as four (nx, ny) arrays (gxx, gxy, gyx, gyy); zero on inactive cells.
+
+    The tangential derivatives are central differences of the cell
+    averages and stay zero on the edge rows (gyx) and columns (gxy).
+    """
+    g = grid
+    h = g.h
+    um = np.where(g.uface_known, u, 0.0)
+    vm = np.where(g.vface_known, v, 0.0)
+    gxx = np.subtract(um[1:, :], um[:-1, :])
+    gxx /= h
+    gyy = np.subtract(vm[:, 1:], vm[:, :-1])
+    gyy /= h
+    uc, vc = face_to_center(um, vm)
+    gyx = np.zeros((g.nx, g.ny))
+    mid = np.subtract(vc[2:, :], vc[:-2, :], out=gyx[1:-1, :])
+    mid /= 2 * h
+    gxy = np.zeros((g.nx, g.ny))
+    mid = np.subtract(uc[:, 2:], uc[:, :-2], out=gxy[:, 1:-1])
+    mid /= 2 * h
+    inactive = g.component_masks[0].inactive
+    for comp in (gxx, gxy, gyx, gyy):
+        np.copyto(comp, 0.0, where=inactive)
+    return gxx, gxy, gyx, gyy
 
 
 def velocity_gradient(grid, u, v):
     """Cell-centered velocity gradient tensor (nx, ny, 2, 2) from face
-    components; zero on inactive cells."""
-    g = grid
-    h = g.h
-    gu = np.zeros((g.nx, g.ny, 2, 2))
-    um = np.where(g.uface_known, u, 0.0)
-    vm = np.where(g.vface_known, v, 0.0)
-    gu[:, :, 0, 0] = (um[1:, :] - um[:-1, :]) / h
-    gu[:, :, 1, 1] = (vm[:, 1:] - vm[:, :-1]) / h
-    uc, vc = face_to_center(um, vm)
-    # tangential derivatives by central differences with mirrored edges
-    gu[1:-1, :, 1, 0] = (vc[2:, :] - vc[:-2, :]) / (2 * h)
-    gu[:, 1:-1, 0, 1] = (uc[:, 2:] - uc[:, :-2]) / (2 * h)
-    gu[~g.active] = 0.0
-    return gu
+    components, [..., i, j] = d u_i / d x_j; zero on inactive cells."""
+    comps = velocity_gradient_components(grid, u, v)
+    return np.stack(comps, axis=-1).reshape(grid.nx, grid.ny, 2, 2)
 
 
 def smoothstep(x):
@@ -245,77 +278,101 @@ def nodal_curl(psi, h):
     return (psi[:, 1:] - psi[:, :-1]) / h, -(psi[1:, :] - psi[:-1, :]) / h
 
 
-def component_masks(grid):
-    """Face masks for updating u on x-faces and, transposed, v on y-faces.
+class ComponentMasks:
+    """The masks of one velocity component's update, oriented as u on
+    x-faces (the y-component's are transposed views), with the derived
+    forms the per-step kernels read, built once per grid."""
 
-    Each entry is (interior, known, transverse_known, active), oriented so
-    that the y-component call reads exactly like the x-component one.
-    """
+    def __init__(self, interior, known, active):
+        # faces the update leaves as they are: prescribed, dead, edge
+        self.exterior = ~interior
+        self.known = known
+        # inner corners not between two unknown-carrying faces: no flux
+        self.corner_closed = ~(interior[1:-1, :-1] & interior[1:-1, 1:])
+        self.inactive = ~active
+
+
+def component_masks(grid):
+    """Masks for updating u on x-faces and, transposed, v on y-faces."""
     g = grid
     return (
-        (g.uface_interior, g.uface_known, g.vface_known, g.active),
-        (g.vface_interior.T, g.vface_known.T, g.uface_known.T, g.active.T),
+        ComponentMasks(g.uface_interior, g.uface_known, g.active),
+        ComponentMasks(g.vface_interior.T, g.vface_known.T, g.active.T),
     )
 
 
-def upwind_transport(q, wn, wt, interior, other_ok, cell_act, h):
+def upwind_transport(q, wn, wt, masks, h):
     """Divergence of the first-order upwind fluxes of one face component.
 
     q is the transported quantity on x-faces (the y-component arrives
     transposed), wn the frame-relative normal velocity on the same faces,
-    wt the relative transverse velocity on the other face family. The
-    dissipation is on the advective scale |w|. Returns an array shaped like
-    q that is zero on the two edge columns.
+    wt the relative transverse velocity on the other face family, masks
+    the component's ComponentMasks. The dissipation is on the advective
+    scale |w|. Returns an array laid out like q that is zero on the two
+    edge columns.
     """
-    nx, ny = cell_act.shape
+    nx, ny = masks.inactive.shape
 
-    # normal-direction flux, one value per cell column
-    wc = 0.5 * (wn[1:, :] + wn[:-1, :])
-    lam = np.abs(wc)
-    flux_n = 0.5 * wc * (q[1:, :] + q[:-1, :]) - 0.5 * lam * (q[1:, :] - q[:-1, :])
-    flux_n[~cell_act] = 0.0
+    # normal-direction flux, one value per cell column:
+    # (w/2) (q+ + q-) - (|w|/2) (q+ - q-) with w the cell-averaged wn
+    half_w = np.add(wn[1:, :], wn[:-1, :])
+    half_w *= 0.5
+    half_w *= 0.5
+    half_lam = np.abs(half_w)
+    flux_n = np.add(q[1:, :], q[:-1, :])
+    flux_n *= half_w
+    jump = np.subtract(q[1:, :], q[:-1, :])
+    jump *= half_lam
+    flux_n -= jump
+    np.copyto(flux_n, 0.0, where=masks.inactive)
 
-    # transverse flux at corners between neighboring faces; closures at
-    # walls reduce to zero flux (mirror state, zero normal w)
-    wtm = np.where(other_ok, wt, 0.0)
-    flux_t = np.zeros((nx + 1, ny + 1))
-    wcorn = 0.5 * (wtm[1:, 1:-1] + wtm[:-1, 1:-1])
+    # transverse flux at the inner corners between neighboring faces;
+    # closures at walls reduce to zero flux (mirror state, zero normal w).
+    # An open corner's four cells are active, so both transverse faces it
+    # reads carry unknowns: wt needs no mask of its own
+    half_w = np.add(wt[1:, 1:-1], wt[:-1, 1:-1])
+    half_w *= 0.5
+    half_w *= 0.5
+    half_lam = np.abs(half_w)
     qa = q[1:-1, :-1]
     qb = q[1:-1, 1:]
-    lamc = np.abs(wcorn)
-    flux_t[1:-1, 1:-1] = 0.5 * wcorn * (qa + qb) - 0.5 * lamc * (qb - qa)
-    pair_ok = np.zeros((nx + 1, ny + 1), dtype=bool)
-    pair_ok[1:-1, 1:-1] = interior[1:-1, :-1] & interior[1:-1, 1:]
-    flux_t[~pair_ok] = 0.0
+    flux_t = np.empty_like(q, shape=(nx - 1, ny + 1))
+    flux_t[:, 0] = 0.0
+    flux_t[:, -1] = 0.0
+    inner = np.add(qa, qb, out=flux_t[:, 1:-1])
+    inner *= half_w
+    jump = np.subtract(qb, qa)
+    jump *= half_lam
+    inner -= jump
+    np.copyto(inner, 0.0, where=masks.corner_closed)
 
-    dq = np.zeros_like(q)
-    dq[1:-1, :] = (flux_n[1:, :] - flux_n[:-1, :]) / h
-    dq[1:-1, :] += (flux_t[1:-1, 1:] - flux_t[1:-1, :-1]) / h
+    dq = np.empty_like(q)
+    dq[0] = 0.0
+    dq[-1] = 0.0
+    mid = np.subtract(flux_n[1:, :], flux_n[:-1, :], out=dq[1:-1])
+    mid /= h
+    dt_flux = np.subtract(flux_t[:, 1:], flux_t[:, :-1])
+    dt_flux /= h
+    mid += dt_flux
     return dq
 
 
 def mirror_laplacian(f, good, h):
-    """Five-point Laplacian of a face component; neighbors that are not
-    `good` (dead faces, beyond the box) mirror the center value, which is
-    the free-slip closure."""
-
-    def neighbor(shift_axis, step):
-        val = np.empty_like(f)
-        ok = np.empty_like(good)
-        if shift_axis == 0 and step == 1:
-            val[:-1, :], val[-1, :] = f[1:, :], f[-1, :]
-            ok[:-1, :], ok[-1, :] = good[1:, :], False
-        elif shift_axis == 0:
-            val[1:, :], val[0, :] = f[:-1, :], f[0, :]
-            ok[1:, :], ok[0, :] = good[:-1, :], False
-        elif step == 1:
-            val[:, :-1], val[:, -1] = f[:, 1:], f[:, -1]
-            ok[:, :-1], ok[:, -1] = good[:, 1:], False
-        else:
-            val[:, 1:], val[:, 0] = f[:, :-1], f[:, 0]
-            ok[:, 1:], ok[:, 0] = good[:, :-1], False
-        return np.where(ok, val, f)
-
-    return (
-        neighbor(0, 1) + neighbor(0, -1) + neighbor(1, 1) + neighbor(1, -1) - 4.0 * f
-    ) / h**2
+    """Five-point Laplacian of a face component, laid out like it;
+    neighbors that are not `good` (dead faces, beyond the box) mirror the
+    center value, which is the free-slip closure."""
+    out = f.copy(order="K")
+    np.copyto(out[:-1, :], f[1:, :], where=good[1:, :])
+    nb = f.copy(order="K")
+    np.copyto(nb[1:, :], f[:-1, :], where=good[:-1, :])
+    out += nb
+    np.copyto(nb, f)
+    np.copyto(nb[:, :-1], f[:, 1:], where=good[:, 1:])
+    out += nb
+    np.copyto(nb, f)
+    np.copyto(nb[:, 1:], f[:, :-1], where=good[:, :-1])
+    out += nb
+    np.multiply(f, 4.0, out=nb)
+    out -= nb
+    out /= h**2
+    return out

@@ -9,8 +9,9 @@ closed by a manifest. Each member is reduced to its table rows as soon as
 it finishes, in eps order, and its trajectory dropped, so the sweep holds
 one member's states at a time. With MACHLAB_WORKERS > 1 (read before
 anything is written; a value that is not an integer >= 1 is a config
-error) the members run in a process pool and each worker receives the parent's eigenpairs, so
-the sweep still makes one eigensolve and its files equal the sequential
+error) the members run in a process pool; each worker receives the
+scenario text and the parent's eigenpairs once, at its start, so the
+sweep still makes one eigensolve and its files equal the sequential
 run's byte for byte. At a fixed BLAS thread count all outputs are a pure
 function of (config, seed); the eigenpair residuals in eigenvalues.csv
 (printed as %.3e) move at rounding level with the thread count.
@@ -399,10 +400,10 @@ def _members(scenario: Scenario, dec, times, out_dir: Path, workers: int):
             yield (eps, *run_one_eps(scenario, dec, eps, times, cfg["run"]["seed"],
                                      out_dir / _eps_dirname(eps)))
         return
-    text = canonical_text(cfg)
     pairs = (dec.eigenvalues, dec.eigenvectors, dec.residuals)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {eps: pool.submit(_run_one_eps_job, text, pairs, eps, str(out_dir))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(canonical_text(cfg), pairs)) as pool:
+        futures = {eps: pool.submit(_run_one_eps_job, eps, str(out_dir))
                    for eps in eps_list}
         for eps in eps_list:
             yield (eps, *futures.pop(eps).result())
@@ -412,16 +413,26 @@ def _metric(run_id, eps, name, value):
     return MetricsRecord(run_id, eps, name, 2.0, "full", "integral_t", value)
 
 
-def _run_one_eps_job(cfg_text: str, pairs, eps: float, out_dir: str):
-    """Worker-pool entry: rebuilds the scenario from the canonical text and
-    the decomposition from the parent's eigenpairs (no second eigensolve)."""
+# the scenario and decomposition of a pool worker, set once by _init_worker
+_worker_setup = None
+
+
+def _init_worker(cfg_text: str, pairs):
+    """Worker-pool initializer: rebuilds the scenario from the canonical
+    text and the decomposition from the parent's eigenpairs (no second
+    eigensolve), once per worker, so each job carries only its eps."""
     from .config import parse_config
 
-    cfg = parse_config(cfg_text)
-    scenario = build_scenario(cfg)
-    dec = sp.SpectralDecomposition(scenario.grid, *pairs)
-    times = sample_schedule(cfg)
+    global _worker_setup
+    scenario = build_scenario(parse_config(cfg_text))
+    _worker_setup = (scenario, sp.SpectralDecomposition(scenario.grid, *pairs))
+
+
+def _run_one_eps_job(eps: float, out_dir: str):
+    """Worker-pool entry: one member on the worker's scenario."""
+    scenario, dec = _worker_setup
+    cfg = scenario.cfg
     return run_one_eps(
-        scenario, dec, eps, times, cfg["run"]["seed"],
+        scenario, dec, eps, sample_schedule(cfg), cfg["run"]["seed"],
         Path(out_dir) / _eps_dirname(eps),
     )

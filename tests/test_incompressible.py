@@ -97,6 +97,32 @@ class TestStep:
         with pytest.raises(CflViolation):
             sol.step(st, 100.0)
 
+    def test_run_evaluates_cfl_limit_once_per_step(self, grid, monkeypatch):
+        calls = {"cfl_limit": 0, "step": 0}
+
+        def counted(name):
+            fn = getattr(IncompressibleSolver, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(IncompressibleSolver, name, counted(name))
+        sol = IncompressibleSolver(grid, 0.01, linear_path((0.1, 0.0), 1.0))
+        traj = sol.run(sol.init_state(*vortex_field(grid)), [0.0, 0.02, 0.04])
+        assert calls["step"] > 2
+        assert calls["cfl_limit"] == calls["step"]
+        # the guard of a second step from the same state reads the stored
+        # limit and must still refuse a too-large dt
+        state = traj.states[-1]
+        limit = sol.cfl_limit(state)
+        sol.step(state, limit)
+        with pytest.raises(CflViolation):
+            sol.step(state, 1.01 * limit)
+
     def test_divergence_free_each_step(self, grid):
         sol = IncompressibleSolver(grid, 0.01, linear_path((0.1, 0.0), 10.0))
         st = sol.init_state(*vortex_field(grid))
