@@ -25,7 +25,7 @@ from .constitutive import (
     pressure_slope,
     relative_entropy,
 )
-from .errors import CflViolation, NanDetected, VacuumState
+from .errors import CflViolation, ConfigValidationError, NanDetected, VacuumState
 from .geometry import Grid, MotionPath, build_lifting, enforce_bc, eval_motion
 from .operators import (
     center_to_xface,
@@ -174,10 +174,10 @@ class CompressibleSolver:
         norm_l2 = g.l2norm(data.rho1)
         norm_linf = g.lq_norm(data.rho1, np.inf)
         if norm_l2 + norm_linf > data.bound:
-            raise ValueError(
+            raise ConfigValidationError([
                 f"ill-prepared data norms {norm_l2 + norm_linf:.3g} exceed "
-                f"the configured bound {data.bound:.3g}"
-            )
+                f"the bound {data.bound:.3g}"
+            ])
         rho = np.where(g.active, self.law.rho_ref + data.eps * data.rho1, self.law.rho_ref)
         if np.any(rho[g.active] <= 0.0):
             raise VacuumState("initial density is not positive everywhere")

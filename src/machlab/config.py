@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigParseError, ConfigValidationError
 from .geometry import default_lifting_radius, lifting_collar
+from .spectral import DESK_MODE_CAP
 
 # (type, default); defaults of None are derived during validation
 SCHEMA = {
@@ -183,7 +184,7 @@ def validate(cfg: ExperimentConfig):
     v = []
     g, p, m = cfg["geometry"], cfg["physics"], cfg["motion"]
     ini, n, sw = cfg["initial"], cfg["numerics"], cfg["sweep"]
-    sch, run = cfg["schedule"], cfg["run"]
+    sch, run, s = cfg["schedule"], cfg["run"], cfg["spectral"]
 
     if g["dimension"] != 2:
         v.append("dimension must be 2 for the desk-scale build")
@@ -236,8 +237,11 @@ def validate(cfg: ExperimentConfig):
         v.append("tol_energy must be positive")
     if n["sponge_width"] < 0:
         v.append("sponge_width must be nonnegative")
-    if n["modes"] < 1:
-        v.append("modes must be at least 1")
+    if not 1 <= n["modes"] <= DESK_MODE_CAP:
+        v.append(f"modes must lie in [1, {DESK_MODE_CAP}], got {n['modes']}")
+    if not 0.0 < s["cutoff_one"] < s["cutoff_zero"] < L:
+        v.append("spectral cutoffs must satisfy 0 < cutoff_one < cutoff_zero < extent, "
+                 f"got {s['cutoff_one']:g}, {s['cutoff_zero']:g}, {L:g}")
     if m["kind"] != "static" and a > 0 and h > 0:
         # the moving obstacle's lifting, whose radius the sponge width sets
         w = n["sponge_width"]

@@ -78,3 +78,7 @@ class ConfigValidationError(MachlabError, ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("invalid config:\n  " + "\n  ".join(self.violations))
+
+    def __reduce__(self):
+        # rebuilt from its violations when a pool worker raises it
+        return type(self), (self.violations,)

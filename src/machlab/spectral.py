@@ -34,6 +34,7 @@ from .constitutive import (
     stress,
 )
 from .errors import (
+    ConfigValidationError,
     EigensolverFailure,
     KernelSingularity,
     UnresolvedOscillation,
@@ -564,7 +565,9 @@ def make_spectral_window(dec: SpectralDecomposition) -> Callable:
     hi_start = lam[k // 2]
     hi_end = min(lam[-1], 1.5 * lam[k // 2])
     if not (0.0 < lo_start < lo_end <= hi_start < hi_end):
-        raise ValueError("window breakpoints must be increasing and positive")
+        raise ConfigValidationError(
+            [f"modes = {k} leaves the spectral window no increasing positive breakpoints"]
+        )
 
     def window(x):
         x = np.asarray(x, dtype=float)

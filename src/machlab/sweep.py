@@ -2,16 +2,18 @@
 
 run_sweep solves the Neumann eigenproblem once per scenario and tabulates
 the local-decay functional D(eps) from one probe and one horizon for every
-Mach number; the fluid scenario then drives, per Mach number: the
-compressible run, forcing channels and the diagnostics records, plus one
-incompressible reference run; everything is written to a run directory
-closed by a manifest. Each member is reduced to its table rows as soon as
-it finishes, in eps order, and its trajectory dropped, so the sweep holds
-one member's states at a time. With MACHLAB_WORKERS > 1 (read before
-anything is written; a value that is not an integer >= 1 is a config
-error) the members run in a process pool; each worker receives the
-scenario text and the parent's eigenpairs once, at its start, so the
-sweep still makes one eigensolve and its files equal the sequential
+Mach number, before it makes the run directory; the fluid scenario then
+runs one incompressible reference and, per Mach number, run_one_eps: the
+compressible run, its snapshots, forcing channels and diagnostics,
+returned as the member's table rows; everything is written to a run
+directory closed by a manifest. A member's trajectory never leaves
+run_one_eps, so the sweep holds one member's states at a time, and every
+member comes back as its rows, in process or from a worker. With
+MACHLAB_WORKERS > 1 (read before anything is written; a value that is not
+an integer >= 1 is a config error) the members run in a process pool;
+each worker receives the scenario text, the parent's eigenpairs and the
+reference trajectory once, at its start, so the sweep still makes one
+eigensolve and one reference run, and its files equal the sequential
 run's byte for byte. At a fixed BLAS thread count all outputs are a pure
 function of (config, seed); the eigenpair residuals in eigenvalues.csv
 (printed as %.3e) move at rounding level with the thread count.
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import spectral as sp
 from .compressible import CompressibleSolver, IllPreparedData, SolverOptions
-from .config import ExperimentConfig, canonical_text
+from .config import ExperimentConfig, canonical_text, parse_config
 from .constitutive import PressureLaw, ViscosityPair, pressure_slope
 from .diagnostics import MetricsRecord, convergence_metrics, uniform_estimate_report
 from .errors import ConfigValidationError
@@ -171,46 +173,35 @@ def sample_schedule(cfg: ExperimentConfig) -> np.ndarray:
     return np.linspace(0.0, sch["horizon"], sch["snapshots"])
 
 
-def rage_horizon(cfg: ExperimentConfig, law: PressureLaw) -> float:
-    """Observation horizon capped below the reflection-return time.
+def rage_table(cfg: ExperimentConfig, scenario: Scenario, dec) -> list:
+    """The rage.csv rows of every eps of the sweep: D(eps) from one probe
+    over one horizon, zero for an empty horizon.
 
-    Waves must leave the cutoff support and not re-enter it within the
-    horizon; the cap uses the smallest Mach number of the sweep, whose
-    sound speed is fastest.
+    The horizon is capped below the reflection-return time: waves must
+    leave the cutoff support and not re-enter it within the horizon; the
+    cap uses the smallest Mach number of the sweep, whose sound speed is
+    fastest.
     """
     s = cfg["spectral"]
+    law = scenario.law
+    x_field = _cell_bump(
+        scenario.grid, (s["source_center_x"], s["source_center_y"]), s["source_width"], 1.0
+    )
+    chi = sp.make_spatial_cutoff(scenario.grid, s["cutoff_one"], s["cutoff_zero"])
+    window = sp.make_spectral_window(dec)
     L = cfg["geometry"]["extent"]
     pp = float(pressure_slope(law, law.rho_ref))
     eps_min = min(cfg["sweep"]["eps"])
     cap = REFLECTION_SAFETY * 2.0 * (L - s["cutoff_zero"]) * eps_min / math.sqrt(pp)
-    return min(cfg["schedule"]["horizon"], cap)
-
-
-def rage_probe(cfg: ExperimentConfig, grid: Grid, dec: sp.SpectralDecomposition):
-    s = cfg["spectral"]
-    x_field = _cell_bump(
-        grid, (s["source_center_x"], s["source_center_y"]), s["source_width"], 1.0
-    )
-    chi = sp.make_spatial_cutoff(grid, s["cutoff_one"], s["cutoff_zero"])
-    window = sp.make_spectral_window(dec)
-    return x_field, chi, window
-
-
-def rage_row(dec, law: PressureLaw, eps: float, probe, horizon):
-    """One rage.csv row: D(eps) over [0, horizon]; zero for an empty horizon."""
-    x_field, chi, window = probe
-    if horizon <= 0.0:
-        return (eps, 0.0, 0.0, dec.modes, dec.truncation_remainder(x_field))
-    res = sp.rage_decay(dec, law, eps, x_field, chi, window, horizon)
-    return (eps, res.value, res.horizon, res.modes, res.truncation_remainder)
-
-
-def rage_table(cfg: ExperimentConfig, scenario: Scenario, dec) -> list:
-    """The rage.csv rows of every eps of the sweep: one probe, one horizon."""
-    probe = rage_probe(cfg, scenario.grid, dec)
-    horizon = rage_horizon(cfg, scenario.law)
-    return [rage_row(dec, scenario.law, eps, probe, horizon)
-            for eps in cfg["sweep"]["eps"]]
+    horizon = min(cfg["schedule"]["horizon"], cap)
+    rows = []
+    for eps in cfg["sweep"]["eps"]:
+        if horizon <= 0.0:
+            rows.append((eps, 0.0, 0.0, dec.modes, dec.truncation_remainder(x_field)))
+            continue
+        res = sp.rage_decay(dec, law, eps, x_field, chi, window, horizon)
+        rows.append((eps, res.value, res.horizon, res.modes, res.truncation_remainder))
+    return rows
 
 
 def decompose(cfg: ExperimentConfig, grid: Grid) -> sp.SpectralDecomposition:
@@ -233,24 +224,29 @@ def write_eigenvalues(path, dec: sp.SpectralDecomposition):
 # -- per-eps job ------------------------------------------------------------
 
 
-def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
-                out_dir: Path):
-    """Compressible run plus its per-snapshot analysis; returns the
-    trajectory and the forcing-channel norms.
+def run_one_eps(scenario: Scenario, dec, eps: float, reference, out_dir: Path):
+    """One sweep member, from its initial data to its table rows.
 
-    One pass over the snapshots writes each snapshot's rho, u, v and
-    assembles its forcing from one lifting sample.
+    Runs the compressible member at the snapshot times of the
+    incompressible `reference` trajectory and writes each snapshot's rho,
+    u, v under out_dir/eps_<eps>, assembling its forcing from one lifting
+    sample. Returns the member's energy.csv rows, mass.csv rows and metric
+    records (uniform estimates, limit metrics, forcing channels). The
+    trajectory never leaves this function, so a pool worker returns the
+    same few rows as an in-process call.
     """
     cfg = scenario.cfg
     grid, solver, lifting = scenario.grid, scenario.solver, scenario.solver.lifting
-    rng = np.random.default_rng(rng_seed)
+    run_id = cfg.digest()
+    rng = np.random.default_rng(cfg["run"]["seed"])
     data = initial_data(cfg, grid, eps, rng)
-    traj = solver.run(solver.init_state(data), times)
+    traj = solver.run(solver.init_state(data), reference.times)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    member_dir = out_dir / _eps_dirname(eps)
+    member_dir.mkdir(parents=True, exist_ok=True)
     vals = []
     for i, state in enumerate(traj.states):
-        write_snapshot(out_dir / f"snap_{i:03d}.dat", grid, state.t,
+        write_snapshot(member_dir / f"snap_{i:03d}.dat", grid, state.t,
                        {"rho": state.rho, "u": state.u, "v": state.v})
         ext = lifting_sample(lifting, grid, state.t)
         densities = sp.assemble_forcing(
@@ -258,12 +254,19 @@ def run_one_eps(scenario: Scenario, dec, eps: float, times, rng_seed: int,
         )
         vals.append(sp.forcing_channel_norms(densities, dec))
     # per-channel L2((0,T) x Omega) norms of the snapshot series
-    vals = np.array(vals)
-    if len(traj.times) == 1:
-        channels = np.zeros(vals.shape[1])
-    else:
-        channels = np.sqrt(np.trapezoid(vals**2, traj.times, axis=0))
-    return traj, channels
+    channels = np.sqrt(np.trapezoid(np.array(vals) ** 2, traj.times, axis=0))
+
+    records = uniform_estimate_report(traj, grid, scenario.law, eps, run_id=run_id)
+    records += convergence_metrics(
+        traj, reference, grid, scenario.law, scenario.path, lifting, run_id=run_id
+    )
+    records += [_metric(run_id, eps, name, value)
+                for name, value in zip(CHANNEL_NAMES, channels)]
+    records.append(_metric(run_id, eps, "forcing_channel_sum", float(np.sum(channels))))
+    energy_rows = [(rec.t, rec.eps, rec.lhs, rec.rhs, int(rec.flag)) for rec in traj.energy]
+    mass_rows = [(float(t), eps, m, s)
+                 for t, m, s in zip(traj.times, traj.total_mass, traj.sponge_mass)]
+    return energy_rows, mass_rows, records
 
 
 def _worker_count() -> int:
@@ -288,25 +291,27 @@ def _eps_dirname(eps: float) -> str:
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Full pipeline for the configured scenario; returns the summary table.
 
-    Both scenarios tabulate D(eps) here; the spectral scenario stops
-    there, the fluid scenario runs the whole sweep. Both write config.txt,
-    rage.csv, eigenvalues.csv, summary.csv and the manifest the same way.
+    Both scenarios tabulate D(eps) here, before the run directory is made,
+    so a config that the eigensolve or the probe refuses leaves none; the
+    spectral scenario stops there, the fluid scenario runs the whole
+    sweep. Both write config.txt, rage.csv, eigenvalues.csv, summary.csv
+    and the manifest the same way.
     """
     workers = _worker_count()
+    scenario = build_scenario(cfg)
+    dec = decompose(cfg, scenario.grid)
+    rage_rows = rage_table(cfg, scenario, dec)
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(canonical_text(cfg))
     run_id = cfg.digest()
-
-    scenario = build_scenario(cfg)
-    dec = decompose(cfg, scenario.grid)
-    rage_rows = rage_table(cfg, scenario, dec)
     if cfg["run"]["scenario"] == "spectral":
         header = ["eps", "rage_d"]
         summary_rows = [(row[0], row[1]) for row in rage_rows]
     else:
         decay = [row[1] for row in rage_rows]
-        summary_rows = _fluid_sweep(scenario, dec, decay, run_id, out_dir, workers)
+        summary_rows = _fluid_sweep(scenario, dec, decay, out_dir, workers)
         header = SUMMARY_HEADER
 
     write_csv(out_dir / "rage.csv", RAGE_HEADER, rage_rows)
@@ -317,49 +322,40 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             "out_dir": str(out_dir)}
 
 
-def _fluid_sweep(scenario: Scenario, dec, decay, run_id: str, out_dir: Path,
-                 workers: int):
+def _fluid_sweep(scenario: Scenario, dec, decay, out_dir: Path, workers: int):
     """Reference run, eps members and their tables; returns the summary.csv
-    rows, whose rage_d column is `decay` (one D value per eps). Each member
-    is reduced to its rows as soon as it finishes, in eps order, and its
-    trajectory dropped before the next one is taken."""
+    rows, whose rage_d column is `decay` (one D value per eps). Every
+    member comes back as its rows, from run_one_eps in this process or
+    from a pool worker, in eps order."""
     cfg = scenario.cfg
     grid = scenario.grid
-    times = sample_schedule(cfg)
-    decay_of = dict(zip(cfg["sweep"]["eps"], decay))
+    eps_list = cfg["sweep"]["eps"]
 
     # incompressible reference run (eps-independent)
     rng = np.random.default_rng(cfg["run"]["seed"])
     u0, v0 = initial_velocity(cfg, grid, rng)
     nu = cfg["physics"]["shear_viscosity"] / cfg["physics"]["reference_density"]
     inc = IncompressibleSolver(grid, nu, scenario.path, cfl=cfg["numerics"]["cfl"])
-    inc_traj = inc.run(inc.init_state(u0, v0), times)
+    inc_traj = inc.run(inc.init_state(u0, v0), sample_schedule(cfg))
     ref_dir = out_dir / "reference"
     ref_dir.mkdir(exist_ok=True)
     for i, st in enumerate(inc_traj.states):
         write_snapshot(ref_dir / f"snap_{i:03d}.dat", grid, st.t, {"u": st.u, "v": st.v})
 
-    energy_rows = []
-    metric_records = []
-    mass_rows = []
-    summary_rows = []
-    # no zip or enumerate here: their cached result tuple would keep the
-    # previous member alive while the next one runs
-    for eps, traj, channels in _members(scenario, dec, times, out_dir, workers):
-        for rec in traj.energy:
-            energy_rows.append((rec.t, rec.eps, rec.lhs, rec.rhs, int(rec.flag)))
-        for t, m, s in zip(traj.times, traj.total_mass, traj.sponge_mass):
-            mass_rows.append((float(t), eps, m, s))
-        records = uniform_estimate_report(traj, grid, scenario.law, eps, run_id=run_id)
-        records += convergence_metrics(
-            traj, inc_traj, grid, scenario.law, scenario.path, scenario.solver.lifting,
-            run_id=run_id,
-        )
-        records += [_metric(run_id, eps, name, value)
-                    for name, value in zip(CHANNEL_NAMES, channels)]
-        channel_sum = float(np.sum(channels))
-        records.append(_metric(run_id, eps, "forcing_channel_sum", channel_sum))
-        metric_records.extend(records)
+    if workers == 1:
+        members = [run_one_eps(scenario, dec, eps, inc_traj, out_dir) for eps in eps_list]
+    else:
+        pairs = (dec.eigenvalues, dec.eigenvectors, dec.residuals)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(canonical_text(cfg), pairs, inc_traj,
+                                           out_dir)) as pool:
+            members = list(pool.map(_run_one_eps_job, eps_list))
+
+    energy_rows, mass_rows, metric_records, summary_rows = [], [], [], []
+    for eps, d, (energy, mass, records) in zip(eps_list, decay, members):
+        energy_rows += energy
+        mass_rows += mass
+        metric_records += records
         by_name = {r.metric_name: r.value for r in records}
         summary_rows.append(
             (
@@ -367,13 +363,12 @@ def _fluid_sweep(scenario: Scenario, dec, decay, run_id: str, out_dir: Path,
                 by_name["density_scale"],
                 by_name["velocity_gap"],
                 by_name["solenoidal_pairing_gap"],
-                decay_of[eps],
-                channel_sum,
+                d,
+                by_name["forcing_channel_sum"],
                 by_name["res_indicator_l1"],
-                int(all(rec.flag for rec in traj.energy)),
+                int(all(row[4] for row in energy)),
             )
         )
-        del traj  # reduced: the next member runs without this one's states
 
     write_csv(out_dir / "energy.csv", ["t", "eps", "lhs", "rhs", "flag"], energy_rows)
     write_csv(out_dir / "mass.csv", ["t", "eps", "total_mass", "sponge_cumulative"],
@@ -389,50 +384,27 @@ def _fluid_sweep(scenario: Scenario, dec, decay, run_id: str, out_dir: Path,
     return summary_rows
 
 
-def _members(scenario: Scenario, dec, times, out_dir: Path, workers: int):
-    """Yield (eps, trajectory, channels) of each member in eps order. With
-    workers > 1 the members run in a process pool, and each future is
-    popped as its turn comes, so no finished trajectory outlives its turn."""
-    cfg = scenario.cfg
-    eps_list = cfg["sweep"]["eps"]
-    if workers == 1:
-        for eps in eps_list:
-            yield (eps, *run_one_eps(scenario, dec, eps, times, cfg["run"]["seed"],
-                                     out_dir / _eps_dirname(eps)))
-        return
-    pairs = (dec.eigenvalues, dec.eigenvectors, dec.residuals)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(canonical_text(cfg), pairs)) as pool:
-        futures = {eps: pool.submit(_run_one_eps_job, eps, str(out_dir))
-                   for eps in eps_list}
-        for eps in eps_list:
-            yield (eps, *futures.pop(eps).result())
-
-
 def _metric(run_id, eps, name, value):
     return MetricsRecord(run_id, eps, name, 2.0, "full", "integral_t", value)
 
 
-# the scenario and decomposition of a pool worker, set once by _init_worker
+# the scenario, decomposition, reference trajectory and run directory of a
+# pool worker, set once by _init_worker
 _worker_setup = None
 
 
-def _init_worker(cfg_text: str, pairs):
+def _init_worker(cfg_text: str, pairs, reference, out_dir: Path):
     """Worker-pool initializer: rebuilds the scenario from the canonical
     text and the decomposition from the parent's eigenpairs (no second
-    eigensolve), once per worker, so each job carries only its eps."""
-    from .config import parse_config
-
+    eigensolve) and keeps the parent's reference trajectory, once per
+    worker, so each job carries only its eps."""
     global _worker_setup
     scenario = build_scenario(parse_config(cfg_text))
-    _worker_setup = (scenario, sp.SpectralDecomposition(scenario.grid, *pairs))
+    dec = sp.SpectralDecomposition(scenario.grid, *pairs)
+    _worker_setup = (scenario, dec, reference, out_dir)
 
 
-def _run_one_eps_job(eps: float, out_dir: str):
-    """Worker-pool entry: one member on the worker's scenario."""
-    scenario, dec = _worker_setup
-    cfg = scenario.cfg
-    return run_one_eps(
-        scenario, dec, eps, sample_schedule(cfg), cfg["run"]["seed"],
-        Path(out_dir) / _eps_dirname(eps),
-    )
+def _run_one_eps_job(eps: float):
+    """Worker-pool entry: one member on the worker's setup, as its rows."""
+    scenario, dec, reference, out_dir = _worker_setup
+    return run_one_eps(scenario, dec, eps, reference, out_dir)

@@ -47,3 +47,5 @@ def test_traced_child_run_on_mini_config(tmp_path):
     assert out["counts"]["operators.poisson_solves"] == 16
     assert set(out["dt"]) == {"0.2", "0.1"}
     assert {"compressible.step", "sweep.self"} <= set(out["layers"])
+    # the tracer tags each member with run_one_eps's third argument, its eps
+    assert {"sweep.member.0.2", "sweep.member.0.1"} <= set(out["layers"])

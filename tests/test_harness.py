@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import pickle
 import shutil
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import pytest
 from machlab import spectral as sp
 from machlab import sweep, verify
 from machlab.cli import main as cli_main
-from machlab.compressible import FluidState
+from machlab.compressible import CompressibleSolver, FluidState
 from machlab.config import SCHEMA, canonical_text, default_config, parse_config
 from machlab.errors import (
     ConfigParseError,
@@ -20,6 +22,7 @@ from machlab.errors import (
     MissingArtifact,
 )
 from machlab.geometry import build_grid, lifting_sample
+from machlab.incompressible import IncompressibleSolver
 from machlab.storage import (
     check_artifacts,
     read_csv,
@@ -104,6 +107,12 @@ class TestConfig:
         unread = [f"[{sec}] {key}" for sec, keys in SCHEMA.items()
                   for key in keys if key not in read]
         assert not unread
+
+    def test_validation_error_survives_pickling(self):
+        # a pool worker's error reaches the parent pickled
+        err = pickle.loads(pickle.dumps(ConfigValidationError(["first", "second"])))
+        assert err.violations == ["first", "second"]
+        assert str(err) == "invalid config:\n  first\n  second"
 
     def test_digest_stable(self):
         assert parse_config("").digest() == parse_config("").digest()
@@ -211,20 +220,52 @@ class TestSweep:
             assert a == b, name
 
     def test_member_reduced_before_next_starts(self, mini_cfg, tmp_path, monkeypatch):
-        # each member becomes its table rows as it finishes; its states must
-        # be gone before the next member runs
+        # each member becomes its table rows inside run_one_eps; the last
+        # state of its compressible run must be gone before the next starts
         last_states = []
+        solver_run = CompressibleSolver.run
         run_member = sweep.run_one_eps
 
-        def tracked(scenario, dec, eps, *args):
-            assert all(ref() is None for ref in last_states), eps
-            traj, channels = run_member(scenario, dec, eps, *args)
+        def tracked_run(self, *args, **kwargs):
+            traj = solver_run(self, *args, **kwargs)
             last_states.append(weakref.ref(traj.states[-1]))
-            return traj, channels
+            return traj
 
-        monkeypatch.setattr(sweep, "run_one_eps", tracked)
+        def tracked_member(scenario, dec, eps, *args):
+            assert all(ref() is None for ref in last_states), eps
+            return run_member(scenario, dec, eps, *args)
+
+        monkeypatch.setattr(CompressibleSolver, "run", tracked_run)
+        monkeypatch.setattr(sweep, "run_one_eps", tracked_member)
         run_sweep(mini_cfg, tmp_path / "reduced")
         assert len(last_states) == len(mini_cfg["sweep"]["eps"])
+        assert all(ref() is None for ref in last_states)
+
+    def test_pool_job_returns_only_rows(self, mini_cfg, tmp_path, monkeypatch):
+        # a worker sends back the member's table rows, not its trajectory
+        sc = build_scenario(mini_cfg)
+        dec = sweep.decompose(mini_cfg, sc.grid)
+        u0, v0 = sweep.initial_velocity(mini_cfg, sc.grid, np.random.default_rng(0))
+        inc = IncompressibleSolver(sc.grid, 0.01, sc.path, cfl=0.4)
+        reference = inc.run(inc.init_state(u0, v0), sample_schedule(mini_cfg))
+        monkeypatch.setattr(sweep, "_worker_setup", None)
+        sweep._init_worker(canonical_text(mini_cfg),
+                           (dec.eigenvalues, dec.eigenvectors, dec.residuals),
+                           reference, tmp_path)
+        result = sweep._run_one_eps_job(0.2)
+
+        def leaves(obj):
+            yield obj
+            if isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from leaves(item)
+            elif dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    yield from leaves(getattr(obj, f.name))
+
+        assert not any(isinstance(x, (np.ndarray, FluidState)) for x in leaves(result))
+        assert len(pickle.dumps(result)) < 64 * 1024
+        assert (tmp_path / "eps_0p2" / "snap_004.dat").exists()
 
 
 class TestVerify:
@@ -379,6 +420,30 @@ class TestCli:
             with pytest.raises(ConfigValidationError, match=reason):
                 parse_config(text)
             parse_config(text + "\n[motion]\nkind = static\n")
+
+    @pytest.mark.parametrize("entries, leaves_dir", [
+        ("[spectral]\ncutoff_one = 0.4\ncutoff_zero = 0.3", False),
+        ("[spectral]\ncutoff_zero = 1.5", False),  # not below extent = 1
+        ("[numerics]\nmodes = 3", False),  # no room for the spectral window
+        ("[numerics]\nmodes = 2500", False),  # beyond spectral.DESK_MODE_CAP
+        ("[initial]\npulse_amplitude = 2000", True),  # ill-prepared data bound
+    ], ids=["cutoff_order", "cutoff_extent", "modes_3", "modes_cap", "pulse_bound"])
+    def test_config_refused_without_traceback(self, entries, leaves_dir, tmp_path):
+        # each of these used to pass validation and then die with a
+        # traceback or write meaningless rows; only the data bound, checked
+        # on the first member's initial state, comes after the run directory
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(MINI_CFG + "\n" + entries + "\n")
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "machlab.cli", "run", "--config", str(cfgfile),
+             "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert out.exists() == leaves_dir
 
     @pytest.mark.parametrize("value", ["two", "0"])
     def test_bad_worker_count_exit_code(self, value, tmp_path, monkeypatch, capsys):
