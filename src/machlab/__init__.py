@@ -51,7 +51,6 @@ from .spectral import (
     duhamel_solve,
     extract_acoustic_potential,
     forcing_channel_norms,
-    fractional_power_apply,
     make_spatial_cutoff,
     make_spectral_window,
     rage_decay,

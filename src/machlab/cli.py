@@ -1,6 +1,7 @@
 """Command-line surface: run, sweep, verify, spectrum.
 
-Exit codes: 0 all-pass, 1 numerical failure, 2 config error.
+Exit codes: 0 all-pass, 1 numerical failure, 2 config error, 3 unreadable
+run directory (no manifest, a missing file, or a snapshot that is not v2).
 """
 
 from __future__ import annotations
@@ -10,7 +11,14 @@ import sys
 from pathlib import Path
 
 from .config import canonical_text, parse_config
-from .errors import ConfigParseError, ConfigValidationError, MachlabError
+from .errors import (
+    ConfigParseError,
+    ConfigValidationError,
+    IncompleteRun,
+    MachlabError,
+    MissingArtifact,
+    SnapshotFormatError,
+)
 from .sweep import (
     EIGENVALUE_HEADER,
     build_scenario,
@@ -24,6 +32,7 @@ from .verify import format_report, verify_run, verify_to_json
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
+EXIT_RUN_DIR = 3
 
 
 def _load_config(path, eps_override=None):
@@ -108,6 +117,9 @@ def main(argv=None) -> int:
     except (ConfigParseError, ConfigValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (IncompleteRun, MissingArtifact, SnapshotFormatError) as exc:
+        print(f"run directory error: {exc}", file=sys.stderr)
+        return EXIT_RUN_DIR
     except MachlabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -274,7 +274,8 @@ class CompressibleSolver:
             v_new *= keep_v
 
         out = enforce_bc(
-            g, self.path, FluidState(rho_new, u_new, v_new, state.t + dt, eps, sponge_mass)
+            g, self.path, FluidState(rho_new, u_new, v_new, state.t + dt, eps, sponge_mass),
+            copy=False,
         )
         if not (
             np.all(np.isfinite(out.rho))

@@ -13,8 +13,8 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .errors import ConfigParseError, ConfigValidationError
-from .geometry import default_lifting_radius, lifting_collar
-from .spectral import DESK_MODE_CAP
+from .geometry import build_grid, default_lifting_radius, lifting_collar
+from .spectral import DESK_CELL_CAP, DESK_MODE_CAP
 
 # (type, default); defaults of None are derived during validation
 SCHEMA = {
@@ -201,6 +201,18 @@ def validate(cfg: ExperimentConfig):
             v.append("obstacle_radius must exceed 2 * cell_size")
         if not L > 4.0 * a:
             v.append("extent must exceed 4 * obstacle_radius")
+        # the eigensolve's cap on active cells; the disk covers under 5 % of
+        # the box (extent > 4 radius), so a box over 4x the cap is refused
+        # without building the grid to count them
+        side = round(cells)
+        if v or side * side <= DESK_CELL_CAP:
+            pass
+        elif side * side > 4 * DESK_CELL_CAP:
+            v.append(f"grid has {side}x{side} cells, beyond the desk-scale cap "
+                     f"of {DESK_CELL_CAP} active cells")
+        elif (active := build_grid(2, L, a, h).n_active) > DESK_CELL_CAP:
+            v.append(f"grid has {active} active cells, beyond the desk-scale cap "
+                     f"of {DESK_CELL_CAP}")
 
     if not p["gamma"] > 1.5:
         v.append(f"gamma must exceed 3/2, got {p['gamma']}")

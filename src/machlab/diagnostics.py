@@ -203,20 +203,3 @@ def convergence_metrics(
         MetricsRecord(run_id, eps, "velocity_gap", 2.0, "annulus", "integral_t", velocity_gap),
         MetricsRecord(run_id, eps, "solenoidal_pairing_gap", 2.0, "full", "integral_t", pairing_gap),
     ]
-
-
-def assembly_identity_residual(grid: Grid, wu, wv, psi, phi_u, phi_v) -> float:
-    """Residual of the discrete splitting identity used by the final assembly.
-
-    <W, phi> = <W, H(phi)> - <psi, div H_perp(phi)> holds exactly for the
-    discrete Helmholtz splitting (the sign differs from the formal
-    integration-by-parts sketch; the discrete duality fixes it).
-    """
-    h2 = grid.h**2
-    phu, phv, theta = grid.ops.helmholtz(phi_u, phi_v)
-    gpu, gpv = grid.ops.grad(theta)
-    div_perp = grid.ops.div(gpu, gpv)
-    lhs = grid.ops.face_dot(wu, wv, phi_u, phi_v) * h2
-    rhs = grid.ops.face_dot(wu, wv, phu, phv) * h2
-    rhs -= float(np.sum(np.where(grid.active, psi * div_perp, 0.0))) * h2
-    return abs(lhs - rhs)

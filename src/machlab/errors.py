@@ -41,10 +41,6 @@ class EigensolverFailure(MachlabError, RuntimeError):
     """Sparse eigensolver failed to converge."""
 
 
-class KernelSingularity(MachlabError, ValueError):
-    """Negative operator power applied to a field with a kernel component."""
-
-
 class UnresolvedOscillation(MachlabError, ValueError):
     """Time-quadrature step too coarse for the fastest retained mode."""
 
@@ -59,6 +55,10 @@ class MissingArtifact(MachlabError, FileNotFoundError):
 
 class IncompleteRun(MachlabError, RuntimeError):
     """Run directory has no manifest; the producing run did not finish."""
+
+
+class SnapshotFormatError(MachlabError, ValueError):
+    """A stored snapshot is not a readable v2 snapshot."""
 
 
 class ConfigParseError(MachlabError, ValueError):

@@ -240,13 +240,14 @@ def eval_motion(path: MotionPath, t: float):
     )
 
 
-def enforce_bc(grid: Grid, path: MotionPath, state):
-    """Copy of a fluid state (any dataclass with u, v, t) whose obstacle
-    faces move with the body and whose truncation rim is at rest."""
+def enforce_bc(grid: Grid, path: MotionPath, state, copy=True):
+    """A fluid state (any dataclass with u, v, t) whose obstacle faces move
+    with the body and whose truncation rim is at rest. With copy=False the
+    caller hands over state.u and state.v, which are written in place."""
     _, mp, _ = eval_motion(path, state.t)
     xm, ym = grid.component_masks
-    u = state.u.copy()
-    v = state.v.copy()
+    u = state.u.copy() if copy else state.u
+    v = state.v.copy() if copy else state.v
     u[xm.exterior] = mp[0]
     v[ym.exterior.T] = mp[1]
     u[grid.uface_rim] = 0.0

@@ -53,14 +53,16 @@ class IncompressibleSolver:
         """
         g = self.grid
         hu, hv, _ = g.ops.helmholtz(u0, v0)
-        return self._project(enforce_bc(g, self.path, IncompressibleState(hu, hv, 0.0)))
+        return self._project(
+            enforce_bc(g, self.path, IncompressibleState(hu, hv, 0.0), copy=False)
+        )
 
     def _project(self, state: IncompressibleState) -> IncompressibleState:
         """Pressure projection of a state whose boundary faces hold their
         prescribed values: the boundary flux enters the divergence, and
         the boundary condition is imposed again on the result."""
         hu, hv, _ = self.grid.ops.helmholtz(state.u, state.v, include_boundary_faces=True)
-        return enforce_bc(self.grid, self.path, replace(state, u=hu, v=hv))
+        return enforce_bc(self.grid, self.path, replace(state, u=hu, v=hv), copy=False)
 
     def cfl_limit(self, state: IncompressibleState) -> float:
         g = self.grid
@@ -98,7 +100,8 @@ class IncompressibleSolver:
         # the projection must see the obstacle velocity of the new time
         t_new = state.t + dt
         out = self._project(
-            enforce_bc(g, self.path, replace(state, u=u_star, v=v_star, t=t_new))
+            enforce_bc(g, self.path, replace(state, u=u_star, v=v_star, t=t_new),
+                       copy=False)
         )
         if not (np.all(np.isfinite(out.u)) and np.all(np.isfinite(out.v))):
             raise NanDetected(f"non-finite velocity at t = {out.t:.6g}")

@@ -36,7 +36,6 @@ from .constitutive import (
 from .errors import (
     ConfigValidationError,
     EigensolverFailure,
-    KernelSingularity,
     UnresolvedOscillation,
 )
 from .geometry import ExtensionField, ExtensionFieldSample, Grid, MotionPath, eval_motion
@@ -222,31 +221,6 @@ def spectral_decompose(grid: Grid, modes: int) -> SpectralDecomposition:
             f"{int(bad.sum())} eigenpairs exceed the 1e-8 residual bound"
         )
     return dec
-
-
-def fractional_power_apply(dec: SpectralDecomposition, s: float, cell_field):
-    """Apply (-lap)^s on the retained span; returns (field, remainder).
-
-    Convention on the kernel: s = 0 acts as the identity on the retained
-    span, s > 0 annihilates the constant component (matching the direct
-    operator), and s < 0 requires the field to be orthogonal to constants.
-    """
-    c = dec.coefficients(cell_field)
-    lam = dec.eigenvalues
-    norm = np.linalg.norm(c)
-    if s < 0.0:
-        if abs(c[0]) > 1e-10 * max(norm, 1e-300):
-            raise KernelSingularity(
-                "negative power applied to a field with nonzero mean component"
-            )
-        scale = np.zeros_like(lam)
-        scale[1:] = lam[1:] ** s
-    elif s == 0.0:
-        scale = np.ones_like(lam)
-    else:
-        scale = lam**s
-    remainder = dec.truncation_remainder(cell_field)
-    return dec.reconstruct(c * scale), remainder
 
 
 # -- acoustic states and the wave propagator --------------------------------

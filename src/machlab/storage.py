@@ -1,9 +1,11 @@
-"""Run-directory artifacts: ASCII snapshots, CSV tables, and the manifest.
+"""Run-directory artifacts: binary snapshots, CSV tables, and the manifest.
 
-Snapshot format: an ASCII header (dimension, extents, cell size, time)
-followed by named fields, each stored row-major with one grid row per
-line. All writers are deterministic: fixed key order, fixed float
-formatting, sorted rows.
+Snapshot format v2: a NumPy `.npz` archive (uncompressed zip of `.npy`
+entries) holding the snapshot `time` as a float64 scalar and each named
+field as a C-ordered float64 array, in the writer's order. The values are
+exact, and the bytes depend on the values alone: numpy dates every zip
+entry 1980-01-01. All writers are deterministic: fixed key order, fixed
+float formatting, sorted rows.
 """
 
 from __future__ import annotations
@@ -11,62 +13,46 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IncompleteRun, MissingArtifact
+from .errors import IncompleteRun, MissingArtifact, SnapshotFormatError
 
 FLOAT_FMT = "%.12g"
 MANIFEST_NAME = "manifest.json"
 
 
 def write_snapshot(path, grid, time, fields: dict):
-    """Write named cell/face arrays with the grid header."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write("# machlab snapshot v1\n")
-        fh.write(f"dimension {grid.dimension}\n")
-        fh.write(
-            f"extent {grid.x0!r} {grid.x1!r} {grid.y0!r} {grid.y1!r}\n"
-        )
-        fh.write(f"h {grid.h!r}\n")
-        fh.write(f"time {time!r}\n")
-        for name, arr in fields.items():
-            arr = np.asarray(arr)
-            fh.write(f"field {name} {arr.shape[0]} {arr.shape[1]}\n")
-            np.savetxt(fh, arr, fmt=FLOAT_FMT)
+    """Write named cell/face arrays and the time to exactly `path`. `grid`
+    is not stored: the run's config.txt rebuilds it."""
+    arrays = {name: np.ascontiguousarray(arr, dtype=np.float64)
+              for name, arr in fields.items()}
+    # a file object, since np.savez appends `.npz` to a path
+    with Path(path).open("wb") as fh:
+        np.savez(fh, time=np.float64(time), **arrays)
 
 
 def read_snapshot(path):
-    """Read a snapshot; returns (meta dict, fields dict)."""
-    path = Path(path)
-    meta = {}
-    fields = {}
-    with path.open() as fh:
-        header = fh.readline()
-        if "machlab snapshot" not in header:
-            raise ValueError(f"{path} is not a machlab snapshot")
-        line = fh.readline()
-        meta["dimension"] = int(line.split()[1])
-        parts = fh.readline().split()
-        meta["extent"] = tuple(float(x) for x in parts[1:5])
-        meta["h"] = float(fh.readline().split()[1])
-        meta["time"] = float(fh.readline().split()[1])
-        while True:
-            line = fh.readline()
-            if not line:
-                break
-            tok = line.split()
-            if tok[0] != "field":
-                raise ValueError(f"unexpected snapshot line: {line!r}")
-            name, n0, n1 = tok[1], int(tok[2]), int(tok[3])
-            rows = [np.fromstring(fh.readline(), sep=" ") for _ in range(n0)]
-            arr = np.vstack(rows)
-            if arr.shape != (n0, n1):
-                raise ValueError(f"field {name} has shape {arr.shape}, not {(n0, n1)}")
-            fields[name] = arr
-    return meta, fields
+    """Read a v2 snapshot; returns ({"time": t}, fields dict). Anything else
+    (a v1 text snapshot, a truncated or corrupted file, no time, a pickled
+    array) raises SnapshotFormatError naming the path."""
+    with open(path, "rb") as fh:
+        if not zipfile.is_zipfile(fh):
+            raise SnapshotFormatError(
+                f"{path} is not a machlab v2 snapshot: not an .npz archive (run "
+                "directories from before v2 must be regenerated with `machlab run`)")
+        fh.seek(0)  # is_zipfile leaves the file at its end
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                fields = {name: archive[name] for name in archive.files}
+        except (ValueError, zipfile.BadZipFile) as exc:  # object arrays; CRC
+            raise SnapshotFormatError(f"{path} is not a machlab v2 snapshot: {exc}") from exc
+    time = fields.pop("time", None)
+    if time is None or time.shape != ():
+        raise SnapshotFormatError(f"{path} is not a machlab v2 snapshot: no scalar time")
+    return {"time": float(time)}, fields
 
 
 def write_csv(path, header, rows):

@@ -79,6 +79,23 @@ class TestInitState:
         with pytest.raises(VacuumState):
             sol.init_state(pulse_data(sol.grid, eps=2.0, amp=-1.0))
 
+    def test_initial_data_left_unchanged(self):
+        # init_state writes the boundary values into copies: the data's
+        # arrays are the caller's, and every eps member reuses them
+        sol = make_solver(path=linear_path((0.1, 0.05), 10.0))
+        g = sol.grid
+        rng = np.random.default_rng(4)
+        data = IllPreparedData(np.zeros((g.nx, g.ny)), rng.random((g.nx + 1, g.ny)),
+                               rng.random((g.nx, g.ny + 1)), 0.1)
+        u0, v0 = data.u0.copy(), data.v0.copy()
+        state = sol.init_state(data)
+        assert np.array_equal(data.u0, u0) and np.array_equal(data.v0, v0)
+        assert not np.array_equal(state.u, u0) and not np.array_equal(state.v, v0)
+        # the step hands enforce_bc arrays it owns: fresh ones, not the input's
+        out = sol.step(state, 0.5 * sol.cfl_limit(state))
+        assert not np.shares_memory(out.u, state.u)
+        assert not np.shares_memory(out.v, state.v)
+
     def test_data_bound_enforced(self):
         sol = make_solver()
         data = pulse_data(sol.grid, eps=0.01)

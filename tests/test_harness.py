@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import weakref
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from machlab.errors import (
     ConfigValidationError,
     IncompleteRun,
     MissingArtifact,
+    SnapshotFormatError,
 )
 from machlab.geometry import build_grid, lifting_sample
 from machlab.incompressible import IncompressibleSolver
@@ -114,10 +116,39 @@ class TestConfig:
         assert err.violations == ["first", "second"]
         assert str(err) == "invalid config:\n  first\n  second"
 
+    def test_cell_cap_counts_active_cells(self):
+        # a 129x129 box holds 16641 cells; the disk leaves 16336 of them
+        # active with radius 10 (under the 128**2 cap), 16448 with radius 8
+        geometry = "[geometry]\nextent = 64.5\ncell_size = 1.0\nobstacle_radius = "
+        assert parse_config(geometry + "10.0\n")["geometry"]["extent"] == 64.5
+        with pytest.raises(ConfigValidationError, match="grid has 16448 active cells"):
+            parse_config(geometry + "8.0\n")
+
     def test_digest_stable(self):
         assert parse_config("").digest() == parse_config("").digest()
         other = parse_config("[run]\nseed = 5\n")
         assert other.digest() != parse_config("").digest()
+
+
+def _spoil_snapshot(path, defect):
+    """Overwrite a snapshot with one that read_snapshot must refuse."""
+    if defect == "v1_text":
+        path.write_text("# machlab snapshot v1\ndimension 2\ntime 0.0\n")
+    elif defect == "truncated":
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    elif defect == "bit_flip":  # in a field's data: the zip CRC catches it
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x40
+        path.write_bytes(bytes(data))
+    elif defect == "no_time":
+        with path.open("wb") as fh:
+            np.savez(fh, rho=np.ones((4, 4)))
+    else:  # a pickled (object) array
+        with path.open("wb") as fh:
+            np.savez(fh, time=np.float64(0.0), rho=np.array([None, 1.0], dtype=object))
+
+
+SPOILED = ["v1_text", "truncated", "bit_flip", "no_time", "pickled"]
 
 
 class TestSnapshotFormat:
@@ -130,32 +161,34 @@ class TestSnapshotFormat:
         }
         path = tmp_path / "snap.dat"
         write_snapshot(path, grid, 0.125, fields)
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.dat"]
         meta, back = read_snapshot(path)
-        assert meta["time"] == 0.125
-        assert meta["h"] == grid.h
+        assert meta == {"time": 0.125}
+        assert list(back) == list(fields)
         for name in fields:
-            np.testing.assert_allclose(back[name], fields[name], rtol=1e-11)
+            assert np.array_equal(back[name], fields[name]), name
 
-    @pytest.mark.parametrize("defect, message", [
-        ("no_header", "not a machlab snapshot"),
-        ("stray_line", "unexpected snapshot line"),
-        ("shape", "has shape"),
-    ])
-    def test_malformed_refused(self, defect, message, tmp_path):
+    def test_bytes_depend_on_values_only(self, tmp_path):
+        grid = build_grid(2, 1.0, 0.15, 1.0 / 16.0)
+        rho = np.random.default_rng(1).random((grid.nx, grid.ny))
+        first, second = tmp_path / "a.dat", tmp_path / "b.dat"
+        write_snapshot(first, grid, 0.5, {"rho": rho})
+        write_snapshot(second, grid, 0.5, {"rho": np.asfortranarray(rho)})
+        assert first.read_bytes() == second.read_bytes()
+        # the zip entries carry a fixed date, not the time of writing
+        with zipfile.ZipFile(first) as archive:
+            assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+    @pytest.mark.parametrize("defect", SPOILED)
+    def test_malformed_refused(self, defect, tmp_path):
         grid = build_grid(2, 1.0, 0.15, 1.0 / 16.0)
         path = tmp_path / "snap.dat"
         write_snapshot(path, grid, 0.0, {"rho": np.ones((grid.nx, grid.ny))})
-        text = path.read_text()
-        if defect == "no_header":
-            text = text.split("\n", 1)[1]
-        elif defect == "stray_line":
-            text += "pressure 0 0\n"
-        else:
-            text = text.replace(f"field rho {grid.nx} {grid.ny}",
-                                f"field rho {grid.nx} {grid.ny + 1}")
-        path.write_text(text)
-        with pytest.raises(ValueError, match=message):
+        _spoil_snapshot(path, defect)
+        with pytest.raises(SnapshotFormatError, match="not a machlab v2 snapshot") as err:
             read_snapshot(path)
+        assert isinstance(err.value, ValueError)
+        assert str(path) in str(err.value)
 
 
 class TestSweep:
@@ -299,8 +332,8 @@ class TestVerify:
             assert str(victim.relative_to(broken)) in str(err.value)
 
     def test_old_extra_fields_still_verify(self, mini_cfg, mini_run, tmp_path):
-        # run directories written while snapshots still stored r, psi and
-        # the reference pressure must keep verifying
+        # snapshots holding fields beyond the ones verify reads (r, psi, a
+        # reference pressure, as older runs stored) still verify
         old = self._copy(mini_run["out_dir"], tmp_path, "old")
         grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
         for eps in mini_cfg["sweep"]["eps"]:
@@ -341,40 +374,33 @@ class TestVerify:
 class TestStoredAcousticPair:
     @pytest.fixture(scope="class")
     def in_memory(self, mini_cfg):
-        """Per eps, each snapshot's density and acoustic pair, rerun in
-        memory the way run_one_eps runs the member."""
+        """Per eps, each snapshot's acoustic pair, rerun in memory the way
+        run_one_eps runs the member."""
         sc = build_scenario(mini_cfg)
         out = {}
         for eps in mini_cfg["sweep"]["eps"]:
             data = initial_data(mini_cfg, sc.grid, eps,
                                 np.random.default_rng(mini_cfg["run"]["seed"]))
             traj = sc.solver.run(sc.solver.init_state(data), sample_schedule(mini_cfg))
-            out[eps] = [(st.rho, sp.extract_acoustic_potential(
+            out[eps] = [sp.extract_acoustic_potential(
                             st, sc.grid, sc.path, sc.law,
-                            lifting_sample(sc.solver.lifting, sc.grid, st.t)))
+                            lifting_sample(sc.solver.lifting, sc.grid, st.t))
                         for st in traj.states]
         return out
 
     @staticmethod
-    def _agrees(rebuilt, rho, ref):
-        """r and psi agree in max norm relative to the in-memory fields: psi
-        to 1e-9; r to 1e-9 at eps = 0.2 and, at every eps, to the rounding
-        the file holds. %.12g keeps rho to 5e-12 relative, and
-        r = (rho - rho_ref)/eps carries that rounding times 1/eps (3e-9 of
-        the decayed r field at eps = 0.1)."""
-        err_r = np.abs(rebuilt.r - ref.r).max() / np.abs(ref.r).max()
-        err_psi = np.abs(rebuilt.psi - ref.psi).max() / np.abs(ref.psi).max()
-        rounding = 5e-12 * np.abs(rho).max() / (ref.eps * np.abs(ref.r).max())
-        return (err_psi <= 1e-9 and err_r <= 1.001 * rounding
-                and (ref.eps != 0.2 or err_r <= 1e-9))
+    def _agrees(rebuilt, ref):
+        """The snapshot stores rho, u, v exactly, so the rebuilt pair equals
+        the in-memory one bit for bit."""
+        return np.array_equal(rebuilt.r, ref.r) and np.array_equal(rebuilt.psi, ref.psi)
 
     def test_matches_in_memory_pair(self, mini_run, in_memory):
         assert [len(pairs) for pairs in in_memory.values()] == [5, 5]
         for eps, pairs in in_memory.items():
-            for i, (rho, ref) in enumerate(pairs):
+            for i, ref in enumerate(pairs):
                 rebuilt = stored_acoustic_pair(mini_run["out_dir"], eps, i)
                 assert (rebuilt.eps, rebuilt.t) == (ref.eps, ref.t)
-                assert self._agrees(rebuilt, rho, ref), (eps, i)
+                assert self._agrees(rebuilt, ref), (eps, i)
 
     @pytest.mark.parametrize("mutation", ["wrong_eps", "wrong_snapshot"])
     def test_mutated_rebuild_fails(self, mutation, mini_run, in_memory, monkeypatch):
@@ -383,9 +409,9 @@ class TestStoredAcousticPair:
                                 lambda rho, u, v, t, eps: FluidState(rho, u, v, t, 2.0 * eps))
         shift = int(mutation == "wrong_snapshot")
         for eps, pairs in in_memory.items():
-            for i, (rho, ref) in enumerate(pairs[:-1]):
+            for i, ref in enumerate(pairs[:-1]):
                 rebuilt = stored_acoustic_pair(mini_run["out_dir"], eps, i + shift)
-                assert not self._agrees(rebuilt, rho, ref), (eps, i)
+                assert not self._agrees(rebuilt, ref), (eps, i)
 
 
 class TestCli:
@@ -445,6 +471,19 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert out.exists() == leaves_dir
 
+    def test_grid_beyond_cell_cap_exit_code(self, tmp_path, capsys):
+        # 256x256 cells around the disk: refused on its active-cell count,
+        # the one the eigensolve would have refused after the reference run
+        cfgfile = tmp_path / "fine.cfg"
+        cfgfile.write_text(MINI_CFG.replace("cell_size = 0.03125", "cell_size = 0.0078125"))
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        grid = build_grid(2, 1.0, 0.15, 0.0078125)
+        assert f"grid has {grid.n_active} active cells, beyond the desk-scale cap" in err
+        assert grid.n_active > sp.DESK_CELL_CAP
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["two", "0"])
     def test_bad_worker_count_exit_code(self, value, tmp_path, monkeypatch, capsys):
         # refused before the run directory exists, not after the reference run
@@ -465,6 +504,18 @@ class TestCli:
         fields["rho"][grid.nx // 2, grid.ny // 4] = 25.0
         write_snapshot(victim, grid, meta["time"], fields)
         assert cli_main(["verify", str(broken)]) == 1
+
+    @pytest.mark.parametrize("defect", SPOILED)
+    def test_verify_unreadable_snapshot_exit_code(self, defect, mini_run, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(mini_run["out_dir"], broken)
+        victim = broken / "eps_0p1" / "snap_002.dat"
+        _spoil_snapshot(victim, defect)
+        assert cli_main(["verify", str(broken)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and str(victim) in lines[0], lines
 
     def test_verify_pass_exit_code(self, mini_run):
         assert cli_main(["verify", mini_run["out_dir"]]) == 0

@@ -48,6 +48,17 @@ class TestProjectInitial:
         assert np.abs(hu - u).max() <= 1e-10
         assert np.abs(hv - v).max() <= 1e-10
 
+    def test_init_state_leaves_input_unchanged(self, grid):
+        u, v = vortex_field(grid)
+        gu, gv = gradient_field(grid)
+        u0, v0 = u + gu, v + gv
+        u0[grid.uface_rim] = 1.0
+        before = u0.copy(), v0.copy()
+        inc = IncompressibleSolver(grid, 0.01, linear_path((0.1, 0.0), 1.0))
+        state = inc.init_state(u0, v0)
+        assert np.array_equal(u0, before[0]) and np.array_equal(v0, before[1])
+        assert not np.shares_memory(state.u, u0)
+
     def test_gradient_killed(self, grid):
         gu, gv = gradient_field(grid)
         hu, hv, _ = grid.ops.helmholtz(gu, gv)
