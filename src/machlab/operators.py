@@ -7,11 +7,14 @@ the Gram matrix G^T G. DiscreteOperators.helmholtz, built from these
 operators, is an exact discrete orthogonal splitting and the one pressure
 projection: the Helmholtz split and both projections of the incompressible
 solver call it. Neumann Poisson solves ground unknown 0 and reuse one
-SuperLU factor per grid, in symmetric mode: minimum-degree ordering on
-A + A^T and diagonal pivots. The module also holds the staggered stencils
-every other module shares, all reading the grid's known-face masks:
-face/center averages, the nodal curl, the cell-centred velocity gradient,
-upwind transport, the free-slip face Laplacian and the quintic C2 step.
+SuperLU factor per grid. spd_factor owns the settings of every SuperLU
+factor of a symmetric positive definite matrix (the Poisson factor and
+the eigensolver's shift-invert blocks): symmetric mode, minimum-degree
+ordering on A + A^T and diagonal pivots. The module also holds the
+staggered stencils every other module shares, all reading the grid's
+known-face masks: face/center averages, the nodal curl, the cell-centred
+velocity gradient, upwind transport, the free-slip face Laplacian and the
+quintic C2 step.
 The per-step kernels read the per-component masks (ComponentMasks) that
 each grid builds once.
 """
@@ -23,6 +26,19 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DisconnectedDomain, PoissonFailure
+
+
+def spd_factor(matrix):
+    """SuperLU factor of a symmetric positive definite sparse matrix.
+
+    Symmetric mode with minimum-degree ordering on A + A^T and diagonal
+    pivots: an SPD matrix needs no row interchange, and the symmetric
+    ordering fills L + U far less than the default COLAMD.
+    """
+    return spla.splu(
+        matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+    )
 
 
 class DiscreteOperators:
@@ -141,13 +157,8 @@ class DiscreteOperators:
         return (d @ self.laplacian_matrix @ d + sp.diags(1.0 - keep)).tocsc()
 
     def _factorization(self):
-        # symmetric minimum-degree ordering on A + A^T with diagonal pivots:
-        # the grounded matrix is SPD, so no row interchange is needed
         if self._lu is None:
-            self._lu = spla.splu(
-                self.grounded_matrix(), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0, options={"SymmetricMode": True},
-            )
+            self._lu = spd_factor(self.grounded_matrix())
         return self._lu
 
     def poisson_solve(self, rhs_vec, tol=1e-9):

@@ -1,10 +1,15 @@
 """Neumann Laplacian spectral calculus, acoustic propagator, and decay probes.
 
 Everything here runs on the retained eigenspan of the discrete Neumann
-Laplacian: fractional operator powers, the two-component acoustic wave
-propagator with its Duhamel quadrature, the forcing-channel bookkeeping of
-the wave source, and the time-averaged local-decay functional measuring
-acoustic dispersion. One table, FORCING_TERMS, names the wave source's
+Laplacian. The eigensolve splits the Laplacian into the sectors of the
+mask's reflection symmetries (the mirrors and, on a mask equal to its
+transpose, the diagonal), copies a transposed twin sector's pairs instead
+of solving it, and factors each shift-invert block with
+operators.spd_factor. On the span live the two-component acoustic wave
+propagator with its Duhamel quadrature, the forcing-channel bookkeeping
+of the wave source, and the time-averaged local-decay functional
+measuring acoustic dispersion, whose trapezoid nodes are evaluated in
+chunks of real products. One table, FORCING_TERMS, names the wave source's
 terms with their inverse-Laplacian pairing and channels; their densities
 are projected on the span in one product. The wave source takes the
 lifting's moving-frame derivative from the lifting field, on its support
@@ -40,7 +45,8 @@ from .errors import (
 )
 from .geometry import ExtensionField, ExtensionFieldSample, Grid, MotionPath, eval_motion
 from .operators import (
-    center_to_xface, center_to_yface, face_to_center, smoothstep, velocity_gradient,
+    center_to_xface, center_to_yface, face_to_center, smoothstep, spd_factor,
+    velocity_gradient,
 )
 
 DESK_CELL_CAP = 128 * 128
@@ -78,8 +84,15 @@ class SpectralDecomposition:
         return self.grid.h * float(np.linalg.norm(tail))
 
 
-def _sector_bases(grid: Grid) -> list:
-    """Orthonormal bases of the grid's mirror-parity sectors, even first.
+def _normalized(b):
+    """b's nonzero columns, scaled to unit norm; None when all vanish."""
+    norm = np.sqrt(np.asarray(b.multiply(b).sum(axis=0)).ravel())
+    keep = norm > 0.0
+    return b[:, keep] @ sp.diags(1.0 / norm[keep]) if np.any(keep) else None
+
+
+def _mirror_sectors(grid: Grid) -> list:
+    """(parity, basis) of the grid's mirror-parity sectors, all-even first.
 
     The Neumann Laplacian depends on the active mask only, so it commutes
     with every index reflection (i -> nx-1-i, j -> ny-1-j) the mask admits.
@@ -107,54 +120,111 @@ def _sector_bases(grid: Grid) -> list:
         images.append((flipped, idx[ij[0], ij[1]]))
     cols = np.tile(np.arange(len(ri)), len(images))
     rows = np.concatenate([cells for _, cells in images])
-    bases = []
+    sectors = []
     for parity in itertools.product((1.0, -1.0), repeat=len(flips)):
         vals = np.concatenate([
             np.full(len(ri), math.prod(p for p, f in zip(parity, flipped) if f))
             for flipped, _ in images
         ])
-        b = sp.csc_matrix((vals, (rows, cols)), shape=(n, len(ri)))
-        norm = np.sqrt(np.asarray(b.multiply(b).sum(axis=0)).ravel())
-        keep = norm > 0.0
-        if np.any(keep):
-            bases.append(b[:, keep] @ sp.diags(1.0 / norm[keep]))
-    return bases
+        b = _normalized(sp.csc_matrix((vals, (rows, cols)), shape=(n, len(ri))))
+        if b is not None:
+            sectors.append((parity, b))
+    return sectors
+
+
+def _diagonal_split(b, tp) -> list:
+    """The diagonal-even and diagonal-odd parts of a sector that the
+    transpose i <-> j maps onto itself, column c onto column partner[c]:
+    normalized orbit sums e_c + e_p and e_c - e_p of its columns (a column
+    on the diagonal is its own partner and is diagonal-even). Each row
+    still holds at most one entry."""
+    b = b.tocsc()
+    m = b.shape[1]
+    col_of_cell = np.full(b.shape[0], -1)
+    col_of_cell[b.indices] = np.repeat(np.arange(m), np.diff(b.indptr))
+    partner = col_of_cell[tp[b.indices[b.indptr[:-1]]]]
+    reps = np.flatnonzero(np.arange(m) <= partner)
+    rows = np.concatenate([reps, partner[reps]])
+    cols = np.tile(np.arange(len(reps)), 2)
+    halves = []
+    for sign in (1.0, -1.0):
+        vals = np.repeat([1.0, sign], len(reps))
+        half = _normalized(b @ sp.csc_matrix((vals, (rows, cols)), shape=(m, len(reps))))
+        if half is not None:
+            halves.append(half)
+    return halves
+
+
+def _sector_bases(grid: Grid) -> list:
+    """Orthonormal bases of the grid's reflection sectors, all-even first,
+    each with the index of the earlier sector whose eigenpairs it shares,
+    or None when it is solved itself.
+
+    Without transpose symmetry these are the mirror-parity sectors. When
+    the active mask equals its transpose (a centred disk in a square box),
+    the sectors the transpose i <-> j maps onto themselves (equal parity
+    under both mirrors) split again by diagonal parity, and the x-odd,
+    y-even sector is the transpose of the x-even, y-odd one: its basis is
+    that sector's basis with the rows permuted to the transposed cells, so
+    the two blocks are equal and the twin takes its source's eigenpairs.
+    """
+    act = grid.active
+    sectors = _mirror_sectors(grid)
+    if act.shape[0] != act.shape[1] or not np.array_equal(act, act.T):
+        return [(b, None) for _, b in sectors]
+    tp = grid.ops.active_index.T[act]  # active index of each cell's transpose
+    out = []
+    for parity, b in sectors:
+        if len(set(parity)) < 2:
+            out.extend((half, None) for half in _diagonal_split(b, tp))
+        elif parity[0] > 0.0:
+            out.append((b, None))
+            out.append((b[tp], len(out) - 1))
+    return out
 
 
 def _sector_eigenpairs(block, k: int, sigma: float):
-    """Lowest k eigenpairs of one sector block, ascending.
+    """Lowest k eigenpairs of one sector block, ascending, the vectors
+    normalized in sector coordinates.
 
-    Shift-inverted ARPACK with a fixed start vector (deterministic); the
-    dense solve only where ARPACK cannot run (k > n_s - 2).
+    Shift-inverted ARPACK with a fixed start vector (deterministic) on a
+    symmetric-mode factor of block - sigma I, which is SPD for sigma < 0;
+    the dense solve only where ARPACK cannot run (k > n_s - 2).
     """
     n_s = block.shape[0]
     if k > n_s - 2:
         w, v = np.linalg.eigh(block.toarray())
-        return w[:k], v[:, :k]
-    shifted = (block - sigma * sp.identity(n_s, format="csr")).tocsc()
-    lu = spla.splu(shifted)
-    opinv = spla.LinearOperator((n_s, n_s), matvec=lu.solve, dtype=float)
-    v0 = np.cos(np.linspace(0.0, 13.0, n_s)) + 0.5
-    try:
-        w, v = spla.eigsh(block, k=k, sigma=sigma, which="LM", OPinv=opinv, v0=v0)
-    except spla.ArpackNoConvergence as exc:  # pragma: no cover
-        raise EigensolverFailure(str(exc)) from exc
-    order = np.argsort(w)
-    return w[order], v[:, order]
+        w, v = w[:k], v[:, :k]
+    else:
+        lu = spd_factor(block - sigma * sp.identity(n_s, format="csr"))
+        opinv = spla.LinearOperator((n_s, n_s), matvec=lu.solve, dtype=float)
+        v0 = np.cos(np.linspace(0.0, 13.0, n_s)) + 0.5
+        try:
+            w, v = spla.eigsh(block, k=k, sigma=sigma, which="LM", OPinv=opinv, v0=v0)
+        except spla.ArpackNoConvergence as exc:  # pragma: no cover
+            raise EigensolverFailure(str(exc)) from exc
+        order = np.argsort(w)
+        w, v = w[order], v[:, order]
+    return w, v / np.linalg.norm(v, axis=0)
 
 
 def spectral_decompose(grid: Grid, modes: int) -> SpectralDecomposition:
     """Lowest `modes` eigenpairs of the grid's Neumann Laplacian G^T G.
 
-    The operator splits into the mirror-parity sectors the active mask
-    admits (four on a centred disk, one without symmetry). Each sector
-    block B_s^T A B_s is solved with shift-inverted ARPACK for
-    ceil(K n_s / n) + 8 pairs, doubled while the sector's largest computed
-    eigenvalue does not exceed the merged K-th one and the sector has
-    more. The K lowest pairs are merged by a stable sort (equal values
-    keep sector order) and only they are lifted back to the cells. A
-    cutoff K inside a degenerate cluster keeps a deterministic, but
-    arbitrary, part of it. Grids beyond the desk cap are rejected.
+    The operator splits into the reflection sectors the active mask admits
+    (_sector_bases): six on a centred disk in a square box, five of them
+    solved; four mirror sectors without transpose symmetry; one sector
+    without any symmetry.
+    Each solved sector block B_s^T A B_s is solved with shift-inverted
+    ARPACK for ceil(K n_s / n) + 8 pairs, doubled while the sector's
+    largest computed eigenvalue does not exceed the merged K-th one and
+    the sector has more; a transposed twin copies its source's pairs. The
+    K lowest pairs are merged by a stable sort (equal values keep sector
+    order) and only they are lifted back to the cells. A twin pair's
+    eigenvalues are bit-equal, so a cutoff K that splits one keeps the
+    x-even member; a cutoff K inside any other degenerate cluster keeps a
+    deterministic, but arbitrary, part of it. Grids beyond the desk cap are
+    rejected.
     """
     n = grid.n_active
     k = int(modes)
@@ -167,23 +237,24 @@ def spectral_decompose(grid: Grid, modes: int) -> SpectralDecomposition:
 
     a = grid.ops.laplacian_matrix
     sigma = -1e-3 * (4.0 / grid.h**2)
-    bases = _sector_bases(grid)
-    blocks = [(b.T @ (a @ b)).tocsr() for b in bases]
-    counts = [min(b.shape[1], math.ceil(k * b.shape[1] / n) + 8) for b in bases]
-    solved = [None] * len(bases)
+    sectors = _sector_bases(grid)
+    blocks = [None if src is not None else (b.T @ (a @ b)).tocsr() for b, src in sectors]
+    sizes = [b.shape[1] for b, _ in sectors]
+    counts = [min(m, math.ceil(k * m / n) + 8) for m in sizes]
+    solved = [None] * len(sectors)
     while True:
-        for s, block in enumerate(blocks):
+        for s, (_, src) in enumerate(sectors):
             if solved[s] is None:
-                solved[s] = _sector_eigenpairs(block, counts[s], sigma)
+                solved[s] = (solved[src] if src is not None
+                             else _sector_eigenpairs(blocks[s], counts[s], sigma))
         lam = np.concatenate([ws for ws, _ in solved])
         order = np.argsort(lam, kind="stable")[:k]
         kth = lam[order[-1]]
-        redo = [s for s, (ws, _) in enumerate(solved)
-                if len(ws) < blocks[s].shape[0] and ws[-1] <= kth]
+        redo = [s for s, (ws, _) in enumerate(solved) if len(ws) < sizes[s] and ws[-1] <= kth]
         if not redo:
             break
-        for s in redo:
-            counts[s] = min(blocks[s].shape[0], 2 * counts[s])
+        for s in redo:  # a twin is redone with its source
+            counts[s] = min(sizes[s], 2 * counts[s])
             solved[s] = None
 
     # lift only the selected pairs, into one preallocated array
@@ -191,15 +262,17 @@ def spectral_decompose(grid: Grid, modes: int) -> SpectralDecomposition:
     local = np.concatenate([np.arange(len(ws)) for ws, _ in solved])
     w = lam[order]
     v = np.empty((n, k))
-    for s, (b, (_, vs)) in enumerate(zip(bases, solved)):
+    for s, ((b, _), (_, vs)) in enumerate(zip(sectors, solved)):
         cols = np.flatnonzero(sector[order] == s)
         if len(cols):
             v[:, cols] = b @ vs[:, local[order[cols]]]
 
-    # pin the kernel pair exactly and re-orthogonalize against it
+    # pin the kernel pair exactly and re-orthogonalize its sector against
+    # it: every other sector is orthogonal to the constants by symmetry, and
+    # a twin's vectors stay the exact transposes of its source's
     w[0] = 0.0
     v[:, 0] = 1.0 / math.sqrt(n)
-    for j in range(1, k):
+    for j in np.flatnonzero(sector[order[1:]] == 0) + 1:
         v[:, j] -= v[:, 0] * (v[:, 0] @ v[:, j])
         v[:, j] /= np.linalg.norm(v[:, j])
     w = np.maximum(w, 0.0)
@@ -568,8 +641,10 @@ class RageResult:
     value: float
     horizon: float
     modes: int
-    truncation_remainder: float
     quadrature_dt: float
+
+
+RAGE_CHUNK = 64  # trapezoid nodes per product
 
 
 def rage_decay(
@@ -590,6 +665,8 @@ def rage_decay(
     (dt <= factor * eps / sqrt(p' * lambda_max)). Strictly decreasing in
     eps on exterior-domain scenarios capped below the reflection-return
     time: that is the dispersion mechanism this functional measures.
+    The nodes are evaluated in chunks: one real product of the eigenvectors
+    with [cos | sin](omega t) * coefficients per chunk.
     """
     pp = float(pressure_slope(law, law.rho_ref))
     lam = dec.eigenvalues
@@ -609,15 +686,20 @@ def rage_decay(
     # cells where chi vanishes add exact zeros: keep the cutoff's support
     chi_vec = dec.grid.ops.pack(chi)
     support = chi_vec != 0.0
-    chi_vec = chi_vec[support]
+    chi_sq = chi_vec[support] ** 2
     ev = dec.eigenvectors[support]
-    h2 = dec.grid.h**2
 
+    # at most K nodes per chunk: the (support, 2 * chunk) product stays
+    # within twice the size of the eigenvectors' support rows
+    chunk = min(RAGE_CHUNK, dec.modes)
     vals = np.empty(len(times))
-    for i, t in enumerate(times):
-        phase = np.exp(1j * omega * t) * coeffs
-        vals[i] = h2 * float(np.sum((chi_vec * np.abs(ev @ phase)) ** 2))
+    for lo in range(0, len(times), chunk):
+        arg = np.outer(omega, times[lo:lo + chunk])
+        c = arg.shape[1]
+        parts = ev @ (np.hstack([np.cos(arg), np.sin(arg)]) * coeffs[:, None])
+        np.square(parts, out=parts)
+        energy = chi_sq @ parts
+        vals[lo:lo + c] = energy[:c] + energy[c:]
+    vals *= dec.grid.h**2
     value = float(np.trapezoid(vals, times))
-    return RageResult(
-        value, horizon, dec.modes, dec.truncation_remainder(x_field), float(dt)
-    )
+    return RageResult(value, horizon, dec.modes, float(dt))

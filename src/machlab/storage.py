@@ -24,9 +24,9 @@ FLOAT_FMT = "%.12g"
 MANIFEST_NAME = "manifest.json"
 
 
-def write_snapshot(path, grid, time, fields: dict):
-    """Write named cell/face arrays and the time to exactly `path`. `grid`
-    is not stored: the run's config.txt rebuilds it."""
+def write_snapshot(path, time, fields: dict):
+    """Write named cell/face arrays and the time to exactly `path`. The
+    grid is not stored: the run's config.txt rebuilds it."""
     arrays = {name: np.ascontiguousarray(arr, dtype=np.float64)
               for name, arr in fields.items()}
     # a file object, since np.savez appends `.npz` to a path
@@ -105,3 +105,11 @@ def check_artifacts(run_dir, manifest) -> None:
     missing = [rel for rel in manifest["files"] if not (run_dir / rel).exists()]
     if missing:
         raise MissingArtifact(f"run directory lacks promised files: {missing}")
+
+
+def changed_artifacts(run_dir, manifest) -> list:
+    """The manifest-promised files whose sha256 digest no longer matches
+    the one recorded, in manifest order."""
+    run_dir = Path(run_dir)
+    return [rel for rel, digest in manifest["files"].items()
+            if _file_digest(run_dir / rel) != digest]

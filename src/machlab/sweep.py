@@ -194,13 +194,14 @@ def rage_table(cfg: ExperimentConfig, scenario: Scenario, dec) -> list:
     eps_min = min(cfg["sweep"]["eps"])
     cap = REFLECTION_SAFETY * 2.0 * (L - s["cutoff_zero"]) * eps_min / math.sqrt(pp)
     horizon = min(cfg["schedule"]["horizon"], cap)
+    remainder = dec.truncation_remainder(x_field)  # independent of eps
     rows = []
     for eps in cfg["sweep"]["eps"]:
         if horizon <= 0.0:
-            rows.append((eps, 0.0, 0.0, dec.modes, dec.truncation_remainder(x_field)))
+            rows.append((eps, 0.0, 0.0, dec.modes, remainder))
             continue
         res = sp.rage_decay(dec, law, eps, x_field, chi, window, horizon)
-        rows.append((eps, res.value, res.horizon, res.modes, res.truncation_remainder))
+        rows.append((eps, res.value, res.horizon, res.modes, remainder))
     return rows
 
 
@@ -246,7 +247,7 @@ def run_one_eps(scenario: Scenario, dec, eps: float, reference, out_dir: Path):
     member_dir.mkdir(parents=True, exist_ok=True)
     vals = []
     for i, state in enumerate(traj.states):
-        write_snapshot(member_dir / f"snap_{i:03d}.dat", grid, state.t,
+        write_snapshot(member_dir / f"snap_{i:03d}.dat", state.t,
                        {"rho": state.rho, "u": state.u, "v": state.v})
         ext = lifting_sample(lifting, grid, state.t)
         densities = sp.assemble_forcing(
@@ -340,7 +341,7 @@ def _fluid_sweep(scenario: Scenario, dec, decay, out_dir: Path, workers: int):
     ref_dir = out_dir / "reference"
     ref_dir.mkdir(exist_ok=True)
     for i, st in enumerate(inc_traj.states):
-        write_snapshot(ref_dir / f"snap_{i:03d}.dat", grid, st.t, {"u": st.u, "v": st.v})
+        write_snapshot(ref_dir / f"snap_{i:03d}.dat", st.t, {"u": st.u, "v": st.v})
 
     if workers == 1:
         members = [run_one_eps(scenario, dec, eps, inc_traj, out_dir) for eps in eps_list]

@@ -13,7 +13,9 @@ from . import spectral as sp
 from .compressible import FluidState, instant_energy
 from .config import parse_config
 from .geometry import eval_motion, lifting_sample
-from .storage import check_artifacts, read_csv, read_manifest, read_snapshot
+from .storage import (
+    changed_artifacts, check_artifacts, read_csv, read_manifest, read_snapshot,
+)
 from .sweep import _eps_dirname, build_scenario
 
 TOL_DIV = 1e-8  # bound on the reference snapshots' discrete divergence
@@ -35,16 +37,21 @@ def _snapshot_files(run_dir: Path, sub: str):
 
 def verify_run(run_dir) -> dict:
     """Machine-readable report over every stored invariant; refuses
-    incomplete directories and names missing artifacts."""
+    incomplete directories and names missing artifacts. The check
+    `artifact_digests` fails on every file whose sha256 digest differs
+    from the manifest's and names them in its context."""
     run_dir = Path(run_dir)
     manifest = read_manifest(run_dir)
     check_artifacts(run_dir, manifest)
+    changed = changed_artifacts(run_dir, manifest)
 
     cfg = parse_config((run_dir / "config.txt").read_text())
     checks = [
         CheckResult(
             "config_digest", "run", 0.0, 0.0, cfg.digest() == manifest["config_digest"]
-        )
+        ),
+        CheckResult("artifact_digests", ", ".join(changed) or "all",
+                    float(len(changed)), 0.0, not changed),
     ]
     if cfg["run"]["scenario"] == "spectral":
         checks.extend(_check_rage_table(run_dir))

@@ -160,7 +160,7 @@ class TestSnapshotFormat:
             "u": rng.random((grid.nx + 1, grid.ny)),
         }
         path = tmp_path / "snap.dat"
-        write_snapshot(path, grid, 0.125, fields)
+        write_snapshot(path, 0.125, fields)
         assert [p.name for p in tmp_path.iterdir()] == ["snap.dat"]
         meta, back = read_snapshot(path)
         assert meta == {"time": 0.125}
@@ -172,8 +172,8 @@ class TestSnapshotFormat:
         grid = build_grid(2, 1.0, 0.15, 1.0 / 16.0)
         rho = np.random.default_rng(1).random((grid.nx, grid.ny))
         first, second = tmp_path / "a.dat", tmp_path / "b.dat"
-        write_snapshot(first, grid, 0.5, {"rho": rho})
-        write_snapshot(second, grid, 0.5, {"rho": np.asfortranarray(rho)})
+        write_snapshot(first, 0.5, {"rho": rho})
+        write_snapshot(second, 0.5, {"rho": np.asfortranarray(rho)})
         assert first.read_bytes() == second.read_bytes()
         # the zip entries carry a fixed date, not the time of writing
         with zipfile.ZipFile(first) as archive:
@@ -183,7 +183,7 @@ class TestSnapshotFormat:
     def test_malformed_refused(self, defect, tmp_path):
         grid = build_grid(2, 1.0, 0.15, 1.0 / 16.0)
         path = tmp_path / "snap.dat"
-        write_snapshot(path, grid, 0.0, {"rho": np.ones((grid.nx, grid.ny))})
+        write_snapshot(path, 0.0, {"rho": np.ones((grid.nx, grid.ny))})
         _spoil_snapshot(path, defect)
         with pytest.raises(SnapshotFormatError, match="not a machlab v2 snapshot") as err:
             read_snapshot(path)
@@ -340,11 +340,11 @@ class TestVerify:
             for i, path in enumerate(sorted((old / _eps_dirname(eps)).glob("snap_*.dat"))):
                 meta, fields = read_snapshot(path)
                 ac = stored_acoustic_pair(old, eps, i)
-                write_snapshot(path, grid, meta["time"], {**fields, "r": ac.r, "psi": ac.psi})
+                write_snapshot(path, meta["time"], {**fields, "r": ac.r, "psi": ac.psi})
         for path in (old / "reference").glob("snap_*.dat"):
             meta, fields = read_snapshot(path)
             pressure = np.zeros((grid.nx, grid.ny))
-            write_snapshot(path, grid, meta["time"], {**fields, "pressure": pressure})
+            write_snapshot(path, meta["time"], {**fields, "pressure": pressure})
         write_manifest(old, mini_cfg.digest())
         assert set(read_snapshot(old / "eps_0p1" / "snap_004.dat")[1]) == {
             "rho", "u", "v", "r", "psi"}
@@ -363,12 +363,30 @@ class TestVerify:
         meta, fields = read_snapshot(victim)
         grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
         fields["rho"][grid.nx // 2, grid.ny // 4] = 25.0  # unphysical spike
-        write_snapshot(victim, grid, meta["time"], fields)
+        write_snapshot(victim, meta["time"], fields)
+        # a manifest that agrees with the spike leaves the physics to notice
+        write_manifest(broken, read_manifest(broken)["config_digest"])
         report = verify_run(broken)
         assert not report["ok"]
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert "artifact_digests" not in failed
         assert failed & {"energy_snapshot_consistent", "density_positive",
                          "far_field_quiet"}
+
+    def test_swapped_snapshot_fails_digest_only(self, mini_run, tmp_path):
+        # a valid snapshot, one density value moved by one part in 1e12:
+        # every physics check passes and only the manifest digest differs
+        broken = self._copy(mini_run["out_dir"], tmp_path, "swapped")
+        victim = broken / "eps_0p1" / "snap_002.dat"
+        meta, fields = read_snapshot(victim)
+        fields["rho"][fields["rho"].shape[0] // 2, 0] *= 1.0 + 1e-12
+        write_snapshot(victim, meta["time"], fields)
+        report = verify_run(broken)
+        assert not report["ok"]
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["artifact_digests"]
+        assert failed[0]["context"] == str(victim.relative_to(broken))
+        assert failed[0]["value"] == 1.0
 
 
 class TestStoredAcousticPair:
@@ -502,7 +520,7 @@ class TestCli:
         meta, fields = read_snapshot(victim)
         grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
         fields["rho"][grid.nx // 2, grid.ny // 4] = 25.0
-        write_snapshot(victim, grid, meta["time"], fields)
+        write_snapshot(victim, meta["time"], fields)
         assert cli_main(["verify", str(broken)]) == 1
 
     @pytest.mark.parametrize("defect", SPOILED)

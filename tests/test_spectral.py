@@ -26,7 +26,7 @@ from machlab.geometry import (
 )
 from machlab import spectral as sp
 from machlab.incompressible import IncompressibleState
-from machlab.operators import DiscreteOperators
+from machlab.operators import DiscreteOperators, spd_factor
 
 LAW = PressureLaw(1.0, 2.0, 1.0)
 
@@ -101,6 +101,27 @@ class TestPoissonSolve:
         assert grid.n_active == 16176
         lu = grid.ops._factorization()
         assert lu.L.nnz + lu.U.nnz < 1_151_704
+
+
+class TestSectorFactor:
+    def test_shift_invert_fill_below_colamd(self, spectral_cfg):
+        # the x-even, y-odd block of the spectral grid (4,065 cells), shifted
+        # as the eigensolver shifts it: COLAMD without symmetric mode fills
+        # L + U with 218,436 entries, the symmetric-mode factor with 124,630
+        g = spectral_cfg["geometry"]
+        grid = build_grid(g["dimension"], g["extent"], g["obstacle_radius"],
+                          g["cell_size"])
+        sectors = sp._sector_bases(grid)
+        b = sectors[2][0]
+        assert b.shape[1] == 4065 and sectors[3][1] == 2
+        block = b.T @ (grid.ops.laplacian_matrix @ b)
+        sigma = -1e-3 * (4.0 / grid.h**2)
+        shifted = (block - sigma * sparse.identity(b.shape[1], format="csr")).tocsc()
+        bound = 150_000
+        lu = spd_factor(shifted)
+        assert lu.L.nnz + lu.U.nnz < bound
+        colamd = spla.splu(shifted)
+        assert colamd.L.nnz + colamd.U.nnz > bound
 
 
 class TestSpectralDecomposition:
@@ -181,9 +202,15 @@ class TestSectorSolve:
             # thin strip: the 40 lowest modes are all y-even, so the two
             # y-even sectors must be re-solved with larger counts
             (build_rectangle_grid(0.0, 8.0, 0.0, 0.125, 1.0 / 16.0), 40),
+            # square box, disk off the diagonal: the x mirror only, no
+            # transpose symmetry, two sectors
+            (Grid(-1.0, -0.75, 32, 32, 1.0 / 16.0, obstacle_radius=0.2), 40),
+            # square box, disk on the diagonal off the centre: the transpose
+            # only, two diagonal-parity sectors
+            (Grid(-0.9, -0.9, 30, 30, 1.0 / 16.0, obstacle_radius=0.2), 30),
         ],
         ids=["disk-1", "disk-40", "disk-600", "disk-all", "odd-30", "off-centre-25",
-             "strip-40"],
+             "strip-40", "off-diagonal-40", "diagonal-30"],
     )
     def test_matches_dense_eigh(self, grid, modes):
         w, v = self._dense_oracle(grid)
@@ -197,6 +224,17 @@ class TestSectorSolve:
         assert build_grid(2, 1.0, 0.15, 2.0 / 41.0).nx % 2 == 1
         off = Grid(-0.9, -1.1, 30, 34, 1.0 / 16.0, obstacle_radius=0.2)
         assert _mirror_flags(off) == (False, False)
+        off_diagonal = Grid(-1.0, -0.75, 32, 32, 1.0 / 16.0, obstacle_radius=0.2)
+        assert _mirror_flags(off_diagonal) == (True, False)
+        assert not np.array_equal(off_diagonal.active, off_diagonal.active.T)
+        assert [src for _, src in sp._sector_bases(off_diagonal)] == [None, None]
+        diagonal = Grid(-0.9, -0.9, 30, 30, 1.0 / 16.0, obstacle_radius=0.2)
+        assert _mirror_flags(diagonal) == (False, False)
+        assert np.array_equal(diagonal.active, diagonal.active.T)
+        assert len(sp._sector_bases(diagonal)) == 2
+        # a centred disk: six sectors, the fourth the transpose of the third
+        disk = build_grid(2, 1.0, 0.15, 1.0 / 16.0)
+        assert [src for _, src in sp._sector_bases(disk)] == [None] * 3 + [2] + [None] * 2
 
     def test_matches_full_shift_invert_on_spectral_grid(self, spectral_cfg):
         # 16,260 cells: each of the four sectors holds over 3,000, so every
@@ -217,6 +255,27 @@ class TestSectorSolve:
         w, v = w[order], v[:, order]
         assert w[k] - w[k - 1] > 1e-3 * w[k]
         _check_against_oracle(sp.spectral_decompose(grid, k), w, v)
+
+    def test_transposed_twins_are_exact(self, obstacle_grid):
+        # every x-even, y-odd mode is followed by its transpose, the x-odd,
+        # y-even mode, with the bit-equal eigenvalue
+        dec = sp.spectral_decompose(obstacle_grid, 60)
+        w = dec.eigenvalues
+        fields = [obstacle_grid.ops.unpack(v) for v in dec.eigenvectors.T]
+        sources = [j for j, f in enumerate(fields)
+                   if np.array_equal(f[::-1], f) and np.array_equal(f[:, ::-1], -f)]
+        assert len(sources) >= 8
+        for j in (j for j in sources if j + 1 < dec.modes):
+            assert w[j + 1] == w[j]
+            np.testing.assert_array_equal(fields[j + 1], fields[j].T)
+
+    def test_cutoff_in_twin_pair_keeps_x_even(self, obstacle_grid):
+        # K = 50 splits a twin pair: the x-even, y-odd member is kept
+        dec = sp.spectral_decompose(obstacle_grid, 50)
+        f = obstacle_grid.ops.unpack(dec.eigenvectors[:, -1])
+        assert np.array_equal(f[::-1], f) and np.array_equal(f[:, ::-1], -f)
+        full = sp.spectral_decompose(obstacle_grid, 51)
+        assert full.eigenvalues[50] == full.eigenvalues[49]
 
     def test_split_degenerate_pair_is_deterministic(self, obstacle_grid):
         # K = 50 cuts through a pair that differs only at rounding level
