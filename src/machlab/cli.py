@@ -1,7 +1,9 @@
-"""Command-line surface: run, sweep, verify, spectrum.
+"""Command-line surface: run (optionally with an --eps list that replaces
+the config's, read like the config's own eps list), verify, spectrum.
 
-Exit codes: 0 all-pass, 1 numerical failure, 2 config error, 3 unreadable
-run directory (no manifest, a missing file, or a snapshot that is not v2).
+Exit codes: 0 all-pass, 1 numerical failure, 2 config error (a malformed
+--eps included), 3 unreadable run directory (no manifest, a missing file,
+or a snapshot that is not v2).
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import canonical_text, parse_config
+from .config import _parse_value, canonical_text, parse_config
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -37,14 +39,14 @@ EXIT_RUN_DIR = 3
 
 def _load_config(path, eps_override=None):
     cfg = parse_config(Path(path).read_text())
-    if eps_override:
-        cfg["sweep"]["eps"] = tuple(float(x) for x in eps_override.split(","))
+    if eps_override is not None:
+        cfg["sweep"]["eps"] = _parse_value("floats", eps_override, None, None)
         cfg = parse_config(canonical_text(cfg))  # re-validate the override
     return cfg
 
 
 def _cmd_run(args):
-    """`run` and `sweep`: the run directory, then the summary table as CSV."""
+    """The run directory, then the summary table as CSV."""
     cfg = _load_config(args.config, eps_override=args.eps)
     out = args.out or f"runs/{cfg['run']['label']}-{cfg.digest()}"
     result = run_sweep(cfg, out)
@@ -88,14 +90,9 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run the configured scenario end to end")
     p_run.add_argument("--config", required=True)
+    p_run.add_argument("--eps", default=None, help="comma-separated eps list")
     p_run.add_argument("--out", default=None)
-    p_run.set_defaults(func=_cmd_run, eps=None)
-
-    p_sweep = sub.add_parser("sweep", help="run with an eps-list override")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--eps", default=None, help="comma-separated eps list")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="re-check invariants of a run directory")
     p_verify.add_argument("directory")

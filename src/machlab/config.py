@@ -102,11 +102,8 @@ def _parse_value(kind, raw, line_no, col):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "floats":
-            parts = [p for p in raw.split(",") if p.strip()]
-            if not parts:
-                raise ValueError("empty list")
-            return tuple(float(p) for p in parts)
+        if kind == "floats":  # every comma-separated item, none empty
+            return tuple(float(p) for p in raw.split(","))
         return raw
     except ValueError:
         raise ConfigParseError(
@@ -270,6 +267,8 @@ def validate(cfg: ExperimentConfig):
         v.append("seed must be nonnegative")
     if ini["pulse_width"] <= 0:
         v.append("pulse_width must be positive")
+    if s["source_width"] <= 0:
+        v.append("source_width must be positive: a zero-width probe is identically zero")
     return v
 
 

@@ -41,10 +41,6 @@ class EigensolverFailure(MachlabError, RuntimeError):
     """Sparse eigensolver failed to converge."""
 
 
-class UnresolvedOscillation(MachlabError, ValueError):
-    """Time-quadrature step too coarse for the fastest retained mode."""
-
-
 class ScheduleMismatch(MachlabError, ValueError):
     """Trajectories passed to a comparison do not share snapshot times."""
 

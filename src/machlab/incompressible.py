@@ -120,12 +120,11 @@ class IncompressibleSolver:
         np.copyto(du, un, where=masks.exterior)
         return du
 
-    def run(
-        self,
-        state0: IncompressibleState,
-        sample_times: Sequence[float],
-        dt_policy="adaptive",
-    ) -> IncompressibleTrajectory:
+    def run(self, state0: IncompressibleState,
+            sample_times: Sequence[float]) -> IncompressibleTrajectory:
+        """Advance from state0 hitting each sample time exactly, each step
+        the CFL bound of its state shortened to land on the next sample
+        time; a fixed step is `step(state, dt)` in a loop."""
         times = [float(s) for s in sample_times]
         if times != sorted(times) or times[0] < state0.t - 1e-12:
             raise ValueError("sample times must be increasing and start at t0")
@@ -133,9 +132,7 @@ class IncompressibleSolver:
         state = state0
         for target in times:
             while state.t < target - 1e-12:
-                limit = self._stable_dt(state)
-                dt = limit if dt_policy == "adaptive" else min(float(dt_policy), limit)
-                dt = min(dt, target - state.t)
+                dt = min(self._stable_dt(state), target - state.t)
                 state = self.step(state, dt)
             traj.states.append(state)
         return traj

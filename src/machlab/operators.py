@@ -6,15 +6,16 @@ and the divergence is exactly -G^T, so the five-point Neumann Laplacian is
 the Gram matrix G^T G. DiscreteOperators.helmholtz, built from these
 operators, is an exact discrete orthogonal splitting and the one pressure
 projection: the Helmholtz split and both projections of the incompressible
-solver call it. Neumann Poisson solves ground unknown 0 and reuse one
-SuperLU factor per grid. spd_factor owns the settings of every SuperLU
-factor of a symmetric positive definite matrix (the Poisson factor and
-the eigensolver's shift-invert blocks): symmetric mode, minimum-degree
-ordering on A + A^T and diagonal pivots. The module also holds the
-staggered stencils every other module shares, all reading the grid's
-known-face masks: face/center averages, the nodal curl, the cell-centred
-velocity gradient, upwind transport, the free-slip face Laplacian and the
-quintic C2 step.
+solver call it. Neumann Poisson solves ground unknown 0, reuse one
+SuperLU factor per grid and hold their residual to POISSON_TOL.
+spd_factor owns the settings of every SuperLU factor of a symmetric
+positive definite matrix (the Poisson factor and the eigensolver's
+shift-invert blocks): symmetric mode, minimum-degree ordering on A + A^T
+and diagonal pivots. The module also holds the staggered stencils every
+other module shares, all reading the grid's known-face masks:
+face/center averages, the nodal curl, the cell-centred velocity
+gradient, upwind transport, the free-slip face Laplacian and the quintic
+C2 step.
 The per-step kernels read the per-component masks (ComponentMasks) that
 each grid builds once.
 """
@@ -26,6 +27,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DisconnectedDomain, PoissonFailure
+
+POISSON_TOL = 1e-9  # relative residual bound of a Neumann Poisson solve
 
 
 def spd_factor(matrix):
@@ -87,8 +90,8 @@ class DiscreteOperators:
     def pack(self, cell_field):
         return np.asarray(cell_field)[self.grid.active]
 
-    def unpack(self, vec, fill=0.0):
-        out = np.full((self.grid.nx, self.grid.ny), fill, dtype=float)
+    def unpack(self, vec):
+        out = np.zeros((self.grid.nx, self.grid.ny))
         out[self.grid.active] = vec
         return out
 
@@ -161,11 +164,11 @@ class DiscreteOperators:
             self._lu = spd_factor(self.grounded_matrix())
         return self._lu
 
-    def poisson_solve(self, rhs_vec, tol=1e-9):
+    def poisson_solve(self, rhs_vec):
         """Solve laplacian * x = rhs for mean-zero rhs; returns mean-zero x.
 
-        Raises PoissonFailure when the residual check fails, which guards
-        against incompatible right-hand sides.
+        Raises PoissonFailure when the residual exceeds POISSON_TOL times
+        |rhs| + |x| + 1, which guards against incompatible right-hand sides.
         """
         rhs = np.asarray(rhs_vec, dtype=float)
         lu = self._factorization()
@@ -175,10 +178,10 @@ class DiscreteOperators:
         x -= x.mean()
         resid = self.laplacian_matrix @ x - rhs
         scale = np.linalg.norm(rhs) + np.linalg.norm(x) + 1.0
-        if not np.all(np.isfinite(x)) or np.linalg.norm(resid) > tol * scale:
+        if not np.all(np.isfinite(x)) or np.linalg.norm(resid) > POISSON_TOL * scale:
             raise PoissonFailure(
                 f"Neumann solve residual {np.linalg.norm(resid):.3e} "
-                f"exceeds {tol:.1e} * {scale:.3e}"
+                f"exceeds {POISSON_TOL:.1e} * {scale:.3e}"
             )
         return x
 

@@ -8,15 +8,16 @@ of solving it, and factors each shift-invert block with
 operators.spd_factor. On the span live the two-component acoustic wave
 propagator with its Duhamel quadrature, the forcing-channel bookkeeping
 of the wave source, and the time-averaged local-decay functional
-measuring acoustic dispersion, whose trapezoid nodes are evaluated in
-chunks of real products. One table, FORCING_TERMS, names the wave source's
-terms with their inverse-Laplacian pairing and channels; their densities
-are projected on the span in one product. The wave source takes the
-lifting's moving-frame derivative from the lifting field, on its support
-box. The Helmholtz projection (DiscreteOperators.helmholtz), the staggered
-stencils and the C2 step of the spectral window and the spatial cutoff
-come from operators. D(eps) is evaluated on the spatial cutoff's support
-only.
+measuring acoustic dispersion, whose trapezoid step is QUADRATURE_FACTOR
+times the period scale of the fastest retained mode and whose nodes are
+evaluated in chunks of real products. One table, FORCING_TERMS, names
+the wave source's terms with their inverse-Laplacian pairing and
+channels; their densities are projected on the span in one product. The
+wave source takes the lifting's moving-frame derivative from the lifting
+field, on its support box. The Helmholtz projection
+(DiscreteOperators.helmholtz), the staggered stencils and the C2 step of
+the spectral window and the spatial cutoff come from operators. D(eps)
+is evaluated on the spatial cutoff's support only.
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ from .constitutive import (
     pressure_slope,
     stress,
 )
-from .errors import (
-    ConfigValidationError,
-    EigensolverFailure,
-    UnresolvedOscillation,
-)
+from .errors import ConfigValidationError, EigensolverFailure
 from .geometry import ExtensionField, ExtensionFieldSample, Grid, MotionPath, eval_motion
 from .operators import (
     center_to_xface, center_to_yface, face_to_center, smoothstep, spd_factor,
@@ -645,6 +642,7 @@ class RageResult:
 
 
 RAGE_CHUNK = 64  # trapezoid nodes per product
+QUADRATURE_FACTOR = 0.2  # trapezoid step in units of eps / sqrt(p' lambda_max)
 
 
 def rage_decay(
@@ -655,29 +653,22 @@ def rage_decay(
     chi: np.ndarray,
     window: Callable,
     horizon: float,
-    dt: float | None = None,
-    quadrature_factor: float = 0.2,
 ) -> RageResult:
     """Time-averaged local acoustic energy D(eps) of the filtered propagator.
 
     D = integral_0^T || chi * G(-lap) e_+(t)[X] ||_L2^2 dt, by composite
-    trapezoid with a step resolving the fastest retained oscillation
-    (dt <= factor * eps / sqrt(p' * lambda_max)). Strictly decreasing in
-    eps on exterior-domain scenarios capped below the reflection-return
-    time: that is the dispersion mechanism this functional measures.
-    The nodes are evaluated in chunks: one real product of the eigenvectors
-    with [cos | sin](omega t) * coefficients per chunk.
+    trapezoid with a step resolving the fastest retained oscillation:
+    dt = QUADRATURE_FACTOR * eps / sqrt(p' * lambda_max). Strictly
+    decreasing in eps on exterior-domain scenarios capped below the
+    reflection-return time: that is the dispersion mechanism this
+    functional measures. The nodes are evaluated in chunks: one real
+    product of the eigenvectors with [cos | sin](omega t) * coefficients
+    per chunk.
     """
     pp = float(pressure_slope(law, law.rho_ref))
     lam = dec.eigenvalues
     lam_max = float(lam[-1])
-    bound = 0.5 * eps / math.sqrt(max(pp * lam_max, 1e-300))
-    if dt is None:
-        dt = quadrature_factor * eps / math.sqrt(max(pp * lam_max, 1e-300))
-    if dt > bound + 1e-15:
-        raise UnresolvedOscillation(
-            f"quadrature step {dt:.3e} exceeds the oscillation bound {bound:.3e}"
-        )
+    dt = QUADRATURE_FACTOR * eps / math.sqrt(max(pp * lam_max, 1e-300))
     nsteps = max(2, int(math.ceil(horizon / dt)))
     times = np.linspace(0.0, horizon, nsteps + 1)
 

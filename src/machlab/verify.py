@@ -172,9 +172,13 @@ def _check_rage_table(run_dir: Path):
     _, rows = read_csv(path)
     if len(rows) >= 2:
         ds = [float(r[1]) for r in rows]
-        mono = all(a > b for a, b in zip(ds, ds[1:])) or all(d == 0.0 for d in ds)
+        # an all-zero D column is right only on an empty horizon (every T = 0)
+        silent = all(d == 0.0 for d in ds)
+        empty = all(float(r[2]) == 0.0 for r in rows)
+        mono = all(a > b for a, b in zip(ds, ds[1:])) or (silent and empty)
+        ctx = "sweep: D = 0 at every eps while T > 0" if silent and not empty else "sweep"
         checks.append(
-            CheckResult("rage_decay_decreasing", "sweep", float(not mono), 0.0, mono)
+            CheckResult("rage_decay_decreasing", ctx, float(not mono), 0.0, mono)
         )
     return checks
 

@@ -105,3 +105,11 @@ def sinusoidal_mini_run(tmp_path_factory):
 
 def rest_motion():
     return static_path(1.0)
+
+
+def fixed_step(solver, state, dt, horizon):
+    """The state after round(horizon / dt) steps of dt; a solver's run
+    always steps at its CFL bound."""
+    for _ in range(round(horizon / dt)):
+        state = solver.step(state, dt)
+    return state

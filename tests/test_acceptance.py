@@ -28,6 +28,8 @@ from machlab.geometry import build_grid, build_rectangle_grid, static_path
 from machlab.incompressible import IncompressibleSolver
 from machlab.storage import read_csv
 
+from conftest import fixed_step
+
 LAW = PressureLaw(1.0, 2.0, 1.0)
 
 
@@ -293,8 +295,7 @@ class TestCriterion10Oracles:
         base = sol.cfl_limit(sol.init_state(data)) * 0.8
         dt0 = horizon / np.ceil(horizon / base)
         finals = [
-            sol.run(sol.init_state(data), [0.0, horizon], dt_policy=dt0 / 2**m)
-            .states[-1].rho
+            fixed_step(sol, sol.init_state(data), dt0 / 2**m, horizon).rho
             for m in range(3)
         ]
         order_c = np.log2(np.abs(finals[0] - finals[1]).sum()
@@ -313,9 +314,7 @@ class TestCriterion10Oracles:
         dt0 = horizon / np.ceil(horizon / base)
         outs = []
         for m in range(3):
-            traj = inc.run(inc.init_state(u0, v0), [0.0, horizon],
-                           dt_policy=dt0 / 2**m)
-            st = traj.states[-1]
+            st = fixed_step(inc, inc.init_state(u0, v0), dt0 / 2**m, horizon)
             outs.append(np.concatenate([st.u.ravel(), st.v.ravel()]))
         order_i = np.log2(np.linalg.norm(outs[0] - outs[1])
                           / np.linalg.norm(outs[1] - outs[2]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from machlab.compressible import (
+    DATA_BOUND,
     CompressibleSolver,
     EnergyLedger,
     FluidState,
@@ -23,6 +24,8 @@ from machlab.geometry import (
 )
 from machlab.operators import center_to_xface, center_to_yface, face_to_center, velocity_gradient
 from machlab.spectral import assemble_forcing
+
+from conftest import fixed_step
 
 LAW = PressureLaw(1.0, 2.0, 1.0)
 VISC = ViscosityPair(0.01)
@@ -99,9 +102,12 @@ class TestInitState:
     def test_data_bound_enforced(self):
         sol = make_solver()
         data = pulse_data(sol.grid, eps=0.01)
-        small = IllPreparedData(data.rho1, data.u0, data.v0, data.eps, bound=1e-6)
-        with pytest.raises(ValueError):
-            sol.init_state(small)
+        g = sol.grid
+        norms = g.l2norm(data.rho1) + g.lq_norm(data.rho1, np.inf)
+        sol.init_state(data)
+        large = replace(data, rho1=data.rho1 * (1.01 * DATA_BOUND / norms))
+        with pytest.raises(ValueError, match="exceed the bound"):
+            sol.init_state(large)
 
 
 class TestStep:
@@ -248,8 +254,7 @@ class TestRun:
         finals = []
         for level in range(3):
             dt = dt0 / 2**level
-            traj = sol.run(sol.init_state(data), [0.0, horizon], dt_policy=dt)
-            finals.append(traj.states[-1].rho)
+            finals.append(fixed_step(sol, sol.init_state(data), dt, horizon).rho)
         d1 = np.abs(finals[0] - finals[1]).sum()
         d2 = np.abs(finals[1] - finals[2]).sum()
         order = np.log2(d1 / d2)

@@ -110,6 +110,21 @@ class TestConfig:
                   for key in keys if key not in read]
         assert not unread
 
+    def test_every_error_is_raised(self):
+        # an error type no module raises is dead: no run can meet it
+        src = Path(__file__).resolve().parents[1] / "src" / "machlab"
+        raised = set()
+        for path in src.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if isinstance(exc, ast.Name):
+                        raised.add(exc.id)
+        declared = [node.name for node in ast.parse((src / "errors.py").read_text()).body
+                    if isinstance(node, ast.ClassDef) and node.name != "MachlabError"]
+        assert len(declared) > 10
+        assert [name for name in declared if name not in raised] == []
+
     def test_validation_error_survives_pickling(self):
         # a pool worker's error reaches the parent pickled
         err = pickle.loads(pickle.dumps(ConfigValidationError(["first", "second"])))
@@ -203,6 +218,10 @@ class TestSweep:
             assert row[2] == pytest.approx(0.0, abs=1e-12)  # velocity gap
         _, rows = read_csv(Path(result["out_dir"]) / "rage.csv")
         assert all(float(r[1]) == 0.0 for r in rows)
+        # an all-zero D column is right on an empty horizon
+        check = next(c for c in verify_run(result["out_dir"])["checks"]
+                     if c["name"] == "rage_decay_decreasing")
+        assert check["passed"] and check["context"] == "sweep"
 
     def test_determinism_byte_identical(self, mini_cfg, mini_run, tmp_path):
         again = run_sweep(mini_cfg, tmp_path / "again")
@@ -306,6 +325,17 @@ class TestVerify:
     def test_fresh_run_all_pass(self, run, request):
         report = verify_run(request.getfixturevalue(run)["out_dir"])
         assert report["ok"], [c for c in report["checks"] if not c["passed"]]
+
+    def test_silent_probe_fails_rage_check(self, tmp_path):
+        # a probe centred off the grid is identically zero: D = 0 at every
+        # eps while T > 0 measures no decay
+        cfg = parse_config(MINI_CFG + "\n[run]\nscenario = spectral\n"
+                           "[spectral]\nsource_center_x = 10\n")
+        report = verify_run(run_sweep(cfg, tmp_path / "silent")["out_dir"])
+        check = next(c for c in report["checks"] if c["name"] == "rage_decay_decreasing")
+        assert not check["passed"], check
+        assert check["context"] == "sweep: D = 0 at every eps while T > 0"
+        assert not report["ok"]
 
     def _copy(self, src, tmp_path, name):
         dst = tmp_path / name
@@ -471,7 +501,10 @@ class TestCli:
         ("[numerics]\nmodes = 3", False),  # no room for the spectral window
         ("[numerics]\nmodes = 2500", False),  # beyond spectral.DESK_MODE_CAP
         ("[initial]\npulse_amplitude = 2000", True),  # ill-prepared data bound
-    ], ids=["cutoff_order", "cutoff_extent", "modes_3", "modes_cap", "pulse_bound"])
+        ("[spectral]\nsource_width = 0", False),  # D(eps) = 0 at every eps
+        ("[spectral]\nsource_width = -0.1", False),
+    ], ids=["cutoff_order", "cutoff_extent", "modes_3", "modes_cap", "pulse_bound",
+            "probe_width_0", "probe_width_negative"])
     def test_config_refused_without_traceback(self, entries, leaves_dir, tmp_path):
         # each of these used to pass validation and then die with a
         # traceback or write meaningless rows; only the data bound, checked
@@ -553,7 +586,7 @@ class TestCli:
         cfgfile.write_text(MINI_CFG.replace("snapshots = 5", "snapshots = 2")
                            .replace("horizon = 0.08", "horizon = 0.01"))
         out = tmp_path / "sweepout"
-        code = cli_main(["sweep", "--config", str(cfgfile), "--eps", "0.2",
+        code = cli_main(["run", "--config", str(cfgfile), "--eps", "0.2",
                          "--out", str(out)])
         assert code == 0
         _, rows = read_csv(out / "summary.csv")
@@ -561,6 +594,18 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == ",".join(SUMMARY_HEADER)
         assert float(lines[2].split(",")[0]) == 0.2
+
+    @pytest.mark.parametrize("eps", ["0.2,abc", "0.2,", ""])
+    def test_malformed_eps_override_exit_code(self, eps, tmp_path, capsys):
+        # read like the config's own eps list, and refused before the run
+        # directory exists
+        cfgfile = tmp_path / "mini.cfg"
+        cfgfile.write_text(MINI_CFG)
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", str(cfgfile), "--eps", eps, "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_module_entrypoint(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"

@@ -6,6 +6,8 @@ from machlab.geometry import build_grid, linear_path, sinusoidal_path, static_pa
 from machlab.incompressible import IncompressibleSolver, IncompressibleState
 from machlab.operators import face_to_center
 
+from conftest import fixed_step
+
 
 @pytest.fixture()
 def grid():
@@ -176,9 +178,7 @@ class TestRun:
         dt0 = horizon / np.ceil(horizon / base)
         finals = []
         for level in range(3):
-            traj = sol.run(sol.init_state(u0, v0), [0.0, horizon],
-                           dt_policy=dt0 / 2**level)
-            st = traj.states[-1]
+            st = fixed_step(sol, sol.init_state(u0, v0), dt0 / 2**level, horizon)
             finals.append(np.concatenate([st.u.ravel(), st.v.ravel()]))
         d1 = np.linalg.norm(finals[0] - finals[1])
         d2 = np.linalg.norm(finals[1] - finals[2])

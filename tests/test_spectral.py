@@ -9,11 +9,7 @@ import scipy.sparse.linalg as spla
 
 from machlab.compressible import FluidState
 from machlab.constitutive import PressureLaw, ViscosityPair
-from machlab.errors import (
-    DisconnectedDomain,
-    PoissonFailure,
-    UnresolvedOscillation,
-)
+from machlab.errors import DisconnectedDomain, PoissonFailure
 from machlab.geometry import (
     ExtensionField,
     Grid,
@@ -736,15 +732,6 @@ class TestRageDecay:
         expected = horizon * gval**2 * g.l2norm(x_field) ** 2
         assert res.value == pytest.approx(expected, rel=1e-12)
 
-    def test_quadrature_step_guard(self, square_dec):
-        g = square_dec.grid
-        x_field = square_dec.reconstruct(np.eye(square_dec.modes)[3])
-        chi = np.ones((g.nx, g.ny))
-        window = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        with pytest.raises(UnresolvedOscillation):
-            sp.rage_decay(square_dec, LAW, 0.05, x_field, chi, window, 0.3,
-                          dt=1.0)
-
     def test_trapezoid_matches_closed_form(self, square_dec):
         self._check_closed_form(square_dec)
 
@@ -757,15 +744,14 @@ class TestRageDecay:
         # active cell, zeros included, gives the same trapezoid
         dec = sp.spectral_decompose(obstacle_grid, 40)
         g = dec.grid
-        eps, horizon, factor = 0.15, 0.12, 0.05
+        eps, horizon = 0.15, 0.12
         rng = np.random.default_rng(14)
         x_field = dec.reconstruct(rng.standard_normal(dec.modes))
         chi = sp.make_spatial_cutoff(g, 0.5, 0.9)
         chi_vec = g.ops.pack(chi)
         assert 0 < np.count_nonzero(chi_vec) < g.n_active
         window = sp.make_spectral_window(dec)
-        res = sp.rage_decay(dec, LAW, eps, x_field, chi, window, horizon,
-                            quadrature_factor=factor)
+        res = sp.rage_decay(dec, LAW, eps, x_field, chi, window, horizon)
 
         omega = np.sqrt(2.0 * dec.eigenvalues) / eps
         coeffs = dec.coefficients(x_field) * window(dec.eigenvalues)
@@ -787,8 +773,7 @@ class TestRageDecay:
         x_field = dec.reconstruct(coeffs)
         chi = sp.make_spatial_cutoff(g, 0.8, 1.4)
         window = sp.make_spectral_window(dec)
-        res = sp.rage_decay(dec, LAW, eps, x_field, chi, window, horizon,
-                            quadrature_factor=0.05)
+        res = sp.rage_decay(dec, LAW, eps, x_field, chi, window, horizon)
 
         gcoeff = window(dec.eigenvalues) * coeffs
         omega = np.sqrt(2.0 * dec.eigenvalues) / eps
