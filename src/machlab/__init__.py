@@ -11,7 +11,6 @@ from .compressible import (
     EnergyRecord,
     FluidState,
     IllPreparedData,
-    SolverOptions,
 )
 from .config import ExperimentConfig, canonical_text, default_config, parse_config
 from .constitutive import (

@@ -25,8 +25,16 @@ from .constitutive import (
     pressure_slope,
     relative_entropy,
 )
-from .errors import CflViolation, ConfigValidationError, NanDetected, VacuumState
-from .geometry import Grid, MotionPath, build_lifting, enforce_bc, eval_motion
+from .errors import ConfigValidationError, NanDetected, VacuumState
+from .geometry import (
+    CFL,
+    ExplicitStepper,
+    Grid,
+    MotionPath,
+    build_lifting,
+    enforce_bc,
+    eval_motion,
+)
 from .operators import (
     center_to_xface,
     face_to_center,
@@ -53,6 +61,7 @@ class FluidState:
 
 
 DATA_BOUND = 100.0  # init_state refuses rho1 with L2 + Linf norms above this
+TOL_ENERGY = 1e-3  # energy flag slack, a share of the initial energy
 
 
 @dataclass(frozen=True)
@@ -63,13 +72,6 @@ class IllPreparedData:
     u0: np.ndarray
     v0: np.ndarray
     eps: float
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    cfl: float = 0.4
-    sponge_width: float = 0.0
-    tol_energy: float = 1e-3
 
 
 @dataclass
@@ -132,8 +134,9 @@ def _mass_flux(rho, wn, c_cell, masks):
     return f
 
 
-class CompressibleSolver:
-    """Owns the discretization of one (grid, law, viscosity, path) setup."""
+class CompressibleSolver(ExplicitStepper):
+    """Owns the discretization of one (grid, law, viscosity, path) setup;
+    a sponge_width of 0 turns the sponge off."""
 
     def __init__(
         self,
@@ -141,23 +144,22 @@ class CompressibleSolver:
         law: PressureLaw,
         visc: ViscosityPair,
         path: MotionPath,
-        options: SolverOptions | None = None,
+        sponge_width: float = 0.0,
     ):
         self.grid = grid
         self.law = law
         self.visc = visc
         self.path = path
-        self.options = options or SolverOptions()
+        self.sponge_width = sponge_width
         self._keep = self._sponge_keep()
-        self.lifting = build_lifting(grid, path, self.options.sponge_width)
-        self._limit_of = None  # (state, cfl_limit(state)) of the last step
+        self.lifting = build_lifting(grid, path, sponge_width)
 
     def _sponge_keep(self):
         """The share 1 - s of the cell, x-face and y-face fields that the
         sponge keeps in one step, s its sin^2 ramp over the rim layer;
         None without a sponge."""
         g = self.grid
-        w = self.options.sponge_width
+        w = self.sponge_width
         if w <= 0.0:
             return None
 
@@ -188,7 +190,7 @@ class CompressibleSolver:
     # -- stability ----------------------------------------------------------
 
     def cfl_limit(self, state: FluidState) -> float:
-        """Largest stable dt at the configured CFL factor.
+        """Largest stable dt: CFL times the state's stability bound.
 
         The acoustic and advective bounds carry the directional-sum factor
         1/d: explicit 2D stability needs dt * (lam_x + lam_y) / h below the
@@ -207,24 +209,13 @@ class CompressibleSolver:
         bounds = [g.h / (d * c_sup), g.h**2 * law.rho_ref / (4.0 * self.visc.shear)]
         if umax > 0.0:
             bounds.append(g.h / (d * umax))
-        return self.options.cfl * min(bounds)
-
-    def _stable_dt(self, state: FluidState) -> float:
-        """cfl_limit(state), evaluated once per state: run sizes the step
-        with it and step's guard reads the same value."""
-        if self._limit_of is None or self._limit_of[0] is not state:
-            self._limit_of = (state, self.cfl_limit(state))
-        return self._limit_of[1]
+        return CFL * min(bounds)
 
     # -- single step ----------------------------------------------------------
 
     def step(self, state: FluidState, dt: float) -> FluidState:
         """One conservative explicit update; raises on CFL, vacuum, or NaN."""
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        limit = self._stable_dt(state)
-        if dt > limit * (1.0 + 1e-9):
-            raise CflViolation(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e}")
+        self._check_step(state, dt)
         g = self.grid
         h = g.h
         law = self.law
@@ -435,7 +426,7 @@ class CompressibleSolver:
     def energy_report(self, state: FluidState, ledger: EnergyLedger) -> EnergyRecord:
         """Both sides of the discrete energy inequality and the verdict flag.
 
-        The tolerance is options.tol_energy times the initial energy; runs
+        The tolerance is TOL_ENERGY times the initial energy; runs
         started from rest with a moving obstacle fall back to the kinetic
         scale of the lifting field so the comparison has a usable yardstick.
         """
@@ -450,5 +441,5 @@ class CompressibleSolver:
         if scale <= 0.0 and self.lifting is not None:
             ext = self.lifting.sample(state.t)
             scale = 0.5 * self.law.rho_ref * self.grid.ops.face_l2norm(ext.u, ext.v) ** 2
-        tol = self.options.tol_energy * scale
+        tol = TOL_ENERGY * scale
         return EnergyRecord(state.t, state.eps, lhs, rhs, bool(lhs <= rhs + tol))

@@ -49,9 +49,7 @@ SCHEMA = {
         "gradient_amplitude": ("float", 0.3),
     },
     "numerics": {
-        "cfl": ("float", 0.4),
         "sponge_width": ("float", None),
-        "tol_energy": ("float", 1e-3),
         "modes": ("int", 350),
     },
     "sweep": {
@@ -240,10 +238,6 @@ def validate(cfg: ExperimentConfig):
     if sch["snapshots"] < 1:
         v.append("snapshots must be at least 1")
 
-    if not 0.0 < n["cfl"] <= 0.4:
-        v.append("cfl must lie in (0, 0.4]")
-    if n["tol_energy"] <= 0:
-        v.append("tol_energy must be positive")
     if n["sponge_width"] < 0:
         v.append("sponge_width must be nonnegative")
     if not 1 <= n["modes"] <= DESK_MODE_CAP:

@@ -37,7 +37,6 @@ def split_ess_res(rho: np.ndarray, f: np.ndarray, rho_ref: float) -> EssResSplit
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    run_id: str
     eps: float
     metric_name: str
     q: float
@@ -53,9 +52,15 @@ def window_annulus(grid: Grid, r_inner: float, r_outer: float) -> np.ndarray:
     return grid.active & (r >= r_inner) & (r <= r_outer)
 
 
-def default_window(grid: Grid) -> np.ndarray:
+def annulus_radii(grid: Grid):
+    """Inner and outer radius of the observation annulus, which holds the
+    velocity-gap window and the solenoidal test function."""
     a = grid.obstacle_radius
-    return window_annulus(grid, 1.2 * a, 3.0 * a)
+    return 1.2 * a, 3.0 * a
+
+
+def default_window(grid: Grid) -> np.ndarray:
+    return window_annulus(grid, *annulus_radii(grid))
 
 
 def solenoidal_test_function(grid: Grid, r_inner: float, r_outer: float):
@@ -82,9 +87,7 @@ def _check_schedules(times_a, times_b):
     return ta
 
 
-def uniform_estimate_report(
-    traj, grid: Grid, law: PressureLaw, eps: float, run_id: str = ""
-):
+def uniform_estimate_report(traj, grid: Grid, law: PressureLaw, eps: float):
     """Sup-in-time uniform-estimate monitors of one compressible trajectory.
 
     Covers the essential L2 bound on (rho - rho_ref)/eps, the residual
@@ -134,28 +137,20 @@ def uniform_estimate_report(
         grad_sq_time.append(grad_sq)
 
     records = [
-        MetricsRecord(run_id, eps, name, {"res_density_lgamma": law.gamma,
-                                          "res_indicator_l1": 1.0,
-                                          "res_density_lq": 1.0,
-                                          }.get(name, 2.0),
+        MetricsRecord(eps, name, {"res_density_lgamma": law.gamma,
+                                  "res_indicator_l1": 1.0,
+                                  "res_density_lq": 1.0,
+                                  }.get(name, 2.0),
                       "full", "sup_t", value)
         for name, value in sup.items()
     ]
     w12 = float(np.sqrt(np.trapezoid(grad_sq_time, traj.times)))
-    records.append(
-        MetricsRecord(run_id, eps, "u_l2w12", 2.0, "full", "integral_t", w12)
-    )
+    records.append(MetricsRecord(eps, "u_l2w12", 2.0, "full", "integral_t", w12))
     return records
 
 
 def convergence_metrics(
-    comp_traj,
-    inc_traj,
-    grid: Grid,
-    law: PressureLaw,
-    path: MotionPath,
-    lifting,
-    run_id: str = "",
+    comp_traj, inc_traj, grid: Grid, law: PressureLaw, path: MotionPath, lifting
 ):
     """The three limit metrics: density scale, velocity gap, solenoidal pairing.
 
@@ -167,8 +162,7 @@ def convergence_metrics(
     """
     times = _check_schedules(comp_traj.times, inc_traj.times)
     window = default_window(grid)
-    a = grid.obstacle_radius
-    phi = solenoidal_test_function(grid, 1.2 * a, 3.0 * a)
+    phi = solenoidal_test_function(grid, *annulus_radii(grid))
     eps = comp_traj.eps
     rbar = law.rho_ref
     h2 = grid.h**2
@@ -199,7 +193,7 @@ def convergence_metrics(
     pair_diff = (np.array(pair_comp) - np.array(pair_inc)) ** 2
     pairing_gap = float(np.sqrt(np.trapezoid(pair_diff, times)))
     return [
-        MetricsRecord(run_id, eps, "density_scale", 2.0, "full", "sup_t", density_scale),
-        MetricsRecord(run_id, eps, "velocity_gap", 2.0, "annulus", "integral_t", velocity_gap),
-        MetricsRecord(run_id, eps, "solenoidal_pairing_gap", 2.0, "full", "integral_t", pairing_gap),
+        MetricsRecord(eps, "density_scale", 2.0, "full", "sup_t", density_scale),
+        MetricsRecord(eps, "velocity_gap", 2.0, "annulus", "integral_t", velocity_gap),
+        MetricsRecord(eps, "solenoidal_pairing_gap", 2.0, "full", "integral_t", pairing_gap),
     ]

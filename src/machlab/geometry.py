@@ -8,7 +8,9 @@ faces, or outer-rim faces; the known faces (interior or prescribed) are
 stored once for every stencil that reads them. The lifting field owns
 everything derived from it: its face samples, its two unit fields cut to
 its support box, and its velocity gradient and moving-frame derivative
-there, which the energy ledger and the wave forcing both read.
+there, which the energy ledger and the wave forcing both read. Beside
+enforce_bc, the boundary condition of either solver's state, sit the CFL
+number and the step policy both explicit solvers share.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GeometryTooCoarse, OutOfHorizon
+from .errors import CflViolation, GeometryTooCoarse, OutOfHorizon
 from .operators import (
     component_masks,
     face_to_center,
@@ -253,6 +255,32 @@ def enforce_bc(grid: Grid, path: MotionPath, state, copy=True):
     u[grid.uface_rim] = 0.0
     v[grid.vface_rim] = 0.0
     return replace(state, u=u, v=v)
+
+
+CFL = 0.4  # share of its state's stability bound that an explicit step takes
+
+
+class ExplicitStepper:
+    """The step policy both explicit solvers share. A subclass defines
+    cfl_limit(state), CFL times its stability bound; a step must be
+    positive and may exceed that limit by a 1e-9 relative slack only."""
+
+    _limit_of = None  # (state, cfl_limit(state)) of the last step
+
+    def _stable_dt(self, state) -> float:
+        """cfl_limit(state), evaluated once per state: run sizes the step
+        with it and step's guard reads the same value."""
+        if self._limit_of is None or self._limit_of[0] is not state:
+            self._limit_of = (state, self.cfl_limit(state))
+        return self._limit_of[1]
+
+    def _check_step(self, state, dt: float):
+        """Raise unless 0 < dt <= the limit of state."""
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        limit = self._stable_dt(state)
+        if dt > limit * (1.0 + 1e-9):
+            raise CflViolation(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e}")
 
 
 # -- divergence-free extension field ---------------------------------------

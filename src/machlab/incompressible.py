@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CflViolation, NanDetected
-from .geometry import Grid, MotionPath, enforce_bc, eval_motion
+from .errors import NanDetected
+from .geometry import CFL, ExplicitStepper, Grid, MotionPath, enforce_bc, eval_motion
 from .operators import mirror_laplacian, upwind_transport
 
 
@@ -33,16 +33,13 @@ class IncompressibleTrajectory:
     states: list
 
 
-class IncompressibleSolver:
-    def __init__(self, grid: Grid, kinematic_viscosity: float, path: MotionPath,
-                 cfl: float = 0.4):
+class IncompressibleSolver(ExplicitStepper):
+    def __init__(self, grid: Grid, kinematic_viscosity: float, path: MotionPath):
         if kinematic_viscosity <= 0.0:
             raise ValueError("kinematic viscosity must be positive")
         self.grid = grid
         self.nu = float(kinematic_viscosity)
         self.path = path
-        self.cfl = float(cfl)
-        self._limit_of = None  # (state, cfl_limit(state)) of the last step
 
     def init_state(self, u0, v0) -> IncompressibleState:
         """Solenoidal projection of u0, made compatible with the moving BC.
@@ -74,20 +71,11 @@ class IncompressibleSolver:
         bounds = [g.h**2 / (4.0 * self.nu)]
         if umax > 0.0:
             bounds.append(g.h / umax)
-        return self.cfl * min(bounds)
-
-    def _stable_dt(self, state: IncompressibleState) -> float:
-        """cfl_limit(state), evaluated once per state: run sizes the step
-        with it and step's guard reads the same value."""
-        if self._limit_of is None or self._limit_of[0] is not state:
-            self._limit_of = (state, self.cfl_limit(state))
-        return self._limit_of[1]
+        return CFL * min(bounds)
 
     def step(self, state: IncompressibleState, dt: float) -> IncompressibleState:
         """Explicit upwind advection-diffusion, then exact discrete projection."""
-        limit = self._stable_dt(state)
-        if dt > limit * (1.0 + 1e-9):
-            raise CflViolation(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e}")
+        self._check_step(state, dt)
         g = self.grid
         _, mp, _ = eval_motion(self.path, state.t)
         wu = state.u - mp[0]

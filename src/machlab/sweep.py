@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spectral as sp
-from .compressible import CompressibleSolver, IllPreparedData, SolverOptions
+from .compressible import CompressibleSolver, IllPreparedData
 from .config import ExperimentConfig, canonical_text, parse_config
 from .constitutive import PressureLaw, ViscosityPair, pressure_slope
 from .diagnostics import MetricsRecord, convergence_metrics, uniform_estimate_report
@@ -71,7 +71,6 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
     g = cfg["geometry"]
     p = cfg["physics"]
     m = cfg["motion"]
-    n = cfg["numerics"]
     horizon = cfg["schedule"]["horizon"]
     grid = build_grid(g["dimension"], g["extent"], g["obstacle_radius"], g["cell_size"])
     law = PressureLaw(p["pressure_coeff"], p["gamma"], p["reference_density"])
@@ -84,12 +83,7 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
         path = sinusoidal_path(
             (m["amplitude_x"], m["amplitude_y"]), m["frequency"], horizon
         )
-    options = SolverOptions(
-        cfl=n["cfl"],
-        sponge_width=n["sponge_width"],
-        tol_energy=n["tol_energy"],
-    )
-    solver = CompressibleSolver(grid, law, visc, path, options)
+    solver = CompressibleSolver(grid, law, visc, path, cfg["numerics"]["sponge_width"])
     return Scenario(grid, law, visc, path, cfg, solver)
 
 
@@ -175,7 +169,8 @@ def sample_schedule(cfg: ExperimentConfig) -> np.ndarray:
 
 def rage_table(cfg: ExperimentConfig, scenario: Scenario, dec) -> list:
     """The rage.csv rows of every eps of the sweep: D(eps) from one probe
-    over one horizon, zero for an empty horizon.
+    over one horizon, zero for an empty horizon. A probe that is zero on
+    every active cell is a config error: D = 0 would measure no decay.
 
     The horizon is capped below the reflection-return time: waves must
     leave the cutoff support and not re-enter it within the horizon; the
@@ -187,6 +182,11 @@ def rage_table(cfg: ExperimentConfig, scenario: Scenario, dec) -> list:
     x_field = _cell_bump(
         scenario.grid, (s["source_center_x"], s["source_center_y"]), s["source_width"], 1.0
     )
+    if not np.any(x_field):
+        raise ConfigValidationError([
+            f"the probe at ({s['source_center_x']:g}, {s['source_center_y']:g}) with "
+            f"width {s['source_width']:g} misses every active cell of the grid"
+        ])
     chi = sp.make_spatial_cutoff(scenario.grid, s["cutoff_one"], s["cutoff_zero"])
     window = sp.make_spectral_window(dec)
     L = cfg["geometry"]["extent"]
@@ -238,7 +238,6 @@ def run_one_eps(scenario: Scenario, dec, eps: float, reference, out_dir: Path):
     """
     cfg = scenario.cfg
     grid, solver, lifting = scenario.grid, scenario.solver, scenario.solver.lifting
-    run_id = cfg.digest()
     rng = np.random.default_rng(cfg["run"]["seed"])
     data = initial_data(cfg, grid, eps, rng)
     traj = solver.run(solver.init_state(data), reference.times)
@@ -257,13 +256,10 @@ def run_one_eps(scenario: Scenario, dec, eps: float, reference, out_dir: Path):
     # per-channel L2((0,T) x Omega) norms of the snapshot series
     channels = np.sqrt(np.trapezoid(np.array(vals) ** 2, traj.times, axis=0))
 
-    records = uniform_estimate_report(traj, grid, scenario.law, eps, run_id=run_id)
-    records += convergence_metrics(
-        traj, reference, grid, scenario.law, scenario.path, lifting, run_id=run_id
-    )
-    records += [_metric(run_id, eps, name, value)
-                for name, value in zip(CHANNEL_NAMES, channels)]
-    records.append(_metric(run_id, eps, "forcing_channel_sum", float(np.sum(channels))))
+    records = uniform_estimate_report(traj, grid, scenario.law, eps)
+    records += convergence_metrics(traj, reference, grid, scenario.law, scenario.path, lifting)
+    records += [_metric(eps, name, value) for name, value in zip(CHANNEL_NAMES, channels)]
+    records.append(_metric(eps, "forcing_channel_sum", float(np.sum(channels))))
     energy_rows = [(rec.t, rec.eps, rec.lhs, rec.rhs, int(rec.flag)) for rec in traj.energy]
     mass_rows = [(float(t), eps, m, s)
                  for t, m, s in zip(traj.times, traj.total_mass, traj.sponge_mass)]
@@ -336,7 +332,7 @@ def _fluid_sweep(scenario: Scenario, dec, decay, out_dir: Path, workers: int):
     rng = np.random.default_rng(cfg["run"]["seed"])
     u0, v0 = initial_velocity(cfg, grid, rng)
     nu = cfg["physics"]["shear_viscosity"] / cfg["physics"]["reference_density"]
-    inc = IncompressibleSolver(grid, nu, scenario.path, cfl=cfg["numerics"]["cfl"])
+    inc = IncompressibleSolver(grid, nu, scenario.path)
     inc_traj = inc.run(inc.init_state(u0, v0), sample_schedule(cfg))
     ref_dir = out_dir / "reference"
     ref_dir.mkdir(exist_ok=True)
@@ -374,19 +370,20 @@ def _fluid_sweep(scenario: Scenario, dec, decay, out_dir: Path, workers: int):
     write_csv(out_dir / "energy.csv", ["t", "eps", "lhs", "rhs", "flag"], energy_rows)
     write_csv(out_dir / "mass.csv", ["t", "eps", "total_mass", "sponge_cumulative"],
               mass_rows)
+    run_id = cfg.digest()
     write_csv(
         out_dir / "metrics.csv",
         ["run_id", "eps", "metric_name", "q", "window", "t_or_sup", "value"],
         [
-            (r.run_id, r.eps, r.metric_name, r.q, r.window, r.t_or_sup, r.value)
+            (run_id, r.eps, r.metric_name, r.q, r.window, r.t_or_sup, r.value)
             for r in metric_records
         ],
     )
     return summary_rows
 
 
-def _metric(run_id, eps, name, value):
-    return MetricsRecord(run_id, eps, name, 2.0, "full", "integral_t", value)
+def _metric(eps, name, value):
+    return MetricsRecord(eps, name, 2.0, "full", "integral_t", value)
 
 
 # the scenario, decomposition, reference trajectory and run directory of a

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spectral as sp
-from .compressible import FluidState, instant_energy
+from .compressible import TOL_ENERGY, FluidState, instant_energy
 from .config import parse_config
 from .geometry import eval_motion, lifting_sample
 from .storage import (
@@ -70,7 +70,6 @@ def verify_run(run_dir) -> dict:
     checks.append(CheckResult("energy_flags", "all", float(not flags_ok), 0.0, flags_ok))
 
     sponge_w = cfg["numerics"]["sponge_width"]
-    tol_energy = cfg["numerics"]["tol_energy"]
     amp = cfg["initial"]["pulse_amplitude"]
     for eps in eps_list:
         files = _snapshot_files(run_dir, _eps_dirname(eps))
@@ -104,7 +103,7 @@ def verify_run(run_dir) -> dict:
                 )
                 _, rhs, _ = energy[key]
                 e0 = energy[(eps, 0.0)][0]
-                energy_gap = max(energy_gap, e_inst - rhs - tol_energy * max(e0, 1e-12))
+                energy_gap = max(energy_gap, e_inst - rhs - TOL_ENERGY * max(e0, 1e-12))
         ctx = f"eps={eps:g}"
         checks.append(CheckResult("density_positive", ctx, min_rho, 0.0, min_rho > 0.0))
         tol_far = 0.5 * eps * max(amp, 1.0)
@@ -165,22 +164,18 @@ def stored_acoustic_pair(run_dir, eps: float, index: int) -> sp.AcousticState:
 
 
 def _check_rage_table(run_dir: Path):
-    checks = []
+    """D strictly decreasing over the rows of a non-empty rage.csv; an
+    all-zero D column is right only on an empty horizon (every T = 0)."""
     path = run_dir / "rage.csv"
-    if not path.exists():
-        return checks
-    _, rows = read_csv(path)
-    if len(rows) >= 2:
-        ds = [float(r[1]) for r in rows]
-        # an all-zero D column is right only on an empty horizon (every T = 0)
-        silent = all(d == 0.0 for d in ds)
-        empty = all(float(r[2]) == 0.0 for r in rows)
-        mono = all(a > b for a, b in zip(ds, ds[1:])) or (silent and empty)
-        ctx = "sweep: D = 0 at every eps while T > 0" if silent and not empty else "sweep"
-        checks.append(
-            CheckResult("rage_decay_decreasing", ctx, float(not mono), 0.0, mono)
-        )
-    return checks
+    rows = read_csv(path)[1] if path.exists() else []
+    if not rows:
+        return []
+    ds = [float(r[1]) for r in rows]
+    silent = all(d == 0.0 for d in ds)
+    empty = all(float(r[2]) == 0.0 for r in rows)
+    mono = empty if silent else all(a > b for a, b in zip(ds, ds[1:]))
+    ctx = "sweep: D = 0 at every eps while T > 0" if silent and not empty else "sweep"
+    return [CheckResult("rage_decay_decreasing", ctx, float(not mono), 0.0, mono)]
 
 
 def _report(checks):

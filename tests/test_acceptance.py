@@ -13,11 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from machlab import spectral as sp
-from machlab.compressible import (
-    CompressibleSolver,
-    IllPreparedData,
-    SolverOptions,
-)
+from machlab.compressible import CompressibleSolver, IllPreparedData
 from machlab.constitutive import (
     PressureLaw,
     ViscosityPair,
@@ -281,10 +277,7 @@ class TestCriterion10Oracles:
     def test_richardson_orders(self):
         # compressible
         grid = build_grid(2, 1.0, 0.15, 1.0 / 16.0)
-        sol = CompressibleSolver(
-            grid, LAW, ViscosityPair(0.01), static_path(1.0),
-            SolverOptions(sponge_width=0.0),
-        )
+        sol = CompressibleSolver(grid, LAW, ViscosityPair(0.01), static_path(1.0), 0.0)
         xc, yc = grid.cell_centers()
         r2 = (xc - 0.45) ** 2 + yc**2
         rho1 = np.where(r2 < 0.0256, (1 - r2 / 0.0256) ** 3, 0.0)

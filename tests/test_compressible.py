@@ -5,11 +5,11 @@ import pytest
 
 from machlab.compressible import (
     DATA_BOUND,
+    TOL_ENERGY,
     CompressibleSolver,
     EnergyLedger,
     FluidState,
     IllPreparedData,
-    SolverOptions,
 )
 from machlab.constitutive import PressureLaw, ViscosityPair, stress
 from machlab.errors import CflViolation, VacuumState
@@ -31,11 +31,10 @@ LAW = PressureLaw(1.0, 2.0, 1.0)
 VISC = ViscosityPair(0.01)
 
 
-def make_solver(grid=None, path=None, sponge=True, visc=VISC, cfl=0.4):
+def make_solver(grid=None, path=None, sponge=True, visc=VISC):
     grid = grid or build_grid(2, 1.0, 0.15, 1.0 / 32.0)
     path = path or static_path(10.0)
-    opts = SolverOptions(cfl=cfl, sponge_width=0.25 if sponge else 0.0)
-    return CompressibleSolver(grid, LAW, visc, path, opts)
+    return CompressibleSolver(grid, LAW, visc, path, 0.25 if sponge else 0.0)
 
 
 def rest_data(grid, eps=0.1):
@@ -124,6 +123,9 @@ class TestStep:
         s0 = sol.init_state(pulse_data(sol.grid))
         with pytest.raises(CflViolation):
             sol.step(s0, 10.0 * sol.cfl_limit(s0))
+        for dt in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                sol.step(s0, dt)
 
     def test_run_evaluates_cfl_limit_once_per_step(self, monkeypatch):
         calls = {"cfl_limit": 0, "step": 0}
@@ -191,10 +193,7 @@ class TestStep:
     def test_wavefront_speed(self):
         # pulse expands at the scaled sound speed sqrt(p'(1))/eps within 5%
         grid = build_rectangle_grid(-1.0, 1.0, -1.0, 1.0, 1.0 / 64.0)
-        sol = CompressibleSolver(
-            grid, LAW, ViscosityPair(1e-8), static_path(1.0),
-            SolverOptions(sponge_width=0.0),
-        )
+        sol = CompressibleSolver(grid, LAW, ViscosityPair(1e-8), static_path(1.0), 0.0)
         xc, yc = grid.cell_centers()
         rho1 = 0.5 * np.exp(-(xc**2 + yc**2) / 0.01)
         data = IllPreparedData(rho1, np.zeros((grid.nx + 1, grid.ny)),
@@ -243,10 +242,7 @@ class TestRun:
         # Richardson: halving a fixed dt changes the final density at
         # first order, so consecutive differences shrink by about 2
         grid = build_grid(2, 1.0, 0.15, 1.0 / 16.0)
-        sol = CompressibleSolver(
-            grid, LAW, VISC, static_path(1.0),
-            SolverOptions(sponge_width=0.0),
-        )
+        sol = CompressibleSolver(grid, LAW, VISC, static_path(1.0), 0.0)
         data = pulse_data(grid, eps=0.2, width=0.16)
         horizon = 0.02
         base = sol.cfl_limit(sol.init_state(data)) * 0.8
@@ -286,16 +282,17 @@ class TestEnergyInequality:
             assert rec.flag
 
     def test_tol_energy_sets_flag_tolerance(self):
-        # lhs exceeds rhs by 5e-4 of the initial energy: inside the default
-        # 1e-3 tolerance, outside a tolerance of 1e-4
+        # at rest without lifting, lhs is the dissipation and rhs = E0: the
+        # flag holds within TOL_ENERGY * E0 of rhs and fails beyond it
         sol = make_solver()
-        strict = CompressibleSolver(sol.grid, LAW, VISC, sol.path,
-                                    replace(sol.options, tol_energy=1e-4))
         state = sol.init_state(rest_data(sol.grid))
-        ledger = EnergyLedger(initial_energy=1.0, initial_v_coupling=0.0,
-                              dissipation=1.0005)
-        assert sol.energy_report(state, ledger).flag
-        assert not strict.energy_report(state, ledger).flag
+        e0 = 2.0
+        for share, flag in ((0.5, True), (1.5, False)):
+            ledger = EnergyLedger(initial_energy=e0, initial_v_coupling=0.0,
+                                  dissipation=e0 + share * TOL_ENERGY * e0)
+            rec = sol.energy_report(state, ledger)
+            assert rec.lhs == ledger.dissipation and rec.rhs == e0
+            assert rec.flag is flag
 
     def test_sponge_mass_flux_logged(self):
         sol = make_solver()
@@ -356,8 +353,7 @@ class TestLedgerOracle:
     @pytest.mark.parametrize("kind", sorted(LEDGER_PATHS))
     def test_accumulate_matches_tensor_formulation(self, obstacle_grid, kind):
         g = obstacle_grid
-        sol = CompressibleSolver(g, LAW, ViscosityPair(0.01, 0.004), LEDGER_PATHS[kind],
-                                 SolverOptions(sponge_width=0.25))
+        sol = CompressibleSolver(g, LAW, ViscosityPair(0.01, 0.004), LEDGER_PATHS[kind], 0.25)
         state = _random_state(sol)
         if kind == "sinusoidal":
             assert np.abs(eval_motion(sol.path, state.t)[2]).max() > 0.0

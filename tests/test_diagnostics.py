@@ -3,11 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from machlab.compressible import (
-    CompressibleSolver,
-    IllPreparedData,
-    SolverOptions,
-)
+from machlab.compressible import CompressibleSolver, IllPreparedData
 from machlab.constitutive import PressureLaw, ViscosityPair
 from machlab.diagnostics import (
     convergence_metrics,
@@ -71,10 +67,7 @@ def test_norm_homogeneity(alpha, q):
 
 class TestUniformEstimates:
     def _traj(self, grid, rho1_fn=None, eps=0.1):
-        sol = CompressibleSolver(
-            grid, LAW, ViscosityPair(0.01), static_path(1.0),
-            SolverOptions(sponge_width=0.25),
-        )
+        sol = CompressibleSolver(grid, LAW, ViscosityPair(0.01), static_path(1.0), 0.25)
         rho1 = np.zeros((grid.nx, grid.ny))
         if rho1_fn is not None:
             rho1 = rho1_fn(grid)
@@ -110,10 +103,7 @@ class TestUniformEstimates:
 
 class TestConvergenceMetrics:
     def _pair(self, grid):
-        sol = CompressibleSolver(
-            grid, LAW, ViscosityPair(0.01), static_path(1.0),
-            SolverOptions(sponge_width=0.25),
-        )
+        sol = CompressibleSolver(grid, LAW, ViscosityPair(0.01), static_path(1.0), 0.25)
         xc, yc = grid.cell_centers()
         r2 = (xc - 0.45) ** 2 + yc**2
         rho1 = np.where(r2 < 0.0144, (1 - r2 / 0.0144) ** 3, 0.0)

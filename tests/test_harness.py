@@ -30,6 +30,7 @@ from machlab.storage import (
     read_csv,
     read_manifest,
     read_snapshot,
+    write_csv,
     write_manifest,
     write_snapshot,
 )
@@ -87,7 +88,7 @@ class TestConfig:
     @pytest.mark.parametrize("section, key", [
         ("motion", "horizon"), ("initial", "data_bound"), ("numerics", "tol_div"),
         ("numerics", "lifting_radius"), ("spectral", "quadrature_factor"),
-        ("spectral", "reflection_safety"),
+        ("spectral", "reflection_safety"), ("numerics", "cfl"), ("numerics", "tol_energy"),
     ])
     def test_removed_key_unknown(self, section, key):
         # one-value or derived-only settings are constants next to their readers
@@ -298,7 +299,7 @@ class TestSweep:
         sc = build_scenario(mini_cfg)
         dec = sweep.decompose(mini_cfg, sc.grid)
         u0, v0 = sweep.initial_velocity(mini_cfg, sc.grid, np.random.default_rng(0))
-        inc = IncompressibleSolver(sc.grid, 0.01, sc.path, cfl=0.4)
+        inc = IncompressibleSolver(sc.grid, 0.01, sc.path)
         reference = inc.run(inc.init_state(u0, v0), sample_schedule(mini_cfg))
         monkeypatch.setattr(sweep, "_worker_setup", None)
         sweep._init_worker(canonical_text(mini_cfg),
@@ -326,13 +327,42 @@ class TestVerify:
         report = verify_run(request.getfixturevalue(run)["out_dir"])
         assert report["ok"], [c for c in report["checks"] if not c["passed"]]
 
+    @staticmethod
+    def _silenced_spectral_run(out, extra=""):
+        """A spectral mini run whose rage.csv reads D = 0 at every eps while
+        T > 0, as a silent probe would write, under a matching manifest."""
+        cfg = parse_config(MINI_CFG + "\n[run]\nscenario = spectral\n" + extra)
+        run_dir = Path(run_sweep(cfg, out)["out_dir"])
+        header, rows = read_csv(run_dir / "rage.csv")
+        assert all(float(r[1]) > 0.0 and float(r[2]) > 0.0 for r in rows)
+        write_csv(run_dir / "rage.csv", header, [[r[0], 0.0, *r[2:]] for r in rows])
+        write_manifest(run_dir, read_manifest(run_dir)["config_digest"])
+        return run_dir
+
+    @staticmethod
+    def _rage_check(report):
+        assert next(c for c in report["checks"] if c["name"] == "artifact_digests")["passed"]
+        return next(c for c in report["checks"] if c["name"] == "rage_decay_decreasing")
+
     def test_silent_probe_fails_rage_check(self, tmp_path):
-        # a probe centred off the grid is identically zero: D = 0 at every
-        # eps while T > 0 measures no decay
-        cfg = parse_config(MINI_CFG + "\n[run]\nscenario = spectral\n"
-                           "[spectral]\nsource_center_x = 10\n")
-        report = verify_run(run_sweep(cfg, tmp_path / "silent")["out_dir"])
-        check = next(c for c in report["checks"] if c["name"] == "rage_decay_decreasing")
+        # an identically zero probe gives D = 0 at every eps while T > 0,
+        # which measures no decay (run_sweep refuses such a probe, so the
+        # table is written by hand)
+        report = verify_run(self._silenced_spectral_run(tmp_path / "silent"))
+        check = self._rage_check(report)
+        assert not check["passed"], check
+        assert check["context"] == "sweep: D = 0 at every eps while T > 0"
+        assert not report["ok"]
+
+    def test_one_row_rage_table_checked(self, tmp_path):
+        # a single-eps sweep's rage.csv gets the same check: it passes with
+        # its D > 0 and fails once D reads 0 at T > 0
+        one_eps = "[sweep]\neps = 0.2\n"
+        cfg = parse_config(MINI_CFG + "\n[run]\nscenario = spectral\n" + one_eps)
+        check = self._rage_check(verify_run(run_sweep(cfg, tmp_path / "one")["out_dir"]))
+        assert check["passed"], check
+        report = verify_run(self._silenced_spectral_run(tmp_path / "silent", one_eps))
+        check = self._rage_check(report)
         assert not check["passed"], check
         assert check["context"] == "sweep: D = 0 at every eps while T > 0"
         assert not report["ok"]
@@ -503,8 +533,11 @@ class TestCli:
         ("[initial]\npulse_amplitude = 2000", True),  # ill-prepared data bound
         ("[spectral]\nsource_width = 0", False),  # D(eps) = 0 at every eps
         ("[spectral]\nsource_width = -0.1", False),
+        # a probe off the grid: D = 0 at T > 0
+        ("[run]\nscenario = spectral\n[spectral]\nsource_center_x = 10\n[sweep]\neps = 0.2",
+         False),
     ], ids=["cutoff_order", "cutoff_extent", "modes_3", "modes_cap", "pulse_bound",
-            "probe_width_0", "probe_width_negative"])
+            "probe_width_0", "probe_width_negative", "probe_off_grid"])
     def test_config_refused_without_traceback(self, entries, leaves_dir, tmp_path):
         # each of these used to pass validation and then die with a
         # traceback or write meaningless rows; only the data bound, checked

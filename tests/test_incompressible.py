@@ -109,6 +109,9 @@ class TestStep:
         st = sol.init_state(*vortex_field(grid))
         with pytest.raises(CflViolation):
             sol.step(st, 100.0)
+        for dt in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                sol.step(st, dt)
 
     def test_run_evaluates_cfl_limit_once_per_step(self, grid, monkeypatch):
         calls = {"cfl_limit": 0, "step": 0}

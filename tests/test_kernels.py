@@ -136,7 +136,7 @@ def oracle_div(grid, u, v):
 def oracle_sponge(sol):
     """The sponge ramps s of the cell, x-face and y-face fields."""
     g = sol.grid
-    w = sol.options.sponge_width
+    w = sol.sponge_width
 
     def profile(x, y):
         d = np.minimum.reduce([x - g.x0, g.x1 - x, y - g.y0, g.y1 - y])
@@ -181,7 +181,7 @@ def oracle_step(sol, state, dt):
     v_new = oracle_momentum(sol, rho.T, rho_new.T, v.T, wv.T, wu.T, p_cell.T,
                             div_full.T, eps, dt, *y_masks).T
     sponge_mass = 0.0
-    if sol.options.sponge_width > 0.0:
+    if sol.sponge_width > 0.0:
         sponge_cell, sponge_u, sponge_v = oracle_sponge(sol)
         before = float(np.sum(rho_new[g.active]))
         rho_new = law.rho_ref + (rho_new - law.rho_ref) * (1.0 - sponge_cell)
