@@ -36,7 +36,7 @@ from .geometry import (
     eval_motion,
 )
 from .operators import (
-    center_to_xface,
+    average_to_face,
     face_to_center,
     mirror_laplacian,
     upwind_transport,
@@ -48,8 +48,10 @@ from .operators import (
 class FluidState:
     """Density at centers, velocity components at faces, in the fixed frame.
 
-    sponge_mass is the mass the sponge added in the step that produced
-    this state (zero for initial states).
+    The solver's states hold 2-D views of flat buffers in the grid's
+    padded layout, which its next step reads without a copy; any arrays
+    of these shapes are accepted. sponge_mass is the mass the sponge added
+    in the step that produced this state (zero for initial states).
     """
 
     rho: np.ndarray  # (nx, ny)
@@ -113,21 +115,23 @@ def instant_energy(grid: Grid, law: PressureLaw, state: FluidState) -> float:
 
 
 def _mass_flux(rho, wn, c_cell, masks):
-    """Rusanov mass flux on x-faces (the y-faces arrive transposed), laid
-    out like wn: (w/2) (rho+ + rho-) - (lam/2) (rho+ - rho-) with
-    lam = |w| + max(c+, c-).
+    """Rusanov mass flux on one face family, all arrays flat in the padded
+    layout: (w/2) (rho+ + rho-) - (lam/2) (rho+ - rho-) with
+    lam = |w| + max(c+, c-), face k between cells k - normal and k.
 
     Only interior faces carry flux; boundary and edge faces carry zero
     relative flux.
     """
-    f = np.empty_like(wn)  # the edge rows are exterior, zeroed last
-    mid = np.add(rho[1:, :], rho[:-1, :], out=f[1:-1])
-    half_w = np.multiply(wn[1:-1, :], 0.5)
+    s = masks.normal
+    f = np.empty_like(wn)  # the first s entries are exterior, zeroed last
+    mid = np.add(rho[s:], rho[:-s], out=f[s:])
+    half_w = np.multiply(wn[s:], 0.5)
     mid *= half_w
-    half_lam = np.abs(wn[1:-1, :], out=half_w)
-    half_lam += np.maximum(c_cell[1:, :], c_cell[:-1, :])
+    half_lam = np.abs(wn[s:], out=half_w)
+    jump = np.maximum(c_cell[s:], c_cell[:-s])
+    half_lam += jump
     half_lam *= 0.5
-    jump = np.subtract(rho[1:, :], rho[:-1, :])
+    np.subtract(rho[s:], rho[:-s], out=jump)
     jump *= half_lam
     mid -= jump
     np.copyto(f, 0.0, where=masks.exterior)
@@ -156,8 +160,8 @@ class CompressibleSolver(ExplicitStepper):
 
     def _sponge_keep(self):
         """The share 1 - s of the cell, x-face and y-face fields that the
-        sponge keeps in one step, s its sin^2 ramp over the rim layer;
-        None without a sponge."""
+        sponge keeps in one step, s its sin^2 ramp over the rim layer, flat
+        in the padded layout; None without a sponge."""
         g = self.grid
         w = self.sponge_width
         if w <= 0.0:
@@ -168,7 +172,9 @@ class CompressibleSolver(ExplicitStepper):
             s = np.clip((w - d) / w, 0.0, 1.0)
             return 1.0 - np.sin(0.5 * math.pi * s) ** 2
 
-        return keep(*g.cell_centers()), keep(*g.xface_coords()), keep(*g.yface_coords())
+        pad = g.layout.padded
+        return (pad(keep(*g.cell_centers())), pad(keep(*g.xface_coords())),
+                pad(keep(*g.yface_coords())))
 
     # -- state construction -------------------------------------------------
 
@@ -198,13 +204,15 @@ class CompressibleSolver(ExplicitStepper):
         """
         g = self.grid
         law = self.law
+        lay = g.layout
+        xm, ym = g.component_masks
         d = float(g.dimension)
-        rho_max = float(state.rho[g.active].max())
+        rho_max = float(lay.flat(state.rho).max(where=xm.active, initial=-np.inf))
         c_sup = math.sqrt(float(pressure_slope(law, rho_max))) / state.eps
         _, mp, _ = eval_motion(self.path, state.t)
         umax = max(
-            float(np.abs(state.u[g.uface_interior]).max(initial=0.0)),
-            float(np.abs(state.v[g.vface_interior]).max(initial=0.0)),
+            float(np.abs(lay.flat(state.u)).max(where=xm.interior, initial=0.0)),
+            float(np.abs(lay.flat(state.v)).max(where=ym.interior, initial=0.0)),
         ) + float(np.linalg.norm(mp))
         bounds = [g.h / (d * c_sup), g.h**2 * law.rho_ref / (4.0 * self.visc.shear)]
         if umax > 0.0:
@@ -214,15 +222,20 @@ class CompressibleSolver(ExplicitStepper):
     # -- single step ----------------------------------------------------------
 
     def step(self, state: FluidState, dt: float) -> FluidState:
-        """One conservative explicit update; raises on CFL, vacuum, or NaN."""
+        """One conservative explicit update; raises on CFL, vacuum, or NaN.
+
+        Every field is flat in the grid's padded layout, and both velocity
+        components run the same kernels with their strides swapped.
+        """
         self._check_step(state, dt)
         g = self.grid
+        lay = g.layout
         h = g.h
         law = self.law
         eps = state.eps
         _, mp, _ = eval_motion(self.path, state.t)
 
-        rho, u, v = state.rho, state.u, state.v
+        rho, u, v = lay.flat(state.rho), lay.flat(state.u), lay.flat(state.v)
         wu = u - mp[0]
         wv = v - mp[1]
         c_cell = pressure_slope(law, np.maximum(rho, 1e-300))
@@ -231,49 +244,56 @@ class CompressibleSolver(ExplicitStepper):
 
         xm, ym = g.component_masks
         fmx = _mass_flux(rho, wu, c_cell, xm)
-        fmy = _mass_flux(rho.T, wv.T, c_cell.T, ym).T
+        fmy = _mass_flux(rho, wv, c_cell, ym)
 
-        # rho - (dt/h) (flux differences), accumulated in place
-        rho_new = np.subtract(fmx[1:, :], fmx[:-1, :])
-        rho_new += fmy[:, 1:]
-        rho_new -= fmy[:, :-1]
-        rho_new *= dt / h
-        np.subtract(rho, rho_new, out=rho_new)
+        # rho - (dt/h) (flux differences), accumulated in place; cell k
+        # lies between x-faces k, k + s and y-faces k, k + 1, and the last
+        # row is ghosts
+        s = lay.row
+        rho_new = np.empty_like(rho)
+        mid = np.subtract(fmx[s:], fmx[:-s], out=rho_new[:-s])
+        mid += fmy[1:1 - s]
+        mid -= fmy[:-s]
+        mid *= dt / h
+        np.subtract(rho[:-s], mid, out=mid)
         np.copyto(rho_new, law.rho_ref, where=xm.inactive)
-        if np.any(rho_new[g.active] <= 0.0):
+        if np.any(rho_new <= 0.0, where=xm.active):
             raise VacuumState(f"density lost positivity at t = {state.t:.6g}")
 
         p_cell = pressure(law, rho)
-        div_full = g.ops.div(u, v, include_boundary_faces=True)
+        div_full = lay.flat(g.ops.div(u, v, include_boundary_faces=True))
 
         u_new = self._momentum_update(
             rho, rho_new, u, wu, wv, p_cell, div_full, eps, dt, xm
         )
         v_new = self._momentum_update(
-            rho.T, rho_new.T, v.T, wv.T, wu.T, p_cell.T, div_full.T, eps, dt, ym
-        ).T
+            rho, rho_new, v, wv, wu, p_cell, div_full, eps, dt, ym
+        )
 
         # sponge relaxation toward the far-field rest state, mass change logged
         sponge_mass = 0.0
         if self._keep is not None:
             keep_cell, keep_u, keep_v = self._keep
-            before = float(np.sum(rho_new[g.active]))
+            before = float(np.sum(rho_new[xm.active]))
             rho_new -= law.rho_ref
             rho_new *= keep_cell
             rho_new += law.rho_ref
             np.copyto(rho_new, law.rho_ref, where=xm.inactive)
-            sponge_mass = (float(np.sum(rho_new[g.active])) - before) * h**2
+            sponge_mass = (float(np.sum(rho_new[xm.active])) - before) * h**2
             u_new *= keep_u
             v_new *= keep_v
 
+        # enforce_bc writes u_new and v_new in place, ghosts included
         out = enforce_bc(
-            g, self.path, FluidState(rho_new, u_new, v_new, state.t + dt, eps, sponge_mass),
+            g, self.path,
+            FluidState(lay.cells(rho_new), lay.xfaces(u_new), lay.yfaces(v_new),
+                       state.t + dt, eps, sponge_mass),
             copy=False,
         )
         if not (
-            np.all(np.isfinite(out.rho))
-            and np.all(np.isfinite(out.u))
-            and np.all(np.isfinite(out.v))
+            np.all(np.isfinite(rho_new))
+            and np.all(np.isfinite(u_new))
+            and np.all(np.isfinite(v_new))
         ):
             raise NanDetected(f"non-finite field value at t = {out.t:.6g}")
         return out
@@ -281,35 +301,40 @@ class CompressibleSolver(ExplicitStepper):
     def _momentum_update(
         self, rho, rho_new, un, wn, wt, p_cell, div_full, eps, dt, masks,
     ):
-        """Update one velocity component (oriented as u on x-faces).
+        """Update one velocity component; every array is flat in the padded
+        layout.
 
         un is the component being updated, wn its frame-relative version,
         wt the relative transverse component on the other face family,
-        masks its ComponentMasks; the y-component call arrives transposed
-        so both share this code path. The result is laid out like un.
+        masks its ComponentMasks, whose strides orient every stencil, so
+        both components share this code path. Face k lies between cells
+        k - masks.normal and k.
         """
         h = self.grid.h
+        s = masks.normal
 
         # the edge faces are rim faces at rest: a zero density there is exact
-        q = center_to_xface(rho)
+        q = average_to_face(rho, s, masks.layout)
         q *= un
 
         # upwind momentum transport on the advective scale |w| (the
         # acoustic-scale stabilization lives in the mass flux), which keeps
-        # the effective viscosity Mach-uniform instead of O(h/eps)
+        # the effective viscosity Mach-uniform instead of O(h/eps). The
+        # update below also reaches the edge faces and ghosts, which the
+        # last line overwrites
         dq = upwind_transport(q, wn, wt, masks, h)
-        inner = dq[1:-1]
+        inner = dq[s:]
 
         # centered pressure gradient carrying the 1/eps^2 stiffness
-        diff = np.subtract(p_cell[1:, :], p_cell[:-1, :])
+        diff = np.subtract(p_cell[s:], p_cell[:-s])
         diff /= h * eps**2
         inner += diff
 
         # viscous mu*(lap u + (1/3) grad div u) + eta*grad div u
         mu, eta = self.visc.shear, self.visc.bulk
-        visc = mirror_laplacian(un, masks.known, h)[1:-1]
+        visc = mirror_laplacian(un, masks, h)[s:]
         visc *= mu
-        np.subtract(div_full[1:, :], div_full[:-1, :], out=diff)
+        np.subtract(div_full[s:], div_full[:-s], out=diff)
         diff /= h
         diff *= mu / 3.0 + eta
         visc += diff
@@ -318,7 +343,7 @@ class CompressibleSolver(ExplicitStepper):
         # q - dt dq over the new face density, where that is positive
         dq *= dt
         q -= dq
-        rho_f_new = center_to_xface(rho_new)
+        rho_f_new = average_to_face(rho_new, s, masks.layout)
         np.copyto(rho_f_new, 1.0, where=~(rho_f_new > 0))
         q /= rho_f_new
         np.copyto(q, un, where=masks.exterior)
@@ -384,6 +409,7 @@ class CompressibleSolver(ExplicitStepper):
         integrated on the lifting's support box only, from its box fields.
         """
         g = self.grid
+        lay = g.layout
         mu, eta = self.visc.shear, self.visc.bulk
         gxx, gxy, gyx, gyy = velocity_gradient_components(g, state.u, state.v)
         div = gxx + gyy
@@ -402,7 +428,8 @@ class CompressibleSolver(ExplicitStepper):
         diss *= mu
         div2 *= eta
         diss += div2
-        ledger.dissipation += dt * float(np.sum(diss[g.active])) * g.h**2
+        active = g.component_masks[0].active
+        ledger.dissipation += dt * float(np.sum(diss[active])) * g.h**2
         lifting = self.lifting
         if lifting is None:
             return
@@ -412,9 +439,10 @@ class CompressibleSolver(ExplicitStepper):
         rho = state.rho[box]
         uc, vc = face_to_center(state.u[i.start:i.stop + 1, j], state.v[i, j.start:j.stop + 1])
         lam = eta - (2.0 / 3.0) * mu
-        sxx = 2.0 * mu * gxx[box] + lam * div[box]
-        syy = 2.0 * mu * gyy[box] + lam * div[box]
-        sxy = mu * shear[box]
+        div_box = lay.cells(div)[box]
+        sxx = 2.0 * mu * lay.cells(gxx)[box] + lam * div_box
+        syy = 2.0 * mu * lay.cells(gyy)[box] + lam * div_box
+        sxy = mu * lay.cells(shear)[box]
         integrand = (
             (sxx - rho * uc * uc) * gv[..., 0, 0]
             + (sxy - rho * uc * vc) * (gv[..., 0, 1] + gv[..., 1, 0])

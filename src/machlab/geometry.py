@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import CflViolation, GeometryTooCoarse, OutOfHorizon
 from .operators import (
+    PaddedLayout,
     component_masks,
     face_to_center,
     nodal_curl,
@@ -112,7 +113,9 @@ class Grid:
         # faces whose value is known: unknown-carrying or prescribed
         self.uface_known = self.uface_interior | self.uface_boundary
         self.vface_known = self.vface_interior | self.vface_boundary
-        # the two components' stencil masks, the y-component's transposed
+        # the flat padded layout of the per-step kernels and the two
+        # components' stencil masks in it
+        self.layout = PaddedLayout(self.nx, self.ny)
         self.component_masks = component_masks(self)
 
         self.n_active = int(np.count_nonzero(act))
@@ -244,17 +247,20 @@ def eval_motion(path: MotionPath, t: float):
 
 def enforce_bc(grid: Grid, path: MotionPath, state, copy=True):
     """A fluid state (any dataclass with u, v, t) whose obstacle faces move
-    with the body and whose truncation rim is at rest. With copy=False the
-    caller hands over state.u and state.v, which are written in place."""
+    with the body and whose truncation rim is at rest; its u and v are
+    views of flat buffers in the grid's padded layout. With copy=False the
+    caller hands over state.u and state.v, whose buffers are written in
+    place when they are padded already."""
     _, mp, _ = eval_motion(path, state.t)
+    lay = grid.layout
     xm, ym = grid.component_masks
-    u = state.u.copy() if copy else state.u
-    v = state.v.copy() if copy else state.v
-    u[xm.exterior] = mp[0]
-    v[ym.exterior.T] = mp[1]
-    u[grid.uface_rim] = 0.0
-    v[grid.vface_rim] = 0.0
-    return replace(state, u=u, v=v)
+    u = lay.padded(state.u) if copy else lay.flat(state.u)
+    v = lay.padded(state.v) if copy else lay.flat(state.v)
+    np.copyto(u, mp[0], where=xm.exterior)
+    np.copyto(v, mp[1], where=ym.exterior)
+    np.copyto(u, 0.0, where=xm.rim)
+    np.copyto(v, 0.0, where=ym.rim)
+    return replace(state, u=lay.xfaces(u), v=lay.yfaces(v))
 
 
 CFL = 0.4  # share of its state's stability bound that an explicit step takes

@@ -78,12 +78,14 @@ class IncompressibleSolver(ExplicitStepper):
         self._check_step(state, dt)
         g = self.grid
         _, mp, _ = eval_motion(self.path, state.t)
-        wu = state.u - mp[0]
-        wv = state.v - mp[1]
+        lay = g.layout
+        u, v = lay.flat(state.u), lay.flat(state.v)
+        wu = u - mp[0]
+        wv = v - mp[1]
 
         xm, ym = g.component_masks
-        u_star = self._transport(state.u, wu, wv, dt, xm)
-        v_star = self._transport(state.v.T, wv.T, wu.T, dt, ym).T
+        u_star = lay.xfaces(self._transport(u, wu, wv, dt, xm))
+        v_star = lay.yfaces(self._transport(v, wv, wu, dt, ym))
 
         # the projection must see the obstacle velocity of the new time
         t_new = state.t + dt
@@ -96,13 +98,14 @@ class IncompressibleSolver(ExplicitStepper):
         return out
 
     def _transport(self, un, wn, wt, dt, masks):
-        """Upwind advection and explicit diffusion of one component, laid
-        out like un; faces outside the unknowns keep their values."""
+        """Upwind advection and explicit diffusion of one component, flat
+        in the padded layout like its inputs; faces outside the unknowns
+        keep their values."""
         h = self.grid.h
         du = upwind_transport(un, wn, wt, masks, h)
-        lap = mirror_laplacian(un, masks.known, h)[1:-1]
+        lap = mirror_laplacian(un, masks, h)
         lap *= self.nu
-        du[1:-1] -= lap
+        du -= lap
         du *= dt
         np.subtract(un, du, out=du)
         np.copyto(du, un, where=masks.exterior)

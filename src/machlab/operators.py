@@ -16,8 +16,14 @@ other module shares, all reading the grid's known-face masks:
 face/center averages, the nodal curl, the cell-centred velocity
 gradient, upwind transport, the free-slip face Laplacian and the quintic
 C2 step.
-The per-step kernels read the per-component masks (ComponentMasks) that
-each grid builds once.
+
+The per-step kernels work on one padded layout (PaddedLayout): the cell,
+x-face and y-face arrays of an nx-by-ny grid all live in a C-ordered
+(nx+1, ny+1) buffer, read flat, so a step along x is the offset ny+1, a
+step along y the offset 1, and every stencil shift is a contiguous 1-D
+slice. The y-component runs the x-component's code with the two strides
+swapped, reading the flat per-component masks (ComponentMasks) that each
+grid builds once; nothing is transposed.
 """
 
 from __future__ import annotations
@@ -110,25 +116,31 @@ class DiscreteOperators:
         return u, v
 
     def div(self, u, v, include_boundary_faces=False):
-        """Face-flux divergence on active cells.
+        """Face-flux divergence on active cells, as a 2-D view of a flat
+        array in the grid's padded layout (layout.flat recovers it).
 
-        With include_boundary_faces the prescribed values on boundary faces
-        contribute; otherwise only interior faces are seen (the adjoint of
-        grad, as used by the Neumann Laplacian and Helmholtz machinery).
+        u and v are 2-D or flat padded. With include_boundary_faces the
+        prescribed values on boundary faces contribute; otherwise only
+        interior faces are seen (the adjoint of grad, as used by the
+        Neumann Laplacian and Helmholtz machinery).
         """
-        g = self.grid
+        lay = self.grid.layout
+        s = lay.row
+        xm, ym = self.grid.component_masks
         if include_boundary_faces:
-            um = np.where(g.uface_known, u, 0.0)
-            vm = np.where(g.vface_known, v, 0.0)
+            um = zeroed(lay.flat(u), xm.unknown)
+            vm = zeroed(lay.flat(v), ym.unknown)
         else:
-            um = np.where(g.uface_interior, u, 0.0)
-            vm = np.where(g.vface_interior, v, 0.0)
-        out = np.subtract(um[1:, :], um[:-1, :])
-        out += vm[:, 1:]
-        out -= vm[:, :-1]
-        out /= self.h
-        np.copyto(out, 0.0, where=g.component_masks[0].inactive)
-        return out
+            um = zeroed(lay.flat(u), xm.exterior)
+            vm = zeroed(lay.flat(v), ym.exterior)
+        # cell k lies between x-faces k, k + s and y-faces k, k + 1
+        out = np.empty_like(um)
+        mid = np.subtract(um[s:], um[:-s], out=out[:-s])
+        mid += vm[1:1 - s]
+        mid -= vm[:-s]
+        mid /= self.h
+        np.copyto(out, 0.0, where=xm.inactive)
+        return lay.cells(out)
 
     def curl(self, psi):
         """Masked nodal curl to faces; zero on boundary and dead faces."""
@@ -212,69 +224,170 @@ class DiscreteOperators:
 
 # -- staggered-grid stencils shared by the solvers and the analysis ----------
 #
-# The per-step kernels run once per velocity component, the y-component on
-# transposed (F-ordered) views. Every temporary is made with empty_like or
-# copy(order="K"), so it follows its input's layout and both passes stream
-# memory the same way; the ufuncs write in place.
+# Ghost entries of the padded layout may hold anything: the masks zero
+# what reads them, or it lands on faces the caller overwrites. The 2-D
+# helpers (face_to_center, center_to_xface, center_to_yface,
+# velocity_gradient, div) pad their inputs, run the flat kernels and
+# return 2-D views of the results.
 
 
-def face_to_center(u, v):
-    """Cell-center averages of x-face and y-face components."""
-    uc = np.add(u[1:, :], u[:-1, :])
-    uc *= 0.5
-    vc = np.add(v[:, 1:], v[:, :-1])
-    vc *= 0.5
-    return uc, vc
+class PaddedLayout:
+    """One C-ordered (nx+1, ny+1) buffer, read flat, for the cell, x-face
+    and y-face arrays of an nx-by-ny grid.
+
+    Each array fills the buffer's top-left corner, (nx, ny), (nx+1, ny) or
+    (nx, ny+1); the entries beyond it are ghosts. Entry (i, j) sits at flat
+    index i * row + j with row = ny + 1, so a step along x is the offset
+    `row` and a step along y the offset 1. Face (i, j) of either family
+    lies between the cell at its own index and the cell one step back.
+    """
+
+    def __init__(self, nx, ny):
+        self.nx = int(nx)
+        self.ny = int(ny)
+        self.row = self.ny + 1
+        self.shape = (self.nx + 1, self.row)
+        self.size = self.shape[0] * self.row
+        self.parts = ((self.nx, self.ny), (self.nx + 1, self.ny), (self.nx, self.row))
+
+    def _check(self, a):
+        if a.shape not in self.parts:
+            raise ValueError(f"shape {a.shape} is no cell, x-face or y-face array "
+                             f"of a {self.nx} x {self.ny} grid")
+
+    def padded(self, a, fill=0.0):
+        """A new flat buffer holding a (a cell, x-face or y-face array) in
+        its corner and `fill` elsewhere."""
+        self._check(a)
+        out = np.full(self.size, fill, dtype=a.dtype)
+        out.reshape(self.shape)[:a.shape[0], :a.shape[1]] = a
+        return out
+
+    def flat(self, a):
+        """The flat buffer of a: a itself when it is one, the buffer
+        behind it when a is a 2-D view of one (no copy), else
+        padded(a)."""
+        if a.shape == (self.size,):
+            return a
+        self._check(a)
+        base = a.base
+        # a view whose memory reaches the buffer's first entry starts there
+        if (base is not None and base.shape == (self.size,) and base.dtype == a.dtype
+                and a.strides == (self.row * a.itemsize, a.itemsize)
+                and np.may_share_memory(a, base[:1])):
+            return base
+        return self.padded(a)
+
+    def cells(self, f):
+        return f.reshape(self.shape)[:self.nx, :self.ny]
+
+    def xfaces(self, f):
+        return f.reshape(self.shape)[:, :self.ny]
+
+    def yfaces(self, f):
+        return f.reshape(self.shape)[:self.nx]
+
+    def edges(self, f, s):
+        """The two slices of flat f on the box edges across stride s: the
+        first and last x-face rows for s = row, the first and last y-face
+        columns for s = 1."""
+        if s == 1:
+            return f[::self.row], f[self.ny::self.row]
+        return f[:self.row], f[-self.row:]
 
 
-def center_to_xface(c):
-    """x-face averages of a cell field, laid out like it; the two edge
-    columns stay zero."""
-    out = np.empty_like(c, dtype=float, shape=(c.shape[0] + 1, c.shape[1]))
-    out[0] = 0.0
-    out[-1] = 0.0
-    mid = np.add(c[1:], c[:-1], out=out[1:-1])
-    mid *= 0.5
+def zeroed(a, where):
+    """A copy of a that is zero where `where` holds: np.where(where, 0.0,
+    a) as a plain copy and a masked write, which cost less than it."""
+    out = a.copy()
+    np.copyto(out, 0.0, where=where)
     return out
 
 
+def average_to_center(f, s):
+    """Cell averages (f[k+s] + f[k]) / 2 of a flat face component along
+    stride s; the last s entries, all ghosts, are zero."""
+    out = np.empty_like(f)
+    mid = np.add(f[s:], f[:-s], out=out[:-s])
+    mid *= 0.5
+    out[-s:] = 0.0
+    return out
+
+
+def average_to_face(c, s, layout):
+    """Face averages (c[k] + c[k-s]) / 2 of a flat cell field along stride
+    s; the faces on the two box edges across s are zero."""
+    out = np.empty_like(c)
+    mid = np.add(c[s:], c[:-s], out=out[s:])
+    mid *= 0.5
+    for edge in layout.edges(out, s):  # the first edge holds out[:s]
+        edge[...] = 0.0
+    return out
+
+
+def face_to_center(u, v):
+    """Cell-center averages of x-face and y-face components, as 2-D views
+    of flat padded arrays."""
+    lay = PaddedLayout(v.shape[0], u.shape[1])
+    uc = average_to_center(lay.flat(u), lay.row)
+    vc = average_to_center(lay.flat(v), 1)
+    return lay.cells(uc), lay.cells(vc)
+
+
+def center_to_xface(c):
+    """x-face averages of a cell field; the two edge rows stay zero."""
+    lay = PaddedLayout(*c.shape)
+    return lay.xfaces(average_to_face(lay.flat(c), lay.row, lay))
+
+
 def center_to_yface(c):
-    """y-face averages of a cell field; the two edge rows stay zero."""
-    return center_to_xface(c.T).T
+    """y-face averages of a cell field; the two edge columns stay zero."""
+    lay = PaddedLayout(*c.shape)
+    return lay.yfaces(average_to_face(lay.flat(c), 1, lay))
 
 
 def velocity_gradient_components(grid, u, v):
-    """Cell-centred velocity gradient d u_i / d x_j from face components,
-    as four (nx, ny) arrays (gxx, gxy, gyx, gyy); zero on inactive cells.
+    """Cell-centred velocity gradient d u_i / d x_j from face components
+    (2-D or flat padded), as four flat arrays in the grid's padded layout
+    (gxx, gxy, gyx, gyy); zero on inactive cells and ghosts.
 
     The tangential derivatives are central differences of the cell
     averages and stay zero on the edge rows (gyx) and columns (gxy).
     """
     g = grid
     h = g.h
-    um = np.where(g.uface_known, u, 0.0)
-    vm = np.where(g.vface_known, v, 0.0)
-    gxx = np.subtract(um[1:, :], um[:-1, :])
-    gxx /= h
-    gyy = np.subtract(vm[:, 1:], vm[:, :-1])
-    gyy /= h
-    uc, vc = face_to_center(um, vm)
-    gyx = np.zeros((g.nx, g.ny))
-    mid = np.subtract(vc[2:, :], vc[:-2, :], out=gyx[1:-1, :])
+    lay = g.layout
+    s = lay.row
+    xm, ym = g.component_masks
+    um = zeroed(lay.flat(u), xm.unknown)
+    vm = zeroed(lay.flat(v), ym.unknown)
+    gxx = np.empty_like(um)
+    mid = np.subtract(um[s:], um[:-s], out=gxx[:-s])
+    mid /= h
+    gyy = np.empty_like(vm)
+    mid = np.subtract(vm[1:], vm[:-1], out=gyy[:-1])
+    mid /= h
+    uc = average_to_center(um, s)
+    vc = average_to_center(vm, 1)
+    gyx = np.empty_like(um)
+    mid = np.subtract(vc[2 * s:], vc[:-2 * s], out=gyx[s:-s])
     mid /= 2 * h
-    gxy = np.zeros((g.nx, g.ny))
-    mid = np.subtract(uc[:, 2:], uc[:, :-2], out=gxy[:, 1:-1])
+    gyx[:s] = 0.0
+    gyx[-2 * s:] = 0.0
+    gxy = np.empty_like(um)
+    mid = np.subtract(uc[2:], uc[:-2], out=gxy[1:-1])
     mid /= 2 * h
-    inactive = g.component_masks[0].inactive
+    gxy[::s] = 0.0
+    gxy[lay.ny - 1::s] = 0.0
     for comp in (gxx, gxy, gyx, gyy):
-        np.copyto(comp, 0.0, where=inactive)
+        np.copyto(comp, 0.0, where=xm.inactive)
     return gxx, gxy, gyx, gyy
 
 
 def velocity_gradient(grid, u, v):
     """Cell-centered velocity gradient tensor (nx, ny, 2, 2) from face
     components, [..., i, j] = d u_i / d x_j; zero on inactive cells."""
-    comps = velocity_gradient_components(grid, u, v)
+    comps = [grid.layout.cells(c) for c in velocity_gradient_components(grid, u, v)]
     return np.stack(comps, axis=-1).reshape(grid.nx, grid.ny, 2, 2)
 
 
@@ -293,100 +406,143 @@ def nodal_curl(psi, h):
 
 
 class ComponentMasks:
-    """The masks of one velocity component's update, oriented as u on
-    x-faces (the y-component's are transposed views), with the derived
-    forms the per-step kernels read, built once per grid."""
+    """The flat padded masks of one velocity component's update, with the
+    strides of its stencils: `normal` along the component (row for u, 1
+    for v) and `transverse` across it. Ghost entries are exterior,
+    unknown and inactive. Built once per grid."""
 
-    def __init__(self, interior, known, active):
-        # faces the update leaves as they are: prescribed, dead, edge
-        self.exterior = ~interior
-        self.known = known
-        # inner corners not between two unknown-carrying faces: no flux
-        self.corner_closed = ~(interior[1:-1, :-1] & interior[1:-1, 1:])
+    def __init__(self, layout, normal, interior, known, rim, active):
+        self.layout = layout
+        self.normal = normal
+        self.transverse = layout.row if normal == 1 else 1
+        self.interior = layout.padded(interior, False)
+        # faces the update leaves as they are: prescribed, dead, edge, ghost
+        self.exterior = ~self.interior
+        known = layout.padded(known, False)
+        self.unknown = ~known
+        self.rim = layout.padded(rim, False)
+        # corner k lies between faces k - transverse and k; it carries no
+        # flux unless both carry unknowns
+        st = self.transverse
+        corner_open = np.zeros(layout.size, dtype=bool)
+        np.logical_and(self.interior[st:], self.interior[:-st], out=corner_open[st:])
+        self.corner_closed = ~corner_open
+        self.active = active
         self.inactive = ~active
+        # the faces whose Laplacian mirrors a neighbor (not known, or beyond
+        # the buffer) ahead or behind along the component, or across it,
+        # with the four neighbors each selects, itself where it mirrors;
+        # they include the first and last row, which the Laplacian's
+        # shifted pass leaves out
+        shifts = (normal, -normal, st, -st)
+        mirrors = []
+        for s in shifts:
+            m = np.ones(layout.size, dtype=bool)
+            if s > 0:
+                m[:-s] = self.unknown[s:]
+            else:
+                m[-s:] = self.unknown[:s]
+            mirrors.append(m)
+        i = np.flatnonzero(np.logical_or.reduce(mirrors))
+        self.mirror_faces = i
+        self.mirror_neighbors = np.stack(
+            [np.where(m[i], i, i + s) for m, s in zip(mirrors, shifts)])
 
 
 def component_masks(grid):
-    """Masks for updating u on x-faces and, transposed, v on y-faces."""
+    """Masks for updating u on x-faces and v on y-faces."""
     g = grid
+    lay = g.layout
+    active = lay.padded(g.active, False)
     return (
-        ComponentMasks(g.uface_interior, g.uface_known, g.active),
-        ComponentMasks(g.vface_interior.T, g.vface_known.T, g.active.T),
+        ComponentMasks(lay, lay.row, g.uface_interior, g.uface_known, g.uface_rim, active),
+        ComponentMasks(lay, 1, g.vface_interior, g.vface_known, g.vface_rim, active),
     )
 
 
 def upwind_transport(q, wn, wt, masks, h):
     """Divergence of the first-order upwind fluxes of one face component.
 
-    q is the transported quantity on x-faces (the y-component arrives
-    transposed), wn the frame-relative normal velocity on the same faces,
-    wt the relative transverse velocity on the other face family, masks
-    the component's ComponentMasks. The dissipation is on the advective
-    scale |w|. Returns an array laid out like q that is zero on the two
-    edge columns.
+    q is the transported quantity on the component's faces, wn the
+    frame-relative normal velocity on the same faces, wt the relative
+    transverse velocity on the other face family, masks the component's
+    ComponentMasks; all arrays are flat in the padded layout. The
+    dissipation is on the advective scale |w|. Returns a flat array that is
+    zero on the two box edges across the component.
     """
-    nx, ny = masks.inactive.shape
+    sn, st = masks.normal, masks.transverse
+    n = q.size
 
-    # normal-direction flux, one value per cell column:
+    # normal-direction flux of cell k, between faces k and k + sn:
     # (w/2) (q+ + q-) - (|w|/2) (q+ - q-) with w the cell-averaged wn
-    half_w = np.add(wn[1:, :], wn[:-1, :])
-    half_w *= 0.5
-    half_w *= 0.5
+    flux_n = np.empty_like(q)
+    half_w = np.add(wn[sn:], wn[:-sn])
+    half_w *= 0.25  # w / 2 with w = (wn+ + wn-) / 2, exactly
     half_lam = np.abs(half_w)
-    flux_n = np.add(q[1:, :], q[:-1, :])
-    flux_n *= half_w
-    jump = np.subtract(q[1:, :], q[:-1, :])
+    mid = np.add(q[sn:], q[:-sn], out=flux_n[:-sn])
+    mid *= half_w
+    jump = np.subtract(q[sn:], q[:-sn])
     jump *= half_lam
-    flux_n -= jump
+    mid -= jump
     np.copyto(flux_n, 0.0, where=masks.inactive)
 
-    # transverse flux at the inner corners between neighboring faces;
-    # closures at walls reduce to zero flux (mirror state, zero normal w).
-    # An open corner's four cells are active, so both transverse faces it
-    # reads carry unknowns: wt needs no mask of its own
-    half_w = np.add(wt[1:, 1:-1], wt[:-1, 1:-1])
-    half_w *= 0.5
-    half_w *= 0.5
-    half_lam = np.abs(half_w)
-    qa = q[1:-1, :-1]
-    qb = q[1:-1, 1:]
-    flux_t = np.empty_like(q, shape=(nx - 1, ny + 1))
-    flux_t[:, 0] = 0.0
-    flux_t[:, -1] = 0.0
-    inner = np.add(qa, qb, out=flux_t[:, 1:-1])
+    # transverse flux at corner k, between faces k - st and k, in the same
+    # three temporaries; closures at walls reduce to zero flux (mirror
+    # state, zero normal w). An open corner's four cells are active, so
+    # both transverse faces it reads carry unknowns: wt needs no mask
+    r = max(sn, st)  # the first corner with both faces and both wt in range
+    flux_t = np.empty_like(q)
+    half_w = np.add(wt[r:], wt[r - sn:n - sn], out=half_w[:n - r])
+    half_w *= 0.25
+    half_lam = np.abs(half_w, out=half_lam[:n - r])
+    qa = q[r - st:n - st]
+    qb = q[r:]
+    inner = np.add(qa, qb, out=flux_t[r:])
     inner *= half_w
-    jump = np.subtract(qb, qa)
+    jump = np.subtract(qb, qa, out=jump[:n - r])
     jump *= half_lam
     inner -= jump
-    np.copyto(inner, 0.0, where=masks.corner_closed)
+    np.copyto(flux_t, 0.0, where=masks.corner_closed)
 
+    # face k: flux_n[k] - flux_n[k - sn] + flux_t[k + st] - flux_t[k]
     dq = np.empty_like(q)
-    dq[0] = 0.0
-    dq[-1] = 0.0
-    mid = np.subtract(flux_n[1:, :], flux_n[:-1, :], out=dq[1:-1])
+    mid = np.subtract(flux_n[sn:n - st], flux_n[:n - st - sn], out=dq[sn:n - st])
     mid /= h
-    dt_flux = np.subtract(flux_t[:, 1:], flux_t[:, :-1])
+    dt_flux = np.subtract(flux_t[sn + st:], flux_t[sn:n - st], out=flux_n[:n - st - sn])
     dt_flux /= h
     mid += dt_flux
+    dq[:sn] = 0.0
+    dq[n - st:] = 0.0
+    for edge in masks.layout.edges(dq, sn):
+        edge[...] = 0.0
     return dq
 
 
-def mirror_laplacian(f, good, h):
-    """Five-point Laplacian of a face component, laid out like it;
-    neighbors that are not `good` (dead faces, beyond the box) mirror the
-    center value, which is the free-slip closure."""
-    out = f.copy(order="K")
-    np.copyto(out[:-1, :], f[1:, :], where=good[1:, :])
-    nb = f.copy(order="K")
-    np.copyto(nb[1:, :], f[:-1, :], where=good[:-1, :])
-    out += nb
-    np.copyto(nb, f)
-    np.copyto(nb[:, :-1], f[:, 1:], where=good[:, 1:])
-    out += nb
-    np.copyto(nb, f)
-    np.copyto(nb[:, 1:], f[:, :-1], where=good[:, :-1])
-    out += nb
-    np.multiply(f, 4.0, out=nb)
-    out -= nb
-    out /= h**2
+def mirror_laplacian(f, masks, h):
+    """Five-point Laplacian of a flat face component; neighbors that are
+    not known (dead faces, ghosts, beyond the box) mirror the center
+    value, which is the free-slip closure. Exact on every face off the two
+    box edges across the component; on those edges a v-neighbor may wrap
+    to the next row, and the callers overwrite them.
+
+    Every face reads its four shifted neighbors in one contiguous pass;
+    the faces with a mirrored neighbor (masks.mirror_faces) are then
+    redone from the neighbors they select, in the same order.
+    """
+    sn, st = masks.normal, masks.transverse
+    n = f.size
+    r = max(sn, st)  # every shift stays inside f on faces r .. n - r - 1
+    out = np.empty_like(f)
+    mid = np.add(f[r + sn:n - r + sn], f[r - sn:n - r - sn], out=out[r:n - r])
+    mid += f[r + st:n - r + st]
+    mid += f[r - st:n - r - st]
+    mid -= np.multiply(f[r:n - r], 4.0)
+    mid /= h**2
+    nb = f[masks.mirror_neighbors]
+    fix = np.add(nb[0], nb[1])
+    fix += nb[2]
+    fix += nb[3]
+    fix -= np.multiply(f[masks.mirror_faces], 4.0)
+    fix /= h**2
+    out[masks.mirror_faces] = fix
     return out

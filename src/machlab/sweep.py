@@ -167,10 +167,24 @@ def sample_schedule(cfg: ExperimentConfig) -> np.ndarray:
     return np.linspace(0.0, sch["horizon"], sch["snapshots"])
 
 
-def rage_table(cfg: ExperimentConfig, scenario: Scenario, dec) -> list:
-    """The rage.csv rows of every eps of the sweep: D(eps) from one probe
-    over one horizon, zero for an empty horizon. A probe that is zero on
-    every active cell is a config error: D = 0 would measure no decay.
+def probe_field(cfg: ExperimentConfig, grid: Grid) -> np.ndarray:
+    """The probe of D(eps), a cell bump; one that is zero on every active
+    cell is a config error, since D = 0 would measure no decay. It needs no
+    eigenpair, so run_sweep builds it before the eigensolve."""
+    s = cfg["spectral"]
+    x_field = _cell_bump(grid, (s["source_center_x"], s["source_center_y"]),
+                         s["source_width"], 1.0)
+    if not np.any(x_field):
+        raise ConfigValidationError([
+            f"the probe at ({s['source_center_x']:g}, {s['source_center_y']:g}) with "
+            f"width {s['source_width']:g} misses every active cell of the grid"
+        ])
+    return x_field
+
+
+def rage_table(cfg: ExperimentConfig, scenario: Scenario, dec, x_field) -> list:
+    """The rage.csv rows of every eps of the sweep: D(eps) of the probe
+    x_field over one horizon, zero for an empty horizon.
 
     The horizon is capped below the reflection-return time: waves must
     leave the cutoff support and not re-enter it within the horizon; the
@@ -179,14 +193,6 @@ def rage_table(cfg: ExperimentConfig, scenario: Scenario, dec) -> list:
     """
     s = cfg["spectral"]
     law = scenario.law
-    x_field = _cell_bump(
-        scenario.grid, (s["source_center_x"], s["source_center_y"]), s["source_width"], 1.0
-    )
-    if not np.any(x_field):
-        raise ConfigValidationError([
-            f"the probe at ({s['source_center_x']:g}, {s['source_center_y']:g}) with "
-            f"width {s['source_width']:g} misses every active cell of the grid"
-        ])
     chi = sp.make_spatial_cutoff(scenario.grid, s["cutoff_one"], s["cutoff_zero"])
     window = sp.make_spectral_window(dec)
     L = cfg["geometry"]["extent"]
@@ -289,15 +295,17 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Full pipeline for the configured scenario; returns the summary table.
 
     Both scenarios tabulate D(eps) here, before the run directory is made,
-    so a config that the eigensolve or the probe refuses leaves none; the
+    so a config that the eigensolve or the probe refuses leaves none (the
+    probe is checked first, so its refusal costs no eigensolve); the
     spectral scenario stops there, the fluid scenario runs the whole
     sweep. Both write config.txt, rage.csv, eigenvalues.csv, summary.csv
     and the manifest the same way.
     """
     workers = _worker_count()
     scenario = build_scenario(cfg)
+    x_field = probe_field(cfg, scenario.grid)
     dec = decompose(cfg, scenario.grid)
-    rage_rows = rage_table(cfg, scenario, dec)
+    rage_rows = rage_table(cfg, scenario, dec, x_field)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

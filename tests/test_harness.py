@@ -568,6 +568,25 @@ class TestCli:
         assert grid.n_active > sp.DESK_CELL_CAP
         assert not out.exists()
 
+    def test_probe_off_grid_refused_before_eigensolve(self, tmp_path, monkeypatch, capsys):
+        # the probe needs no eigenpair, so its refusal costs no solve
+        solves = []
+
+        def no_solve(*args, **kwargs):
+            solves.append(args)
+            raise AssertionError("the eigensolve ran before the probe check")
+
+        monkeypatch.setattr(sp, "spectral_decompose", no_solve)
+        cfgfile = tmp_path / "probe.cfg"
+        cfgfile.write_text(MINI_CFG + "\n[spectral]\nsource_center_x = 10\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "the probe at (10, 0) with width" in err
+        assert "misses every active cell of the grid" in err
+        assert solves == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["two", "0"])
     def test_bad_worker_count_exit_code(self, value, tmp_path, monkeypatch, capsys):
         # refused before the run directory exists, not after the reference run

@@ -1,11 +1,13 @@
 """The per-step kernels against the formulation they replaced.
 
-The oracles below are the earlier kernels: one np.where or boolean-mask
-assignment per mask, temporaries in C order, the velocity gradient as one
-(nx, ny, 2, 2) field. The current kernels do the same floating-point
-operations in the same order with fewer array passes, so every comparison
-is exact (assert_array_equal), on both orientations, with the y-component
-arriving as transposed (F-ordered) views as in the solvers.
+The oracles below are the earlier 2-D kernels: one np.where or
+boolean-mask assignment per mask, the y-component on transposed views,
+the velocity gradient as one (nx, ny, 2, 2) field. The current kernels
+run on flat arrays in the grid's padded layout, both components through
+the same code with their strides swapped, and round every entry as the
+oracles do, so every comparison is exact (assert_array_equal). Their
+inputs carry NaN in every ghost entry of the layout, so a kernel that
+read one would fail the comparison.
 """
 
 import math
@@ -25,12 +27,15 @@ from machlab.errors import VacuumState
 from machlab.geometry import build_grid, enforce_bc, eval_motion, linear_path, static_path
 from machlab.incompressible import IncompressibleSolver
 from machlab.operators import (
+    average_to_center,
+    average_to_face,
     center_to_xface,
     center_to_yface,
     face_to_center,
     mirror_laplacian,
     upwind_transport,
     velocity_gradient,
+    velocity_gradient_components,
 )
 from machlab.sweep import build_scenario, initial_data, initial_velocity
 
@@ -124,10 +129,14 @@ def oracle_momentum(sol, rho, rho_new, un, wn, wt, p_cell, div_full, eps, dt,
     return np.where(interior, q_new / np.where(rho_f_new > 0, rho_f_new, 1.0), un)
 
 
-def oracle_div(grid, u, v):
+def oracle_div(grid, u, v, include_boundary_faces=True):
     g = grid
-    um = np.where(g.uface_known, u, 0.0)
-    vm = np.where(g.vface_known, v, 0.0)
+    if include_boundary_faces:
+        um = np.where(g.uface_known, u, 0.0)
+        vm = np.where(g.vface_known, v, 0.0)
+    else:
+        um = np.where(g.uface_interior, u, 0.0)
+        vm = np.where(g.vface_interior, v, 0.0)
     out = (um[1:, :] - um[:-1, :] + vm[:, 1:] - vm[:, :-1]) / g.h
     out[~g.active] = 0.0
     return out
@@ -269,74 +278,213 @@ def grid(request):
     return GRIDS[request.param]()
 
 
-def _fields(grid, seed):
-    """Random rho, u, v, p and div on the grid; u and v are NaN on the
-    faces whose value is not known, which no kernel may read."""
+def _fields(grid, seed, unknown=np.nan):
+    """Random rho, u, v, p and div on the grid; u and v hold `unknown` on
+    the faces whose value is not known (NaN: no kernel may read them),
+    or random values there too when it is None."""
     g = grid
     rng = np.random.default_rng(seed)
     rho = 1.0 + 0.2 * rng.standard_normal((g.nx, g.ny))
-    u = np.where(g.uface_known, rng.standard_normal((g.nx + 1, g.ny)), np.nan)
-    v = np.where(g.vface_known, rng.standard_normal((g.nx, g.ny + 1)), np.nan)
+    u = rng.standard_normal((g.nx + 1, g.ny))
+    v = rng.standard_normal((g.nx, g.ny + 1))
+    if unknown is not None:
+        u = np.where(g.uface_known, u, unknown)
+        v = np.where(g.vface_known, v, unknown)
     p = rng.standard_normal((g.nx, g.ny))
     div = rng.standard_normal((g.nx, g.ny))
     return rho, u, v, p, div
 
 
-def _oriented(grid, seed, axis):
-    """Per-orientation inputs: (rho, rho_new, un, wn, wt, p, div) as x-face
-    arrays, the y-component as transposed (F-ordered) views."""
-    rho, u, v, p, div = _fields(grid, seed)
+def _oriented(grid, seed, axis, unknown=np.nan):
+    """One component's inputs (rho, rho_new, un, wn, wt, p, div), 2-D and
+    oriented as the oracles read them: as x-face arrays, the y-component's
+    transposed."""
+    rho, u, v, p, div = _fields(grid, seed, unknown)
     rho_new = rho + 0.01 * np.random.default_rng(seed + 1).standard_normal(rho.shape)
     wu, wv = u - 0.1, v + 0.05
     if axis == 0:
         return rho, rho_new, u, wu, wv, p, div
-    out = (rho.T, rho_new.T, v.T, wv.T, wu.T, p.T, div.T)
-    assert all(a.flags.f_contiguous and not a.flags.c_contiguous for a in out)
-    return out
+    return rho.T, rho_new.T, v.T, wv.T, wu.T, p.T, div.T
+
+
+def _flat(grid, a, axis):
+    """An oriented 2-D array in the grid's padded layout, every ghost
+    entry NaN."""
+    return grid.layout.padded(a.T if axis else a, np.nan)
+
+
+def _real(grid, f, axis):
+    """The real entries of a flat face array of the component, oriented
+    as the oracles'."""
+    lay = grid.layout
+    assert f.shape == (lay.size,) and f.flags.c_contiguous
+    return lay.yfaces(f).T if axis else lay.xfaces(f)
+
+
+# each case runs one per-component kernel on flat padded inputs with NaN
+# ghosts and returns its real output entries and the oracle's, oriented alike
+
+
+def _upwind_transport_case(grid, axis, unknown):
+    rho, _, un, wn, wt, _, _ = _oriented(grid, 11, axis, unknown)
+    interior, _, other_known, cell_act = oracle_masks(grid)[axis]
+    q = oracle_center_to_xface(rho) * un
+    got = upwind_transport(*(_flat(grid, a, axis) for a in (q, wn, wt)),
+                           grid.component_masks[axis], grid.h)
+    return _real(grid, got, axis), oracle_transport(q, wn, wt, interior, other_known,
+                                                    cell_act, grid.h)
+
+
+def _mirror_laplacian_case(grid, axis, unknown):
+    # exact off the two edges across the component, which every caller
+    # overwrites: there a v-neighbor wraps to the next row
+    un = _oriented(grid, 12, axis, unknown)[2]
+    known = oracle_masks(grid)[axis][1]
+    got = mirror_laplacian(_flat(grid, un, axis), grid.component_masks[axis], grid.h)
+    return _real(grid, got, axis)[1:-1], oracle_laplacian(un, known, grid.h)[1:-1]
+
+
+def _mass_flux_case(grid, axis, unknown):
+    rho, _, _, wn, _, p, _ = _oriented(grid, 13, axis, unknown)
+    c_cell = np.abs(p) + 1.0
+    got = _mass_flux(*(_flat(grid, a, axis) for a in (rho, wn, c_cell)),
+                     grid.component_masks[axis])
+    return _real(grid, got, axis), oracle_mass_flux(rho, wn, c_cell,
+                                                    oracle_masks(grid)[axis][0])
+
+
+def _momentum_update_case(grid, axis, unknown):
+    args = _oriented(grid, 14, axis, unknown)
+    sol = CompressibleSolver(grid, LAW, VISC, static_path(1.0))
+    eps, dt = 0.025, 1e-4
+    got = sol._momentum_update(*(_flat(grid, a, axis) for a in args), eps, dt,
+                               grid.component_masks[axis])
+    return _real(grid, got, axis), oracle_momentum(sol, *args, eps, dt,
+                                                   *oracle_masks(grid)[axis])
+
+
+def _incompressible_transport_case(grid, axis, unknown):
+    _, _, un, wn, wt, _, _ = _oriented(grid, 15, axis, unknown)
+    inc = IncompressibleSolver(grid, 0.01, static_path(1.0))
+    got = inc._transport(*(_flat(grid, a, axis) for a in (un, wn, wt)), 1e-3,
+                         grid.component_masks[axis])
+    return _real(grid, got, axis), oracle_transport_step(inc, un, wn, wt, 1e-3,
+                                                         *oracle_masks(grid)[axis])
+
+
+def _center_to_face_case(grid, axis, unknown):
+    rho = _oriented(grid, 16, axis, unknown)[0]
+    got = average_to_face(_flat(grid, rho, axis), grid.component_masks[axis].normal,
+                          grid.layout)
+    return _real(grid, got, axis), oracle_center_to_xface(rho)
+
+
+def _face_to_center_case(grid, axis, unknown):
+    un = _oriented(grid, 17, axis, unknown)[2]
+    got = grid.layout.cells(average_to_center(_flat(grid, un, axis),
+                                              grid.component_masks[axis].normal))
+    return (got.T if axis else got), 0.5 * (un[1:] + un[:-1])
+
+
+COMPONENT_CASES = {
+    "upwind_transport": _upwind_transport_case,
+    "mirror_laplacian": _mirror_laplacian_case,
+    "mass_flux": _mass_flux_case,
+    "momentum_update": _momentum_update_case,
+    "incompressible_transport": _incompressible_transport_case,
+    "center_to_face": _center_to_face_case,
+    "face_to_center": _face_to_center_case,
+}
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 class TestKernelOracles:
+    """The flat kernels on inputs whose unknown faces and ghost entries are
+    NaN, both components through the same code with swapped strides."""
+
     def test_upwind_transport(self, grid, axis):
-        rho, _, un, wn, wt, _, _ = _oriented(grid, 11, axis)
-        old_masks = oracle_masks(grid)[axis]
-        q = oracle_center_to_xface(rho) * un
-        if axis == 1:
-            q = np.asfortranarray(q)
-        got = upwind_transport(q, wn, wt, grid.component_masks[axis], grid.h)
-        want = oracle_transport(q, wn, wt, old_masks[0], old_masks[2], old_masks[3], grid.h)
-        assert got.flags.f_contiguous == (axis == 1)
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(*_upwind_transport_case(grid, axis, np.nan))
 
     def test_mirror_laplacian(self, grid, axis):
-        _, _, un, _, _, _, _ = _oriented(grid, 12, axis)
-        known = oracle_masks(grid)[axis][1]
-        got = mirror_laplacian(un, known, grid.h)
-        assert got.flags.f_contiguous == (axis == 1)
-        np.testing.assert_array_equal(got, oracle_laplacian(un, known, grid.h))
+        np.testing.assert_array_equal(*_mirror_laplacian_case(grid, axis, np.nan))
 
     def test_mass_flux(self, grid, axis):
-        rho, _, _, wn, _, p, _ = _oriented(grid, 13, axis)
-        c_cell = np.abs(p) + 1.0
-        got = _mass_flux(rho, wn, c_cell, grid.component_masks[axis])
-        want = oracle_mass_flux(rho, wn, c_cell, oracle_masks(grid)[axis][0])
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(*_mass_flux_case(grid, axis, np.nan))
 
     def test_momentum_update(self, grid, axis):
-        args = _oriented(grid, 14, axis)
-        sol = CompressibleSolver(grid, LAW, VISC, static_path(1.0))
-        eps, dt = 0.025, 1e-4
-        got = sol._momentum_update(*args, eps, dt, grid.component_masks[axis])
-        want = oracle_momentum(sol, *args, eps, dt, *oracle_masks(grid)[axis])
-        assert got.flags.f_contiguous == (axis == 1)
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(*_momentum_update_case(grid, axis, np.nan))
 
     def test_incompressible_transport(self, grid, axis):
-        _, _, un, wn, wt, _, _ = _oriented(grid, 15, axis)
-        inc = IncompressibleSolver(grid, 0.01, static_path(1.0))
-        got = inc._transport(un, wn, wt, 1e-3, grid.component_masks[axis])
-        want = oracle_transport_step(inc, un, wn, wt, 1e-3, *oracle_masks(grid)[axis])
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(*_incompressible_transport_case(grid, axis, np.nan))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("case", sorted(COMPONENT_CASES))
+def test_ghost_entries_never_leak(grid, case, axis):
+    """With every real input finite and every ghost entry NaN, each
+    per-component kernel's real output entries are finite and equal the
+    oracle's."""
+    got, want = COMPONENT_CASES[case](grid, axis, None)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_grid_kernels_ghost_entries_never_leak(grid):
+    """Both divergences and the velocity gradient components read no ghost
+    entry of their flat inputs."""
+    lay = grid.layout
+    _, u, v, _, _ = _fields(grid, 19, None)
+    uf, vf = lay.padded(u, np.nan), lay.padded(v, np.nan)
+    for boundary in (True, False):
+        got = grid.ops.div(uf, vf, include_boundary_faces=boundary)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got, oracle_div(grid, u, v, boundary))
+    comps = velocity_gradient_components(grid, uf, vf)
+    got = np.stack([lay.cells(c) for c in comps], axis=-1).reshape(grid.nx, grid.ny, 2, 2)
+    assert all(c.shape == (lay.size,) for c in comps)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, oracle_gradient(grid, u, v))
+
+
+def test_flat_recovers_only_its_own_views(grid):
+    """layout.flat hands back the buffer behind a cell, x-face or y-face
+    view of it, copies any other array, and refuses other shapes."""
+    lay = grid.layout
+    f = np.arange(float(lay.size))
+    for view in (lay.cells(f), lay.xfaces(f), lay.yfaces(f)):
+        assert lay.flat(view) is f
+    shifted = lay.xfaces(f)[1:]  # cell-shaped, but one row into the buffer
+    got = lay.flat(shifted)
+    assert got is not f
+    np.testing.assert_array_equal(lay.cells(got), shifted)
+    with pytest.raises(ValueError, match="no cell, x-face or y-face array"):
+        lay.flat(np.zeros((grid.nx - 1, grid.ny)))
+
+
+def test_step_ghost_entries_never_leak(grid):
+    """One step, its CFL limit and its ledger on a state whose ghost
+    entries are NaN agree bit for bit with the oracle step and ledger on
+    plain 2-D arrays; every real output entry is finite."""
+    lay = grid.layout
+    path = linear_path((0.1, -0.05), 1.0)
+    sol = CompressibleSolver(grid, LAW, VISC, path, 0.25)
+    rho, u, v, _, _ = _fields(grid, 20, None)
+    plain = oracle_enforce_bc(grid, path, FluidState(rho, u, v, 0.13, 0.1))
+    ghosted = FluidState(lay.cells(lay.padded(plain.rho, np.nan)),
+                         lay.xfaces(lay.padded(plain.u, np.nan)),
+                         lay.yfaces(lay.padded(plain.v, np.nan)), plain.t, plain.eps)
+    dt = sol.cfl_limit(ghosted)
+    assert dt == sol.cfl_limit(plain)
+    new, old = sol.step(ghosted, dt), oracle_step(sol, plain, dt)
+    for name in ("rho", "u", "v"):
+        assert np.all(np.isfinite(getattr(new, name)))
+        np.testing.assert_array_equal(getattr(new, name), getattr(old, name))
+    assert new.sponge_mass == old.sponge_mass != 0.0
+    got, want = EnergyLedger(0.0, 0.0), EnergyLedger(0.0, 0.0)
+    sol._accumulate(got, ghosted, dt)
+    oracle_accumulate(sol, want, plain, dt)
+    assert np.isfinite(got.dissipation) and np.isfinite(got.v_work)
+    assert (got.dissipation, got.v_work) == (want.dissipation, want.v_work)
 
 
 def test_velocity_gradient_and_dissipation(grid):
@@ -357,18 +505,17 @@ def test_velocity_gradient_and_dissipation(grid):
         assert (got.dissipation, got.v_work) == (want.dissipation, want.v_work)
 
 
-@pytest.mark.parametrize("text", [MINI_CFG, SINUSOIDAL_MINI_CFG], ids=["mini", "sinusoidal"])
-@pytest.mark.parametrize("eps", [0.2, 0.1])
-def test_twenty_steps_match_oracle(text, eps):
-    """Twenty steps of the mini config, the solver against the oracle step,
-    fields and ledger totals equal bit for bit."""
+def _march_against_oracle(text, eps, steps):
+    """`steps` steps of a config through the solver and the oracle step,
+    fields and sponge mass equal bit for bit after every step; returns the
+    solver's and the oracle's ledger."""
     cfg = parse_config(text)
     scenario = build_scenario(cfg)
     sol = scenario.solver
     state = sol.init_state(initial_data(cfg, scenario.grid, eps, np.random.default_rng(0)))
     new, old = state, state
     led_new, led_old = EnergyLedger(0.0, 0.0), EnergyLedger(0.0, 0.0)
-    for _ in range(20):
+    for _ in range(steps):
         dt = sol.cfl_limit(new)
         new_next, old_next = sol.step(new, dt), oracle_step(sol, old, dt)
         sol._accumulate(led_new, new, dt)
@@ -377,7 +524,25 @@ def test_twenty_steps_match_oracle(text, eps):
         for name in ("rho", "u", "v"):
             np.testing.assert_array_equal(getattr(new, name), getattr(old, name))
         assert new.sponge_mass == old.sponge_mass
+    return led_new, led_old
+
+
+@pytest.mark.parametrize("text", [MINI_CFG, SINUSOIDAL_MINI_CFG], ids=["mini", "sinusoidal"])
+@pytest.mark.parametrize("eps", [0.2, 0.1])
+def test_twenty_steps_match_oracle(text, eps):
+    """Twenty steps of the mini config, the solver against the oracle step,
+    fields and ledger totals equal bit for bit."""
+    led_new, led_old = _march_against_oracle(text, eps, 20)
     assert led_new.dissipation > 0.0
+    assert (led_new.dissipation, led_new.v_work) == (led_old.dissipation, led_old.v_work)
+
+
+def test_thirty_stiff_steps_match_oracle():
+    """Thirty steps of the mini config at eps = 0.025 with its sponge on,
+    the production step against the step composed of the 2-D oracles:
+    rho, u and v equal bit for bit after every step."""
+    assert parse_config(MINI_CFG)["numerics"]["sponge_width"] > 0.0
+    led_new, led_old = _march_against_oracle(MINI_CFG, 0.025, 30)
     assert (led_new.dissipation, led_new.v_work) == (led_old.dissipation, led_old.v_work)
 
 
