@@ -36,8 +36,8 @@ from .geometry import (
     eval_motion,
 )
 from .operators import (
+    average_to_center,
     average_to_face,
-    face_to_center,
     mirror_laplacian,
     upwind_transport,
     velocity_gradient_components,
@@ -48,10 +48,10 @@ from .operators import (
 class FluidState:
     """Density at centers, velocity components at faces, in the fixed frame.
 
-    The solver's states hold 2-D views of flat buffers in the grid's
-    padded layout, which its next step reads without a copy; any arrays
-    of these shapes are accepted. sponge_mass is the mass the sponge added
-    in the step that produced this state (zero for initial states).
+    The fields are cell and face views of flat buffers in the grid's
+    padded layout, which the next step reads without a copy. sponge_mass
+    is the mass the sponge added in the step that produced this state
+    (zero for initial states).
     """
 
     rho: np.ndarray  # (nx, ny)
@@ -107,7 +107,9 @@ class Trajectory:
 
 def instant_energy(grid: Grid, law: PressureLaw, state: FluidState) -> float:
     """Kinetic plus scaled internal (relative-entropy) energy of a state."""
-    uc, vc = face_to_center(state.u, state.v)
+    lay = grid.layout
+    uc = lay.cells(average_to_center(lay.flat(state.u), lay.row))
+    vc = lay.cells(average_to_center(lay.flat(state.v), 1))
     kinetic = 0.5 * state.rho * (uc**2 + vc**2)
     internal = relative_entropy(law, state.rho) / state.eps**2
     total = np.where(grid.active, kinetic + internal, 0.0)
@@ -179,8 +181,10 @@ class CompressibleSolver(ExplicitStepper):
     # -- state construction -------------------------------------------------
 
     def init_state(self, data: IllPreparedData) -> FluidState:
-        """Initial state rho_ref + eps*rho1, u0, with boundary projection."""
+        """Initial state rho_ref + eps*rho1, u0, with boundary projection;
+        the caller's arrays enter the padded layout here, as copies."""
         g = self.grid
+        lay = g.layout
         norm_l2 = g.l2norm(data.rho1)
         norm_linf = g.lq_norm(data.rho1, np.inf)
         if norm_l2 + norm_linf > DATA_BOUND:
@@ -191,7 +195,9 @@ class CompressibleSolver(ExplicitStepper):
         rho = np.where(g.active, self.law.rho_ref + data.eps * data.rho1, self.law.rho_ref)
         if np.any(rho[g.active] <= 0.0):
             raise VacuumState("initial density is not positive everywhere")
-        return enforce_bc(g, self.path, FluidState(rho, data.u0, data.v0, 0.0, data.eps))
+        return enforce_bc(g, self.path, FluidState(
+            lay.cells(lay.padded(rho)), lay.xfaces(lay.padded(data.u0)),
+            lay.yfaces(lay.padded(data.v0)), 0.0, data.eps))
 
     # -- stability ----------------------------------------------------------
 
@@ -284,12 +290,9 @@ class CompressibleSolver(ExplicitStepper):
             v_new *= keep_v
 
         # enforce_bc writes u_new and v_new in place, ghosts included
-        out = enforce_bc(
-            g, self.path,
-            FluidState(lay.cells(rho_new), lay.xfaces(u_new), lay.yfaces(v_new),
-                       state.t + dt, eps, sponge_mass),
-            copy=False,
-        )
+        out = enforce_bc(g, self.path, FluidState(
+            lay.cells(rho_new), lay.xfaces(u_new), lay.yfaces(v_new), state.t + dt, eps,
+            sponge_mass))
         if not (
             np.all(np.isfinite(rho_new))
             and np.all(np.isfinite(u_new))
@@ -389,9 +392,10 @@ class CompressibleSolver(ExplicitStepper):
         if self.lifting is None:
             return 0.0
         g = self.grid
+        lay = g.layout
         ext = self.lifting.sample(state.t)
-        uc, vc = face_to_center(state.u, state.v)
-        ecu, ecv = face_to_center(ext.u, ext.v)
+        uc, ecu = (lay.cells(average_to_center(lay.flat(f), lay.row)) for f in (state.u, ext.u))
+        vc, ecv = (lay.cells(average_to_center(lay.flat(f), 1)) for f in (state.v, ext.v))
         val = state.rho * (uc * ecu + vc * ecv)
         return float(np.sum(val[g.active])) * g.h**2
 
@@ -411,7 +415,7 @@ class CompressibleSolver(ExplicitStepper):
         g = self.grid
         lay = g.layout
         mu, eta = self.visc.shear, self.visc.bulk
-        gxx, gxy, gyx, gyy = velocity_gradient_components(g, state.u, state.v)
+        (gxx, gxy, gyx, gyy), avgs = velocity_gradient_components(g, state.u, state.v)
         div = gxx + gyy
         shear = gxy + gyx
         # mu (2 (gxx^2 + gyy^2) + shear^2 - (2/3) div^2) + eta div^2, which
@@ -435,9 +439,8 @@ class CompressibleSolver(ExplicitStepper):
             return
         gv, dv = lifting.box_fields(state.t)
         box = lifting.box
-        i, j = box
         rho = state.rho[box]
-        uc, vc = face_to_center(state.u[i.start:i.stop + 1, j], state.v[i, j.start:j.stop + 1])
+        uc, vc = (lay.cells(c)[box] for c in avgs)
         lam = eta - (2.0 / 3.0) * mu
         div_box = lay.cells(div)[box]
         sxx = 2.0 * mu * lay.cells(gxx)[box] + lam * div_box

@@ -14,7 +14,7 @@ import numpy as np
 from .constitutive import PressureLaw, essential_indicator
 from .errors import ScheduleMismatch
 from .geometry import Grid, MotionPath, lifting_sample
-from .operators import face_to_center
+from .operators import average_to_center
 from .spectral import shifted_momentum
 
 
@@ -104,6 +104,7 @@ def uniform_estimate_report(traj, grid: Grid, law: PressureLaw, eps: float):
         "sqrt_rho_u_l2": 0.0,
     }
     grad_sq_time = []
+    lay = grid.layout
     for state in traj.states:
         rho = state.rho
         scaled = (rho - rbar) / eps
@@ -121,7 +122,8 @@ def uniform_estimate_report(traj, grid: Grid, law: PressureLaw, eps: float):
         sup["res_density_lq"] = max(
             sup["res_density_lq"], grid.lq_norm(split_scaled.residual, 1.0)
         )
-        uc, vc = face_to_center(state.u, state.v)
+        uc = lay.cells(average_to_center(lay.flat(state.u), lay.row))
+        vc = lay.cells(average_to_center(lay.flat(state.v), 1))
         speed_sq = np.where(grid.active, rho * (uc**2 + vc**2), 0.0)
         sup["sqrt_rho_u_l2"] = max(
             sup["sqrt_rho_u_l2"], float(np.sqrt(np.sum(speed_sq)) * grid.h)
@@ -166,6 +168,7 @@ def convergence_metrics(
     eps = comp_traj.eps
     rbar = law.rho_ref
     h2 = grid.h**2
+    lay = grid.layout
 
     phi_h_u, phi_h_v, _ = grid.ops.helmholtz(phi[0], phi[1])
 
@@ -175,18 +178,17 @@ def convergence_metrics(
     pair_inc = []
     for cstate, istate in zip(comp_traj.states, inc_traj.states):
         density_scale = max(density_scale, grid.l2norm(cstate.rho - rbar) / eps)
-        cu, cv = face_to_center(cstate.u, cstate.v)
-        iu, iv = face_to_center(istate.u, istate.v)
+        cu, iu = (lay.cells(average_to_center(lay.flat(s.u), lay.row)) for s in (cstate, istate))
+        cv, iv = (lay.cells(average_to_center(lay.flat(s.v), 1)) for s in (cstate, istate))
         diff = np.where(window, (cu - iu) ** 2 + (cv - iv) ** 2, 0.0)
         gap_sq.append(float(np.sum(diff)) * h2)
 
         ext = lifting_sample(lifting, grid, cstate.t)
         wu, wv = shifted_momentum(cstate, grid, path, law, ext)
         pair_comp.append(grid.ops.face_dot(wu, wv, phi_h_u, phi_h_v) * h2)
+        # face_dot reads the interior faces only
         swu = rbar * (istate.u - ext.u)
         swv = rbar * (istate.v - ext.v)
-        swu[~grid.uface_interior] = 0.0
-        swv[~grid.vface_interior] = 0.0
         pair_inc.append(grid.ops.face_dot(swu, swv, phi[0], phi[1]) * h2)
 
     velocity_gap = float(np.sqrt(np.trapezoid(gap_sq, times)))

@@ -16,7 +16,7 @@ number and the step policy both explicit solvers share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,10 +25,9 @@ from .errors import CflViolation, GeometryTooCoarse, OutOfHorizon
 from .operators import (
     PaddedLayout,
     component_masks,
-    face_to_center,
     nodal_curl,
     smoothstep,
-    velocity_gradient,
+    velocity_gradient_components,
 )
 
 
@@ -113,10 +112,14 @@ class Grid:
         # faces whose value is known: unknown-carrying or prescribed
         self.uface_known = self.uface_interior | self.uface_boundary
         self.vface_known = self.vface_interior | self.vface_boundary
-        # the flat padded layout of the per-step kernels and the two
-        # components' stencil masks in it
+        # the padded layout of every cell and face field, the components'
+        # masks in it, and the active cells around each interior node
         self.layout = PaddedLayout(self.nx, self.ny)
         self.component_masks = component_masks(self)
+        a = act.astype(float)
+        self.corner_cells = np.zeros(self.layout.size)
+        self.corner_cells.reshape(self.layout.shape)[1:-1, 1:-1] = (
+            a[1:, 1:] + a[:-1, 1:] + a[1:, :-1] + a[:-1, :-1])
 
         self.n_active = int(np.count_nonzero(act))
         # outermost ring of active cells, where the far field is checked
@@ -245,22 +248,18 @@ def eval_motion(path: MotionPath, t: float):
     )
 
 
-def enforce_bc(grid: Grid, path: MotionPath, state, copy=True):
-    """A fluid state (any dataclass with u, v, t) whose obstacle faces move
-    with the body and whose truncation rim is at rest; its u and v are
-    views of flat buffers in the grid's padded layout. With copy=False the
-    caller hands over state.u and state.v, whose buffers are written in
-    place when they are padded already."""
+def enforce_bc(grid: Grid, path: MotionPath, state):
+    """Move the obstacle faces of a fluid state (any dataclass with u, v,
+    t) with the body and put its truncation rim at rest: the buffers of
+    its u and v views, ghosts included, are written. Returns the state."""
     _, mp, _ = eval_motion(path, state.t)
-    lay = grid.layout
     xm, ym = grid.component_masks
-    u = lay.padded(state.u) if copy else lay.flat(state.u)
-    v = lay.padded(state.v) if copy else lay.flat(state.v)
+    u, v = grid.layout.flat(state.u), grid.layout.flat(state.v)
     np.copyto(u, mp[0], where=xm.exterior)
     np.copyto(v, mp[1], where=ym.exterior)
     np.copyto(u, 0.0, where=xm.rim)
     np.copyto(v, 0.0, where=ym.rim)
-    return replace(state, u=lay.xfaces(u), v=lay.yfaces(v))
+    return state
 
 
 CFL = 0.4  # share of its state's stability bound that an explicit step takes
@@ -294,7 +293,7 @@ class ExplicitStepper:
 
 @dataclass(frozen=True)
 class ExtensionFieldSample:
-    """One time slice of the lifting field V: its face components."""
+    """One time slice of the lifting field V: its face components (views)."""
 
     u: np.ndarray
     v: np.ndarray
@@ -344,27 +343,26 @@ class ExtensionField:
         r = np.sqrt(self._xn**2 + self._yn**2)
         self._taper = 1.0 - smoothstep((r - self.collar) / (R - g.h - self.collar))
 
-        units = [self._curl_of(e) for e in ((1.0, 0.0), (0.0, 1.0))]
-        centers = [np.stack(face_to_center(u, v), axis=-1) for u, v in units]
-        grads = [velocity_gradient(g, u, v) for u, v in units]
-        nonzero = g.active & (
-            np.any(centers[0] != 0.0, axis=-1)
-            | np.any(centers[1] != 0.0, axis=-1)
-            | np.any(grads[0] != 0.0, axis=(-2, -1))
-            | np.any(grads[1] != 0.0, axis=(-2, -1))
-        )
+        # each unit field's cell values (nx, ny, 2) and gradient (nx, ny, 4)
+        fields = []
+        for e in ((1.0, 0.0), (0.0, 1.0)):
+            comps, avgs = velocity_gradient_components(g, *self._curl_of(e))
+            fields += [np.stack([g.layout.cells(c) for c in part], axis=-1)
+                       for part in (avgs, comps)]
+        nonzero = g.active & np.any([np.any(f != 0.0, axis=-1) for f in fields], axis=0)
         rows = np.flatnonzero(nonzero.any(axis=1))
         cols = np.flatnonzero(nonzero.any(axis=0))
         self.box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
         self.box_active = g.active[self.box].copy()
         # cell-centred values (bx, by, 2) and gradients (bx, by, 2, 2)
-        self._centers = [c[self.box].copy() for c in centers]
-        self._grads = [gr[self.box].copy() for gr in grads]
+        self._centers = [f[self.box].copy() for f in fields[::2]]
+        self._grads = [f[self.box].copy().reshape(*self.box_active.shape, 2, 2)
+                       for f in fields[1::2]]
 
     def _curl_of(self, velocity):
         vx, vy = float(velocity[0]), float(velocity[1])
         psi = self._taper * (vx * self._yn - vy * self._xn)
-        return nodal_curl(psi, self.grid.h)
+        return nodal_curl(self.grid, psi)
 
     def sample(self, t: float) -> ExtensionFieldSample:
         """V(t, .) on faces."""
@@ -395,8 +393,9 @@ class ExtensionField:
 def lifting_sample(lifting, grid: Grid, t: float) -> ExtensionFieldSample:
     """V(t) of a lifting field; zero when there is none."""
     if lifting is None:
-        zu, zv = np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1))
-        return ExtensionFieldSample(zu, zv)
+        lay = grid.layout
+        return ExtensionFieldSample(lay.xfaces(np.zeros(lay.size)),
+                                    lay.yfaces(np.zeros(lay.size)))
     return lifting.sample(t)
 
 

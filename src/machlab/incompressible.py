@@ -22,7 +22,7 @@ from .operators import mirror_laplacian, upwind_transport
 
 @dataclass(frozen=True)
 class IncompressibleState:
-    u: np.ndarray  # (nx+1, ny)
+    u: np.ndarray  # (nx+1, ny) face views in the grid's padded layout
     v: np.ndarray  # (nx, ny+1)
     t: float
 
@@ -42,7 +42,8 @@ class IncompressibleSolver(ExplicitStepper):
         self.path = path
 
     def init_state(self, u0, v0) -> IncompressibleState:
-        """Solenoidal projection of u0, made compatible with the moving BC.
+        """Solenoidal projection of the face views u0, v0, made compatible
+        with the moving BC.
 
         Pinning the obstacle-face normal velocity to m'(0) reintroduces
         cell divergence next to the boundary, so one pressure projection
@@ -51,7 +52,7 @@ class IncompressibleSolver(ExplicitStepper):
         g = self.grid
         hu, hv, _ = g.ops.helmholtz(u0, v0)
         return self._project(
-            enforce_bc(g, self.path, IncompressibleState(hu, hv, 0.0), copy=False)
+            enforce_bc(g, self.path, IncompressibleState(hu, hv, 0.0))
         )
 
     def _project(self, state: IncompressibleState) -> IncompressibleState:
@@ -59,7 +60,7 @@ class IncompressibleSolver(ExplicitStepper):
         prescribed values: the boundary flux enters the divergence, and
         the boundary condition is imposed again on the result."""
         hu, hv, _ = self.grid.ops.helmholtz(state.u, state.v, include_boundary_faces=True)
-        return enforce_bc(self.grid, self.path, replace(state, u=hu, v=hv), copy=False)
+        return enforce_bc(self.grid, self.path, replace(state, u=hu, v=hv))
 
     def cfl_limit(self, state: IncompressibleState) -> float:
         g = self.grid
@@ -90,8 +91,7 @@ class IncompressibleSolver(ExplicitStepper):
         # the projection must see the obstacle velocity of the new time
         t_new = state.t + dt
         out = self._project(
-            enforce_bc(g, self.path, replace(state, u=u_star, v=v_star, t=t_new),
-                       copy=False)
+            enforce_bc(g, self.path, replace(state, u=u_star, v=v_star, t=t_new))
         )
         if not (np.all(np.isfinite(out.u)) and np.all(np.isfinite(out.v))):
             raise NanDetected(f"non-finite velocity at t = {out.t:.6g}")

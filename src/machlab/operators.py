@@ -17,13 +17,13 @@ face/center averages, the nodal curl, the cell-centred velocity
 gradient, upwind transport, the free-slip face Laplacian and the quintic
 C2 step.
 
-The per-step kernels work on one padded layout (PaddedLayout): the cell,
-x-face and y-face arrays of an nx-by-ny grid all live in a C-ordered
-(nx+1, ny+1) buffer, read flat, so a step along x is the offset ny+1, a
-step along y the offset 1, and every stencil shift is a contiguous 1-D
-slice. The y-component runs the x-component's code with the two strides
-swapped, reading the flat per-component masks (ComponentMasks) that each
-grid builds once; nothing is transposed.
+Every field lives in its grid's padded layout (PaddedLayout), passed as
+2-D views: the cell, x-face and y-face arrays of an nx-by-ny grid all
+live in a C-ordered (nx+1, ny+1) buffer, read flat, so a step along x is
+the offset ny+1, a step along y the offset 1, and every stencil shift is
+a contiguous 1-D slice. The y-component runs the x-component's code with
+the two strides swapped, reading the flat per-component masks
+(ComponentMasks) that each grid builds once; nothing is transposed.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ class DiscreteOperators:
         return np.asarray(cell_field)[self.grid.active]
 
     def unpack(self, vec):
-        out = np.zeros((self.grid.nx, self.grid.ny))
+        lay = self.grid.layout
+        out = lay.cells(np.zeros(lay.size))
         out[self.grid.active] = vec
         return out
 
@@ -105,24 +106,22 @@ class DiscreteOperators:
 
     def grad(self, cell_field):
         """Masked gradient to faces; zero on boundary and dead faces."""
-        g = self.grid
-        h = self.h
-        u = np.zeros((g.nx + 1, g.ny))
-        v = np.zeros((g.nx, g.ny + 1))
-        u[1:-1, :] = (cell_field[1:, :] - cell_field[:-1, :]) / h
-        v[:, 1:-1] = (cell_field[:, 1:] - cell_field[:, :-1]) / h
-        u[~g.uface_interior] = 0.0
-        v[~g.vface_interior] = 0.0
-        return u, v
+        lay = self.grid.layout
+        c = lay.flat(cell_field)
+        u, v = np.zeros(lay.size), np.zeros(lay.size)
+        # face k of either family lies between cells k - normal and k
+        for f, m in zip((u, v), self.grid.component_masks):
+            np.divide(c[m.normal:] - c[:-m.normal], self.h, out=f[m.normal:])
+            np.copyto(f, 0.0, where=m.exterior)
+        return lay.xfaces(u), lay.yfaces(v)
 
     def div(self, u, v, include_boundary_faces=False):
-        """Face-flux divergence on active cells, as a 2-D view of a flat
-        array in the grid's padded layout (layout.flat recovers it).
+        """Face-flux divergence on active cells of face views (or flat
+        arrays) u and v in the grid's padded layout, as a cell view in it.
 
-        u and v are 2-D or flat padded. With include_boundary_faces the
-        prescribed values on boundary faces contribute; otherwise only
-        interior faces are seen (the adjoint of grad, as used by the
-        Neumann Laplacian and Helmholtz machinery).
+        With include_boundary_faces the prescribed values on boundary faces
+        contribute; otherwise only interior faces are seen (the adjoint of
+        grad, as used by the Neumann Laplacian and Helmholtz machinery).
         """
         lay = self.grid.layout
         s = lay.row
@@ -144,7 +143,7 @@ class DiscreteOperators:
 
     def curl(self, psi):
         """Masked nodal curl to faces; zero on boundary and dead faces."""
-        u, v = nodal_curl(psi, self.h)
+        u, v = nodal_curl(self.grid, psi)
         u[~self.grid.uface_interior] = 0.0
         v[~self.grid.vface_interior] = 0.0
         return u, v
@@ -207,28 +206,24 @@ class DiscreteOperators:
         boundary values enter the divergence, as in div, and pass through
         unchanged: the pressure projection of the incompressible solver.
         """
-        g = self.grid
-        if include_boundary_faces:
-            um, vm = u, v
-        else:
-            um = np.where(g.uface_interior, u, 0.0)
-            vm = np.where(g.vface_interior, v, 0.0)
+        lay = self.grid.layout
+        xm, ym = self.grid.component_masks
+        um, vm = lay.flat(u), lay.flat(v)
+        if not include_boundary_faces:
+            um = zeroed(um, xm.exterior)
+            vm = zeroed(vm, ym.exterior)
         rhs = -self.pack(self.div(um, vm, include_boundary_faces))
-        theta_vec = self.poisson_solve(rhs)
-        theta = self.unpack(theta_vec)
+        theta = self.unpack(self.poisson_solve(rhs))
         gu, gv = self.grad(theta)
         # sign: laplacian = G^T G and div = -G^T, so A theta = -div gives
         # theta with grad(theta) carrying the full divergence of (u, v)
-        return um - gu, vm - gv, theta
+        return lay.xfaces(um - lay.flat(gu)), lay.yfaces(vm - lay.flat(gv)), theta
 
 
 # -- staggered-grid stencils shared by the solvers and the analysis ----------
 #
 # Ghost entries of the padded layout may hold anything: the masks zero
-# what reads them, or it lands on faces the caller overwrites. The 2-D
-# helpers (face_to_center, center_to_xface, center_to_yface,
-# velocity_gradient, div) pad their inputs, run the flat kernels and
-# return 2-D views of the results.
+# what reads them, or it lands on faces the caller overwrites.
 
 
 class PaddedLayout:
@@ -250,33 +245,30 @@ class PaddedLayout:
         self.size = self.shape[0] * self.row
         self.parts = ((self.nx, self.ny), (self.nx + 1, self.ny), (self.nx, self.row))
 
-    def _check(self, a):
+    def padded(self, a, fill=0.0):
+        """A new flat buffer holding a (a cell, x-face or y-face array) in
+        its corner and `fill` elsewhere: the one way into the layout."""
         if a.shape not in self.parts:
             raise ValueError(f"shape {a.shape} is no cell, x-face or y-face array "
                              f"of a {self.nx} x {self.ny} grid")
-
-    def padded(self, a, fill=0.0):
-        """A new flat buffer holding a (a cell, x-face or y-face array) in
-        its corner and `fill` elsewhere."""
-        self._check(a)
         out = np.full(self.size, fill, dtype=a.dtype)
         out.reshape(self.shape)[:a.shape[0], :a.shape[1]] = a
         return out
 
     def flat(self, a):
         """The flat buffer of a: a itself when it is one, the buffer
-        behind it when a is a 2-D view of one (no copy), else
-        padded(a)."""
+        behind it when a is a cell, x-face or y-face view of one (no
+        copy); anything else raises ValueError."""
         if a.shape == (self.size,):
             return a
-        self._check(a)
         base = a.base
         # a view whose memory reaches the buffer's first entry starts there
-        if (base is not None and base.shape == (self.size,) and base.dtype == a.dtype
-                and a.strides == (self.row * a.itemsize, a.itemsize)
+        if (a.shape in self.parts and base is not None and base.shape == (self.size,)
+                and base.dtype == a.dtype and a.strides == (self.row * a.itemsize, a.itemsize)
                 and np.may_share_memory(a, base[:1])):
             return base
-        return self.padded(a)
+        raise ValueError(f"a {a.shape} array is no cell, x-face or y-face view of a "
+                         f"padded buffer of a {self.nx} x {self.ny} grid")
 
     def cells(self, f):
         return f.reshape(self.shape)[:self.nx, :self.ny]
@@ -325,31 +317,11 @@ def average_to_face(c, s, layout):
     return out
 
 
-def face_to_center(u, v):
-    """Cell-center averages of x-face and y-face components, as 2-D views
-    of flat padded arrays."""
-    lay = PaddedLayout(v.shape[0], u.shape[1])
-    uc = average_to_center(lay.flat(u), lay.row)
-    vc = average_to_center(lay.flat(v), 1)
-    return lay.cells(uc), lay.cells(vc)
-
-
-def center_to_xface(c):
-    """x-face averages of a cell field; the two edge rows stay zero."""
-    lay = PaddedLayout(*c.shape)
-    return lay.xfaces(average_to_face(lay.flat(c), lay.row, lay))
-
-
-def center_to_yface(c):
-    """y-face averages of a cell field; the two edge columns stay zero."""
-    lay = PaddedLayout(*c.shape)
-    return lay.yfaces(average_to_face(lay.flat(c), 1, lay))
-
-
 def velocity_gradient_components(grid, u, v):
-    """Cell-centred velocity gradient d u_i / d x_j from face components
-    (2-D or flat padded), as four flat arrays in the grid's padded layout
-    (gxx, gxy, gyx, gyy); zero on inactive cells and ghosts.
+    """Cell-centred velocity gradient d u_i / d x_j and velocity, ((gxx,
+    gxy, gyx, gyy), (uc, vc)), flat in the grid's padded layout; the
+    gradient is zero on inactive cells and ghosts, and uc, vc average u, v
+    with their unknown faces zeroed (on active cells, plain averages).
 
     The tangential derivatives are central differences of the cell
     averages and stay zero on the edge rows (gyx) and columns (gxy).
@@ -381,14 +353,7 @@ def velocity_gradient_components(grid, u, v):
     gxy[lay.ny - 1::s] = 0.0
     for comp in (gxx, gxy, gyx, gyy):
         np.copyto(comp, 0.0, where=xm.inactive)
-    return gxx, gxy, gyx, gyy
-
-
-def velocity_gradient(grid, u, v):
-    """Cell-centered velocity gradient tensor (nx, ny, 2, 2) from face
-    components, [..., i, j] = d u_i / d x_j; zero on inactive cells."""
-    comps = [grid.layout.cells(c) for c in velocity_gradient_components(grid, u, v)]
-    return np.stack(comps, axis=-1).reshape(grid.nx, grid.ny, 2, 2)
+    return (gxx, gxy, gyx, gyy), (uc, vc)
 
 
 def smoothstep(x):
@@ -397,12 +362,17 @@ def smoothstep(x):
     return s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def nodal_curl(psi, h):
-    """Face velocity (d psi/dy, -d psi/dx) of a nodal stream function.
+def nodal_curl(grid, psi):
+    """Face velocity (d psi/dy, -d psi/dx) of a nodal stream function, as
+    face views in the grid's padded layout.
 
     The discrete divergence of the result vanishes identically.
     """
-    return (psi[:, 1:] - psi[:, :-1]) / h, -(psi[1:, :] - psi[:-1, :]) / h
+    lay = grid.layout
+    u, v = lay.xfaces(np.zeros(lay.size)), lay.yfaces(np.zeros(lay.size))
+    u[...] = (psi[:, 1:] - psi[:, :-1]) / grid.h
+    v[...] = -(psi[1:, :] - psi[:-1, :]) / grid.h
+    return u, v
 
 
 class ComponentMasks:

@@ -42,8 +42,7 @@ from .constitutive import (
 from .errors import ConfigValidationError, EigensolverFailure
 from .geometry import ExtensionField, ExtensionFieldSample, Grid, MotionPath, eval_motion
 from .operators import (
-    center_to_xface, center_to_yface, face_to_center, smoothstep, spd_factor,
-    velocity_gradient,
+    average_to_center, average_to_face, smoothstep, spd_factor, velocity_gradient_components,
 )
 
 DESK_CELL_CAP = 128 * 128
@@ -433,34 +432,39 @@ FORCING_TERMS = {
 
 
 def tensor_divdiv(grid: Grid, tensor):
-    """div div of a cell tensor field, with masked one-sided closures."""
+    """div div of a flat cell tensor field, with masked one-sided closures."""
     g = grid
-    act = g.active.astype(float)
+    lay = g.layout
+    d = lay.row + 1  # corner k joins cells k - d, k - row, k - 1 and k
+    den = g.corner_cells
+
+    def four_point(a, op):
+        # op(op(a[k + d], a[k + 1]), a[k + row]) + a[k] for k < size - d
+        out = op(a[d:], a[1:1 - d])
+        op(out, a[d - 1:-1], out=out)
+        out += a[:-d]
+        return out
 
     def dxy(f):
         # corner-averaged cross difference restricted to active data
-        fm = f * act
-        corner = np.zeros((g.nx + 1, g.ny + 1))
-        den = np.zeros((g.nx + 1, g.ny + 1))
-        corner[1:-1, 1:-1] = fm[1:, 1:] + fm[:-1, 1:] + fm[1:, :-1] + fm[:-1, :-1]
-        den[1:-1, 1:-1] = act[1:, 1:] + act[:-1, 1:] + act[1:, :-1] + act[:-1, :-1]
+        corner = np.zeros(lay.size)
+        corner[d:] = four_point(f * g.component_masks[0].active, np.add)
         corner = np.where(den > 0, corner / np.maximum(den, 1.0), 0.0)
-        return (
-            corner[1:, 1:] - corner[:-1, 1:] - corner[1:, :-1] + corner[:-1, :-1]
-        ) / g.h**2
+        out = np.zeros(lay.size)
+        out[:-d] = four_point(corner, np.subtract) / g.h**2
+        return out
 
-    out = (
-        g.ops.div(g.ops.grad(tensor[:, :, 0, 0])[0], g.ops.grad(tensor[:, :, 1, 1])[1])
-        + dxy(tensor[:, :, 0, 1])
-        + dxy(tensor[:, :, 1, 0])
-    )
-    out[~g.active] = 0.0
-    return out
+    out = lay.flat(g.ops.div(g.ops.grad(tensor[:, 0, 0])[0], g.ops.grad(tensor[:, 1, 1])[1]))
+    out = out + dxy(tensor[:, 0, 1]) + dxy(tensor[:, 1, 0])
+    np.copyto(out, 0.0, where=g.component_masks[0].inactive)
+    return lay.cells(out)
 
 
 def _vector_div(grid: Grid, field):
-    """div of a cell vector field through its face averages."""
-    return grid.ops.div(center_to_xface(field[..., 0]), center_to_yface(field[..., 1]))
+    """div of a flat cell vector field through its face averages."""
+    lay = grid.layout
+    return grid.ops.div(average_to_face(field[:, 0], lay.row, lay),
+                        average_to_face(field[:, 1], 1, lay))
 
 
 def assemble_forcing(
@@ -472,7 +476,7 @@ def assemble_forcing(
     ext: ExtensionFieldSample,
     lifting: ExtensionField | None,
 ) -> dict:
-    """The wave source's term densities (scalar cell fields) of a snapshot.
+    """The wave source's term densities (cell views) of a snapshot.
 
     Returns a dict from each FORCING_TERMS label to its density, in table
     order: divdiv of the tensor terms, div of the vector terms, the scalar
@@ -483,39 +487,39 @@ def assemble_forcing(
     elsewhere.
     """
     g = grid
+    lay = g.layout
     eps = state.eps
     _, mp, mpp = eval_motion(path, state.t)
-    rho = state.rho
+    rho = lay.flat(state.rho)
     rbar = law.rho_ref
+    active = g.component_masks[0].active
 
-    ess_mask = essential_indicator(rho, rbar) * g.active
-    res_mask = g.active.astype(float) - ess_mask
+    # every field is flat in the padded layout, vector and tensor axes last
+    ess_mask = essential_indicator(rho, rbar) * active
+    res_mask = active - ess_mask
     ess = ess_mask[..., None, None]
     res = res_mask[..., None, None]
 
-    vel = np.stack(
-        face_to_center(
-            np.where(g.uface_known, state.u, 0.0), np.where(g.vface_known, state.v, 0.0)
-        ),
-        axis=-1,
-    )
+    grads, centers = velocity_gradient_components(g, state.u, state.v)
+    vel = np.stack(centers, axis=-1)
     uu = vel[..., :, None] * vel[..., None, :]
-    vext = np.stack(face_to_center(ext.u, ext.v), axis=-1)
+    vext = np.stack((average_to_center(lay.flat(ext.u), lay.row),
+                     average_to_center(lay.flat(ext.v), 1)), axis=-1)
     mom = rho[..., None] * vel - rbar * vext  # momentum relative to lifting
     r_cells = (rho - rbar) / eps
-    wmom = mom - eps * r_cells[..., None] * mp[None, None, :]
-    outer_m = mom[..., :, None] * mp[None, None, None, :]
-    outer_w = eps * mp[None, None, :, None] * wmom[..., None, :]
-    accel = -eps * r_cells[..., None] * mpp[None, None, :]
-    dv_moving = np.zeros((g.nx, g.ny, 2))
+    wmom = mom - eps * r_cells[..., None] * mp
+    outer_m = mom[..., :, None] * mp
+    outer_w = eps * mp[:, None] * wmom[..., None, :]
+    accel = -eps * r_cells[..., None] * mpp
+    dv_moving = np.zeros((lay.size, 2))
     if lifting is not None:
-        dv_moving[lifting.box] = lifting.box_fields(state.t)[1]
+        dv_moving.reshape(*lay.shape, 2)[lifting.box] = lifting.box_fields(state.t)[1]
 
     return {
-        "viscous": tensor_divdiv(g, stress(visc, velocity_gradient(g, state.u, state.v))),
+        "viscous": tensor_divdiv(g, stress(visc, np.stack(grads, -1).reshape(-1, 2, 2))),
         "convective_ess": tensor_divdiv(g, -(ess_mask * rho)[..., None, None] * uu),
         "convective_res": tensor_divdiv(g, -(res_mask * rho)[..., None, None] * uu),
-        "pressure": pressure_entropy(law, rho) / eps**2,
+        "pressure": lay.cells(pressure_entropy(law, rho) / eps**2),
         "extension_accel": _vector_div(g, -rbar * dv_moving),
         "momentum_translation_ess": tensor_divdiv(g, ess * outer_m),
         "momentum_translation_res": tensor_divdiv(g, res * outer_m),
@@ -574,7 +578,7 @@ def extract_acoustic_potential(
     """
     wu, wv = shifted_momentum(state, grid, path, law, ext)
     _, _, psi = grid.ops.helmholtz(wu, wv)
-    r_field = np.where(grid.active, (state.rho - law.rho_ref) / state.eps, 0.0)
+    r_field = grid.ops.unpack(grid.ops.pack((state.rho - law.rho_ref) / state.eps))
     return AcousticState(r_field, psi, state.eps, state.t)
 
 
@@ -583,13 +587,18 @@ def shifted_momentum(state, grid: Grid, path: MotionPath, law: PressureLaw, ext)
     zero off the interior faces."""
     eps = state.eps
     rbar = law.rho_ref
+    lay = grid.layout
     _, mp, _ = eval_motion(path, state.t)
-    r_cells = (state.rho - rbar) / eps
-    wu = center_to_xface(state.rho) * state.u - rbar * ext.u - eps * mp[0] * center_to_xface(r_cells)
-    wv = center_to_yface(state.rho) * state.v - rbar * ext.v - eps * mp[1] * center_to_yface(r_cells)
-    wu[~grid.uface_interior] = 0.0
-    wv[~grid.vface_interior] = 0.0
-    return wu, wv
+    rho = lay.flat(state.rho)
+    r_cells = (rho - rbar) / eps
+    out = []
+    for u, e, m, masks in zip((state.u, state.v), (ext.u, ext.v), mp, grid.component_masks):
+        s = masks.normal
+        w = (average_to_face(rho, s, lay) * lay.flat(u) - rbar * lay.flat(e)
+             - eps * m * average_to_face(r_cells, s, lay))
+        np.copyto(w, 0.0, where=masks.exterior)
+        out.append(w)
+    return lay.xfaces(out[0]), lay.yfaces(out[1])
 
 
 # -- spectral window, spatial cutoff, and the decay functional ---------------

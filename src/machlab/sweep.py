@@ -111,8 +111,8 @@ def initial_velocity(cfg: ExperimentConfig, grid: Grid, rng: np.random.Generator
     """
     ini = cfg["initial"]
     kind = ini["velocity_kind"]
-    u = np.zeros((grid.nx + 1, grid.ny))
-    v = np.zeros((grid.nx, grid.ny + 1))
+    lay = grid.layout
+    u, v = lay.xfaces(np.zeros(lay.size)), lay.yfaces(np.zeros(lay.size))
     if kind == "zero":
         return u, v
     L = cfg["geometry"]["extent"]
@@ -124,7 +124,6 @@ def initial_velocity(cfg: ExperimentConfig, grid: Grid, rng: np.random.Generator
         cu, cv = grid.ops.curl(psi * taper)
         q = gaussian_filter(rng.standard_normal((grid.nx, grid.ny)), 4.0)
         q *= _cell_bump(grid, (0.0, 0.0), 0.7 * L, 1.0)
-        gq = grid.ops.grad(q)
     else:
         psi = _node_bump(grid, (-0.3 * L, -0.175 * L), 0.15 * L)
         cu, cv = grid.ops.curl(psi)
@@ -134,7 +133,7 @@ def initial_velocity(cfg: ExperimentConfig, grid: Grid, rng: np.random.Generator
             1.5 * ini["pulse_width"],
             1.0,
         )
-        gq = grid.ops.grad(q)
+    gq = grid.ops.grad(lay.padded(q))
 
     scale_v = max(np.abs(cu).max(), np.abs(cv).max())
     if scale_v > 0:

@@ -12,6 +12,7 @@ import numpy as np
 from . import spectral as sp
 from .compressible import TOL_ENERGY, FluidState, instant_energy
 from .config import parse_config
+from .errors import SnapshotFormatError
 from .geometry import eval_motion, lifting_sample
 from .storage import (
     changed_artifacts, check_artifacts, read_csv, read_manifest, read_snapshot,
@@ -33,6 +34,22 @@ class CheckResult:
 def _snapshot_files(run_dir: Path, sub: str):
     d = run_dir / sub
     return sorted(d.glob("snap_*.dat")) if d.exists() else []
+
+
+def _snapshot_fields(path, grid, names):
+    """The time and the named fields (rho, u or v) of a stored snapshot,
+    padded into the grid's layout; a field that is missing or not of its
+    grid shape raises SnapshotFormatError naming the path and the field."""
+    meta, fields = read_snapshot(path)
+    lay = grid.layout
+    out = []
+    for name in names:
+        i = ("rho", "u", "v").index(name)  # cell, x-face, y-face
+        if np.shape(fields.get(name)) != lay.parts[i]:
+            raise SnapshotFormatError(
+                f"{path}: field {name!r} is missing or not of shape {lay.parts[i]}")
+        out.append((lay.cells, lay.xfaces, lay.yfaces)[i](lay.padded(fields[name])))
+    return meta["time"], out
 
 
 def verify_run(run_dir) -> dict:
@@ -80,15 +97,14 @@ def verify_run(run_dir) -> dict:
         slip = 0.0
         energy_gap = -np.inf
         for path in files:
-            meta, fields = read_snapshot(path)
-            rho, u, v = fields["rho"], fields["u"], fields["v"]
+            t, (rho, u, v) = _snapshot_fields(path, grid, ("rho", "u", "v"))
             min_rho = min(min_rho, float(rho[grid.active].min()))
             # far field: density fluctuation on the outermost active ring
             far_field = max(
                 far_field, float(np.abs(rho[grid.cell_rim] - law.rho_ref).max())
             )
             # relative normal velocity on obstacle boundary faces
-            _, mp, _ = eval_motion(scenario.path, meta["time"])
+            _, mp, _ = eval_motion(scenario.path, t)
             ub = grid.uface_obstacle
             vb = grid.vface_obstacle
             if ub.any():
@@ -96,11 +112,9 @@ def verify_run(run_dir) -> dict:
             if vb.any():
                 slip = max(slip, float(np.abs(v[vb] - mp[1]).max()))
             # recomputed instantaneous energy must stay below the stored rhs
-            key = (eps, round(meta["time"], 10))
+            key = (eps, round(t, 10))
             if key in energy:
-                e_inst = instant_energy(
-                    grid, law, FluidState(rho, u, v, meta["time"], eps)
-                )
+                e_inst = instant_energy(grid, law, FluidState(rho, u, v, t, eps))
                 _, rhs, _ = energy[key]
                 e0 = energy[(eps, 0.0)][0]
                 energy_gap = max(energy_gap, e_inst - rhs - TOL_ENERGY * max(e0, 1e-12))
@@ -133,8 +147,8 @@ def verify_run(run_dir) -> dict:
     # reference snapshots stay divergence-free
     max_div = 0.0
     for path in _snapshot_files(run_dir, "reference"):
-        _, fields = read_snapshot(path)
-        div = grid.ops.div(fields["u"], fields["v"], include_boundary_faces=True)
+        _, (u, v) = _snapshot_fields(path, grid, ("u", "v"))
+        div = grid.ops.div(u, v, include_boundary_faces=True)
         max_div = max(max_div, float(np.abs(div[grid.active]).max()))
     checks.append(
         CheckResult("reference_divergence", "all", max_div, TOL_DIV, max_div <= TOL_DIV)
@@ -157,8 +171,9 @@ def stored_acoustic_pair(run_dir, eps: float, index: int) -> sp.AcousticState:
     rebuilt from its rho, u, v and time and the run's config."""
     run_dir = Path(run_dir)
     sc = build_scenario(parse_config((run_dir / "config.txt").read_text()))
-    meta, fields = read_snapshot(run_dir / _eps_dirname(eps) / f"snap_{index:03d}.dat")
-    state = FluidState(fields["rho"], fields["u"], fields["v"], meta["time"], eps)
+    t, (rho, u, v) = _snapshot_fields(
+        run_dir / _eps_dirname(eps) / f"snap_{index:03d}.dat", sc.grid, ("rho", "u", "v"))
+    state = FluidState(rho, u, v, t, eps)
     ext = lifting_sample(sc.solver.lifting, sc.grid, state.t)
     return sp.extract_acoustic_potential(state, sc.grid, sc.path, sc.law, ext)
 

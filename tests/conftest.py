@@ -1,5 +1,7 @@
 """Shared fixtures: small grids for unit tests, shipped-scenario runs for
-the acceptance suite (executed once per session)."""
+the acceptance suite (executed once per session); the helper that pads a
+plain array into a grid's layout, and the 2-D oracles of the staggered
+averages and the velocity gradient."""
 
 from __future__ import annotations
 
@@ -113,3 +115,45 @@ def fixed_step(solver, state, dt, horizon):
     for _ in range(round(horizon / dt)):
         state = solver.step(state, dt)
     return state
+
+
+def in_layout(grid, a):
+    """A copy of a (a cell, x-face or y-face array of grid) in the grid's
+    padded layout, as the 2-D view every machlab function takes."""
+    lay = grid.layout
+    views = dict(zip(lay.parts, (lay.cells, lay.xfaces, lay.yfaces)))
+    return views[np.shape(a)](lay.padded(np.asarray(a, dtype=float)))
+
+
+# -- 2-D oracles of the staggered averages and the velocity gradient ---------
+
+
+def oracle_face_to_center(u, v):
+    return 0.5 * (u[1:, :] + u[:-1, :]), 0.5 * (v[:, 1:] + v[:, :-1])
+
+
+def oracle_center_to_xface(c):
+    out = np.zeros((c.shape[0] + 1, c.shape[1]))
+    out[1:-1, :] = 0.5 * (c[1:, :] + c[:-1, :])
+    return out
+
+
+def oracle_center_to_yface(c):
+    return oracle_center_to_xface(c.T).T
+
+
+def oracle_gradient(grid, u, v):
+    """The (nx, ny, 2, 2) field d u_i / d x_j, unknown faces read as zero."""
+    g = grid
+    h = g.h
+    gu = np.zeros((g.nx, g.ny, 2, 2))
+    um = np.where(g.uface_known, u, 0.0)
+    vm = np.where(g.vface_known, v, 0.0)
+    gu[:, :, 0, 0] = (um[1:, :] - um[:-1, :]) / h
+    gu[:, :, 1, 1] = (vm[:, 1:] - vm[:, :-1]) / h
+    uc = 0.5 * (um[1:, :] + um[:-1, :])
+    vc = 0.5 * (vm[:, 1:] + vm[:, :-1])
+    gu[1:-1, :, 1, 0] = (vc[2:, :] - vc[:-2, :]) / (2 * h)
+    gu[:, 1:-1, 0, 1] = (uc[:, 2:] - uc[:, :-2]) / (2 * h)
+    gu[~g.active] = 0.0
+    return gu

@@ -24,7 +24,7 @@ from machlab.geometry import build_grid, build_rectangle_grid, static_path
 from machlab.incompressible import IncompressibleSolver
 from machlab.storage import read_csv
 
-from conftest import fixed_step
+from conftest import fixed_step, in_layout
 
 LAW = PressureLaw(1.0, 2.0, 1.0)
 
@@ -102,8 +102,8 @@ def test_criterion_5_helmholtz_correctness():
     rng = np.random.default_rng(7)
     worst_idem = worst_orth = worst_pyth = 0.0
     for _ in range(100):
-        u = rng.standard_normal((grid.nx + 1, grid.ny))
-        v = rng.standard_normal((grid.nx, grid.ny + 1))
+        u = in_layout(grid, rng.standard_normal((grid.nx + 1, grid.ny)))
+        v = in_layout(grid, rng.standard_normal((grid.nx, grid.ny + 1)))
         hu, hv, theta = grid.ops.helmholtz(u, v)
         hu2, hv2, _ = grid.ops.helmholtz(hu, hv)
         gt = grid.ops.grad(theta)
@@ -126,7 +126,7 @@ def test_criterion_5_helmholtz_correctness():
     # exact cases: gradients are killed, solenoidal-tangent fields are fixed
     xc, yc = grid.cell_centers()
     q = np.where(grid.active, np.exp(-((xc - 0.3) ** 2 + yc**2) / 0.05), 0.0)
-    gq = grid.ops.grad(q)
+    gq = grid.ops.grad(in_layout(grid, q))
     ku, kv, _ = grid.ops.helmholtz(gq[0], gq[1])
     kill = max(np.abs(ku).max(), np.abs(kv).max())
     xn, yn = grid.nodes()
@@ -136,7 +136,7 @@ def test_criterion_5_helmholtz_correctness():
     sv = -(psi[1:, :] - psi[:-1, :]) / grid.h
     su[~grid.uface_interior] = 0.0
     sv[~grid.vface_interior] = 0.0
-    fu, fv, _ = grid.ops.helmholtz(su, sv)
+    fu, fv, _ = grid.ops.helmholtz(in_layout(grid, su), in_layout(grid, sv))
     fix = max(np.abs(fu - su).max(), np.abs(fv - sv).max())
 
     ok = (worst_idem <= 1e-10 and worst_orth <= 1e-8 and worst_pyth <= 1e-8
@@ -299,8 +299,8 @@ class TestCriterion10Oracles:
         xn, yn = grid.nodes()
         rr = (xn + 0.55) ** 2 + yn**2
         psi = np.where(rr < 0.0625, 0.12 * (1 - rr / 0.0625) ** 3, 0.0)
-        u0 = (psi[:, 1:] - psi[:, :-1]) / grid.h
-        v0 = -(psi[1:, :] - psi[:-1, :]) / grid.h
+        u0 = in_layout(grid, (psi[:, 1:] - psi[:, :-1]) / grid.h)
+        v0 = in_layout(grid, -(psi[1:, :] - psi[:-1, :]) / grid.h)
         st0 = inc.init_state(u0, v0)
         base = inc.cfl_limit(st0) * 0.8
         horizon = 0.04

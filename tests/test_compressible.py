@@ -22,10 +22,16 @@ from machlab.geometry import (
     sinusoidal_path,
     static_path,
 )
-from machlab.operators import center_to_xface, center_to_yface, face_to_center, velocity_gradient
 from machlab.spectral import assemble_forcing
 
-from conftest import fixed_step
+from conftest import (
+    fixed_step,
+    in_layout,
+    oracle_center_to_xface,
+    oracle_center_to_yface,
+    oracle_face_to_center,
+    oracle_gradient,
+)
 
 LAW = PressureLaw(1.0, 2.0, 1.0)
 VISC = ViscosityPair(0.01)
@@ -185,7 +191,8 @@ class TestStep:
         s0 = sol.init_state(data)
         dt = 0.5 * sol.cfl_limit(s0)
         s1 = sol.step(s0, dt)
-        r1 = sol.step(FluidState(s0.rho.T, s0.v.T, s0.u.T, s0.t, s0.eps), dt)
+        r1 = sol.step(FluidState(*(in_layout(g, a.T) for a in (s0.rho, s0.v, s0.u)),
+                                 s0.t, s0.eps), dt)
         assert np.abs(r1.rho - s1.rho.T).max() <= 1e-12
         assert np.abs(r1.u - s1.v.T).max() <= 1e-12
         assert np.abs(r1.v - s1.u.T).max() <= 1e-12
@@ -306,8 +313,8 @@ def _moving_frame_derivative(grid, lifting, t):
     face samples: dV/dt|_x = dV~/dt|_y - (m'.grad) V~."""
     _, mp, _ = eval_motion(lifting.path, t)
     ext, ext_dt = lifting.sample(t), lifting.sample_dt(t)
-    grad_v = velocity_gradient(grid, ext.u, ext.v)
-    dv = np.stack(face_to_center(ext_dt.u, ext_dt.v), axis=-1)
+    grad_v = oracle_gradient(grid, ext.u, ext.v)
+    dv = np.stack(oracle_face_to_center(ext_dt.u, ext_dt.v), axis=-1)
     return grad_v, dv - np.einsum("xyij,j->xyi", grad_v, mp)
 
 
@@ -315,14 +322,14 @@ def _tensor_ledger(sol, state, dt):
     """Dissipation and lifting work of one step by the full-grid tensor
     formulation: the stress tensor field, the lifting samples and einsums."""
     g = sol.grid
-    grad_u = velocity_gradient(g, state.u, state.v)
+    grad_u = oracle_gradient(g, state.u, state.v)
     s_tensor = stress(sol.visc, grad_u)
     diss = np.einsum("xyij,xyij->xy", s_tensor, grad_u)
     dissipation = dt * float(np.sum(diss[g.active])) * g.h**2
     if sol.lifting is None:
         return dissipation, 0.0
     grad_v, dv_moving = _moving_frame_derivative(g, sol.lifting, state.t)
-    vel = np.stack(face_to_center(state.u, state.v), axis=-1)
+    vel = np.stack(oracle_face_to_center(state.u, state.v), axis=-1)
     uu = state.rho[..., None, None] * vel[..., :, None] * vel[..., None, :]
     integrand = (
         np.einsum("xyij,xyij->xy", s_tensor, grad_v)
@@ -344,8 +351,8 @@ def _random_state(sol):
     rng = np.random.default_rng(7)
     rho = np.where(g.active, 1.0 + 0.1 * rng.standard_normal((g.nx, g.ny)), 1.0)
     return enforce_bc(g, sol.path, FluidState(
-        rho, 0.3 * rng.standard_normal((g.nx + 1, g.ny)),
-        0.3 * rng.standard_normal((g.nx, g.ny + 1)), 0.13, 0.1,
+        in_layout(g, rho), in_layout(g, 0.3 * rng.standard_normal((g.nx + 1, g.ny))),
+        in_layout(g, 0.3 * rng.standard_normal((g.nx, g.ny + 1))), 0.13, 0.1,
     ))
 
 
@@ -381,7 +388,8 @@ class TestLedgerOracle:
         densities = assemble_forcing(*args, sol.lifting)
         without = assemble_forcing(*args, None)
         vec = -LAW.rho_ref * _moving_frame_derivative(g, sol.lifting, state.t)[1]
-        oracle = g.ops.div(center_to_xface(vec[..., 0]), center_to_yface(vec[..., 1]))
+        oracle = g.ops.div(in_layout(g, oracle_center_to_xface(vec[..., 0])),
+                           in_layout(g, oracle_center_to_yface(vec[..., 1])))
         assert np.abs(oracle).max() > 0.0
         assert list(densities) == list(without)
         for label, density in densities.items():
@@ -399,8 +407,8 @@ class TestLedgerOracle:
         for e in ((1.0, 0.0), (0.0, 1.0)):
             # the lifting of a body moving at the unit velocity e
             unit = make_solver(grid=g, path=linear_path(e, 1.0)).lifting.sample(0.0)
-            centers = np.stack(face_to_center(unit.u, unit.v), axis=-1)
-            grads = velocity_gradient(g, unit.u, unit.v)
+            centers = np.stack(oracle_face_to_center(unit.u, unit.v), axis=-1)
+            grads = oracle_gradient(g, unit.u, unit.v)
             nonzero = g.active & (
                 np.any(centers != 0.0, axis=-1) | np.any(grads != 0.0, axis=(-2, -1))
             )

@@ -17,6 +17,8 @@ from machlab.errors import ScheduleMismatch
 from machlab.geometry import build_grid, static_path
 from machlab.incompressible import IncompressibleSolver
 
+from conftest import in_layout
+
 LAW = PressureLaw(1.0, 2.0, 1.0)
 
 
@@ -90,9 +92,9 @@ class TestUniformEstimates:
         s = np.where(grid.active, 2.0 * np.cos(xc) * np.cos(yc), 0.0)
         from machlab.compressible import FluidState, Trajectory
 
-        state = FluidState(np.where(grid.active, 1.0 + eps * s, 1.0),
-                           np.zeros((grid.nx + 1, grid.ny)),
-                           np.zeros((grid.nx, grid.ny + 1)), 0.0, eps)
+        state = FluidState(in_layout(grid, np.where(grid.active, 1.0 + eps * s, 1.0)),
+                           in_layout(grid, np.zeros((grid.nx + 1, grid.ny))),
+                           in_layout(grid, np.zeros((grid.nx, grid.ny + 1))), 0.0, eps)
         traj = Trajectory(np.array([0.0]), [state], eps)
         records = {r.metric_name: r.value
                    for r in uniform_estimate_report(traj, grid, LAW, eps)}
@@ -112,8 +114,8 @@ class TestConvergenceMetrics:
         times = np.linspace(0.0, 0.02, 3)
         comp = sol.run(sol.init_state(data), times)
         inc = IncompressibleSolver(grid, 0.01, static_path(1.0))
-        ref = inc.run(inc.init_state(np.zeros((grid.nx + 1, grid.ny)),
-                                     np.zeros((grid.nx, grid.ny + 1))), times)
+        ref = inc.run(inc.init_state(in_layout(grid, np.zeros((grid.nx + 1, grid.ny))),
+                                     in_layout(grid, np.zeros((grid.nx, grid.ny + 1)))), times)
         return comp, ref
 
     def test_identical_trajectories_zero_gap(self):
@@ -172,13 +174,14 @@ class TestAssemblyIdentity:
         wv = rng.standard_normal((grid.nx, grid.ny + 1))
         wu[~grid.uface_interior] = 0.0
         wv[~grid.vface_interior] = 0.0
-        hu, hv, psi = grid.ops.helmholtz(wu, wv)
+        hu, hv, psi = grid.ops.helmholtz(in_layout(grid, wu), in_layout(grid, wv))
         phi = solenoidal_test_function(grid, 0.18, 0.45)
         phi_g = grid.ops.grad(
-            np.where(grid.active, np.cos(grid.cell_centers()[0]), 0.0)
+            in_layout(grid, np.where(grid.active, np.cos(grid.cell_centers()[0]), 0.0))
         )
         resid = assembly_identity_residual(
-            grid, wu, wv, psi, phi[0] + phi_g[0], phi[1] + phi_g[1]
+            grid, wu, wv, psi, in_layout(grid, phi[0] + phi_g[0]),
+            in_layout(grid, phi[1] + phi_g[1])
         )
         scale = grid.ops.face_l2norm(wu, wv)
         assert resid <= 1e-8 * max(scale, 1.0)

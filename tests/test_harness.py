@@ -242,7 +242,8 @@ class TestSweep:
 
     def test_every_stored_field_is_read(self, mini_run):
         # a snapshot field no reader reads is dead weight in every run
-        # directory; verify's readers subscript `fields` by name
+        # directory; verify's readers name the fields they read in their
+        # calls of its one snapshot reader
         out = Path(mini_run["out_dir"])
         stored = {}
         for path in out.rglob("snap_*.dat"):
@@ -250,9 +251,10 @@ class TestSweep:
         assert stored == {"eps_0p2": {"rho", "u", "v"}, "eps_0p1": {"rho", "u", "v"},
                           "reference": {"u", "v"}}
         tree = ast.parse(Path(verify.__file__).read_text())
-        read = {node.slice.value for node in ast.walk(tree)
-                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
-                and node.value.id == "fields" and isinstance(node.slice, ast.Constant)}
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_snapshot_fields"]
+        assert len(calls) == 3
+        read = {elt.value for call in calls for elt in call.args[2].elts}
         assert {"rho", "u", "v"} <= read
 
     def test_worker_pool_matches_sequential(self, mini_cfg, mini_run, tmp_path,
@@ -619,6 +621,32 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and str(victim) in lines[0], lines
+
+    @pytest.mark.parametrize("defect", ["no_u", "short_u", "flat_rho"])
+    def test_verify_misshapen_field_exit_code(self, defect, mini_run, tmp_path, capsys):
+        # a valid v2 snapshot whose field is missing or not of its grid
+        # shape: exit code 3 and one line naming the path and the field,
+        # from verify and from the stored acoustic pair alike
+        broken = tmp_path / "broken"
+        shutil.copytree(mini_run["out_dir"], broken)
+        victim = broken / "eps_0p2" / "snap_002.dat"
+        meta, fields = read_snapshot(victim)
+        field = "rho" if defect == "flat_rho" else "u"
+        if defect == "no_u":
+            del fields["u"]
+        elif defect == "short_u":
+            fields["u"] = fields["u"][:-1]
+        else:
+            fields["rho"] = fields["rho"].ravel()
+        write_snapshot(victim, meta["time"], fields)
+        assert cli_main(["verify", str(broken)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and str(victim) in lines[0], lines
+        assert f"field {field!r}" in lines[0], lines
+        with pytest.raises(SnapshotFormatError, match=f"field {field!r}"):
+            stored_acoustic_pair(broken, 0.2, 2)
 
     def test_verify_pass_exit_code(self, mini_run):
         assert cli_main(["verify", mini_run["out_dir"]]) == 0

@@ -1,8 +1,9 @@
 """The per-step kernels against the formulation they replaced.
 
-The oracles below are the earlier 2-D kernels: one np.where or
-boolean-mask assignment per mask, the y-component on transposed views,
-the velocity gradient as one (nx, ny, 2, 2) field. The current kernels
+The oracles below, and the shared ones in conftest, are the earlier 2-D
+kernels: one np.where or boolean-mask assignment per mask, the
+y-component on transposed views, the velocity gradient as one
+(nx, ny, 2, 2) field. The current kernels
 run on flat arrays in the grid's padded layout, both components through
 the same code with their strides swapped, and round every entry as the
 oracles do, so every comparison is exact (assert_array_equal). Their
@@ -10,10 +11,14 @@ inputs carry NaN in every ghost entry of the layout, so a kernel that
 read one would fail the comparison.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import machlab
 
 from machlab.compressible import (
     CompressibleSolver,
@@ -29,25 +34,23 @@ from machlab.incompressible import IncompressibleSolver
 from machlab.operators import (
     average_to_center,
     average_to_face,
-    center_to_xface,
-    center_to_yface,
-    face_to_center,
     mirror_laplacian,
     upwind_transport,
-    velocity_gradient,
     velocity_gradient_components,
 )
 from machlab.sweep import build_scenario, initial_data, initial_velocity
 
-from conftest import MINI_CFG, SINUSOIDAL_MINI_CFG
+from conftest import (
+    MINI_CFG,
+    SINUSOIDAL_MINI_CFG,
+    in_layout,
+    oracle_center_to_xface,
+    oracle_center_to_yface,
+    oracle_face_to_center,
+    oracle_gradient,
+)
 
 # -- oracles: the kernels as they were --------------------------------------
-
-
-def oracle_center_to_xface(c):
-    out = np.zeros((c.shape[0] + 1, c.shape[1]))
-    out[1:-1, :] = 0.5 * (c[1:, :] + c[:-1, :])
-    return out
 
 
 def oracle_masks(grid):
@@ -201,22 +204,6 @@ def oracle_step(sol, state, dt):
     return oracle_enforce_bc(
         g, sol.path, FluidState(rho_new, u_new, v_new, state.t + dt, eps, sponge_mass)
     )
-
-
-def oracle_gradient(grid, u, v):
-    g = grid
-    h = g.h
-    gu = np.zeros((g.nx, g.ny, 2, 2))
-    um = np.where(g.uface_known, u, 0.0)
-    vm = np.where(g.vface_known, v, 0.0)
-    gu[:, :, 0, 0] = (um[1:, :] - um[:-1, :]) / h
-    gu[:, :, 1, 1] = (vm[:, 1:] - vm[:, :-1]) / h
-    uc = 0.5 * (um[1:, :] + um[:-1, :])
-    vc = 0.5 * (vm[:, 1:] + vm[:, :-1])
-    gu[1:-1, :, 1, 0] = (vc[2:, :] - vc[:-2, :]) / (2 * h)
-    gu[:, 1:-1, 0, 1] = (uc[:, 2:] - uc[:, :-2]) / (2 * h)
-    gu[~g.active] = 0.0
-    return gu
 
 
 def oracle_accumulate(sol, ledger, state, dt):
@@ -439,26 +426,50 @@ def test_grid_kernels_ghost_entries_never_leak(grid):
         got = grid.ops.div(uf, vf, include_boundary_faces=boundary)
         assert np.all(np.isfinite(got))
         np.testing.assert_array_equal(got, oracle_div(grid, u, v, boundary))
-    comps = velocity_gradient_components(grid, uf, vf)
+    comps, avgs = velocity_gradient_components(grid, uf, vf)
     got = np.stack([lay.cells(c) for c in comps], axis=-1).reshape(grid.nx, grid.ny, 2, 2)
-    assert all(c.shape == (lay.size,) for c in comps)
+    assert all(c.shape == (lay.size,) for c in comps + avgs)
     assert np.all(np.isfinite(got))
     np.testing.assert_array_equal(got, oracle_gradient(grid, u, v))
+    # the averages read the unknown faces as zero
+    want = oracle_face_to_center(np.where(grid.uface_known, u, 0.0),
+                                 np.where(grid.vface_known, v, 0.0))
+    for c, w in zip(avgs, want):
+        np.testing.assert_array_equal(lay.cells(c), w)
 
 
 def test_flat_recovers_only_its_own_views(grid):
     """layout.flat hands back the buffer behind a cell, x-face or y-face
-    view of it, copies any other array, and refuses other shapes."""
+    view of it and refuses anything else: a plain array of a layout shape,
+    a view that starts inside the buffer, another shape."""
     lay = grid.layout
     f = np.arange(float(lay.size))
     for view in (lay.cells(f), lay.xfaces(f), lay.yfaces(f)):
         assert lay.flat(view) is f
     shifted = lay.xfaces(f)[1:]  # cell-shaped, but one row into the buffer
-    got = lay.flat(shifted)
-    assert got is not f
-    np.testing.assert_array_equal(lay.cells(got), shifted)
+    short = lay.cells(f)[:-1]  # starts at the buffer, but of no layout shape
+    for other in (np.zeros((grid.nx, grid.ny)), shifted, short):
+        with pytest.raises(ValueError, match="no cell, x-face or y-face view"):
+            lay.flat(other)
     with pytest.raises(ValueError, match="no cell, x-face or y-face array"):
-        lay.flat(np.zeros((grid.nx - 1, grid.ny)))
+        lay.padded(short)
+
+
+def test_one_layout_owner():
+    """Only geometry builds a PaddedLayout, one per grid, and the 2-D
+    wrappers around the layout's kernels are defined nowhere in machlab."""
+    gone = {"face_to_center", "center_to_xface", "center_to_yface", "velocity_gradient"}
+    for path in sorted(Path(machlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        builds = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "PaddedLayout" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None))]
+        assert not builds or path.stem == "geometry", path.name
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        assert not defined & gone, (path.name, defined & gone)
 
 
 def test_step_ghost_entries_never_leak(grid):
@@ -474,7 +485,9 @@ def test_step_ghost_entries_never_leak(grid):
                          lay.xfaces(lay.padded(plain.u, np.nan)),
                          lay.yfaces(lay.padded(plain.v, np.nan)), plain.t, plain.eps)
     dt = sol.cfl_limit(ghosted)
-    assert dt == sol.cfl_limit(plain)
+    zero_ghosts = FluidState(*(in_layout(grid, a) for a in (plain.rho, plain.u, plain.v)),
+                             plain.t, plain.eps)
+    assert dt == sol.cfl_limit(zero_ghosts)
     new, old = sol.step(ghosted, dt), oracle_step(sol, plain, dt)
     for name in ("rho", "u", "v"):
         assert np.all(np.isfinite(getattr(new, name)))
@@ -491,12 +504,17 @@ def test_velocity_gradient_and_dissipation(grid):
     """The four 2-D gradient components stack to the old (nx, ny, 2, 2)
     field, and the ledger read from them adds the same dissipation and
     lifting work as the ledger read from that field."""
+    lay = grid.layout
     _, u, v, _, _ = _fields(grid, 16)
-    np.testing.assert_array_equal(velocity_gradient(grid, u, v), oracle_gradient(grid, u, v))
+    u, v = in_layout(grid, u), in_layout(grid, v)
+    comps, _ = velocity_gradient_components(grid, u, v)
+    got = np.stack([lay.cells(c) for c in comps], axis=-1).reshape(grid.nx, grid.ny, 2, 2)
+    np.testing.assert_array_equal(got, oracle_gradient(grid, u, v))
     for path in (static_path(1.0), linear_path((0.1, -0.05), 1.0)):
         sol = CompressibleSolver(grid, LAW, VISC, path)
         rho, _, _, _, _ = _fields(grid, 17)
-        state = enforce_bc(grid, path, FluidState(rho, u, v, 0.13, 0.1))
+        state = enforce_bc(grid, path, FluidState(
+            *(in_layout(grid, a) for a in (rho, u, v)), 0.13, 0.1))
         got = EnergyLedger(0.0, 0.0)
         want = EnergyLedger(0.0, 0.0)
         sol._accumulate(got, state, 1e-3)
@@ -563,7 +581,7 @@ def test_incompressible_steps_match_oracle():
         x_masks, y_masks = oracle_masks(g)
         u_star = oracle_transport_step(inc, old.u, wu, wv, dt, *x_masks)
         v_star = oracle_transport_step(inc, old.v.T, wv.T, wu.T, dt, *y_masks).T
-        star = type(old)(u_star, v_star, old.t + dt)
+        star = type(old)(in_layout(g, u_star), in_layout(g, v_star), old.t + dt)
         old = inc._project(enforce_bc(g, inc.path, star))
         state = inc.step(state, dt)
         np.testing.assert_array_equal(state.u, old.u)
@@ -571,12 +589,15 @@ def test_incompressible_steps_match_oracle():
 
 
 def test_face_averages_match_oracle(grid):
+    lay = grid.layout
     rho, u, v, _, _ = _fields(grid, 18)
-    np.testing.assert_array_equal(face_to_center(u, v)[0], 0.5 * (u[1:, :] + u[:-1, :]))
-    np.testing.assert_array_equal(face_to_center(u, v)[1], 0.5 * (v[:, 1:] + v[:, :-1]))
-    np.testing.assert_array_equal(center_to_xface(rho), oracle_center_to_xface(rho))
-    want_y = np.zeros((grid.nx, grid.ny + 1))
-    want_y[:, 1:-1] = 0.5 * (rho[:, 1:] + rho[:, :-1])
-    np.testing.assert_array_equal(center_to_yface(rho), want_y)
+    rho, u, v = (in_layout(grid, a) for a in (rho, u, v))
+    got = (average_to_center(lay.flat(u), lay.row), average_to_center(lay.flat(v), 1))
+    for c, want in zip(got, oracle_face_to_center(u, v)):
+        np.testing.assert_array_equal(lay.cells(c), want)
+    np.testing.assert_array_equal(lay.xfaces(average_to_face(lay.flat(rho), lay.row, lay)),
+                                  oracle_center_to_xface(rho))
+    np.testing.assert_array_equal(lay.yfaces(average_to_face(lay.flat(rho), 1, lay)),
+                                  oracle_center_to_yface(rho))
     np.testing.assert_array_equal(grid.ops.div(u, v, include_boundary_faces=True),
                                   oracle_div(grid, u, v))

@@ -24,6 +24,8 @@ from machlab import spectral as sp
 from machlab.incompressible import IncompressibleState
 from machlab.operators import DiscreteOperators, spd_factor
 
+from conftest import in_layout
+
 LAW = PressureLaw(1.0, 2.0, 1.0)
 
 
@@ -345,7 +347,7 @@ class TestFractionalPowers:
         w = np.cos(xc) * np.cos(2 * yc)
         out = fractional_power(dec, 0.5, w)
         lhs = g.l2norm(out)
-        gu, gv = g.ops.grad(w)
+        gu, gv = g.ops.grad(in_layout(g, w))
         rhs = g.ops.face_l2norm(gu, gv)
         assert abs(lhs - rhs) <= 5.0 * g.h * rhs
 
@@ -355,7 +357,7 @@ class TestHelmholtz:
         g = obstacle_grid
         xc, yc = g.cell_centers()
         q = np.where(g.active, np.exp(-((xc - 0.3) ** 2 + yc**2) / 0.05), 0.0)
-        gq = g.ops.grad(q)
+        gq = g.ops.grad(in_layout(g, q))
         hu, hv, _ = g.ops.helmholtz(gq[0], gq[1])
         assert max(np.abs(hu).max(), np.abs(hv).max()) <= 1e-10
 
@@ -368,14 +370,14 @@ class TestHelmholtz:
         v = -(psi[1:, :] - psi[:-1, :]) / g.h
         u[~g.uface_interior] = 0.0
         v[~g.vface_interior] = 0.0
-        hu, hv, _ = g.ops.helmholtz(u, v)
+        hu, hv, _ = g.ops.helmholtz(in_layout(g, u), in_layout(g, v))
         assert np.abs(hu - u).max() <= 1e-10
         assert np.abs(hv - v).max() <= 1e-10
 
     def test_constant_field_on_plain_square(self, unit_square_grid):
         g = unit_square_grid
-        u = np.ones((g.nx + 1, g.ny))
-        v = np.zeros((g.nx, g.ny + 1))
+        u = in_layout(g, np.ones((g.nx + 1, g.ny)))
+        v = in_layout(g, np.zeros((g.nx, g.ny + 1)))
         hu, hv, _ = g.ops.helmholtz(u, v)
         assert g.ops.face_l2norm(hu, hv) <= 10.0 * g.h
 
@@ -383,8 +385,8 @@ class TestHelmholtz:
         g = obstacle_grid
         rng = np.random.default_rng(5)
         for _ in range(10):
-            u = rng.standard_normal((g.nx + 1, g.ny))
-            v = rng.standard_normal((g.nx, g.ny + 1))
+            u = in_layout(g, rng.standard_normal((g.nx + 1, g.ny)))
+            v = in_layout(g, rng.standard_normal((g.nx, g.ny + 1)))
             hu, hv, theta = g.ops.helmholtz(u, v)
             hu2, hv2, _ = g.ops.helmholtz(hu, hv)
             norm = g.ops.face_l2norm(hu, hv)
@@ -402,8 +404,8 @@ class TestHelmholtz:
     def test_divergence_free_output(self, obstacle_grid):
         g = obstacle_grid
         rng = np.random.default_rng(6)
-        u = rng.standard_normal((g.nx + 1, g.ny))
-        v = rng.standard_normal((g.nx, g.ny + 1))
+        u = in_layout(g, rng.standard_normal((g.nx + 1, g.ny)))
+        v = in_layout(g, rng.standard_normal((g.nx, g.ny + 1)))
         hu, hv, _ = g.ops.helmholtz(u, v)
         div = g.ops.div(hu, hv)
         assert np.abs(div[g.active]).max() <= 1e-8
@@ -414,8 +416,8 @@ class TestHelmholtz:
         g = obstacle_grid
         path = linear_path((0.3, -0.1), 1.0)
         rng = np.random.default_rng(8)
-        u = rng.standard_normal((g.nx + 1, g.ny))
-        v = rng.standard_normal((g.nx, g.ny + 1))
+        u = in_layout(g, rng.standard_normal((g.nx + 1, g.ny)))
+        v = in_layout(g, rng.standard_normal((g.nx, g.ny + 1)))
         state = enforce_bc(g, path, IncompressibleState(u, v, 0.2))
         hu, hv, _ = g.ops.helmholtz(state.u, state.v, include_boundary_faces=True)
         # div -> Poisson solve -> grad, written out
@@ -569,16 +571,17 @@ class TestDuhamel:
 class TestForcing:
     def _rest_state(self, grid, eps=0.1):
         return FluidState(
-            np.ones((grid.nx, grid.ny)),
-            np.zeros((grid.nx + 1, grid.ny)),
-            np.zeros((grid.nx, grid.ny + 1)),
+            in_layout(grid, np.ones((grid.nx, grid.ny))),
+            in_layout(grid, np.zeros((grid.nx + 1, grid.ny))),
+            in_layout(grid, np.zeros((grid.nx, grid.ny + 1))),
             0.0,
             eps,
         )
 
     def _zero_ext(self, grid):
         return sp.ExtensionFieldSample(
-            np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1))
+            in_layout(grid, np.zeros((grid.nx + 1, grid.ny))),
+            in_layout(grid, np.zeros((grid.nx, grid.ny + 1))),
         )
 
     def test_rest_state_zero_forcing(self, obstacle_grid):
@@ -604,9 +607,9 @@ class TestForcing:
         visc = ViscosityPair(0.01)
         rng = np.random.default_rng(11)
         state = FluidState(
-            np.ones((g.nx, g.ny)),
-            0.1 * rng.standard_normal((g.nx + 1, g.ny)),
-            0.1 * rng.standard_normal((g.nx, g.ny + 1)),
+            in_layout(g, np.ones((g.nx, g.ny))),
+            in_layout(g, 0.1 * rng.standard_normal((g.nx + 1, g.ny))),
+            in_layout(g, 0.1 * rng.standard_normal((g.nx, g.ny + 1))),
             0.0,
             0.1,
         )
@@ -622,8 +625,8 @@ class TestForcing:
         eps = 0.05
         xc, _ = g.cell_centers()
         rho = np.where(g.active, 1.0 + eps * 0.3 * np.cos(xc), 1.0)
-        state = FluidState(rho, np.zeros((g.nx + 1, g.ny)),
-                           np.zeros((g.nx, g.ny + 1)), 0.0, eps)
+        state = FluidState(in_layout(g, rho), in_layout(g, np.zeros((g.nx + 1, g.ny))),
+                           in_layout(g, np.zeros((g.nx, g.ny + 1))), 0.0, eps)
         densities = sp.assemble_forcing(state, g, LAW, ViscosityPair(0.01),
                                         static_path(1.0), self._zero_ext(g), None)
         expected = np.where(g.active, ((rho - 1.0) / eps) ** 2, 0.0)
@@ -681,8 +684,9 @@ class TestForcing:
         rho[(xc > 0.4) & (yc > 0.4)] = 2.5
         rho[(xc < -0.4) & (yc < -0.4)] = 0.3
         t = 0.13
-        state = FluidState(rho, 0.3 * rng.standard_normal((g.nx + 1, g.ny)),
-                           0.3 * rng.standard_normal((g.nx, g.ny + 1)), t, 0.1)
+        state = FluidState(in_layout(g, rho),
+                           in_layout(g, 0.3 * rng.standard_normal((g.nx + 1, g.ny))),
+                           in_layout(g, 0.3 * rng.standard_normal((g.nx, g.ny + 1))), t, 0.1)
         densities = sp.assemble_forcing(state, g, LAW, ViscosityPair(0.01), path,
                                         lifting.sample(t), lifting)
         assert list(densities) == list(routing)
@@ -795,8 +799,8 @@ class TestAcousticExtraction:
         path = linear_path((0.5, 0.0), 1.0)
         field = ExtensionField(g, path, 0.45)
         ext = field.sample(0.3)
-        state = FluidState(np.ones((g.nx, g.ny)), ext.u.copy(), ext.v.copy(),
-                           0.3, 0.1)
+        state = FluidState(in_layout(g, np.ones((g.nx, g.ny))), in_layout(g, ext.u),
+                           in_layout(g, ext.v), 0.3, 0.1)
         ac = sp.extract_acoustic_potential(state, g, path, LAW, ext)
         assert np.abs(ac.r).max() == 0.0
         assert np.abs(ac.psi).max() <= 1e-12
@@ -810,8 +814,10 @@ class TestAcousticExtraction:
         v = -(psi[1:, :] - psi[:-1, :]) / g.h
         u[~g.uface_interior] = 0.0
         v[~g.vface_interior] = 0.0
-        state = FluidState(np.ones((g.nx, g.ny)), u, v, 0.0, 0.1)
-        ext = sp.ExtensionFieldSample(np.zeros_like(u), np.zeros_like(v))
+        state = FluidState(in_layout(g, np.ones((g.nx, g.ny))), in_layout(g, u),
+                           in_layout(g, v), 0.0, 0.1)
+        ext = sp.ExtensionFieldSample(in_layout(g, np.zeros_like(u)),
+                                      in_layout(g, np.zeros_like(v)))
         ac = sp.extract_acoustic_potential(state, g, static_path(1.0), LAW, ext)
         assert np.abs(ac.psi).max() <= 1e-10
         wu, wv = sp.shifted_momentum(state, g, static_path(1.0), LAW, ext)
@@ -825,9 +831,9 @@ class TestAcousticExtraction:
         xc, _ = g.cell_centers()
         rho = np.where(g.active, 1.0 + 0.05 * np.cos(2 * xc), 1.0)
         state = FluidState(
-            rho,
-            0.1 * rng.standard_normal((g.nx + 1, g.ny)),
-            0.1 * rng.standard_normal((g.nx, g.ny + 1)),
+            in_layout(g, rho),
+            in_layout(g, 0.1 * rng.standard_normal((g.nx + 1, g.ny))),
+            in_layout(g, 0.1 * rng.standard_normal((g.nx, g.ny + 1))),
             0.2,
             0.1,
         )
