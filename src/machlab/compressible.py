@@ -36,7 +36,6 @@ from .geometry import (
     eval_motion,
 )
 from .operators import (
-    average_to_center,
     average_to_face,
     mirror_laplacian,
     upwind_transport,
@@ -108,8 +107,7 @@ class Trajectory:
 def instant_energy(grid: Grid, law: PressureLaw, state: FluidState) -> float:
     """Kinetic plus scaled internal (relative-entropy) energy of a state."""
     lay = grid.layout
-    uc = lay.cells(average_to_center(lay.flat(state.u), lay.row))
-    vc = lay.cells(average_to_center(lay.flat(state.v), 1))
+    uc, vc = map(lay.cells, lay.centers(state.u, state.v))
     kinetic = 0.5 * state.rho * (uc**2 + vc**2)
     internal = relative_entropy(law, state.rho) / state.eps**2
     total = np.where(grid.active, kinetic + internal, 0.0)
@@ -196,8 +194,7 @@ class CompressibleSolver(ExplicitStepper):
         if np.any(rho[g.active] <= 0.0):
             raise VacuumState("initial density is not positive everywhere")
         return enforce_bc(g, self.path, FluidState(
-            lay.cells(lay.padded(rho)), lay.xfaces(lay.padded(data.u0)),
-            lay.yfaces(lay.padded(data.v0)), 0.0, data.eps))
+            lay.enter(rho), lay.enter(data.u0), lay.enter(data.v0), 0.0, data.eps))
 
     # -- stability ----------------------------------------------------------
 
@@ -394,8 +391,8 @@ class CompressibleSolver(ExplicitStepper):
         g = self.grid
         lay = g.layout
         ext = self.lifting.sample(state.t)
-        uc, ecu = (lay.cells(average_to_center(lay.flat(f), lay.row)) for f in (state.u, ext.u))
-        vc, ecv = (lay.cells(average_to_center(lay.flat(f), 1)) for f in (state.v, ext.v))
+        uc, vc = map(lay.cells, lay.centers(state.u, state.v))
+        ecu, ecv = map(lay.cells, lay.centers(ext.u, ext.v))
         val = state.rho * (uc * ecu + vc * ecv)
         return float(np.sum(val[g.active])) * g.h**2
 

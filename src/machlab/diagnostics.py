@@ -14,7 +14,6 @@ import numpy as np
 from .constitutive import PressureLaw, essential_indicator
 from .errors import ScheduleMismatch
 from .geometry import Grid, MotionPath, lifting_sample
-from .operators import average_to_center
 from .spectral import shifted_momentum
 
 
@@ -122,8 +121,7 @@ def uniform_estimate_report(traj, grid: Grid, law: PressureLaw, eps: float):
         sup["res_density_lq"] = max(
             sup["res_density_lq"], grid.lq_norm(split_scaled.residual, 1.0)
         )
-        uc = lay.cells(average_to_center(lay.flat(state.u), lay.row))
-        vc = lay.cells(average_to_center(lay.flat(state.v), 1))
+        uc, vc = map(lay.cells, lay.centers(state.u, state.v))
         speed_sq = np.where(grid.active, rho * (uc**2 + vc**2), 0.0)
         sup["sqrt_rho_u_l2"] = max(
             sup["sqrt_rho_u_l2"], float(np.sqrt(np.sum(speed_sq)) * grid.h)
@@ -178,8 +176,8 @@ def convergence_metrics(
     pair_inc = []
     for cstate, istate in zip(comp_traj.states, inc_traj.states):
         density_scale = max(density_scale, grid.l2norm(cstate.rho - rbar) / eps)
-        cu, iu = (lay.cells(average_to_center(lay.flat(s.u), lay.row)) for s in (cstate, istate))
-        cv, iv = (lay.cells(average_to_center(lay.flat(s.v), 1)) for s in (cstate, istate))
+        cu, cv = map(lay.cells, lay.centers(cstate.u, cstate.v))
+        iu, iv = map(lay.cells, lay.centers(istate.u, istate.v))
         diff = np.where(window, (cu - iu) ** 2 + (cv - iv) ** 2, 0.0)
         gap_sq.append(float(np.sum(diff)) * h2)
 

@@ -42,15 +42,15 @@ class IncompressibleSolver(ExplicitStepper):
         self.path = path
 
     def init_state(self, u0, v0) -> IncompressibleState:
-        """Solenoidal projection of the face views u0, v0, made compatible
-        with the moving BC.
+        """Solenoidal projection of the face arrays u0, v0, copied into the
+        padded layout, made compatible with the moving BC.
 
         Pinning the obstacle-face normal velocity to m'(0) reintroduces
         cell divergence next to the boundary, so one pressure projection
         follows; for a static obstacle it is an exact no-op.
         """
         g = self.grid
-        hu, hv, _ = g.ops.helmholtz(u0, v0)
+        hu, hv, _ = g.ops.helmholtz(g.layout.enter(u0), g.layout.enter(v0))
         return self._project(
             enforce_bc(g, self.path, IncompressibleState(hu, hv, 0.0))
         )

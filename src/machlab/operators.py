@@ -126,12 +126,8 @@ class DiscreteOperators:
         lay = self.grid.layout
         s = lay.row
         xm, ym = self.grid.component_masks
-        if include_boundary_faces:
-            um = zeroed(lay.flat(u), xm.unknown)
-            vm = zeroed(lay.flat(v), ym.unknown)
-        else:
-            um = zeroed(lay.flat(u), xm.exterior)
-            vm = zeroed(lay.flat(v), ym.exterior)
+        hidden = (xm.unknown, ym.unknown) if include_boundary_faces else (xm.exterior, ym.exterior)
+        um, vm = zeroed(lay.flat(u), hidden[0]), zeroed(lay.flat(v), hidden[1])
         # cell k lies between x-faces k, k + s and y-faces k, k + 1
         out = np.empty_like(um)
         mid = np.subtract(um[s:], um[:-s], out=out[:-s])
@@ -247,13 +243,18 @@ class PaddedLayout:
 
     def padded(self, a, fill=0.0):
         """A new flat buffer holding a (a cell, x-face or y-face array) in
-        its corner and `fill` elsewhere: the one way into the layout."""
+        its corner and `fill` elsewhere."""
         if a.shape not in self.parts:
             raise ValueError(f"shape {a.shape} is no cell, x-face or y-face array "
                              f"of a {self.nx} x {self.ny} grid")
         out = np.full(self.size, fill, dtype=a.dtype)
         out.reshape(self.shape)[:a.shape[0], :a.shape[1]] = a
         return out
+
+    def enter(self, a, fill=0.0):
+        """A padded copy of a, as the cell, x-face or y-face view its shape names."""
+        f = self.padded(a, fill)
+        return (self.cells, self.xfaces, self.yfaces)[self.parts.index(a.shape)](f)
 
     def flat(self, a):
         """The flat buffer of a: a itself when it is one, the buffer
@@ -263,12 +264,16 @@ class PaddedLayout:
             return a
         base = a.base
         # a view whose memory reaches the buffer's first entry starts there
-        if (a.shape in self.parts and base is not None and base.shape == (self.size,)
+        if (a.shape in self.parts and isinstance(base, np.ndarray) and base.shape == (self.size,)
                 and base.dtype == a.dtype and a.strides == (self.row * a.itemsize, a.itemsize)
                 and np.may_share_memory(a, base[:1])):
             return base
         raise ValueError(f"a {a.shape} array is no cell, x-face or y-face view of a "
                          f"padded buffer of a {self.nx} x {self.ny} grid")
+
+    def centers(self, u, v):
+        """The flat cell averages (uc, vc) of the face views u, v."""
+        return average_to_center(self.flat(u), self.row), average_to_center(self.flat(v), 1)
 
     def cells(self, f):
         return f.reshape(self.shape)[:self.nx, :self.ny]

@@ -42,7 +42,7 @@ from .constitutive import (
 from .errors import ConfigValidationError, EigensolverFailure
 from .geometry import ExtensionField, ExtensionFieldSample, Grid, MotionPath, eval_motion
 from .operators import (
-    average_to_center, average_to_face, smoothstep, spd_factor, velocity_gradient_components,
+    average_to_face, smoothstep, spd_factor, velocity_gradient_components,
 )
 
 DESK_CELL_CAP = 128 * 128
@@ -503,8 +503,7 @@ def assemble_forcing(
     grads, centers = velocity_gradient_components(g, state.u, state.v)
     vel = np.stack(centers, axis=-1)
     uu = vel[..., :, None] * vel[..., None, :]
-    vext = np.stack((average_to_center(lay.flat(ext.u), lay.row),
-                     average_to_center(lay.flat(ext.v), 1)), axis=-1)
+    vext = np.stack(lay.centers(ext.u, ext.v), axis=-1)
     mom = rho[..., None] * vel - rbar * vext  # momentum relative to lifting
     r_cells = (rho - rbar) / eps
     wmom = mom - eps * r_cells[..., None] * mp

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -402,11 +402,14 @@ def _init_worker(cfg_text: str, pairs, reference, out_dir: Path):
     """Worker-pool initializer: rebuilds the scenario from the canonical
     text and the decomposition from the parent's eigenpairs (no second
     eigensolve) and keeps the parent's reference trajectory, once per
-    worker, so each job carries only its eps."""
+    worker, so each job carries only its eps. The reference states enter
+    the worker's layout: under spawn they arrive pickled, as plain arrays."""
     global _worker_setup
     scenario = build_scenario(parse_config(cfg_text))
     dec = sp.SpectralDecomposition(scenario.grid, *pairs)
-    _worker_setup = (scenario, dec, reference, out_dir)
+    lay = scenario.grid.layout
+    states = [replace(s, u=lay.enter(s.u), v=lay.enter(s.v)) for s in reference.states]
+    _worker_setup = (scenario, dec, replace(reference, states=states), out_dir)
 
 
 def _run_one_eps_job(eps: float):

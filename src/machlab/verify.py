@@ -44,11 +44,11 @@ def _snapshot_fields(path, grid, names):
     lay = grid.layout
     out = []
     for name in names:
-        i = ("rho", "u", "v").index(name)  # cell, x-face, y-face
-        if np.shape(fields.get(name)) != lay.parts[i]:
+        shape = lay.parts[("rho", "u", "v").index(name)]  # cell, x-face, y-face
+        if np.shape(fields.get(name)) != shape:
             raise SnapshotFormatError(
-                f"{path}: field {name!r} is missing or not of shape {lay.parts[i]}")
-        out.append((lay.cells, lay.xfaces, lay.yfaces)[i](lay.padded(fields[name])))
+                f"{path}: field {name!r} is missing or not of shape {shape}")
+        out.append(lay.enter(fields[name]))
     return meta["time"], out
 
 

@@ -120,9 +120,7 @@ def fixed_step(solver, state, dt, horizon):
 def in_layout(grid, a):
     """A copy of a (a cell, x-face or y-face array of grid) in the grid's
     padded layout, as the 2-D view every machlab function takes."""
-    lay = grid.layout
-    views = dict(zip(lay.parts, (lay.cells, lay.xfaces, lay.yfaces)))
-    return views[np.shape(a)](lay.padded(np.asarray(a, dtype=float)))
+    return grid.layout.enter(np.asarray(a, dtype=float))
 
 
 # -- 2-D oracles of the staggered averages and the velocity gradient ---------

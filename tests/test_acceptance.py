@@ -299,8 +299,8 @@ class TestCriterion10Oracles:
         xn, yn = grid.nodes()
         rr = (xn + 0.55) ** 2 + yn**2
         psi = np.where(rr < 0.0625, 0.12 * (1 - rr / 0.0625) ** 3, 0.0)
-        u0 = in_layout(grid, (psi[:, 1:] - psi[:, :-1]) / grid.h)
-        v0 = in_layout(grid, -(psi[1:, :] - psi[:-1, :]) / grid.h)
+        u0 = (psi[:, 1:] - psi[:, :-1]) / grid.h
+        v0 = -(psi[1:, :] - psi[:-1, :]) / grid.h
         st0 = inc.init_state(u0, v0)
         base = inc.cfl_limit(st0) * 0.8
         horizon = 0.04

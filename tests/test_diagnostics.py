@@ -114,8 +114,8 @@ class TestConvergenceMetrics:
         times = np.linspace(0.0, 0.02, 3)
         comp = sol.run(sol.init_state(data), times)
         inc = IncompressibleSolver(grid, 0.01, static_path(1.0))
-        ref = inc.run(inc.init_state(in_layout(grid, np.zeros((grid.nx + 1, grid.ny))),
-                                     in_layout(grid, np.zeros((grid.nx, grid.ny + 1)))), times)
+        ref = inc.run(inc.init_state(np.zeros((grid.nx + 1, grid.ny)),
+                                     np.zeros((grid.nx, grid.ny + 1))), times)
         return comp, ref
 
     def test_identical_trajectories_zero_gap(self):

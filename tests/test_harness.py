@@ -323,6 +323,22 @@ class TestSweep:
         assert (tmp_path / "eps_0p2" / "snap_004.dat").exists()
 
 
+    def test_pool_job_takes_pickled_reference(self, mini_cfg, tmp_path, monkeypatch):
+        # under the spawn and forkserver start methods the initializer's
+        # arguments arrive pickled, the reference states as plain arrays
+        sc = build_scenario(mini_cfg)
+        dec = sweep.decompose(mini_cfg, sc.grid)
+        u0, v0 = sweep.initial_velocity(mini_cfg, sc.grid, np.random.default_rng(0))
+        inc = IncompressibleSolver(sc.grid, 0.01, sc.path)
+        reference = inc.run(inc.init_state(u0, v0), sample_schedule(mini_cfg))
+        expected = sweep.run_one_eps(sc, dec, 0.2, reference, tmp_path / "sequential")
+        monkeypatch.setattr(sweep, "_worker_setup", None)
+        sweep._init_worker(canonical_text(mini_cfg),
+                           (dec.eigenvalues, dec.eigenvectors, dec.residuals),
+                           pickle.loads(pickle.dumps(reference)), tmp_path / "pooled")
+        assert sweep._run_one_eps_job(0.2) == expected
+
+
 class TestVerify:
     @pytest.mark.parametrize("run", ["mini_run", "sinusoidal_mini_run"])
     def test_fresh_run_all_pass(self, run, request):

@@ -13,6 +13,7 @@ read one would fail the comparison.
 
 import ast
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -448,11 +449,28 @@ def test_flat_recovers_only_its_own_views(grid):
         assert lay.flat(view) is f
     shifted = lay.xfaces(f)[1:]  # cell-shaped, but one row into the buffer
     short = lay.cells(f)[:-1]  # starts at the buffer, but of no layout shape
-    for other in (np.zeros((grid.nx, grid.ny)), shifted, short):
+    unpickled = pickle.loads(pickle.dumps(lay.cells(f)))  # its base is no array
+    for other in (np.zeros((grid.nx, grid.ny)), shifted, short, unpickled):
         with pytest.raises(ValueError, match="no cell, x-face or y-face view"):
             lay.flat(other)
     with pytest.raises(ValueError, match="no cell, x-face or y-face array"):
         lay.padded(short)
+
+
+def test_enter_pads_into_the_matching_view(grid):
+    """layout.enter copies a cell, x-face or y-face array into a fresh
+    buffer, ghosts set to its fill, and returns the view of that shape."""
+    lay = grid.layout
+    rng = np.random.default_rng(0)
+    for shape in lay.parts:
+        a = rng.standard_normal(shape)
+        view = lay.enter(a, np.nan)
+        np.testing.assert_array_equal(view, a)
+        f = lay.flat(view)
+        assert not np.shares_memory(f, a)
+        assert np.isnan(f).sum() == lay.size - a.size
+    with pytest.raises(ValueError, match="no cell, x-face or y-face array"):
+        lay.enter(np.zeros(lay.shape))
 
 
 def test_one_layout_owner():
@@ -481,9 +499,8 @@ def test_step_ghost_entries_never_leak(grid):
     sol = CompressibleSolver(grid, LAW, VISC, path, 0.25)
     rho, u, v, _, _ = _fields(grid, 20, None)
     plain = oracle_enforce_bc(grid, path, FluidState(rho, u, v, 0.13, 0.1))
-    ghosted = FluidState(lay.cells(lay.padded(plain.rho, np.nan)),
-                         lay.xfaces(lay.padded(plain.u, np.nan)),
-                         lay.yfaces(lay.padded(plain.v, np.nan)), plain.t, plain.eps)
+    ghosted = FluidState(*(lay.enter(a, np.nan) for a in (plain.rho, plain.u, plain.v)),
+                         plain.t, plain.eps)
     dt = sol.cfl_limit(ghosted)
     zero_ghosts = FluidState(*(in_layout(grid, a) for a in (plain.rho, plain.u, plain.v)),
                              plain.t, plain.eps)
