@@ -108,11 +108,7 @@ class DiscreteOperators:
         """Masked gradient to faces; zero on boundary and dead faces."""
         lay = self.grid.layout
         c = lay.flat(cell_field)
-        u, v = np.zeros(lay.size), np.zeros(lay.size)
-        # face k of either family lies between cells k - normal and k
-        for f, m in zip((u, v), self.grid.component_masks):
-            np.divide(c[m.normal:] - c[:-m.normal], self.h, out=f[m.normal:])
-            np.copyto(f, 0.0, where=m.exterior)
+        u, v = (gradient_to_face(c, m, self.h) for m in self.grid.component_masks)
         return lay.xfaces(u), lay.yfaces(v)
 
     def div(self, u, v, include_boundary_faces=False):
@@ -309,6 +305,15 @@ def average_to_center(f, s):
     mid *= 0.5
     out[-s:] = 0.0
     return out
+
+
+def gradient_to_face(c, m, h):
+    """(c[k] - c[k - m.normal]) / h of a flat cell field on the faces k of
+    the family with ComponentMasks m, zero on its exterior faces."""
+    f = np.zeros(c.shape)
+    np.divide(c[m.normal:] - c[:-m.normal], h, out=f[m.normal:])
+    np.copyto(f, 0.0, where=m.exterior)
+    return f
 
 
 def average_to_face(c, s, layout):

@@ -9,15 +9,15 @@ operators.spd_factor. On the span live the two-component acoustic wave
 propagator with its Duhamel quadrature, the forcing-channel bookkeeping
 of the wave source, and the time-averaged local-decay functional
 measuring acoustic dispersion, whose trapezoid step is QUADRATURE_FACTOR
-times the period scale of the fastest retained mode and whose nodes are
-evaluated in chunks of real products. One table, FORCING_TERMS, names
-the wave source's terms with their inverse-Laplacian pairing and
-channels; their densities are projected on the span in one product. The
-wave source takes the lifting's moving-frame derivative from the lifting
-field, on its support box. The Helmholtz projection
-(DiscreteOperators.helmholtz), the staggered stencils and the C2 step of
-the spectral window and the spatial cutoff come from operators. D(eps)
-is evaluated on the spatial cutoff's support only.
+times the period scale of the fastest retained mode and which is summed
+in closed form: a Gram matrix of the filtered eigenvectors against the
+rule's exact kernel. One table, FORCING_TERMS, names the wave source's
+terms with their inverse-Laplacian pairing and channels; their densities
+are projected on the span in one product. The wave source takes the
+lifting's moving-frame derivative from the lifting field, on its support
+box. The Helmholtz projection (DiscreteOperators.helmholtz), the
+staggered stencils and the C2 step of the spectral window and the
+spatial cutoff come from operators.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .constitutive import (
 from .errors import ConfigValidationError, EigensolverFailure
 from .geometry import ExtensionField, ExtensionFieldSample, Grid, MotionPath, eval_motion
 from .operators import (
-    average_to_face, smoothstep, spd_factor, velocity_gradient_components,
+    average_to_face, gradient_to_face, smoothstep, spd_factor,
+    velocity_gradient_components,
 )
 
 DESK_CELL_CAP = 128 * 128
@@ -454,8 +455,8 @@ def tensor_divdiv(grid: Grid, tensor):
         out[:-d] = four_point(corner, np.subtract) / g.h**2
         return out
 
-    out = lay.flat(g.ops.div(g.ops.grad(tensor[:, 0, 0])[0], g.ops.grad(tensor[:, 1, 1])[1]))
-    out = out + dxy(tensor[:, 0, 1]) + dxy(tensor[:, 1, 0])
+    gxx, gyy = (gradient_to_face(tensor[:, i, i], m, g.h) for i, m in enumerate(g.component_masks))
+    out = lay.flat(g.ops.div(gxx, gyy)) + dxy(tensor[:, 0, 1]) + dxy(tensor[:, 1, 0])
     np.copyto(out, 0.0, where=g.component_masks[0].inactive)
     return lay.cells(out)
 
@@ -649,7 +650,6 @@ class RageResult:
     quadrature_dt: float
 
 
-RAGE_CHUNK = 64  # trapezoid nodes per product
 QUADRATURE_FACTOR = 0.2  # trapezoid step in units of eps / sqrt(p' lambda_max)
 
 
@@ -664,41 +664,32 @@ def rage_decay(
 ) -> RageResult:
     """Time-averaged local acoustic energy D(eps) of the filtered propagator.
 
-    D = integral_0^T || chi * G(-lap) e_+(t)[X] ||_L2^2 dt, by composite
-    trapezoid with a step resolving the fastest retained oscillation:
-    dt = QUADRATURE_FACTOR * eps / sqrt(p' * lambda_max). Strictly
-    decreasing in eps on exterior-domain scenarios capped below the
-    reflection-return time: that is the dispersion mechanism this
-    functional measures. The nodes are evaluated in chunks: one real
-    product of the eigenvectors with [cos | sin](omega t) * coefficients
-    per chunk.
+    D = integral_0^T || chi * G(-lap) e_+(t)[X] ||_L2^2 dt by composite
+    trapezoid on N = max(2, ceil(T / dt)) steps tau = T / N, where
+    dt = QUADRATURE_FACTOR * eps / sqrt(p' * lambda_max) resolves the
+    fastest retained mode. Strictly decreasing in eps on exterior-domain
+    scenarios capped below the reflection-return time: that is the
+    dispersion mechanism this functional measures. The rule is summed in
+    closed form, h^2 sum(a^T a o K) with a = diag(chi) V diag(G c) on the
+    cutoff's and the window's supports and the rule's exact kernel
+    K = (tau / 2) sin(N theta) cot(theta / 2), theta = (w_k - w_l) tau,
+    equal to T at theta = 0 (|theta| <= QUADRATURE_FACTOR: no other pole).
     """
     pp = float(pressure_slope(law, law.rho_ref))
     lam = dec.eigenvalues
-    lam_max = float(lam[-1])
-    dt = QUADRATURE_FACTOR * eps / math.sqrt(max(pp * lam_max, 1e-300))
+    dt = QUADRATURE_FACTOR * eps / math.sqrt(max(pp * float(lam[-1]), 1e-300))
     nsteps = max(2, int(math.ceil(horizon / dt)))
-    times = np.linspace(0.0, horizon, nsteps + 1)
+    tau = horizon / nsteps
 
     coeffs = dec.coefficients(x_field) * window(lam)
-    omega = np.sqrt(pp * lam) / eps
-    # cells where chi vanishes add exact zeros: keep the cutoff's support
     chi_vec = dec.grid.ops.pack(chi)
-    support = chi_vec != 0.0
-    chi_sq = chi_vec[support] ** 2
-    ev = dec.eigenvectors[support]
-
-    # at most K nodes per chunk: the (support, 2 * chunk) product stays
-    # within twice the size of the eigenvectors' support rows
-    chunk = min(RAGE_CHUNK, dec.modes)
-    vals = np.empty(len(times))
-    for lo in range(0, len(times), chunk):
-        arg = np.outer(omega, times[lo:lo + chunk])
-        c = arg.shape[1]
-        parts = ev @ (np.hstack([np.cos(arg), np.sin(arg)]) * coeffs[:, None])
-        np.square(parts, out=parts)
-        energy = chi_sq @ parts
-        vals[lo:lo + c] = energy[:c] + energy[c:]
-    vals *= dec.grid.h**2
-    value = float(np.trapezoid(vals, times))
+    rows, cols = chi_vec != 0.0, coeffs != 0.0
+    a = chi_vec[rows, None] * dec.eigenvectors[rows][:, cols] * coeffs[cols]
+    omega = np.sqrt(pp * lam[cols]) / eps
+    theta = (omega[:, None] - omega[None, :]) * tau
+    # tau sum_j w_j cos(j theta) over the nodes j = 0..N, end weights 1/2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = 0.5 * tau * np.sin(nsteps * theta) / np.tan(0.5 * theta)
+    kernel[theta == 0.0] = horizon
+    value = dec.grid.h**2 * float(np.sum((a.T @ a) * kernel))
     return RageResult(value, horizon, dec.modes, float(dt))

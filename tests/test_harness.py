@@ -626,6 +626,23 @@ class TestCli:
         write_snapshot(victim, meta["time"], fields)
         assert cli_main(["verify", str(broken)]) == 1
 
+    def test_verify_missing_start_energy_row_reported(self, mini_run, tmp_path, capsys):
+        # energy.csv without the t = 0 row of eps = 0.1: the snapshot energy
+        # check, whose tolerance scales with E(0), fails naming the row, and
+        # the report still prints
+        broken = tmp_path / "broken"
+        shutil.copytree(mini_run["out_dir"], broken)
+        table = broken / "energy.csv"
+        lines = table.read_text().splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith("0,0.1,")]
+        assert len(kept) == len(lines) - 1
+        table.write_text("".join(kept))
+        assert cli_main(["verify", str(broken)]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] energy_snapshot_consistent (eps=0.1: energy.csv has no t = 0 row)" in out
+        assert "[PASS] energy_snapshot_consistent (eps=0.2)" in out
+        assert out.endswith("verify: FAILURES PRESENT\n")
+
     @pytest.mark.parametrize("defect", SPOILED)
     def test_verify_unreadable_snapshot_exit_code(self, defect, mini_run, tmp_path, capsys):
         broken = tmp_path / "broken"

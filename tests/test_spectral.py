@@ -743,18 +743,24 @@ class TestRageDecay:
         # the cutoff's support is a strict subset of the active cells
         self._check_closed_form(sp.spectral_decompose(obstacle_grid, 40))
 
-    def test_support_rows_match_all_cells(self, obstacle_grid):
-        # rage_decay keeps the cells where chi != 0; summing over every
-        # active cell, zeros included, gives the same trapezoid
+    @pytest.mark.parametrize("eps", [0.15, 0.01])
+    def test_support_rows_match_all_cells(self, obstacle_grid, eps):
+        # rage_decay keeps the cells where chi != 0 and the modes where
+        # G c != 0; a direct sum over every trapezoid node and every active
+        # cell, zeros included, gives the same trapezoid (848 nodes at
+        # eps = 0.01)
         dec = sp.spectral_decompose(obstacle_grid, 40)
         g = dec.grid
-        eps, horizon = 0.15, 0.12
+        horizon = 0.12
         rng = np.random.default_rng(14)
         x_field = dec.reconstruct(rng.standard_normal(dec.modes))
         chi = sp.make_spatial_cutoff(g, 0.5, 0.9)
         chi_vec = g.ops.pack(chi)
         assert 0 < np.count_nonzero(chi_vec) < g.n_active
         window = sp.make_spectral_window(dec)
+        # exactly tied eigenvalues in the window give theta = 0 off the diagonal
+        lam_in = dec.eigenvalues[window(dec.eigenvalues) != 0.0]
+        assert np.count_nonzero(lam_in[:, None] == lam_in[None, :]) > len(lam_in)
         res = sp.rage_decay(dec, LAW, eps, x_field, chi, window, horizon)
 
         omega = np.sqrt(2.0 * dec.eigenvalues) / eps
