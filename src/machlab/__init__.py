@@ -47,6 +47,7 @@ from .spectral import (
     SpectralDecomposition,
     acoustic_energy,
     assemble_forcing,
+    decay_gram,
     duhamel_solve,
     extract_acoustic_potential,
     forcing_channel_norms,

@@ -210,13 +210,14 @@ class CompressibleSolver(ExplicitStepper):
         lay = g.layout
         xm, ym = g.component_masks
         d = float(g.dimension)
-        rho_max = float(lay.flat(state.rho).max(where=xm.active, initial=-np.inf))
-        c_sup = math.sqrt(float(pressure_slope(law, rho_max))) / state.eps
+        rho = lay.flat(state.rho).copy()  # plain maxima after indexed writes
+        rho[xm.inactive_cells] = -np.inf
+        c_sup = math.sqrt(float(pressure_slope(law, float(rho.max())))) / state.eps
         _, mp, _ = eval_motion(self.path, state.t)
-        umax = max(
-            float(np.abs(lay.flat(state.u)).max(where=xm.interior, initial=0.0)),
-            float(np.abs(lay.flat(state.v)).max(where=ym.interior, initial=0.0)),
-        ) + float(np.linalg.norm(mp))
+        speed = [np.abs(lay.flat(state.u)), np.abs(lay.flat(state.v))]
+        speed[0][xm.exterior_faces] = 0.0
+        speed[1][ym.exterior_faces] = 0.0
+        umax = max(float(speed[0].max()), float(speed[1].max())) + float(np.linalg.norm(mp))
         bounds = [g.h / (d * c_sup), g.h**2 * law.rho_ref / (4.0 * self.visc.shear)]
         if umax > 0.0:
             bounds.append(g.h / (d * umax))

@@ -398,6 +398,7 @@ class ComponentMasks:
         self.interior = layout.padded(interior, False)
         # faces the update leaves as they are: prescribed, dead, edge, ghost
         self.exterior = ~self.interior
+        self.exterior_faces = np.flatnonzero(self.exterior)
         known = layout.padded(known, False)
         self.unknown = ~known
         self.rim = layout.padded(rim, False)
@@ -409,6 +410,7 @@ class ComponentMasks:
         self.corner_closed = ~corner_open
         self.active = active
         self.inactive = ~active
+        self.inactive_cells = np.flatnonzero(self.inactive)
         # the faces whose Laplacian mirrors a neighbor (not known, or beyond
         # the buffer) ahead or behind along the component, or across it,
         # with the four neighbors each selects, itself where it mirrors;

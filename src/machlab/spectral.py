@@ -5,19 +5,20 @@ Laplacian. The eigensolve splits the Laplacian into the sectors of the
 mask's reflection symmetries (the mirrors and, on a mask equal to its
 transpose, the diagonal), copies a transposed twin sector's pairs instead
 of solving it, and factors each shift-invert block with
-operators.spd_factor. On the span live the two-component acoustic wave
+operators.spd_factor; the modes stay in sector coordinates, read through
+project and lift. On the span live the two-component acoustic wave
 propagator with its Duhamel quadrature, the forcing-channel bookkeeping
 of the wave source, and the time-averaged local-decay functional
 measuring acoustic dispersion, whose trapezoid step is QUADRATURE_FACTOR
 times the period scale of the fastest retained mode and which is summed
-in closed form: a Gram matrix of the filtered eigenvectors against the
-rule's exact kernel. One table, FORCING_TERMS, names the wave source's
-terms with their inverse-Laplacian pairing and channels; their densities
-are projected on the span in one product. The wave source takes the
-lifting's moving-frame derivative from the lifting field, on its support
-box. The Helmholtz projection (DiscreteOperators.helmholtz), the
-staggered stencils and the C2 step of the spectral window and the
-spatial cutoff come from operators.
+in closed form: a Gram matrix of the filtered eigenvectors, built once
+per probe, against the rule's exact kernel. One table, FORCING_TERMS,
+names the wave source's terms with their inverse-Laplacian pairing and
+channels; their densities are projected on the span in one product. The
+wave source takes the lifting's moving-frame derivative from the lifting
+field, on its support box. The Helmholtz projection
+(DiscreteOperators.helmholtz), the staggered stencils and the C2 step of
+the spectral window and the spatial cutoff come from operators.
 """
 
 from __future__ import annotations
@@ -54,30 +55,50 @@ DESK_MODE_CAP = 2000
 class SpectralDecomposition:
     """Retained eigenpairs of the Neumann Laplacian, ascending, l2-orthonormal.
 
-    The kernel pair is pinned exactly: lambda_1 = 0 with the constant
-    eigenvector on the connected fluid region.
+    A sector with retained modes is one entry (B_s, Y_s, modes): sparse
+    orthonormal basis (one entry per row), eigenvectors in sector
+    coordinates (the first len(modes) columns; a twin has its own permuted
+    basis and its source's Y_s), mode indices; V[:, modes] = B_s Y_s. The
+    first entry pins the kernel pair exactly: lambda_1 = 0, B = constant.
     """
 
     grid: Grid
     eigenvalues: np.ndarray  # (K,)
-    eigenvectors: np.ndarray  # (n_active, K), columns l2-orthonormal
+    sectors: tuple  # ((B_s, Y_s, modes_s), ...), the kernel entry first
     residuals: np.ndarray  # (K,)
 
     @property
     def modes(self) -> int:
         return len(self.eigenvalues)
 
+    def project(self, x) -> np.ndarray:
+        """V^T x for packed cell vectors x of shape (n_active,) or (n_active, m)."""
+        x = np.asarray(x)
+        out = np.empty((self.modes,) + x.shape[1:])
+        for b, y, modes in self.sectors:
+            out[modes] = y[:, :len(modes)].T @ (b.T @ x)
+        return out
+
+    def lift(self, coeffs, rows=None) -> np.ndarray:
+        """V[rows] C for C of shape (K,) or (K, m); rows None: every active row."""
+        c = np.asarray(coeffs)
+        out = 0.0
+        for b, y, modes in self.sectors:
+            y = y[:, :len(modes)]
+            out += b @ (y @ c[modes]) if rows is None else (b[rows] @ y) @ c[modes]
+        return out
+
     def coefficients(self, cell_field) -> np.ndarray:
         """l2 coefficients of a cell field on the retained span."""
-        return self.eigenvectors.T @ self.grid.ops.pack(cell_field)
+        return self.project(self.grid.ops.pack(cell_field))
 
     def reconstruct(self, coeffs) -> np.ndarray:
-        return self.grid.ops.unpack(self.eigenvectors @ np.asarray(coeffs))
+        return self.grid.ops.unpack(self.lift(coeffs))
 
     def truncation_remainder(self, cell_field) -> float:
         """Grid L2 norm of the component outside the retained span."""
         vec = self.grid.ops.pack(cell_field)
-        tail = vec - self.eigenvectors @ (self.eigenvectors.T @ vec)
+        tail = vec - self.lift(self.project(vec))
         return self.grid.h * float(np.linalg.norm(tail))
 
 
@@ -217,11 +238,11 @@ def spectral_decompose(grid: Grid, modes: int) -> SpectralDecomposition:
     largest computed eigenvalue does not exceed the merged K-th one and
     the sector has more; a transposed twin copies its source's pairs. The
     K lowest pairs are merged by a stable sort (equal values keep sector
-    order) and only they are lifted back to the cells. A twin pair's
-    eigenvalues are bit-equal, so a cutoff K that splits one keeps the
-    x-even member; a cutoff K inside any other degenerate cluster keeps a
-    deterministic, but arbitrary, part of it. Grids beyond the desk cap are
-    rejected.
+    order); each sector keeps its selected vectors in its own coordinates.
+    A twin pair's eigenvalues are bit-equal, so a cutoff K that splits one
+    keeps the x-even member; a cutoff K inside any other degenerate cluster
+    keeps a deterministic, but arbitrary, part of it. Grids beyond the desk
+    cap are rejected.
     """
     n = grid.n_active
     k = int(modes)
@@ -254,43 +275,46 @@ def spectral_decompose(grid: Grid, modes: int) -> SpectralDecomposition:
             counts[s] = min(sizes[s], 2 * counts[s])
             solved[s] = None
 
-    # lift only the selected pairs, into one preallocated array
-    sector = np.repeat(np.arange(len(solved)), [len(ws) for ws, _ in solved])
-    local = np.concatenate([np.arange(len(ws)) for ws, _ in solved])
-    w = lam[order]
-    v = np.empty((n, k))
-    for s, ((b, _), (_, vs)) in enumerate(zip(sectors, solved)):
-        cols = np.flatnonzero(sector[order] == s)
-        if len(cols):
-            v[:, cols] = b @ vs[:, local[order[cols]]]
+    # keep each sector's selected pairs, a prefix of its ascending pairs, in
+    # sector coordinates; a twin shares its source's vectors
+    sector = np.repeat(np.arange(len(solved)), [len(ws) for ws, _ in solved])[order]
+    kept = [None] * len(sectors)
+    entries = []
+    for s, ((b, src), (_, vs)) in enumerate(zip(sectors, solved)):
+        modes = np.flatnonzero(sector == s)
+        if len(modes):
+            kept[s] = kept[src] if src is not None else vs[:, :len(modes)].copy()
+            entries.append((b, kept[s], modes))
 
-    # pin the kernel pair exactly and re-orthogonalize its sector against
-    # it: every other sector is orthogonal to the constants by symmetry, and
-    # a twin's vectors stay the exact transposes of its source's
+    # pin the kernel pair exactly, as its own entry, and re-orthogonalize its
+    # sector against it in sector coordinates: every other sector is
+    # orthogonal to the constants by symmetry
+    w = np.maximum(lam[order], 0.0)
     w[0] = 0.0
-    v[:, 0] = 1.0 / math.sqrt(n)
-    for j in np.flatnonzero(sector[order[1:]] == 0) + 1:
-        v[:, j] -= v[:, 0] * (v[:, 0] @ v[:, j])
-        v[:, j] /= np.linalg.norm(v[:, j])
-    w = np.maximum(w, 0.0)
+    b0, y0, modes0 = entries[0]
+    const = np.full(n, 1.0 / math.sqrt(n))
+    ones = b0.T @ const  # the constant in sector coordinates
+    y = y0[:, 1:] - ones[:, None] * (ones @ y0[:, 1:])
+    y /= np.linalg.norm(y, axis=0)
+    kernel = (sp.csc_matrix(const[:, None]), np.ones((1, 1)), modes0[:1])
+    entries = (kernel, (b0, y, modes0[1:]), *entries[1:])
 
-    # full-space residuals and column norms over blocks of 8 columns: no
-    # (n, K) temporaries, and a small peak on top of the lifted vectors; one
-    # contiguous copy of the block serves both products
+    # full-space residuals and column norms of each sector's lifted vectors,
+    # over blocks of 8 columns: no (n, K) temporaries
     resid = np.empty(k)
     scale = np.empty(k)
-    for j in range(0, k, 8):
-        cols = slice(j, j + 8)
-        block = v[:, cols].copy()
-        resid[cols] = np.linalg.norm(a @ block - block * w[None, cols], axis=0)
-        scale[cols] = np.linalg.norm(block, axis=0)
-    dec = SpectralDecomposition(grid, w, v, resid)
+    for b, y, modes in entries:
+        for j in range(0, len(modes), 8):
+            cols = modes[j:j + 8]
+            block = b @ y[:, j:j + len(cols)]
+            resid[cols] = np.linalg.norm(a @ block - block * w[cols], axis=0)
+            scale[cols] = np.linalg.norm(block, axis=0)
     bad = resid > 1e-8 * np.maximum(1.0, scale)
     if np.any(bad):
         raise EigensolverFailure(
             f"{int(bad.sum())} eigenpairs exceed the 1e-8 residual bound"
         )
-    return dec
+    return SpectralDecomposition(grid, w, entries, resid)
 
 
 # -- acoustic states and the wave propagator --------------------------------
@@ -546,7 +570,7 @@ def forcing_channel_norms(densities: dict, dec: SpectralDecomposition):
     lam_safe = np.where(active, lam, 1.0)
     stack = np.stack([dec.grid.ops.pack(d) for d in densities.values()], axis=1)
     # L2-orthonormal-basis coefficients of every term's functional, (K, terms)
-    coeffs = (dec.eigenvectors.T @ stack) * dec.grid.h
+    coeffs = dec.project(stack) * dec.grid.h
     inverse = np.array([FORCING_TERMS[label][0] for label in densities])
     coeffs = np.where(inverse[None, :], coeffs * inv_lam[:, None], coeffs)
     coeffs[~active] = 0.0
@@ -653,13 +677,22 @@ class RageResult:
 QUADRATURE_FACTOR = 0.2  # trapezoid step in units of eps / sqrt(p' lambda_max)
 
 
+def decay_gram(dec: SpectralDecomposition, x_field, chi, window: Callable):
+    """The eps-independent part of D(eps): (a^T a, lambda[cols]), with
+    a = diag(chi) V diag(G c) on the support rows of the cutoff chi and the
+    support modes cols of the window G times the probe's coefficients c."""
+    coeffs = dec.coefficients(x_field) * window(dec.eigenvalues)
+    chi_vec = dec.grid.ops.pack(chi)
+    rows, cols = np.flatnonzero(chi_vec), np.flatnonzero(coeffs)
+    a = chi_vec[rows, None] * dec.lift(np.eye(dec.modes)[:, cols], rows) * coeffs[cols]
+    return a.T @ a, dec.eigenvalues[cols]
+
+
 def rage_decay(
     dec: SpectralDecomposition,
     law: PressureLaw,
     eps: float,
-    x_field: np.ndarray,
-    chi: np.ndarray,
-    window: Callable,
+    gram: tuple,
     horizon: float,
 ) -> RageResult:
     """Time-averaged local acoustic energy D(eps) of the filtered propagator.
@@ -670,8 +703,8 @@ def rage_decay(
     fastest retained mode. Strictly decreasing in eps on exterior-domain
     scenarios capped below the reflection-return time: that is the
     dispersion mechanism this functional measures. The rule is summed in
-    closed form, h^2 sum(a^T a o K) with a = diag(chi) V diag(G c) on the
-    cutoff's and the window's supports and the rule's exact kernel
+    closed form, h^2 sum(a^T a o K) with the eps-independent Gram matrix
+    a^T a of decay_gram and the rule's exact kernel
     K = (tau / 2) sin(N theta) cot(theta / 2), theta = (w_k - w_l) tau,
     equal to T at theta = 0 (|theta| <= QUADRATURE_FACTOR: no other pole).
     """
@@ -681,15 +714,11 @@ def rage_decay(
     nsteps = max(2, int(math.ceil(horizon / dt)))
     tau = horizon / nsteps
 
-    coeffs = dec.coefficients(x_field) * window(lam)
-    chi_vec = dec.grid.ops.pack(chi)
-    rows, cols = chi_vec != 0.0, coeffs != 0.0
-    a = chi_vec[rows, None] * dec.eigenvectors[rows][:, cols] * coeffs[cols]
-    omega = np.sqrt(pp * lam[cols]) / eps
+    omega = np.sqrt(pp * gram[1]) / eps
     theta = (omega[:, None] - omega[None, :]) * tau
     # tau sum_j w_j cos(j theta) over the nodes j = 0..N, end weights 1/2
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = 0.5 * tau * np.sin(nsteps * theta) / np.tan(0.5 * theta)
     kernel[theta == 0.0] = horizon
-    value = dec.grid.h**2 * float(np.sum((a.T @ a) * kernel))
+    value = dec.grid.h**2 * float(np.sum(gram[0] * kernel))
     return RageResult(value, horizon, dec.modes, float(dt))

@@ -11,12 +11,12 @@ run_one_eps, so the sweep holds one member's states at a time, and every
 member comes back as its rows, in process or from a worker. With
 MACHLAB_WORKERS > 1 (read before anything is written; a value that is not
 an integer >= 1 is a config error) the members run in a process pool;
-each worker receives the scenario text, the parent's eigenpairs and the
-reference trajectory once, at its start, so the sweep still makes one
-eigensolve and one reference run, and its files equal the sequential
-run's byte for byte. At a fixed BLAS thread count all outputs are a pure
-function of (config, seed); the eigenpair residuals in eigenvalues.csv
-(printed as %.3e) move at rounding level with the thread count.
+each worker receives the scenario text, the parent's eigenpairs in their
+sector form and the reference trajectory once, at its start, so the
+sweep still makes one eigensolve and one reference run, and its files
+equal the sequential run's byte for byte. At a fixed BLAS thread count
+all outputs are a pure function of (config, seed); the eigenpair
+residuals in eigenvalues.csv (%.3e) move at rounding level with it.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def rage_table(cfg: ExperimentConfig, scenario: Scenario, dec, x_field) -> list:
     The horizon is capped below the reflection-return time: waves must
     leave the cutoff support and not re-enter it within the horizon; the
     cap uses the smallest Mach number of the sweep, whose sound speed is
-    fastest.
+    fastest. The probe's Gram matrix is built once, each eps's kernel alone.
     """
     s = cfg["spectral"]
     law = scenario.law
@@ -200,12 +200,12 @@ def rage_table(cfg: ExperimentConfig, scenario: Scenario, dec, x_field) -> list:
     cap = REFLECTION_SAFETY * 2.0 * (L - s["cutoff_zero"]) * eps_min / math.sqrt(pp)
     horizon = min(cfg["schedule"]["horizon"], cap)
     remainder = dec.truncation_remainder(x_field)  # independent of eps
+    if horizon <= 0.0:
+        return [(eps, 0.0, 0.0, dec.modes, remainder) for eps in cfg["sweep"]["eps"]]
+    gram = sp.decay_gram(dec, x_field, chi, window)  # independent of eps
     rows = []
     for eps in cfg["sweep"]["eps"]:
-        if horizon <= 0.0:
-            rows.append((eps, 0.0, 0.0, dec.modes, remainder))
-            continue
-        res = sp.rage_decay(dec, law, eps, x_field, chi, window, horizon)
+        res = sp.rage_decay(dec, law, eps, gram, horizon)
         rows.append((eps, res.value, res.horizon, res.modes, remainder))
     return rows
 
@@ -349,7 +349,7 @@ def _fluid_sweep(scenario: Scenario, dec, decay, out_dir: Path, workers: int):
     if workers == 1:
         members = [run_one_eps(scenario, dec, eps, inc_traj, out_dir) for eps in eps_list]
     else:
-        pairs = (dec.eigenvalues, dec.eigenvectors, dec.residuals)
+        pairs = (dec.eigenvalues, dec.sectors, dec.residuals)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(canonical_text(cfg), pairs, inc_traj,
                                            out_dir)) as pool:
@@ -400,9 +400,9 @@ _worker_setup = None
 
 def _init_worker(cfg_text: str, pairs, reference, out_dir: Path):
     """Worker-pool initializer: rebuilds the scenario from the canonical
-    text and the decomposition from the parent's eigenpairs (no second
-    eigensolve) and keeps the parent's reference trajectory, once per
-    worker, so each job carries only its eps. The reference states enter
+    text and the decomposition from the parent's eigenpairs in sector form
+    (no second eigensolve) and keeps the parent's reference trajectory, once
+    per worker, so each job carries only its eps. The reference states enter
     the worker's layout: under spawn they arrive pickled, as plain arrays."""
     global _worker_setup
     scenario = build_scenario(parse_config(cfg_text))

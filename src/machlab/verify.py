@@ -97,6 +97,7 @@ def verify_run(run_dir) -> dict:
         slip = 0.0
         energy_gap = -np.inf
         start = energy.get((eps, 0.0))
+        unbooked = []  # times of snapshots without an energy.csv row
         for path in files:
             t, (rho, u, v) = _snapshot_fields(path, grid, ("rho", "u", "v"))
             min_rho = min(min_rho, float(rho[grid.active].min()))
@@ -114,7 +115,9 @@ def verify_run(run_dir) -> dict:
                 slip = max(slip, float(np.abs(v[vb] - mp[1]).max()))
             # recomputed instantaneous energy must stay below the stored rhs
             key = (eps, round(t, 10))
-            if key in energy and start is not None:
+            if key not in energy:
+                unbooked.append(f"{t:g}")
+            elif start is not None:
                 e_inst = instant_energy(grid, law, FluidState(rho, u, v, t, eps))
                 _, rhs, _ = energy[key]
                 energy_gap = max(energy_gap, e_inst - rhs - TOL_ENERGY * max(start[0], 1e-12))
@@ -128,6 +131,9 @@ def verify_run(run_dir) -> dict:
         checks.append(CheckResult("obstacle_slip", ctx, slip, 1e-9, slip <= 1e-9))
         if start is None:  # no E(0) to scale the tolerance: fail, naming the row
             ctx, energy_gap = f"{ctx}: energy.csv has no t = 0 row", np.inf
+        elif unbooked:  # a stored snapshot the ledger never booked
+            ctx = f"{ctx}: energy.csv has no row at t = {', '.join(unbooked)}"
+            energy_gap = np.inf
         checks.append(
             CheckResult("energy_snapshot_consistent", ctx, energy_gap, 0.0,
                         energy_gap <= 0.0)

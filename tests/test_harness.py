@@ -305,7 +305,7 @@ class TestSweep:
         reference = inc.run(inc.init_state(u0, v0), sample_schedule(mini_cfg))
         monkeypatch.setattr(sweep, "_worker_setup", None)
         sweep._init_worker(canonical_text(mini_cfg),
-                           (dec.eigenvalues, dec.eigenvectors, dec.residuals),
+                           (dec.eigenvalues, dec.sectors, dec.residuals),
                            reference, tmp_path)
         result = sweep._run_one_eps_job(0.2)
 
@@ -334,7 +334,7 @@ class TestSweep:
         expected = sweep.run_one_eps(sc, dec, 0.2, reference, tmp_path / "sequential")
         monkeypatch.setattr(sweep, "_worker_setup", None)
         sweep._init_worker(canonical_text(mini_cfg),
-                           (dec.eigenvalues, dec.eigenvectors, dec.residuals),
+                           (dec.eigenvalues, dec.sectors, dec.residuals),
                            pickle.loads(pickle.dumps(reference)), tmp_path / "pooled")
         assert sweep._run_one_eps_job(0.2) == expected
 
@@ -642,6 +642,24 @@ class TestCli:
         assert "[FAIL] energy_snapshot_consistent (eps=0.1: energy.csv has no t = 0 row)" in out
         assert "[PASS] energy_snapshot_consistent (eps=0.2)" in out
         assert out.endswith("verify: FAILURES PRESENT\n")
+
+    def test_verify_missing_later_energy_rows_reported(self, mini_run, tmp_path, capsys):
+        # energy.csv keeps only the t = 0 row of eps = 0.1: the snapshot
+        # energy check must not pass on the initial data alone, and names
+        # the snapshot times the table does not book
+        broken = tmp_path / "broken"
+        shutil.copytree(mini_run["out_dir"], broken)
+        table = broken / "energy.csv"
+        lines = table.read_text().splitlines(keepends=True)
+        kept = [line for line in lines
+                if not (",0.1," in line and not line.startswith("0,"))]
+        assert len(kept) == len(lines) - 4
+        table.write_text("".join(kept))
+        assert cli_main(["verify", str(broken)]) == 1
+        out = capsys.readouterr().out
+        assert ("[FAIL] energy_snapshot_consistent (eps=0.1: energy.csv has no row at "
+                "t = 0.02, 0.04, 0.06, 0.08)") in out
+        assert "[PASS] energy_snapshot_consistent (eps=0.2)" in out
 
     @pytest.mark.parametrize("defect", SPOILED)
     def test_verify_unreadable_snapshot_exit_code(self, defect, mini_run, tmp_path, capsys):

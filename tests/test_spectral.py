@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -135,7 +136,7 @@ class TestSpectralDecomposition:
         assert square_dec.eigenvalues[0] == 0.0
         n = unit_square_grid.n_active
         np.testing.assert_allclose(
-            square_dec.eigenvectors[:, 0], 1.0 / math.sqrt(n), rtol=0, atol=0
+            square_dec.lift(np.eye(square_dec.modes)[0]), 1.0 / math.sqrt(n), rtol=0, atol=0
         )
 
     def test_single_mode_request(self, unit_square_grid):
@@ -144,7 +145,8 @@ class TestSpectralDecomposition:
 
     def test_residuals_and_gram(self, square_dec):
         assert square_dec.residuals.max() <= 1e-8
-        gram = square_dec.eigenvectors.T @ square_dec.eigenvectors
+        v = square_dec.lift(np.eye(square_dec.modes))
+        gram = v.T @ v
         assert np.abs(gram - np.eye(square_dec.modes)).max() <= 1e-10
 
     def test_sorted_ascending(self, square_dec):
@@ -171,7 +173,7 @@ def _check_against_oracle(dec, w_oracle, v_oracle):
     """Eigenvalues within 1e-10 and the same retained subspace."""
     k = dec.modes
     np.testing.assert_allclose(dec.eigenvalues, w_oracle[:k], rtol=1e-10, atol=1e-10)
-    sv = np.linalg.svd(v_oracle[:, :k].T @ dec.eigenvectors, compute_uv=False)
+    sv = np.linalg.svd(v_oracle[:, :k].T @ dec.lift(np.eye(k)), compute_uv=False)
     assert sv.min() >= 1.0 - 1e-10
     assert dec.residuals.max() <= 1e-8
 
@@ -259,7 +261,7 @@ class TestSectorSolve:
         # y-even mode, with the bit-equal eigenvalue
         dec = sp.spectral_decompose(obstacle_grid, 60)
         w = dec.eigenvalues
-        fields = [obstacle_grid.ops.unpack(v) for v in dec.eigenvectors.T]
+        fields = [obstacle_grid.ops.unpack(v) for v in dec.lift(np.eye(dec.modes)).T]
         sources = [j for j, f in enumerate(fields)
                    if np.array_equal(f[::-1], f) and np.array_equal(f[:, ::-1], -f)]
         assert len(sources) >= 8
@@ -270,7 +272,7 @@ class TestSectorSolve:
     def test_cutoff_in_twin_pair_keeps_x_even(self, obstacle_grid):
         # K = 50 splits a twin pair: the x-even, y-odd member is kept
         dec = sp.spectral_decompose(obstacle_grid, 50)
-        f = obstacle_grid.ops.unpack(dec.eigenvectors[:, -1])
+        f = obstacle_grid.ops.unpack(dec.lift(np.eye(dec.modes)[-1]))
         assert np.array_equal(f[::-1], f) and np.array_equal(f[:, ::-1], -f)
         full = sp.spectral_decompose(obstacle_grid, 51)
         assert full.eigenvalues[50] == full.eigenvalues[49]
@@ -282,8 +284,57 @@ class TestSectorSolve:
         first = sp.spectral_decompose(obstacle_grid, 50)
         second = sp.spectral_decompose(obstacle_grid, 50)
         np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
-        np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
+        np.testing.assert_array_equal(first.lift(np.eye(50)), second.lift(np.eye(50)))
         np.testing.assert_array_equal(first.residuals, second.residuals)
+
+
+class TestSectorForm:
+    """The modes stay in sector coordinates; project and lift against the
+    dense eigenvector matrix assembled here from the sector entries."""
+
+    @staticmethod
+    def _dense(dec):
+        v = np.zeros((dec.grid.n_active, dec.modes))
+        for b, y, modes in dec.sectors:
+            v[:, modes] = b.toarray() @ y[:, :len(modes)]
+        return v
+
+    @pytest.mark.parametrize("grid", [
+        build_grid(2, 1.0, 0.15, 1.0 / 32.0),  # transpose symmetric: a twin
+        Grid(-1.0, -0.75, 32, 32, 1.0 / 16.0, obstacle_radius=0.2),  # x mirror only
+    ], ids=["transpose", "no-transpose"])
+    def test_project_and_lift_match_dense(self, grid):
+        dec = sp.spectral_decompose(grid, 60)
+        twins = [id(y) for _, y, _ in dec.sectors]
+        assert (len(set(twins)) < len(twins)) == np.array_equal(grid.active, grid.active.T)
+        v = self._dense(dec)
+        assert np.abs(v.T @ v - np.eye(dec.modes)).max() <= 1e-12
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((grid.n_active, 3))
+        c = rng.standard_normal((dec.modes, 3))
+        rows = np.flatnonzero(rng.random(grid.n_active) < 0.3)
+
+        def close(actual, desired):
+            err = np.linalg.norm(actual - desired, axis=0)
+            assert np.all(err <= 1e-13 * np.linalg.norm(desired, axis=0))
+
+        close(dec.project(x), v.T @ x)
+        close(dec.project(x[:, 0]), v.T @ x[:, 0])
+        close(dec.lift(c), v @ c)
+        close(dec.lift(c[:, 1]), v @ c[:, 1])
+        close(dec.lift(c, rows), v[rows] @ c)
+
+    def test_peak_memory_below_dense_eigenvectors(self, obstacle_grid):
+        # the (n, K) eigenvector matrix alone would take n K 8 bytes
+        k = 120
+        sp.spectral_decompose(obstacle_grid, k)  # grid operators built and cached
+        tracemalloc.start()
+        try:
+            sp.spectral_decompose(obstacle_grid, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < obstacle_grid.n_active * k * 8
 
 
 def fractional_power(dec, s, cell_field):
@@ -721,7 +772,8 @@ class TestRageDecay:
         g = square_dec.grid
         x_field = square_dec.reconstruct(np.eye(square_dec.modes)[3])
         chi = np.ones((g.nx, g.ny))
-        res = sp.rage_decay(square_dec, LAW, 0.1, x_field, chi, window, 0.3)
+        res = sp.rage_decay(square_dec, LAW, 0.1,
+                            sp.decay_gram(square_dec, x_field, chi, window), 0.3)
         assert res.value <= 1e-20
 
     def test_full_cutoff_single_mode_no_decay(self, square_dec):
@@ -732,7 +784,8 @@ class TestRageDecay:
         gval = 0.6
         window = lambda x: np.full_like(np.asarray(x, dtype=float), gval)
         horizon = 0.21
-        res = sp.rage_decay(square_dec, LAW, 0.1, x_field, chi, window, horizon)
+        res = sp.rage_decay(square_dec, LAW, 0.1,
+                            sp.decay_gram(square_dec, x_field, chi, window), horizon)
         expected = horizon * gval**2 * g.l2norm(x_field) ** 2
         assert res.value == pytest.approx(expected, rel=1e-12)
 
@@ -761,13 +814,14 @@ class TestRageDecay:
         # exactly tied eigenvalues in the window give theta = 0 off the diagonal
         lam_in = dec.eigenvalues[window(dec.eigenvalues) != 0.0]
         assert np.count_nonzero(lam_in[:, None] == lam_in[None, :]) > len(lam_in)
-        res = sp.rage_decay(dec, LAW, eps, x_field, chi, window, horizon)
+        res = sp.rage_decay(dec, LAW, eps, sp.decay_gram(dec, x_field, chi, window), horizon)
 
         omega = np.sqrt(2.0 * dec.eigenvalues) / eps
         coeffs = dec.coefficients(x_field) * window(dec.eigenvalues)
         times = np.linspace(0.0, horizon, max(2, math.ceil(horizon / res.quadrature_dt)) + 1)
+        v = dec.lift(np.eye(dec.modes))
         vals = [
-            g.h**2 * np.sum((chi_vec * np.abs(dec.eigenvectors @ (np.exp(1j * omega * t) * coeffs))) ** 2)
+            g.h**2 * np.sum((chi_vec * np.abs(v @ (np.exp(1j * omega * t) * coeffs))) ** 2)
             for t in times
         ]
         assert res.value == pytest.approx(float(np.trapezoid(vals, times)), rel=1e-12)
@@ -783,12 +837,13 @@ class TestRageDecay:
         x_field = dec.reconstruct(coeffs)
         chi = sp.make_spatial_cutoff(g, 0.8, 1.4)
         window = sp.make_spectral_window(dec)
-        res = sp.rage_decay(dec, LAW, eps, x_field, chi, window, horizon)
+        res = sp.rage_decay(dec, LAW, eps, sp.decay_gram(dec, x_field, chi, window), horizon)
 
         gcoeff = window(dec.eigenvalues) * coeffs
         omega = np.sqrt(2.0 * dec.eigenvalues) / eps
         chi_vec = g.ops.pack(chi)
-        m = (dec.eigenvectors * chi_vec[:, None] ** 2).T @ dec.eigenvectors
+        v = dec.lift(np.eye(dec.modes))
+        m = (v * chi_vec[:, None] ** 2).T @ v
         dw = omega[:, None] - omega[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             s_int = np.where(np.abs(dw) < 1e-14, horizon,
