@@ -12,7 +12,7 @@ from .compressible import (
     FluidState,
     IllPreparedData,
 )
-from .config import ExperimentConfig, canonical_text, default_config, parse_config
+from .config import ExperimentConfig, canonical_text, parse_config
 from .constitutive import (
     PressureLaw,
     ViscosityPair,
@@ -35,7 +35,6 @@ from .geometry import (
     Grid,
     MotionPath,
     build_grid,
-    build_rectangle_grid,
     eval_motion,
     linear_path,
     sinusoidal_path,

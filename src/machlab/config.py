@@ -1,8 +1,8 @@
 """Experiment configuration: flat sectioned key/value text with exact round-trip.
 
 The format is line-based: `[section]` headers, `key = value` entries, `#`
-comments. Parsing reports the first structural defect with line/column;
-validation runs afterward and reports every violated invariant at once.
+comments. Parsing reports the first structural defect with line/column,
+a number that is nan or inf included; validation runs afterward and reports every violated invariant at once.
 Canonical serialization fixes section order, key order, and float
 formatting, so `parse -> canonical_text` is idempotent byte-for-byte.
 """
@@ -10,6 +10,7 @@ formatting, so `parse -> canonical_text` is idempotent byte-for-byte.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigParseError, ConfigValidationError
@@ -98,15 +99,19 @@ def _parse_value(kind, raw, line_no, col):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "floats":  # every comma-separated item, none empty
-            return tuple(float(p) for p in raw.split(","))
-        return raw
+        if kind not in ("float", "floats"):
+            return raw
+        # every comma-separated item of a list, none empty
+        items = raw.split(",") if kind == "floats" else [raw]
+        values = tuple(float(p) for p in items)
     except ValueError:
         raise ConfigParseError(
             f"cannot read {kind} value {raw!r}", line_no, col
         ) from None
+    for p, x in zip(items, values):
+        if not math.isfinite(x):  # nan or inf would crash, hang or run
+            raise ConfigParseError(f"{kind} item {p.strip()!r} is not finite", line_no, col)
+    return values if kind == "floats" else values[0]
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -151,10 +156,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if violations:
         raise ConfigValidationError(violations)
     return cfg
-
-
-def default_config() -> ExperimentConfig:
-    return parse_config("")
 
 
 def _derive_defaults(cfg: ExperimentConfig):

@@ -2,10 +2,11 @@
 
 The computational domain is a truncated box around a disk obstacle centered
 at the origin of the fixed frame. Scalars live at cell centers, velocity
-components at faces (MAC staggering). Cells inside the disk are inactive;
-faces are classified as interior (carrying an unknown), obstacle stair
-faces, or outer-rim faces; the known faces (interior or prescribed) are
-stored once for every stencil that reads them. The lifting field owns
+components at faces (MAC staggering). Cells inside the disk are inactive.
+Each velocity component's faces are classified once, in the padded layout
+and from the padded active mask (operators.ComponentMasks): interior
+(carrying an unknown), obstacle stair faces, or outer-rim faces; every
+stencil reads these masks. The lifting field owns
 everything derived from it: its face samples, its two unit fields cut to
 its support box, and its velocity gradient and moving-frame derivative
 there, which the energy ledger and the wave forcing both read. Beside
@@ -23,8 +24,9 @@ import numpy as np
 
 from .errors import CflViolation, GeometryTooCoarse, OutOfHorizon
 from .operators import (
+    ComponentMasks,
+    DiscreteOperators,
     PaddedLayout,
-    component_masks,
     nodal_curl,
     smoothstep,
     velocity_gradient_components,
@@ -84,38 +86,13 @@ class Grid:
             act = xc**2 + yc**2 >= a**2
         self.active = act
 
-        # interior faces: unknown-carrying, both neighbor cells active
-        self.uface_interior = np.zeros((self.nx + 1, self.ny), dtype=bool)
-        self.uface_interior[1:-1, :] = act[:-1, :] & act[1:, :]
-        self.vface_interior = np.zeros((self.nx, self.ny + 1), dtype=bool)
-        self.vface_interior[:, 1:-1] = act[:, :-1] & act[:, 1:]
-
-        # boundary faces split by what prescribes them: obstacle stair faces
-        # carry the body's normal velocity, outer-rim faces the far-field
-        # rest state
-        uo = np.zeros((self.nx + 1, self.ny), dtype=bool)
-        uo[1:-1, :] = act[:-1, :] ^ act[1:, :]
-        self.uface_obstacle = uo
-        ur = np.zeros((self.nx + 1, self.ny), dtype=bool)
-        ur[0, :] = act[0, :]
-        ur[-1, :] = act[-1, :]
-        self.uface_rim = ur
-        self.uface_boundary = uo | ur
-        vo = np.zeros((self.nx, self.ny + 1), dtype=bool)
-        vo[:, 1:-1] = act[:, :-1] ^ act[:, 1:]
-        self.vface_obstacle = vo
-        vr = np.zeros((self.nx, self.ny + 1), dtype=bool)
-        vr[:, 0] = act[:, 0]
-        vr[:, -1] = act[:, -1]
-        self.vface_rim = vr
-        self.vface_boundary = vo | vr
-        # faces whose value is known: unknown-carrying or prescribed
-        self.uface_known = self.uface_interior | self.uface_boundary
-        self.vface_known = self.vface_interior | self.vface_boundary
-        # the padded layout of every cell and face field, the components'
-        # masks in it, and the active cells around each interior node
+        # the padded layout of every cell and face field, the face classes
+        # of each component read off its padded active mask, and the active
+        # cells around each interior node
         self.layout = PaddedLayout(self.nx, self.ny)
-        self.component_masks = component_masks(self)
+        active = self.layout.padded(act, False)
+        self.component_masks = (ComponentMasks(self.layout, self.layout.row, active),
+                                ComponentMasks(self.layout, 1, active))
         a = act.astype(float)
         self.corner_cells = np.zeros(self.layout.size)
         self.corner_cells.reshape(self.layout.shape)[1:-1, 1:-1] = (
@@ -131,8 +108,6 @@ class Grid:
     @property
     def ops(self):
         if self._ops is None:
-            from .operators import DiscreteOperators
-
             self._ops = DiscreteOperators(self)
         return self._ops
 
@@ -172,17 +147,6 @@ def build_grid(dimension: int, extent: float, obstacle_radius: float, cell_size:
         raise ValueError("domain must satisfy extent > 4 * obstacle_radius")
     n = int(round(n))
     return Grid(-L, -L, n, n, h, obstacle_radius=a, dimension=dimension)
-
-
-def build_rectangle_grid(x0, x1, y0, y1, cell_size) -> Grid:
-    """Obstacle-free box grid, used by spectral validation studies."""
-    h = float(cell_size)
-    nx = (x1 - x0) / h
-    ny = (y1 - y0) / h
-    for n, name in ((nx, "x"), (ny, "y")):
-        if abs(n - round(n)) > 1e-9 * max(1.0, n):
-            raise ValueError(f"cell_size does not divide the {name} side")
-    return Grid(x0, y0, int(round(nx)), int(round(ny)), h, obstacle_radius=0.0)
 
 
 # -- obstacle motion -------------------------------------------------------

@@ -12,7 +12,7 @@ spd_factor owns the settings of every SuperLU factor of a symmetric
 positive definite matrix (the Poisson factor and the eigensolver's
 shift-invert blocks): symmetric mode, minimum-degree ordering on A + A^T
 and diagonal pivots. The module also holds the staggered stencils every
-other module shares, all reading the grid's known-face masks:
+other module shares, all reading the grid's face classes:
 face/center averages, the nodal curl, the cell-centred velocity
 gradient, upwind transport, the free-slip face Laplacian and the quintic
 C2 step.
@@ -22,8 +22,9 @@ Every field lives in its grid's padded layout (PaddedLayout), passed as
 live in a C-ordered (nx+1, ny+1) buffer, read flat, so a step along x is
 the offset ny+1, a step along y the offset 1, and every stencil shift is
 a contiguous 1-D slice. The y-component runs the x-component's code with
-the two strides swapped, reading the flat per-component masks
-(ComponentMasks) that each grid builds once; nothing is transposed.
+the two strides swapped, reading the flat per-component face classes
+(ComponentMasks) that each grid derives once from its padded active
+mask; nothing is transposed.
 """
 
 from __future__ import annotations
@@ -71,18 +72,18 @@ class DiscreteOperators:
     def _assemble(self):
         g = self.grid
         h = self.h
-        idx = self.active_index
+        idx = g.layout.padded(self.active_index, -1)
         # gradient incidence: one row per interior face, x-faces first,
         # -1/h on the cell behind it and +1/h on the cell ahead
         rows, cols, vals = [], [], []
         nface = 0
-        for interior, (di, dj) in ((g.uface_interior, (1, 0)), (g.vface_interior, (0, 1))):
-            fi, fj = np.nonzero(interior)
-            for back, sgn in ((1, -1.0), (0, 1.0)):
-                rows.append(nface + np.arange(len(fi)))
-                cols.append(idx[fi - back * di, fj - back * dj])
-                vals.append(np.full(len(fi), sgn / h))
-            nface += len(fi)
+        for m in g.component_masks:
+            k = np.flatnonzero(m.interior)
+            for back, sgn in ((m.normal, -1.0), (0, 1.0)):
+                rows.append(nface + np.arange(len(k)))
+                cols.append(idx[k - back])
+                vals.append(np.full(len(k), sgn / h))
+            nface += len(k)
         self.gradient_matrix = sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(nface, g.n_active),
@@ -136,16 +137,16 @@ class DiscreteOperators:
     def curl(self, psi):
         """Masked nodal curl to faces; zero on boundary and dead faces."""
         u, v = nodal_curl(self.grid, psi)
-        u[~self.grid.uface_interior] = 0.0
-        v[~self.grid.vface_interior] = 0.0
+        for f, m in zip((u, v), self.grid.component_masks):
+            np.copyto(self.grid.layout.flat(f), 0.0, where=m.exterior)
         return u, v
 
     def face_dot(self, au, av, bu, bv):
         """l2 inner product over interior faces."""
-        g = self.grid
-        s = float(np.sum(au[g.uface_interior] * bu[g.uface_interior]))
-        s += float(np.sum(av[g.vface_interior] * bv[g.vface_interior]))
-        return s
+        lay = self.grid.layout
+        xm, ym = self.grid.component_masks
+        iu, iv = lay.xfaces(xm.interior), lay.yfaces(ym.interior)
+        return float(np.sum(au[iu] * bu[iu])) + float(np.sum(av[iv] * bv[iv]))
 
     def face_l2norm(self, u, v):
         """Grid L2 norm of a face vector field over interior faces."""
@@ -386,22 +387,34 @@ def nodal_curl(grid, psi):
 
 
 class ComponentMasks:
-    """The flat padded masks of one velocity component's update, with the
+    """The flat padded face classes of one velocity component, with the
     strides of its stencils: `normal` along the component (row for u, 1
-    for v) and `transverse` across it. Ghost entries are exterior,
-    unknown and inactive. Built once per grid."""
+    for v) and `transverse` across it. Built once per grid from the
+    padded active cell mask, whose ghosts are inactive; ghost faces are
+    exterior, unknown and inactive.
 
-    def __init__(self, layout, normal, interior, known, rim, active):
+    Face k lies between the cells behind it, k - normal, and ahead, k. It
+    is interior (it carries an unknown) when both are active and
+    prescribed when one is: a rim face on the two box edges across the
+    component, where the truncation wall is at rest, an obstacle face
+    elsewhere, where the body's normal velocity holds."""
+
+    def __init__(self, layout, normal, active):
         self.layout = layout
         self.normal = normal
         self.transverse = layout.row if normal == 1 else 1
-        self.interior = layout.padded(interior, False)
+        behind = np.zeros(layout.size, dtype=bool)
+        behind[normal:] = active[:-normal]
+        self.interior = active & behind
+        boundary = active ^ behind
+        self.rim = np.zeros(layout.size, dtype=bool)
+        for rim, edge in zip(layout.edges(self.rim, normal), layout.edges(boundary, normal)):
+            rim[...] = edge
+        self.obstacle = boundary & ~self.rim
         # faces the update leaves as they are: prescribed, dead, edge, ghost
         self.exterior = ~self.interior
         self.exterior_faces = np.flatnonzero(self.exterior)
-        known = layout.padded(known, False)
-        self.unknown = ~known
-        self.rim = layout.padded(rim, False)
+        self.unknown = ~(self.interior | boundary)
         # corner k lies between faces k - transverse and k; it carries no
         # flux unless both carry unknowns
         st = self.transverse
@@ -429,17 +442,6 @@ class ComponentMasks:
         self.mirror_faces = i
         self.mirror_neighbors = np.stack(
             [np.where(m[i], i, i + s) for m, s in zip(mirrors, shifts)])
-
-
-def component_masks(grid):
-    """Masks for updating u on x-faces and v on y-faces."""
-    g = grid
-    lay = g.layout
-    active = lay.padded(g.active, False)
-    return (
-        ComponentMasks(lay, lay.row, g.uface_interior, g.uface_known, g.uface_rim, active),
-        ComponentMasks(lay, 1, g.vface_interior, g.vface_known, g.vface_rim, active),
-    )
 
 
 def upwind_transport(q, wn, wt, masks, h):

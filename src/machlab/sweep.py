@@ -353,7 +353,8 @@ def _fluid_sweep(scenario: Scenario, dec, decay, out_dir: Path, workers: int):
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(canonical_text(cfg), pairs, inc_traj,
                                            out_dir)) as pool:
-            members = list(pool.map(_run_one_eps_job, eps_list))
+            # the smallest eps, the longest member, starts first
+            members = list(pool.map(_run_one_eps_job, eps_list[::-1]))[::-1]
 
     energy_rows, mass_rows, metric_records, summary_rows = [], [], [], []
     for eps, d, (energy, mass, records) in zip(eps_list, decay, members):

@@ -1,7 +1,8 @@
 """Shared fixtures: small grids for unit tests, shipped-scenario runs for
-the acceptance suite (executed once per session); the helper that pads a
-plain array into a grid's layout, and the 2-D oracles of the staggered
-averages and the velocity gradient."""
+the acceptance suite (executed once per session); the helpers that pad a
+plain array into a grid's layout and give the 2-D views of its face
+classes, and the 2-D oracles of the staggered averages and the velocity
+gradient."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from machlab.config import parse_config
-from machlab.geometry import build_grid, build_rectangle_grid, static_path
+from machlab.geometry import Grid, build_grid, static_path
 from machlab.sweep import run_sweep
 
 REPO = Path(__file__).resolve().parents[1]
@@ -19,7 +20,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(scope="session")
 def unit_square_grid():
-    return build_rectangle_grid(0.0, np.pi, 0.0, np.pi, np.pi / 32)
+    return Grid(0.0, 0.0, 32, 32, np.pi / 32)
 
 
 @pytest.fixture(scope="session")
@@ -123,6 +124,15 @@ def in_layout(grid, a):
     return grid.layout.enter(np.asarray(a, dtype=float))
 
 
+def face_masks(grid, kind):
+    """The x-face and y-face views, (nx+1, ny) and (nx, ny+1), of one face
+    class of grid: a ComponentMasks mask ("interior", "obstacle", "rim",
+    ...) or "known", the interior and prescribed faces."""
+    lay = grid.layout
+    return tuple(view(~m.unknown if kind == "known" else getattr(m, kind))
+                 for view, m in zip((lay.xfaces, lay.yfaces), grid.component_masks))
+
+
 # -- 2-D oracles of the staggered averages and the velocity gradient ---------
 
 
@@ -145,8 +155,9 @@ def oracle_gradient(grid, u, v):
     g = grid
     h = g.h
     gu = np.zeros((g.nx, g.ny, 2, 2))
-    um = np.where(g.uface_known, u, 0.0)
-    vm = np.where(g.vface_known, v, 0.0)
+    ku, kv = face_masks(g, "known")
+    um = np.where(ku, u, 0.0)
+    vm = np.where(kv, v, 0.0)
     gu[:, :, 0, 0] = (um[1:, :] - um[:-1, :]) / h
     gu[:, :, 1, 1] = (vm[:, 1:] - vm[:, :-1]) / h
     uc = 0.5 * (um[1:, :] + um[:-1, :])

@@ -20,11 +20,11 @@ from machlab.constitutive import (
     pressure,
     pressure_potential,
 )
-from machlab.geometry import build_grid, build_rectangle_grid, static_path
+from machlab.geometry import Grid, build_grid, static_path
 from machlab.incompressible import IncompressibleSolver
 from machlab.storage import read_csv
 
-from conftest import fixed_step, in_layout
+from conftest import face_masks, fixed_step, in_layout
 
 LAW = PressureLaw(1.0, 2.0, 1.0)
 
@@ -77,7 +77,7 @@ def test_criterion_3_acoustic_local_decay(spectral_run):
 
 def test_criterion_4_propagator_unitarity():
     """Energy drift <= 1e-10 relative for 100 random retained-span states."""
-    grid = build_rectangle_grid(0.0, math.pi, 0.0, math.pi, math.pi / 48)
+    grid = Grid(0.0, 0.0, 48, 48, math.pi / 48)
     dec = sp.spectral_decompose(grid, 80)
     rng = np.random.default_rng(2024)
     horizon = 0.5
@@ -99,6 +99,7 @@ def test_criterion_4_propagator_unitarity():
 def test_criterion_5_helmholtz_correctness():
     """Idempotence/orthogonality 1e-8 on 100 random fields; exact cases 1e-10."""
     grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
+    iu, iv = face_masks(grid, "interior")
     rng = np.random.default_rng(7)
     worst_idem = worst_orth = worst_pyth = 0.0
     for _ in range(100):
@@ -107,8 +108,8 @@ def test_criterion_5_helmholtz_correctness():
         hu, hv, theta = grid.ops.helmholtz(u, v)
         hu2, hv2, _ = grid.ops.helmholtz(hu, hv)
         gt = grid.ops.grad(theta)
-        um = np.where(grid.uface_interior, u, 0.0)
-        vm = np.where(grid.vface_interior, v, 0.0)
+        um = np.where(iu, u, 0.0)
+        vm = np.where(iv, v, 0.0)
         nrm2 = grid.ops.face_dot(um, vm, um, vm)
         worst_idem = max(
             worst_idem,
@@ -134,8 +135,8 @@ def test_criterion_5_helmholtz_correctness():
     psi = np.where(r2 < 0.0625, (1 - r2 / 0.0625) ** 3, 0.0)
     su = (psi[:, 1:] - psi[:, :-1]) / grid.h
     sv = -(psi[1:, :] - psi[:-1, :]) / grid.h
-    su[~grid.uface_interior] = 0.0
-    sv[~grid.vface_interior] = 0.0
+    su[~iu] = 0.0
+    sv[~iv] = 0.0
     fu, fv, _ = grid.ops.helmholtz(in_layout(grid, su), in_layout(grid, sv))
     fix = max(np.abs(fu - su).max(), np.abs(fv - sv).max())
 
@@ -158,7 +159,7 @@ def test_criterion_6_neumann_spectrum():
     spacing, so those two modes cannot meet the bound; the failure is
     reported honestly rather than loosened away.
     """
-    grid = build_rectangle_grid(0.0, math.pi, 0.0, math.pi, math.pi / 48)
+    grid = Grid(0.0, 0.0, 48, 48, math.pi / 48)
     dec = sp.spectral_decompose(grid, 12)
     h = grid.h
     analytic = sorted(k * k + l * l for k in range(6) for l in range(6))[1:11]
@@ -230,7 +231,7 @@ class TestCriterion10Oracles:
         assert ok, line
 
     def test_wave_propagator_vs_analytic_rotation(self):
-        grid = build_rectangle_grid(0.0, math.pi, 0.0, math.pi, math.pi / 32)
+        grid = Grid(0.0, 0.0, 32, 32, math.pi / 32)
         dec = sp.spectral_decompose(grid, 20)
         eps = 0.1
         worst = 0.0
@@ -253,7 +254,7 @@ class TestCriterion10Oracles:
         assert ok, line
 
     def test_duhamel_vs_driven_oscillator(self):
-        grid = build_rectangle_grid(0.0, math.pi, 0.0, math.pi, math.pi / 32)
+        grid = Grid(0.0, 0.0, 32, 32, math.pi / 32)
         dec = sp.spectral_decompose(grid, 20)
         eps, k, hk = 0.1, 3, 0.9
         lam = dec.eigenvalues[k]

@@ -14,8 +14,8 @@ from machlab.compressible import (
 from machlab.constitutive import PressureLaw, ViscosityPair, stress
 from machlab.errors import CflViolation, VacuumState
 from machlab.geometry import (
+    Grid,
     build_grid,
-    build_rectangle_grid,
     enforce_bc,
     eval_motion,
     linear_path,
@@ -199,7 +199,7 @@ class TestStep:
 
     def test_wavefront_speed(self):
         # pulse expands at the scaled sound speed sqrt(p'(1))/eps within 5%
-        grid = build_rectangle_grid(-1.0, 1.0, -1.0, 1.0, 1.0 / 64.0)
+        grid = Grid(-1.0, -1.0, 128, 128, 1.0 / 64.0)
         sol = CompressibleSolver(grid, LAW, ViscosityPair(1e-8), static_path(1.0), 0.0)
         xc, yc = grid.cell_centers()
         rho1 = 0.5 * np.exp(-(xc**2 + yc**2) / 0.01)

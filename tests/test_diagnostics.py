@@ -17,7 +17,7 @@ from machlab.errors import ScheduleMismatch
 from machlab.geometry import build_grid, static_path
 from machlab.incompressible import IncompressibleSolver
 
-from conftest import in_layout
+from conftest import face_masks, in_layout
 
 LAW = PressureLaw(1.0, 2.0, 1.0)
 
@@ -172,8 +172,9 @@ class TestAssemblyIdentity:
         rng = np.random.default_rng(3)
         wu = rng.standard_normal((grid.nx + 1, grid.ny))
         wv = rng.standard_normal((grid.nx, grid.ny + 1))
-        wu[~grid.uface_interior] = 0.0
-        wv[~grid.vface_interior] = 0.0
+        iu, iv = face_masks(grid, "interior")
+        wu[~iu] = 0.0
+        wv[~iv] = 0.0
         hu, hv, psi = grid.ops.helmholtz(in_layout(grid, wu), in_layout(grid, wv))
         phi = solenoidal_test_function(grid, 0.18, 0.45)
         phi_g = grid.ops.grad(

@@ -13,6 +13,8 @@ from machlab.geometry import (
 )
 from machlab.operators import smoothstep
 
+from conftest import face_masks
+
 
 def test_too_coarse_obstacle_rejected():
     with pytest.raises(GeometryTooCoarse):
@@ -35,45 +37,55 @@ def test_solid_count_matches_enumeration():
     assert abs(n_solid - np.pi * 0.25**2 / g.h**2) < 0.1 * n_solid
 
 
+def behind_ahead(grid, axis):
+    """Whether the cell behind and the cell ahead of each face of the
+    family normal to axis is active, False beyond the box: the face
+    classes' own construction, from the 2-D active mask."""
+    act = np.pad(grid.active, [(1, 1) if ax == axis else (0, 0) for ax in (0, 1)])
+    n = act.shape[axis]
+    return np.take(act, np.arange(n - 1), axis=axis), np.take(act, np.arange(1, n), axis=axis)
+
+
 def test_classification_is_partition_and_reproducible():
     g1 = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
     g2 = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
     np.testing.assert_array_equal(g1.active, g2.active)
+    kinds = ("interior", "obstacle", "rim", "known")
+    for k in kinds:
+        for a, b in zip(face_masks(g1, k), face_masks(g2, k)):
+            np.testing.assert_array_equal(a, b)
     # every face next to an active cell is exactly one of interior,
-    # obstacle stair face or outer-rim face; the rest are dead
-    act = g1.active
-    near_u = np.zeros_like(g1.uface_interior)
-    near_u[:-1, :] |= act
-    near_u[1:, :] |= act
-    near_v = np.zeros_like(g1.vface_interior)
-    near_v[:, :-1] |= act
-    near_v[:, 1:] |= act
-    for kinds, near in (
-        ((g1.uface_interior, g1.uface_obstacle, g1.uface_rim), near_u),
-        ((g1.vface_interior, g1.vface_obstacle, g1.vface_rim), near_v),
-    ):
-        np.testing.assert_array_equal(sum(k.astype(int) for k in kinds), near)
-        assert all(k.any() for k in kinds)
+    # obstacle stair face or outer-rim face; the rest are dead. The rim
+    # faces are the prescribed ones on the two box edges across the family
+    for axis in (0, 1):
+        behind, ahead = behind_ahead(g1, axis)
+        interior, obstacle, rim, known = (face_masks(g1, k)[axis] for k in kinds)
+        np.testing.assert_array_equal(interior.astype(int) + obstacle + rim, behind | ahead)
+        np.testing.assert_array_equal(known, behind | ahead)
+        edge = np.zeros_like(rim)
+        np.moveaxis(edge, axis, 0)[[0, -1]] = True
+        np.testing.assert_array_equal(rim, (behind ^ ahead) & edge)
+        assert interior.any() and obstacle.any() and rim.any()
     # the far-field rim is the outermost ring of cells, all of them active
     assert g1.cell_rim.sum() == 2 * (g1.nx + g1.ny) - 4
 
 
 def test_known_faces_are_interior_or_prescribed():
+    # the flat padded masks, ghosts included, against their construction:
+    # interior where both cells are active, prescribed where one is,
+    # unknown (dead or ghost) where neither is
     g = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
-    for axis, known, interior, boundary in (
-        (0, g.uface_known, g.uface_interior, g.uface_boundary),
-        (1, g.vface_known, g.vface_interior, g.vface_boundary),
-    ):
-        np.testing.assert_array_equal(known, interior | boundary)
-        assert not np.any(interior & boundary)
-        # the cells behind and ahead of each face, False beyond the box
-        act = np.pad(g.active, [(1, 1) if ax == axis else (0, 0) for ax in (0, 1)])
-        n = act.shape[axis]
-        behind = np.take(act, np.arange(n - 1), axis=axis)
-        ahead = np.take(act, np.arange(1, n), axis=axis)
-        assert behind.shape == known.shape
-        assert not np.any(~known & (behind | ahead))
-        assert np.any(~known)
+    lay = g.layout
+    for axis, m in enumerate(g.component_masks):
+        behind, ahead = behind_ahead(g, axis)
+        assert behind.shape == lay.parts[1 + axis]
+        np.testing.assert_array_equal(m.interior, lay.padded(behind & ahead, False))
+        np.testing.assert_array_equal(m.obstacle | m.rim, lay.padded(behind ^ ahead, False))
+        np.testing.assert_array_equal(m.unknown, ~lay.padded(behind | ahead, False))
+        np.testing.assert_array_equal(m.exterior, ~m.interior)
+        assert not np.any(m.obstacle & m.rim)
+        # the disk's own faces are dead
+        assert np.any(m.unknown & lay.padded(np.ones(behind.shape, dtype=bool), False))
 
 
 def test_smoothstep_is_a_symmetric_step():
@@ -156,8 +168,9 @@ class TestExtensionField:
         g = self.grid
         ext = ExtensionField(g, self.path, 0.75).sample(0.0)
         tol = 10.0 * g.h**2
-        assert np.abs(ext.u[g.uface_obstacle] - 1.0).max() <= tol
-        assert np.abs(ext.v[g.vface_obstacle]).max() <= tol
+        ou, ov = face_masks(g, "obstacle")
+        assert np.abs(ext.u[ou] - 1.0).max() <= tol
+        assert np.abs(ext.v[ov]).max() <= tol
 
     def test_compact_support(self):
         g = self.grid

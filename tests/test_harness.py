@@ -15,7 +15,7 @@ from machlab import spectral as sp
 from machlab import sweep, verify
 from machlab.cli import main as cli_main
 from machlab.compressible import CompressibleSolver, FluidState
-from machlab.config import SCHEMA, canonical_text, default_config, parse_config
+from machlab.config import SCHEMA, canonical_text, parse_config
 from machlab.errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -44,7 +44,7 @@ from machlab.sweep import (
 )
 from machlab.verify import stored_acoustic_pair, verify_run
 
-from conftest import MINI_CFG
+from conftest import MINI_CFG, face_masks
 
 
 class TestConfig:
@@ -54,7 +54,7 @@ class TestConfig:
         assert canonical_text(parse_config(text)) == text
 
     def test_defaults_filled(self):
-        cfg = default_config()
+        cfg = parse_config("")
         assert cfg.get("physics", "gamma") == 2.0
         assert cfg.get("numerics", "sponge_width") == 0.5  # extent / 4
 
@@ -125,6 +125,35 @@ class TestConfig:
                     if isinstance(node, ast.ClassDef) and node.name != "MachlabError"]
         assert len(declared) > 10
         assert [name for name in declared if name not in raised] == []
+
+    def test_every_grid_attribute_is_read(self):
+        # an attribute Grid or ComponentMasks sets that no module reads is a
+        # dead copy beside the masks the kernels read (the check matches
+        # attribute names, not their owners)
+        src = Path(__file__).resolve().parents[1] / "src" / "machlab"
+        trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+        read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        assigned = []
+        for module, owner in (("geometry.py", "Grid"), ("operators.py", "ComponentMasks")):
+            cls = next(node for node in trees[module].body
+                       if isinstance(node, ast.ClassDef) and node.name == owner)
+            assigned += [f"{owner}.{node.attr}" for node in ast.walk(cls)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                         and isinstance(node.value, ast.Name) and node.value.id == "self"]
+        assert len(assigned) > 20
+        assert [name for name in assigned if name.split(".")[1] not in read] == []
+
+    @pytest.mark.parametrize("text, line", [
+        ("[schedule]\nhorizon = inf\n", 2),  # the run would never end
+        ("[geometry]\nextent = nan\n", 2),
+        ("[sweep]\neps = 0.2, -inf\n", 2),
+        ("[physics]\n\nshear_viscosity = NaN\n", 3),
+    ])
+    def test_non_finite_number_refused(self, text, line):
+        with pytest.raises(ConfigParseError, match="is not finite") as err:
+            parse_config(text)
+        assert err.value.line == line
 
     def test_validation_error_survives_pickling(self):
         # a pool worker's error reaches the parent pickled
@@ -451,6 +480,26 @@ class TestVerify:
         assert failed & {"energy_snapshot_consistent", "density_positive",
                          "far_field_quiet"}
 
+    def test_moved_obstacle_face_fails_slip(self, mini_run, tmp_path):
+        # one obstacle face of a stored u moved by 1e-6, under a manifest
+        # that agrees with it: the body no longer carries the fluid there
+        broken = self._copy(mini_run["out_dir"], tmp_path, "slip")
+        victim = broken / "eps_0p1" / "snap_002.dat"
+        meta, fields = read_snapshot(victim)
+        grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
+        face = tuple(np.argwhere(face_masks(grid, "obstacle")[0])[0])
+        fields["u"][face] += 1e-6
+        write_snapshot(victim, meta["time"], fields)
+        write_manifest(broken, read_manifest(broken)["config_digest"])
+        report = verify_run(broken)
+        assert not report["ok"]
+        checks = {(c["name"], c["context"]): c for c in report["checks"]}
+        assert checks[("artifact_digests", "all")]["passed"]
+        slip = checks[("obstacle_slip", "eps=0.1")]
+        assert not slip["passed"]
+        assert slip["value"] == pytest.approx(1e-6, rel=1e-6)
+        assert checks[("obstacle_slip", "eps=0.2")]["passed"]
+
     def test_swapped_snapshot_fails_digest_only(self, mini_run, tmp_path):
         # a valid snapshot, one density value moved by one part in 1e12:
         # every physics check passes and only the manifest digest differs
@@ -554,8 +603,15 @@ class TestCli:
         # a probe off the grid: D = 0 at T > 0
         ("[run]\nscenario = spectral\n[spectral]\nsource_center_x = 10\n[sweep]\neps = 0.2",
          False),
+        # a number that is nan or inf, refused as it is read
+        ("[geometry]\nextent = nan", False),
+        ("[sweep]\neps = 0.2, nan", False),
+        ("[physics]\nshear_viscosity = nan", False),
+        ("[numerics]\nsponge_width = nan", False),
+        ("[initial]\npulse_amplitude = inf", False),
     ], ids=["cutoff_order", "cutoff_extent", "modes_3", "modes_cap", "pulse_bound",
-            "probe_width_0", "probe_width_negative", "probe_off_grid"])
+            "probe_width_0", "probe_width_negative", "probe_off_grid", "extent_nan", "eps_nan",
+            "viscosity_nan", "sponge_nan", "pulse_inf"])
     def test_config_refused_without_traceback(self, entries, leaves_dir, tmp_path):
         # each of these used to pass validation and then die with a
         # traceback or write meaningless rows; only the data bound, checked
@@ -726,7 +782,7 @@ class TestCli:
         assert lines[1] == ",".join(SUMMARY_HEADER)
         assert float(lines[2].split(",")[0]) == 0.2
 
-    @pytest.mark.parametrize("eps", ["0.2,abc", "0.2,", ""])
+    @pytest.mark.parametrize("eps", ["0.2,abc", "0.2,", "", "0.2,nan"])
     def test_malformed_eps_override_exit_code(self, eps, tmp_path, capsys):
         # read like the config's own eps list, and refused before the run
         # directory exists

@@ -4,7 +4,7 @@ import pytest
 from machlab.errors import CflViolation
 from machlab.geometry import build_grid, linear_path, sinusoidal_path, static_path
 from machlab.incompressible import IncompressibleSolver, IncompressibleState
-from conftest import fixed_step, in_layout, oracle_face_to_center
+from conftest import face_masks, fixed_step, in_layout, oracle_face_to_center
 
 
 @pytest.fixture()
@@ -18,8 +18,9 @@ def vortex_field(grid, center=(-0.55, 0.0), radius=0.25, amp=0.3):
     psi = np.where(r2 < radius**2, amp * radius * (1 - r2 / radius**2) ** 3, 0.0)
     u = (psi[:, 1:] - psi[:, :-1]) / grid.h
     v = -(psi[1:, :] - psi[:-1, :]) / grid.h
-    u[~grid.uface_interior] = 0.0
-    v[~grid.vface_interior] = 0.0
+    iu, iv = face_masks(grid, "interior")
+    u[~iu] = 0.0
+    v[~iv] = 0.0
     return in_layout(grid, u), in_layout(grid, v)
 
 
@@ -52,7 +53,7 @@ class TestProjectInitial:
         u, v = vortex_field(grid)
         gu, gv = gradient_field(grid)
         u0, v0 = u + gu, v + gv
-        u0[grid.uface_rim] = 1.0
+        u0[face_masks(grid, "rim")[0]] = 1.0
         before = u0.copy(), v0.copy()
         inc = IncompressibleSolver(grid, 0.01, linear_path((0.1, 0.0), 1.0))
         state = inc.init_state(u0, v0)
@@ -198,7 +199,7 @@ class TestRun:
         st0 = sol.init_state(np.zeros((grid.nx + 1, grid.ny)),
                              np.zeros((grid.nx, grid.ny + 1)))
         # the compatibility projection already installs the dipole flow
-        assert np.abs(st0.u[grid.uface_interior]).max() > 0.01
+        assert np.abs(st0.u[face_masks(grid, "interior")[0]]).max() > 0.01
         traj = sol.run(st0, np.linspace(0.0, 0.1, 6))
         for st in traj.states:
             assert max_divergence(grid, st) <= 1e-8, st.t

@@ -44,6 +44,7 @@ from machlab.sweep import build_scenario, initial_data, initial_velocity
 from conftest import (
     MINI_CFG,
     SINUSOIDAL_MINI_CFG,
+    face_masks,
     in_layout,
     oracle_center_to_xface,
     oracle_center_to_yface,
@@ -56,10 +57,8 @@ from conftest import (
 
 def oracle_masks(grid):
     g = grid
-    return (
-        (g.uface_interior, g.uface_known, g.vface_known, g.active),
-        (g.vface_interior.T, g.vface_known.T, g.uface_known.T, g.active.T),
-    )
+    (iu, iv), (ku, kv) = face_masks(g, "interior"), face_masks(g, "known")
+    return (iu, ku, kv, g.active), (iv.T, kv.T, ku.T, g.active.T)
 
 
 def oracle_transport(q, wn, wt, interior, other_ok, cell_act, h):
@@ -135,12 +134,9 @@ def oracle_momentum(sol, rho, rho_new, un, wn, wt, p_cell, div_full, eps, dt,
 
 def oracle_div(grid, u, v, include_boundary_faces=True):
     g = grid
-    if include_boundary_faces:
-        um = np.where(g.uface_known, u, 0.0)
-        vm = np.where(g.vface_known, v, 0.0)
-    else:
-        um = np.where(g.uface_interior, u, 0.0)
-        vm = np.where(g.vface_interior, v, 0.0)
+    mu, mv = face_masks(g, "known" if include_boundary_faces else "interior")
+    um = np.where(mu, u, 0.0)
+    vm = np.where(mv, v, 0.0)
     out = (um[1:, :] - um[:-1, :] + vm[:, 1:] - vm[:, :-1]) / g.h
     out[~g.active] = 0.0
     return out
@@ -163,10 +159,11 @@ def oracle_enforce_bc(grid, path, state):
     _, mp, _ = eval_motion(path, state.t)
     u = state.u.copy()
     v = state.v.copy()
-    u[~grid.uface_interior] = mp[0]
-    v[~grid.vface_interior] = mp[1]
-    u[grid.uface_rim] = 0.0
-    v[grid.vface_rim] = 0.0
+    (iu, iv), (ru, rv) = face_masks(grid, "interior"), face_masks(grid, "rim")
+    u[~iu] = mp[0]
+    v[~iv] = mp[1]
+    u[ru] = 0.0
+    v[rv] = 0.0
     return FluidState(state.rho, u, v, state.t, state.eps, state.sponge_mass)
 
 
@@ -180,8 +177,9 @@ def oracle_step(sol, state, dt):
     wu = u - mp[0]
     wv = v - mp[1]
     c_cell = np.sqrt(pressure_slope(law, np.maximum(rho, 1e-300))) / eps
-    fmx = oracle_mass_flux(rho, wu, c_cell, g.uface_interior)
-    fmy = oracle_mass_flux(rho.T, wv.T, c_cell.T, g.vface_interior.T).T
+    iu, iv = face_masks(g, "interior")
+    fmx = oracle_mass_flux(rho, wu, c_cell, iu)
+    fmy = oracle_mass_flux(rho.T, wv.T, c_cell.T, iv.T).T
     rho_new = rho - (dt / h) * (fmx[1:, :] - fmx[:-1, :] + fmy[:, 1:] - fmy[:, :-1])
     rho_new[~g.active] = law.rho_ref
     if np.any(rho_new[g.active] <= 0.0):
@@ -276,8 +274,9 @@ def _fields(grid, seed, unknown=np.nan):
     u = rng.standard_normal((g.nx + 1, g.ny))
     v = rng.standard_normal((g.nx, g.ny + 1))
     if unknown is not None:
-        u = np.where(g.uface_known, u, unknown)
-        v = np.where(g.vface_known, v, unknown)
+        ku, kv = face_masks(g, "known")
+        u = np.where(ku, u, unknown)
+        v = np.where(kv, v, unknown)
     p = rng.standard_normal((g.nx, g.ny))
     div = rng.standard_normal((g.nx, g.ny))
     return rho, u, v, p, div
@@ -433,8 +432,8 @@ def test_grid_kernels_ghost_entries_never_leak(grid):
     assert np.all(np.isfinite(got))
     np.testing.assert_array_equal(got, oracle_gradient(grid, u, v))
     # the averages read the unknown faces as zero
-    want = oracle_face_to_center(np.where(grid.uface_known, u, 0.0),
-                                 np.where(grid.vface_known, v, 0.0))
+    ku, kv = face_masks(grid, "known")
+    want = oracle_face_to_center(np.where(ku, u, 0.0), np.where(kv, v, 0.0))
     for c, w in zip(avgs, want):
         np.testing.assert_array_equal(lay.cells(c), w)
 
