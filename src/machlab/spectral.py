@@ -6,7 +6,7 @@ mask's reflection symmetries (the mirrors and, on a mask equal to its
 transpose, the diagonal), copies a transposed twin sector's pairs instead
 of solving it, and factors each shift-invert block with
 operators.spd_factor; the modes stay in sector coordinates, read through
-project and lift. On the span live the two-component acoustic wave
+project, lift and vectors. On the span live the two-component acoustic wave
 propagator with its Duhamel quadrature, the forcing-channel bookkeeping
 of the wave source, and the time-averaged local-decay functional
 measuring acoustic dispersion, whose trapezoid step is QUADRATURE_FACTOR
@@ -79,13 +79,21 @@ class SpectralDecomposition:
             out[modes] = y[:, :len(modes)].T @ (b.T @ x)
         return out
 
-    def lift(self, coeffs, rows=None) -> np.ndarray:
-        """V[rows] C for C of shape (K,) or (K, m); rows None: every active row."""
+    def lift(self, coeffs) -> np.ndarray:
+        """V C for C of shape (K,) or (K, m)."""
         c = np.asarray(coeffs)
         out = 0.0
         for b, y, modes in self.sectors:
-            y = y[:, :len(modes)]
-            out += b @ (y @ c[modes]) if rows is None else (b[rows] @ y) @ c[modes]
+            out += b @ (y[:, :len(modes)] @ c[modes])
+        return out
+
+    def vectors(self, rows, cols) -> np.ndarray:
+        """V[rows][:, cols], gathered per sector, for ascending mode indices cols."""
+        out = np.empty((len(rows), len(cols)))
+        for b, y, modes in self.sectors:
+            hit = np.isin(modes, cols)
+            if np.any(hit):
+                out[:, np.searchsorted(cols, modes[hit])] = (b[rows] @ y[:, :len(modes)])[:, hit]
         return out
 
     def coefficients(self, cell_field) -> np.ndarray:
@@ -684,7 +692,7 @@ def decay_gram(dec: SpectralDecomposition, x_field, chi, window: Callable):
     coeffs = dec.coefficients(x_field) * window(dec.eigenvalues)
     chi_vec = dec.grid.ops.pack(chi)
     rows, cols = np.flatnonzero(chi_vec), np.flatnonzero(coeffs)
-    a = chi_vec[rows, None] * dec.lift(np.eye(dec.modes)[:, cols], rows) * coeffs[cols]
+    a = chi_vec[rows, None] * dec.vectors(rows, cols) * coeffs[cols]
     return a.T @ a, dec.eigenvalues[cols]
 
 

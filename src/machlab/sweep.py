@@ -8,13 +8,17 @@ compressible run, its snapshots, forcing channels and diagnostics,
 returned as the member's table rows; everything is written to a run
 directory closed by a manifest. A member's trajectory never leaves
 run_one_eps, so the sweep holds one member's states at a time, and every
-member comes back as its rows, in process or from a worker. With
-MACHLAB_WORKERS > 1 (read before anything is written; a value that is not
-an integer >= 1 is a config error) the members run in a process pool;
-each worker receives the scenario text, the parent's eigenpairs in their
+member comes back as its rows, in process or from a worker. The members
+run in a process pool of one worker per member, up to the usable CPUs;
+MACHLAB_WORKERS, when set, gives the pool size instead (read before
+anything is written; a value that is not an integer >= 1 is a config
+error), and a size of 1 runs the members in this process, with no pool.
+Each worker receives the scenario text, the parent's eigenpairs in their
 sector form and the reference trajectory once, at its start, so the
 sweep still makes one eigensolve and one reference run, and its files
-equal the sequential run's byte for byte. At a fixed BLAS thread count
+equal the sequential run's byte for byte. The first member that fails
+fails the sweep at once: the members still running are stopped and the
+member's own error is raised. At a fixed BLAS thread count
 all outputs are a pure function of (config, seed); the eigenpair
 residuals in eigenvalues.csv (%.3e) move at rounding level with it.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -271,10 +275,17 @@ def run_one_eps(scenario: Scenario, dec, eps: float, reference, out_dir: Path):
     return energy_rows, mass_rows, records
 
 
-def _worker_count() -> int:
-    """The process-pool size from MACHLAB_WORKERS (1 when unset); anything
-    but an integer >= 1 is a config error."""
-    text = os.environ.get("MACHLAB_WORKERS", "1")
+def _worker_count(members: int) -> int:
+    """The process-pool size for `members` sweep members: MACHLAB_WORKERS
+    when set, where anything but an integer >= 1 is a config error, else
+    one worker per member up to the CPUs this process may run on."""
+    text = os.environ.get("MACHLAB_WORKERS")
+    if text is None:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity mask on this platform
+            cpus = os.cpu_count() or 1
+        return min(members, cpus)
     try:
         workers = int(text)
     except ValueError:
@@ -300,7 +311,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     sweep. Both write config.txt, rage.csv, eigenvalues.csv, summary.csv
     and the manifest the same way.
     """
-    workers = _worker_count()
+    workers = _worker_count(len(cfg["sweep"]["eps"]))
     scenario = build_scenario(cfg)
     x_field = probe_field(cfg, scenario.grid)
     dec = decompose(cfg, scenario.grid)
@@ -350,11 +361,25 @@ def _fluid_sweep(scenario: Scenario, dec, decay, out_dir: Path, workers: int):
         members = [run_one_eps(scenario, dec, eps, inc_traj, out_dir) for eps in eps_list]
     else:
         pairs = (dec.eigenvalues, dec.sectors, dec.residuals)
+        rows = {}
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(canonical_text(cfg), pairs, inc_traj,
                                            out_dir)) as pool:
-            # the smallest eps, the longest member, starts first
-            members = list(pool.map(_run_one_eps_job, eps_list[::-1]))[::-1]
+            try:
+                # the smallest eps, the longest member, starts first
+                jobs = {pool.submit(_run_one_eps_job, eps): eps for eps in eps_list[::-1]}
+                for job in as_completed(jobs):
+                    rows[jobs[job]] = job.result()
+            except BaseException:
+                # the sweep has failed: terminate the running members with
+                # their workers (the executor offers no public call for this
+                # before Python 3.14), drop the members not started and reap
+                # the workers
+                for proc in list(pool._processes.values()):
+                    proc.terminate()
+                pool.shutdown(wait=True, cancel_futures=True)
+                raise
+        members = [rows[eps] for eps in eps_list]
 
     energy_rows, mass_rows, metric_records, summary_rows = [], [], [], []
     for eps, d, (energy, mass, records) in zip(eps_list, decay, members):

@@ -20,7 +20,8 @@ REPO = Path(__file__).resolve().parents[1]
 def test_traced_child_run_on_mini_config(tmp_path):
     cfg = tmp_path / "mini.cfg"
     cfg.write_text(MINI_CFG)
-    env = {k: v for k, v in os.environ.items() if k != "MACHLAB_WORKERS"}
+    # the spans and counts of a member are recorded where it runs: in process
+    env = dict(os.environ, MACHLAB_WORKERS="1")
     env["PYTHONPATH"] = str(REPO / "src")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"

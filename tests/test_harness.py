@@ -1,9 +1,12 @@
 import ast
 import dataclasses
+import multiprocessing
+import os
 import pickle
 import shutil
 import subprocess
 import sys
+import time
 import weakref
 import zipfile
 from pathlib import Path
@@ -288,24 +291,79 @@ class TestSweep:
 
     def test_worker_pool_matches_sequential(self, mini_cfg, mini_run, tmp_path,
                                             monkeypatch):
-        monkeypatch.setenv("MACHLAB_WORKERS", "2")
-        parallel = run_sweep(mini_cfg, tmp_path / "parallel")
+        # mini_run runs its two members in a pool wherever two CPUs are usable
+        monkeypatch.setenv("MACHLAB_WORKERS", "1")
+        sequential = run_sweep(mini_cfg, tmp_path / "sequential")
 
         def files(root):
             return sorted(p.relative_to(root) for p in Path(root).rglob("*")
                           if p.is_file())
 
         names = files(mini_run["out_dir"])
-        assert files(parallel["out_dir"]) == names
+        assert files(sequential["out_dir"]) == names
         assert Path("eps_0p1", "snap_004.dat") in names
         for name in names:
             a = (Path(mini_run["out_dir"]) / name).read_bytes()
-            b = (Path(parallel["out_dir"]) / name).read_bytes()
+            b = (Path(sequential["out_dir"]) / name).read_bytes()
             assert a == b, name
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_default_worker_count(self, cpus, monkeypatch):
+        # one worker per member, up to the CPUs this process may run on
+        monkeypatch.delenv("MACHLAB_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert [sweep._worker_count(m) for m in (1, 2, 4)] == [min(m, cpus) for m in (1, 2, 4)]
+        monkeypatch.setenv("MACHLAB_WORKERS", "3")
+        assert sweep._worker_count(4) == 3
+        # without an affinity mask the machine's CPU count is used
+        monkeypatch.delenv("MACHLAB_WORKERS")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert sweep._worker_count(4) == min(4, cpus)
+
+    def test_one_member_builds_no_pool(self, mini_cfg, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-member sweep built a process pool")
+
+        monkeypatch.delenv("MACHLAB_WORKERS", raising=False)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        cfg = parse_config(MINI_CFG.replace("eps = 0.2, 0.1", "eps = 0.2"))
+        result = run_sweep(cfg, tmp_path / "one")
+        assert [row[0] for row in result["summary"]] == [0.2]
+
+    def test_failing_member_stops_pool(self, tmp_path, monkeypatch, capsys):
+        # 1 + 0.2 * -6 < 0: the eps = 0.2 member meets vacuum in its initial
+        # data, while eps = 0.1, started first in the pool, would run for a
+        # minute (forked workers inherit the patch); the pool stops it, fails
+        # like the in-process sweep and leaves no worker behind
+        run_member = sweep.run_one_eps
+
+        def slow_member(scenario, dec, eps, *args):
+            if eps == 0.1:
+                time.sleep(60)
+            return run_member(scenario, dec, eps, *args)
+
+        monkeypatch.setattr(sweep, "run_one_eps", slow_member)
+        cfgfile = tmp_path / "vacuum.cfg"
+        cfgfile.write_text(MINI_CFG + "\n[initial]\npulse_amplitude = -6\n")
+        errors = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MACHLAB_WORKERS", workers)
+            out = tmp_path / f"o{workers}"
+            start = time.monotonic()
+            assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+            assert time.monotonic() - start < 30
+            errors.append(capsys.readouterr().err)
+            assert not (out / "manifest.json").exists()
+            assert multiprocessing.active_children() == []
+        assert errors[0].startswith("numerical failure: ")
+        assert errors[1] == errors[0]
 
     def test_member_reduced_before_next_starts(self, mini_cfg, tmp_path, monkeypatch):
         # each member becomes its table rows inside run_one_eps; the last
-        # state of its compressible run must be gone before the next starts
+        # state of its compressible run must be gone before the next starts;
+        # the members run in this process, where the patches record
+        monkeypatch.setenv("MACHLAB_WORKERS", "1")
         last_states = []
         solver_run = CompressibleSolver.run
         run_member = sweep.run_one_eps

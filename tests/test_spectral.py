@@ -288,8 +288,9 @@ class TestSectorSolve:
 
 
 class TestSectorForm:
-    """The modes stay in sector coordinates; project and lift against the
-    dense eigenvector matrix assembled here from the sector entries."""
+    """The modes stay in sector coordinates; project, lift and vectors
+    against the dense eigenvector matrix assembled here from the sector
+    entries."""
 
     @staticmethod
     def _dense(dec):
@@ -312,6 +313,7 @@ class TestSectorForm:
         x = rng.standard_normal((grid.n_active, 3))
         c = rng.standard_normal((dec.modes, 3))
         rows = np.flatnonzero(rng.random(grid.n_active) < 0.3)
+        cols = np.flatnonzero(rng.random(dec.modes) < 0.5)
 
         def close(actual, desired):
             err = np.linalg.norm(actual - desired, axis=0)
@@ -321,7 +323,10 @@ class TestSectorForm:
         close(dec.project(x[:, 0]), v.T @ x[:, 0])
         close(dec.lift(c), v @ c)
         close(dec.lift(c[:, 1]), v @ c[:, 1])
-        close(dec.lift(c, rows), v[rows] @ c)
+        close(dec.vectors(rows, cols), v[rows][:, cols])
+        # a gather: each entry is the lift of a unit coefficient vector, exactly
+        np.testing.assert_array_equal(dec.vectors(rows, cols),
+                                      dec.lift(np.eye(dec.modes)[:, cols])[rows])
 
     def test_peak_memory_below_dense_eigenvectors(self, obstacle_grid):
         # the (n, K) eigenvector matrix alone would take n K 8 bytes
