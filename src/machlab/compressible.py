@@ -65,16 +65,6 @@ DATA_BOUND = 100.0  # init_state refuses rho1 with L2 + Linf norms above this
 TOL_ENERGY = 1e-3  # energy flag slack, a share of the initial energy
 
 
-@dataclass(frozen=True)
-class IllPreparedData:
-    """O(1) density perturbation and initial velocity exciting acoustics."""
-
-    rho1: np.ndarray
-    u0: np.ndarray
-    v0: np.ndarray
-    eps: float
-
-
 @dataclass
 class EnergyLedger:
     """Running totals needed by the two sides of the energy inequality."""
@@ -178,23 +168,24 @@ class CompressibleSolver(ExplicitStepper):
 
     # -- state construction -------------------------------------------------
 
-    def init_state(self, data: IllPreparedData) -> FluidState:
-        """Initial state rho_ref + eps*rho1, u0, with boundary projection;
-        the caller's arrays enter the padded layout here, as copies."""
+    def init_state(self, rho1, u0, v0, eps: float) -> FluidState:
+        """Ill-prepared initial state rho_ref + eps*rho1, (u0, v0), with
+        boundary projection; the caller's arrays enter the padded layout
+        here, as copies."""
         g = self.grid
         lay = g.layout
-        norm_l2 = g.l2norm(data.rho1)
-        norm_linf = g.lq_norm(data.rho1, np.inf)
+        norm_l2 = g.l2norm(rho1)
+        norm_linf = g.lq_norm(rho1, np.inf)
         if norm_l2 + norm_linf > DATA_BOUND:
             raise ConfigValidationError([
                 f"ill-prepared data norms {norm_l2 + norm_linf:.3g} exceed "
                 f"the bound {DATA_BOUND:.3g}"
             ])
-        rho = np.where(g.active, self.law.rho_ref + data.eps * data.rho1, self.law.rho_ref)
+        rho = np.where(g.active, self.law.rho_ref + eps * rho1, self.law.rho_ref)
         if np.any(rho[g.active] <= 0.0):
             raise VacuumState("initial density is not positive everywhere")
         return enforce_bc(g, self.path, FluidState(
-            lay.enter(rho), lay.enter(data.u0), lay.enter(data.v0), 0.0, data.eps))
+            lay.enter(rho), lay.enter(u0), lay.enter(v0), 0.0, eps))
 
     # -- stability ----------------------------------------------------------
 

@@ -1,24 +1,27 @@
 """Scenario assembly and the eps-sweep pipeline behind the CLI.
 
-run_sweep solves the Neumann eigenproblem once per scenario and tabulates
-the local-decay functional D(eps) from one probe and one horizon for every
-Mach number, before it makes the run directory; the fluid scenario then
-runs one incompressible reference and, per Mach number, run_one_eps: the
-compressible run, its snapshots, forcing channels and diagnostics,
-returned as the member's table rows; everything is written to a run
-directory closed by a manifest. A member's trajectory never leaves
-run_one_eps, so the sweep holds one member's states at a time, and every
-member comes back as its rows, in process or from a worker. The members
-run in a process pool of one worker per member, up to the usable CPUs;
-MACHLAB_WORKERS, when set, gives the pool size instead (read before
+The Scenario holds what all Mach members share: the solver and the data
+rho1, (u0, v0), built once, from the seed. run_sweep builds each fluid
+member's initial state rho_ref + eps*rho1, (u0, v0), solves the Neumann
+eigenproblem once and tabulates the local-decay functional D(eps) from
+one probe and one horizon for every Mach number, all before it makes the
+run directory; the fluid scenario then runs one incompressible reference
+from (u0, v0) and, per Mach number, run_one_eps: the compressible run,
+its snapshots, forcing channels and diagnostics, returned as the member's
+table rows; everything is written to a run directory closed by a
+manifest. A member's trajectory never leaves run_one_eps, so the sweep
+holds one member's states at a time, and every member comes back as its
+rows, in process or from a worker. The members run in a process pool of
+one worker per member, up to the usable CPUs; MACHLAB_WORKERS, when set,
+gives the pool size instead, capped at the member count (read before
 anything is written; a value that is not an integer >= 1 is a config
 error), and a size of 1 runs the members in this process, with no pool.
 Each worker receives the scenario text, the parent's eigenpairs in their
 sector form and the reference trajectory once, at its start, so the
 sweep still makes one eigensolve and one reference run, and its files
 equal the sequential run's byte for byte. The first member that fails
-fails the sweep at once: the members still running are stopped and the
-member's own error is raised. At a fixed BLAS thread count
+mid-run fails the sweep at once: the members still running are stopped
+and the member's own error is raised. At a fixed BLAS thread count
 all outputs are a pure function of (config, seed); the eigenpair
 residuals in eigenvalues.csv (%.3e) move at rounding level with it.
 """
@@ -29,12 +32,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import spectral as sp
-from .compressible import CompressibleSolver, IllPreparedData
+from .compressible import CompressibleSolver
 from .config import ExperimentConfig, canonical_text, parse_config
 from .constitutive import PressureLaw, ViscosityPair, pressure_slope
 from .diagnostics import MetricsRecord, convergence_metrics, uniform_estimate_report
@@ -60,8 +64,9 @@ SUMMARY_HEADER = ["eps", "density_scale", "velocity_gap", "solenoidal_pairing_ga
 
 @dataclass
 class Scenario:
-    """The configured setup and its one eps-independent compressible solver,
-    which owns the sponge profiles and the lifting field."""
+    """The configured setup and what all its Mach members share: the one
+    eps-independent compressible solver, which owns the sponge profiles and
+    the lifting field, and the ill-prepared data in initial_fields."""
 
     grid: Grid
     law: PressureLaw
@@ -69,6 +74,15 @@ class Scenario:
     path: object
     cfg: ExperimentConfig
     solver: CompressibleSolver
+
+    @cached_property
+    def initial_fields(self):
+        """rho1, u0, v0 from the seed, built on first use: verify never reads them."""
+        ini = self.cfg["initial"]
+        rho1 = _cell_bump(self.grid, (ini["pulse_center_x"], ini["pulse_center_y"]),
+                          ini["pulse_width"], ini["pulse_amplitude"])
+        rng = np.random.default_rng(self.cfg["run"]["seed"])
+        return (rho1, *initial_velocity(self.cfg, self.grid, rng))
 
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:
@@ -148,19 +162,6 @@ def initial_velocity(cfg: ExperimentConfig, grid: Grid, rng: np.random.Generator
         u += ini["gradient_amplitude"] / scale_g * gq[0]
         v += ini["gradient_amplitude"] / scale_g * gq[1]
     return u, v
-
-
-def initial_data(cfg: ExperimentConfig, grid: Grid, eps: float,
-                 rng: np.random.Generator) -> IllPreparedData:
-    ini = cfg["initial"]
-    rho1 = _cell_bump(
-        grid,
-        (ini["pulse_center_x"], ini["pulse_center_y"]),
-        ini["pulse_width"],
-        ini["pulse_amplitude"],
-    )
-    u0, v0 = initial_velocity(cfg, grid, rng)
-    return IllPreparedData(rho1, u0, v0, eps)
 
 
 def sample_schedule(cfg: ExperimentConfig) -> np.ndarray:
@@ -245,11 +246,8 @@ def run_one_eps(scenario: Scenario, dec, eps: float, reference, out_dir: Path):
     trajectory never leaves this function, so a pool worker returns the
     same few rows as an in-process call.
     """
-    cfg = scenario.cfg
     grid, solver, lifting = scenario.grid, scenario.solver, scenario.solver.lifting
-    rng = np.random.default_rng(cfg["run"]["seed"])
-    data = initial_data(cfg, grid, eps, rng)
-    traj = solver.run(solver.init_state(data), reference.times)
+    traj = solver.run(solver.init_state(*scenario.initial_fields, eps), reference.times)
 
     member_dir = out_dir / _eps_dirname(eps)
     member_dir.mkdir(parents=True, exist_ok=True)
@@ -278,7 +276,8 @@ def run_one_eps(scenario: Scenario, dec, eps: float, reference, out_dir: Path):
 def _worker_count(members: int) -> int:
     """The process-pool size for `members` sweep members: MACHLAB_WORKERS
     when set, where anything but an integer >= 1 is a config error, else
-    one worker per member up to the CPUs this process may run on."""
+    one worker per member up to the CPUs this process may run on; never
+    more workers than members, since the pool starts every worker."""
     text = os.environ.get("MACHLAB_WORKERS")
     if text is None:
         try:
@@ -294,26 +293,43 @@ def _worker_count(members: int) -> int:
         raise ConfigValidationError(
             [f"MACHLAB_WORKERS must be an integer >= 1, got {text!r}"]
         )
-    return workers
+    return min(members, workers)
 
 
 def _eps_dirname(eps: float) -> str:
     return f"eps_{eps:g}".replace(".", "p")
 
 
+def _check_members(scenario: Scenario):
+    """Refuse a fluid sweep that a member would fail before its first step:
+    eps values that share a snapshot directory (a config error), or an
+    initial state that init_state refuses (with that member's own error)."""
+    eps_list = scenario.cfg["sweep"]["eps"]
+    names = [_eps_dirname(eps) for eps in eps_list]
+    if len(set(names)) < len(names):
+        raise ConfigValidationError([
+            f"eps values {', '.join(map(repr, eps_list))} name the snapshot "
+            f"directories {', '.join(names)}: two members would share one"])
+    for eps in eps_list:
+        scenario.solver.init_state(*scenario.initial_fields, eps)
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Full pipeline for the configured scenario; returns the summary table.
 
     Both scenarios tabulate D(eps) here, before the run directory is made,
-    so a config that the eigensolve or the probe refuses leaves none (the
-    probe is checked first, so its refusal costs no eigensolve); the
-    spectral scenario stops there, the fluid scenario runs the whole
-    sweep. Both write config.txt, rage.csv, eigenvalues.csv, summary.csv
-    and the manifest the same way.
+    so a config that the eigensolve, the probe or a fluid member's initial
+    data refuse leaves none (the probe and the members are checked first,
+    so their refusal costs no eigensolve); the spectral scenario stops
+    there, the fluid scenario runs the whole sweep. Both write config.txt,
+    rage.csv, eigenvalues.csv, summary.csv and the manifest the same way.
     """
     workers = _worker_count(len(cfg["sweep"]["eps"]))
     scenario = build_scenario(cfg)
     x_field = probe_field(cfg, scenario.grid)
+    fluid = cfg["run"]["scenario"] != "spectral"
+    if fluid:
+        _check_members(scenario)
     dec = decompose(cfg, scenario.grid)
     rage_rows = rage_table(cfg, scenario, dec, x_field)
 
@@ -321,7 +337,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(canonical_text(cfg))
     run_id = cfg.digest()
-    if cfg["run"]["scenario"] == "spectral":
+    if not fluid:
         header = ["eps", "rage_d"]
         summary_rows = [(row[0], row[1]) for row in rage_rows]
     else:
@@ -343,14 +359,12 @@ def _fluid_sweep(scenario: Scenario, dec, decay, out_dir: Path, workers: int):
     member comes back as its rows, from run_one_eps in this process or
     from a pool worker, in eps order."""
     cfg = scenario.cfg
-    grid = scenario.grid
     eps_list = cfg["sweep"]["eps"]
 
-    # incompressible reference run (eps-independent)
-    rng = np.random.default_rng(cfg["run"]["seed"])
-    u0, v0 = initial_velocity(cfg, grid, rng)
+    # incompressible reference run (eps-independent), from the members' u0
     nu = cfg["physics"]["shear_viscosity"] / cfg["physics"]["reference_density"]
-    inc = IncompressibleSolver(grid, nu, scenario.path)
+    inc = IncompressibleSolver(scenario.grid, nu, scenario.path)
+    _, u0, v0 = scenario.initial_fields
     inc_traj = inc.run(inc.init_state(u0, v0), sample_schedule(cfg))
     ref_dir = out_dir / "reference"
     ref_dir.mkdir(exist_ok=True)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from machlab import spectral as sp
-from machlab.compressible import CompressibleSolver, IllPreparedData
+from machlab.compressible import CompressibleSolver
 from machlab.constitutive import (
     PressureLaw,
     ViscosityPair,
@@ -284,13 +284,13 @@ class TestCriterion10Oracles:
         r2 = (xc - 0.45) ** 2 + yc**2
         rho1 = np.where(r2 < 0.0256, (1 - r2 / 0.0256) ** 3, 0.0)
         rho1[~grid.active] = 0.0
-        data = IllPreparedData(rho1, np.zeros((grid.nx + 1, grid.ny)),
-                               np.zeros((grid.nx, grid.ny + 1)), 0.2)
+        data = (rho1, np.zeros((grid.nx + 1, grid.ny)),
+                np.zeros((grid.nx, grid.ny + 1)), 0.2)
         horizon = 0.02
-        base = sol.cfl_limit(sol.init_state(data)) * 0.8
+        base = sol.cfl_limit(sol.init_state(*data)) * 0.8
         dt0 = horizon / np.ceil(horizon / base)
         finals = [
-            fixed_step(sol, sol.init_state(data), dt0 / 2**m, horizon).rho
+            fixed_step(sol, sol.init_state(*data), dt0 / 2**m, horizon).rho
             for m in range(3)
         ]
         order_c = np.log2(np.abs(finals[0] - finals[1]).sum()

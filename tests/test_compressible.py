@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from machlab.compressible import (
     CompressibleSolver,
     EnergyLedger,
     FluidState,
-    IllPreparedData,
 )
 from machlab.constitutive import PressureLaw, ViscosityPair, stress
 from machlab.errors import CflViolation, VacuumState
@@ -44,7 +41,8 @@ def make_solver(grid=None, path=None, sponge=True, visc=VISC):
 
 
 def rest_data(grid, eps=0.1):
-    return IllPreparedData(
+    """init_state's arguments rho1, u0, v0, eps of the state at rest."""
+    return (
         np.zeros((grid.nx, grid.ny)),
         np.zeros((grid.nx + 1, grid.ny)),
         np.zeros((grid.nx, grid.ny + 1)),
@@ -53,11 +51,12 @@ def rest_data(grid, eps=0.1):
 
 
 def pulse_data(grid, eps=0.1, center=(0.45, 0.0), width=0.12, amp=1.0):
+    """init_state's arguments rho1, u0, v0, eps of a density pulse at rest."""
     xc, yc = grid.cell_centers()
     r2 = (xc - center[0]) ** 2 + (yc - center[1]) ** 2
     rho1 = np.where(r2 < width**2, amp * (1 - r2 / width**2) ** 3, 0.0)
     rho1[~grid.active] = 0.0
-    return IllPreparedData(
+    return (
         rho1,
         np.zeros((grid.nx + 1, grid.ny)),
         np.zeros((grid.nx, grid.ny + 1)),
@@ -68,7 +67,7 @@ def pulse_data(grid, eps=0.1, center=(0.45, 0.0), width=0.12, amp=1.0):
 class TestInitState:
     def test_rest_state(self):
         sol = make_solver()
-        state = sol.init_state(rest_data(sol.grid))
+        state = sol.init_state(*rest_data(sol.grid))
         assert np.all(state.rho[sol.grid.active] == 1.0)
         assert np.abs(state.u).max() == 0.0
 
@@ -79,13 +78,13 @@ class TestInitState:
         g = sol.grid
         center = (g.x0 + 46.5 * g.h, g.y0 + 32.5 * g.h)
         data = pulse_data(g, eps=0.1, amp=-1.0, center=center)
-        state = sol.init_state(data)
+        state = sol.init_state(*data)
         assert state.rho[g.active].min() == pytest.approx(0.9, abs=1e-12)
 
     def test_vacuum_rejected(self):
         sol = make_solver()
         with pytest.raises(VacuumState):
-            sol.init_state(pulse_data(sol.grid, eps=2.0, amp=-1.0))
+            sol.init_state(*pulse_data(sol.grid, eps=2.0, amp=-1.0))
 
     def test_initial_data_left_unchanged(self):
         # init_state writes the boundary values into copies: the data's
@@ -93,11 +92,10 @@ class TestInitState:
         sol = make_solver(path=linear_path((0.1, 0.05), 10.0))
         g = sol.grid
         rng = np.random.default_rng(4)
-        data = IllPreparedData(np.zeros((g.nx, g.ny)), rng.random((g.nx + 1, g.ny)),
-                               rng.random((g.nx, g.ny + 1)), 0.1)
-        u0, v0 = data.u0.copy(), data.v0.copy()
-        state = sol.init_state(data)
-        assert np.array_equal(data.u0, u0) and np.array_equal(data.v0, v0)
+        u0, v0 = rng.random((g.nx + 1, g.ny)), rng.random((g.nx, g.ny + 1))
+        data = (np.zeros((g.nx, g.ny)), u0.copy(), v0.copy(), 0.1)
+        state = sol.init_state(*data)
+        assert np.array_equal(data[1], u0) and np.array_equal(data[2], v0)
         assert not np.array_equal(state.u, u0) and not np.array_equal(state.v, v0)
         # the step hands enforce_bc arrays it owns: fresh ones, not the input's
         out = sol.step(state, 0.5 * sol.cfl_limit(state))
@@ -106,19 +104,18 @@ class TestInitState:
 
     def test_data_bound_enforced(self):
         sol = make_solver()
-        data = pulse_data(sol.grid, eps=0.01)
+        rho1, u0, v0, eps = pulse_data(sol.grid, eps=0.01)
         g = sol.grid
-        norms = g.l2norm(data.rho1) + g.lq_norm(data.rho1, np.inf)
-        sol.init_state(data)
-        large = replace(data, rho1=data.rho1 * (1.01 * DATA_BOUND / norms))
+        norms = g.l2norm(rho1) + g.lq_norm(rho1, np.inf)
+        sol.init_state(rho1, u0, v0, eps)
         with pytest.raises(ValueError, match="exceed the bound"):
-            sol.init_state(large)
+            sol.init_state(rho1 * (1.01 * DATA_BOUND / norms), u0, v0, eps)
 
 
 class TestStep:
     def test_rest_state_is_fixed_point(self):
         sol = make_solver()
-        s0 = sol.init_state(rest_data(sol.grid))
+        s0 = sol.init_state(*rest_data(sol.grid))
         s1 = sol.step(s0, sol.cfl_limit(s0))
         np.testing.assert_array_equal(s1.rho, s0.rho)
         np.testing.assert_array_equal(s1.u, s0.u)
@@ -126,7 +123,7 @@ class TestStep:
 
     def test_cfl_violation_raised(self):
         sol = make_solver()
-        s0 = sol.init_state(pulse_data(sol.grid))
+        s0 = sol.init_state(*pulse_data(sol.grid))
         with pytest.raises(CflViolation):
             sol.step(s0, 10.0 * sol.cfl_limit(s0))
         for dt in (0.0, -1e-3):
@@ -148,7 +145,7 @@ class TestStep:
         for name in calls:
             monkeypatch.setattr(CompressibleSolver, name, counted(name))
         sol = make_solver(path=linear_path((0.1, 0.0), 10.0))
-        s0 = sol.init_state(pulse_data(sol.grid))
+        s0 = sol.init_state(*pulse_data(sol.grid))
         traj = sol.run(s0, [0.0, 0.005, 0.01])
         assert calls["step"] > 2
         assert calls["cfl_limit"] == calls["step"]
@@ -162,7 +159,7 @@ class TestStep:
 
     def test_mass_conserved_without_sponge(self):
         sol = make_solver(sponge=False)
-        state = sol.init_state(pulse_data(sol.grid))
+        state = sol.init_state(*pulse_data(sol.grid))
         m0 = sol._total_mass(state)
         state = sol.step(state, sol.cfl_limit(state))
         assert abs(sol._total_mass(state) - m0) <= 1e-12 * m0
@@ -172,7 +169,7 @@ class TestStep:
 
     def test_mass_conserved_moving_obstacle(self):
         sol = make_solver(path=linear_path((0.1, 0.0), 10.0), sponge=False)
-        state = sol.init_state(rest_data(sol.grid))
+        state = sol.init_state(*rest_data(sol.grid))
         m0 = sol._total_mass(state)
         for _ in range(10):
             state = sol.step(state, sol.cfl_limit(state))
@@ -185,10 +182,9 @@ class TestStep:
         g = obstacle_grid
         sol = make_solver(grid=g)
         rng = np.random.default_rng(3)
-        base = pulse_data(g, center=(0.4, -0.2))
-        data = IllPreparedData(base.rho1, 0.05 * rng.standard_normal(base.u0.shape),
-                               0.05 * rng.standard_normal(base.v0.shape), base.eps)
-        s0 = sol.init_state(data)
+        rho1, u0, v0, eps = pulse_data(g, center=(0.4, -0.2))
+        s0 = sol.init_state(rho1, 0.05 * rng.standard_normal(u0.shape),
+                            0.05 * rng.standard_normal(v0.shape), eps)
         dt = 0.5 * sol.cfl_limit(s0)
         s1 = sol.step(s0, dt)
         r1 = sol.step(FluidState(*(in_layout(g, a.T) for a in (s0.rho, s0.v, s0.u)),
@@ -203,9 +199,9 @@ class TestStep:
         sol = CompressibleSolver(grid, LAW, ViscosityPair(1e-8), static_path(1.0), 0.0)
         xc, yc = grid.cell_centers()
         rho1 = 0.5 * np.exp(-(xc**2 + yc**2) / 0.01)
-        data = IllPreparedData(rho1, np.zeros((grid.nx + 1, grid.ny)),
-                               np.zeros((grid.nx, grid.ny + 1)), 0.1)
-        traj = sol.run(sol.init_state(data), [0.0, 0.02, 0.05])
+        traj = sol.run(sol.init_state(rho1, np.zeros((grid.nx + 1, grid.ny)),
+                                      np.zeros((grid.nx, grid.ny + 1)), 0.1),
+                       [0.0, 0.02, 0.05])
         r = np.sqrt(xc**2 + yc**2)
 
         def front_radius(state):
@@ -227,7 +223,7 @@ class TestStep:
 class TestRun:
     def test_zero_horizon_returns_initial(self):
         sol = make_solver()
-        s0 = sol.init_state(pulse_data(sol.grid))
+        s0 = sol.init_state(*pulse_data(sol.grid))
         traj = sol.run(s0, [0.0])
         assert len(traj.states) == 1
         np.testing.assert_array_equal(traj.states[0].rho, s0.rho)
@@ -235,13 +231,13 @@ class TestRun:
     def test_snapshot_times_exact(self):
         sol = make_solver()
         times = [0.0, 0.013, 0.0201, 0.05]
-        traj = sol.run(sol.init_state(pulse_data(sol.grid)), times)
+        traj = sol.run(sol.init_state(*pulse_data(sol.grid)), times)
         np.testing.assert_allclose([s.t for s in traj.states], times, atol=1e-12)
 
     def test_determinism_bitwise(self):
         sol = make_solver()
-        t1 = sol.run(sol.init_state(pulse_data(sol.grid)), [0.0, 0.02])
-        t2 = sol.run(sol.init_state(pulse_data(sol.grid)), [0.0, 0.02])
+        t1 = sol.run(sol.init_state(*pulse_data(sol.grid)), [0.0, 0.02])
+        t2 = sol.run(sol.init_state(*pulse_data(sol.grid)), [0.0, 0.02])
         np.testing.assert_array_equal(t1.states[-1].rho, t2.states[-1].rho)
         np.testing.assert_array_equal(t1.states[-1].u, t2.states[-1].u)
 
@@ -252,12 +248,12 @@ class TestRun:
         sol = CompressibleSolver(grid, LAW, VISC, static_path(1.0), 0.0)
         data = pulse_data(grid, eps=0.2, width=0.16)
         horizon = 0.02
-        base = sol.cfl_limit(sol.init_state(data)) * 0.8
+        base = sol.cfl_limit(sol.init_state(*data)) * 0.8
         dt0 = horizon / np.ceil(horizon / base)
         finals = []
         for level in range(3):
             dt = dt0 / 2**level
-            finals.append(fixed_step(sol, sol.init_state(data), dt, horizon).rho)
+            finals.append(fixed_step(sol, sol.init_state(*data), dt, horizon).rho)
         d1 = np.abs(finals[0] - finals[1]).sum()
         d2 = np.abs(finals[1] - finals[2]).sum()
         order = np.log2(d1 / d2)
@@ -267,13 +263,13 @@ class TestRun:
 class TestEnergyInequality:
     def test_rest_static_both_sides_zero(self):
         sol = make_solver()
-        traj = sol.run(sol.init_state(rest_data(sol.grid)), [0.0, 0.01])
+        traj = sol.run(sol.init_state(*rest_data(sol.grid)), [0.0, 0.01])
         rec = traj.energy[-1]
         assert rec.lhs == 0.0 and rec.rhs == 0.0 and rec.flag
 
     def test_pulse_run_flags_true(self):
         sol = make_solver()
-        traj = sol.run(sol.init_state(pulse_data(sol.grid)), np.linspace(0, 0.05, 6))
+        traj = sol.run(sol.init_state(*pulse_data(sol.grid)), np.linspace(0, 0.05, 6))
         e0 = traj.energy[0].lhs
         for rec in traj.energy:
             assert rec.lhs <= rec.rhs + 1e-3 * e0
@@ -283,7 +279,7 @@ class TestEnergyInequality:
         # the lifting-field terms populate the right-hand side; the
         # inequality still holds
         sol = make_solver(path=linear_path((0.1, 0.0), 10.0))
-        traj = sol.run(sol.init_state(rest_data(sol.grid)), np.linspace(0, 0.05, 6))
+        traj = sol.run(sol.init_state(*rest_data(sol.grid)), np.linspace(0, 0.05, 6))
         assert any(rec.rhs != 0.0 for rec in traj.energy[1:])
         for rec in traj.energy:
             assert rec.flag
@@ -292,7 +288,7 @@ class TestEnergyInequality:
         # at rest without lifting, lhs is the dissipation and rhs = E0: the
         # flag holds within TOL_ENERGY * E0 of rhs and fails beyond it
         sol = make_solver()
-        state = sol.init_state(rest_data(sol.grid))
+        state = sol.init_state(*rest_data(sol.grid))
         e0 = 2.0
         for share, flag in ((0.5, True), (1.5, False)):
             ledger = EnergyLedger(initial_energy=e0, initial_v_coupling=0.0,
@@ -303,7 +299,7 @@ class TestEnergyInequality:
 
     def test_sponge_mass_flux_logged(self):
         sol = make_solver()
-        traj = sol.run(sol.init_state(pulse_data(sol.grid)), np.linspace(0, 0.05, 6))
+        traj = sol.run(sol.init_state(*pulse_data(sol.grid)), np.linspace(0, 0.05, 6))
         drift = traj.total_mass[-1] - traj.total_mass[0]
         assert drift == pytest.approx(traj.sponge_mass[-1], abs=1e-10)
 

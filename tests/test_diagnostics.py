@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from machlab.compressible import CompressibleSolver, IllPreparedData
+from machlab.compressible import CompressibleSolver
 from machlab.constitutive import PressureLaw, ViscosityPair
 from machlab.diagnostics import (
     convergence_metrics,
@@ -73,9 +73,9 @@ class TestUniformEstimates:
         rho1 = np.zeros((grid.nx, grid.ny))
         if rho1_fn is not None:
             rho1 = rho1_fn(grid)
-        data = IllPreparedData(rho1, np.zeros((grid.nx + 1, grid.ny)),
-                               np.zeros((grid.nx, grid.ny + 1)), eps)
-        return sol.run(sol.init_state(data), [0.0, 0.01])
+        return sol.run(sol.init_state(rho1, np.zeros((grid.nx + 1, grid.ny)),
+                                      np.zeros((grid.nx, grid.ny + 1)), eps),
+                       [0.0, 0.01])
 
     def test_rest_trajectory_all_zero(self):
         grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
@@ -109,10 +109,9 @@ class TestConvergenceMetrics:
         xc, yc = grid.cell_centers()
         r2 = (xc - 0.45) ** 2 + yc**2
         rho1 = np.where(r2 < 0.0144, (1 - r2 / 0.0144) ** 3, 0.0)
-        data = IllPreparedData(rho1, np.zeros((grid.nx + 1, grid.ny)),
-                               np.zeros((grid.nx, grid.ny + 1)), 0.1)
         times = np.linspace(0.0, 0.02, 3)
-        comp = sol.run(sol.init_state(data), times)
+        comp = sol.run(sol.init_state(rho1, np.zeros((grid.nx + 1, grid.ny)),
+                                      np.zeros((grid.nx, grid.ny + 1)), 0.1), times)
         inc = IncompressibleSolver(grid, 0.01, static_path(1.0))
         ref = inc.run(inc.init_state(np.zeros((grid.nx + 1, grid.ny)),
                                      np.zeros((grid.nx, grid.ny + 1))), times)
@@ -200,6 +199,10 @@ def test_window_and_test_function_geometry():
     fu, fv = solenoidal_test_function(grid, 0.3, 0.75)
     div = grid.ops.div(fu, fv, include_boundary_faces=True)
     assert np.abs(div[grid.active]).max() <= 1e-12
+    # so it is its own Helmholtz projection, and convergence_metrics pairs
+    # the compressible momentum with it unprojected
+    hu, hv, _ = grid.ops.helmholtz(fu, fv)
+    assert max(np.abs(hu - fu).max(), np.abs(hv - fv).max()) <= 1e-14
     # compact support inside the annulus closure
     xf, yf = grid.xface_coords()
     outside = xf**2 + yf**2 > 0.8**2

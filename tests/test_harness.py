@@ -25,6 +25,7 @@ from machlab.errors import (
     IncompleteRun,
     MissingArtifact,
     SnapshotFormatError,
+    VacuumState,
 )
 from machlab.geometry import build_grid, lifting_sample
 from machlab.incompressible import IncompressibleSolver
@@ -41,13 +42,12 @@ from machlab.sweep import (
     SUMMARY_HEADER,
     _eps_dirname,
     build_scenario,
-    initial_data,
     run_sweep,
     sample_schedule,
 )
 from machlab.verify import stored_acoustic_pair, verify_run
 
-from conftest import MINI_CFG, face_masks
+from conftest import MINI_CFG, SINUSOIDAL_MINI_CFG, face_masks
 
 
 class TestConfig:
@@ -289,21 +289,26 @@ class TestSweep:
         read = {elt.value for call in calls for elt in call.args[2].elts}
         assert {"rho", "u", "v"} <= read
 
-    def test_worker_pool_matches_sequential(self, mini_cfg, mini_run, tmp_path,
-                                            monkeypatch):
-        # mini_run runs its two members in a pool wherever two CPUs are usable
+    @pytest.mark.parametrize("run, text", [("mini_run", MINI_CFG),
+                                           ("sinusoidal_mini_run", SINUSOIDAL_MINI_CFG)],
+                             ids=["mini", "sinusoidal"])
+    def test_worker_pool_matches_sequential(self, run, text, tmp_path, monkeypatch,
+                                            request):
+        # the session's runs pool their two members wherever two CPUs are
+        # usable; the sinusoidal run adds the lifting's time derivative
+        pooled = request.getfixturevalue(run)
         monkeypatch.setenv("MACHLAB_WORKERS", "1")
-        sequential = run_sweep(mini_cfg, tmp_path / "sequential")
+        sequential = run_sweep(parse_config(text), tmp_path / "sequential")
 
         def files(root):
             return sorted(p.relative_to(root) for p in Path(root).rglob("*")
                           if p.is_file())
 
-        names = files(mini_run["out_dir"])
+        names = files(pooled["out_dir"])
         assert files(sequential["out_dir"]) == names
         assert Path("eps_0p1", "snap_004.dat") in names
         for name in names:
-            a = (Path(mini_run["out_dir"]) / name).read_bytes()
+            a = (Path(pooled["out_dir"]) / name).read_bytes()
             b = (Path(sequential["out_dir"]) / name).read_bytes()
             assert a == b, name
 
@@ -313,8 +318,10 @@ class TestSweep:
         monkeypatch.delenv("MACHLAB_WORKERS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert [sweep._worker_count(m) for m in (1, 2, 4)] == [min(m, cpus) for m in (1, 2, 4)]
+        # an override above the member count is capped: the pool starts all
+        # its workers up front, so the extra ones would only repeat set-up
         monkeypatch.setenv("MACHLAB_WORKERS", "3")
-        assert sweep._worker_count(4) == 3
+        assert [sweep._worker_count(m) for m in (2, 4)] == [2, 3]
         # without an affinity mask the machine's CPU count is used
         monkeypatch.delenv("MACHLAB_WORKERS")
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -325,27 +332,29 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-member sweep built a process pool")
 
-        monkeypatch.delenv("MACHLAB_WORKERS", raising=False)
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
         cfg = parse_config(MINI_CFG.replace("eps = 0.2, 0.1", "eps = 0.2"))
-        result = run_sweep(cfg, tmp_path / "one")
-        assert [row[0] for row in result["summary"]] == [0.2]
+        for workers in (None, "4"):  # an override is capped at one member
+            if workers is None:
+                monkeypatch.delenv("MACHLAB_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("MACHLAB_WORKERS", workers)
+            result = run_sweep(cfg, tmp_path / f"one{workers}")
+            assert [row[0] for row in result["summary"]] == [0.2]
 
     def test_failing_member_stops_pool(self, tmp_path, monkeypatch, capsys):
-        # 1 + 0.2 * -6 < 0: the eps = 0.2 member meets vacuum in its initial
-        # data, while eps = 0.1, started first in the pool, would run for a
-        # minute (forked workers inherit the patch); the pool stops it, fails
-        # like the in-process sweep and leaves no worker behind
-        run_member = sweep.run_one_eps
-
-        def slow_member(scenario, dec, eps, *args):
+        # the eps = 0.2 member fails mid-run, while eps = 0.1, started first
+        # in the pool, would run for a minute (forked workers inherit the
+        # patch); the pool stops it, fails like the in-process sweep and
+        # leaves no worker behind
+        def failing_member(scenario, dec, eps, *args):
             if eps == 0.1:
                 time.sleep(60)
-            return run_member(scenario, dec, eps, *args)
+            raise VacuumState(f"density vanished in the eps = {eps:g} member")
 
-        monkeypatch.setattr(sweep, "run_one_eps", slow_member)
-        cfgfile = tmp_path / "vacuum.cfg"
-        cfgfile.write_text(MINI_CFG + "\n[initial]\npulse_amplitude = -6\n")
+        monkeypatch.setattr(sweep, "run_one_eps", failing_member)
+        cfgfile = tmp_path / "mini.cfg"
+        cfgfile.write_text(MINI_CFG)
         errors = []
         for workers in ("1", "2"):
             monkeypatch.setenv("MACHLAB_WORKERS", workers)
@@ -356,7 +365,30 @@ class TestSweep:
             errors.append(capsys.readouterr().err)
             assert not (out / "manifest.json").exists()
             assert multiprocessing.active_children() == []
-        assert errors[0].startswith("numerical failure: ")
+        assert errors[0] == "numerical failure: density vanished in the eps = 0.2 member\n"
+        assert errors[1] == errors[0]
+
+    def test_vacuum_member_refused_before_eigensolve(self, tmp_path, monkeypatch,
+                                                     capsys):
+        # 1 + 0.2 * -6 < 0: the eps = 0.2 member's initial data meet vacuum;
+        # the parent checks every member's data first, so the sweep fails
+        # with that member's error, pooled or not, before the eigensolve,
+        # the pool and the run directory
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep went past the member check")
+
+        monkeypatch.setattr(sp, "spectral_decompose", refuse)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
+        cfgfile = tmp_path / "vacuum.cfg"
+        cfgfile.write_text(MINI_CFG + "\n[initial]\npulse_amplitude = -6\n")
+        errors = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MACHLAB_WORKERS", workers)
+            out = tmp_path / f"o{workers}"
+            assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == "numerical failure: initial density is not positive everywhere\n"
         assert errors[1] == errors[0]
 
     def test_member_reduced_before_next_starts(self, mini_cfg, tmp_path, monkeypatch):
@@ -582,9 +614,8 @@ class TestStoredAcousticPair:
         sc = build_scenario(mini_cfg)
         out = {}
         for eps in mini_cfg["sweep"]["eps"]:
-            data = initial_data(mini_cfg, sc.grid, eps,
-                                np.random.default_rng(mini_cfg["run"]["seed"]))
-            traj = sc.solver.run(sc.solver.init_state(data), sample_schedule(mini_cfg))
+            traj = sc.solver.run(sc.solver.init_state(*sc.initial_fields, eps),
+                                 sample_schedule(mini_cfg))
             out[eps] = [sp.extract_acoustic_potential(
                             st, sc.grid, sc.path, sc.law,
                             lifting_sample(sc.solver.lifting, sc.grid, st.t))
@@ -650,30 +681,31 @@ class TestCli:
                 parse_config(text)
             parse_config(text + "\n[motion]\nkind = static\n")
 
-    @pytest.mark.parametrize("entries, leaves_dir", [
-        ("[spectral]\ncutoff_one = 0.4\ncutoff_zero = 0.3", False),
-        ("[spectral]\ncutoff_zero = 1.5", False),  # not below extent = 1
-        ("[numerics]\nmodes = 3", False),  # no room for the spectral window
-        ("[numerics]\nmodes = 2500", False),  # beyond spectral.DESK_MODE_CAP
-        ("[initial]\npulse_amplitude = 2000", True),  # ill-prepared data bound
-        ("[spectral]\nsource_width = 0", False),  # D(eps) = 0 at every eps
-        ("[spectral]\nsource_width = -0.1", False),
+    @pytest.mark.parametrize("entries", [
+        "[spectral]\ncutoff_one = 0.4\ncutoff_zero = 0.3",
+        "[spectral]\ncutoff_zero = 1.5",  # not below extent = 1
+        "[numerics]\nmodes = 3",  # no room for the spectral window
+        "[numerics]\nmodes = 2500",  # beyond spectral.DESK_MODE_CAP
+        "[initial]\npulse_amplitude = 2000",  # ill-prepared data bound
+        "[spectral]\nsource_width = 0",  # D(eps) = 0 at every eps
+        "[spectral]\nsource_width = -0.1",
         # a probe off the grid: D = 0 at T > 0
-        ("[run]\nscenario = spectral\n[spectral]\nsource_center_x = 10\n[sweep]\neps = 0.2",
-         False),
+        "[run]\nscenario = spectral\n[spectral]\nsource_center_x = 10\n[sweep]\neps = 0.2",
         # a number that is nan or inf, refused as it is read
-        ("[geometry]\nextent = nan", False),
-        ("[sweep]\neps = 0.2, nan", False),
-        ("[physics]\nshear_viscosity = nan", False),
-        ("[numerics]\nsponge_width = nan", False),
-        ("[initial]\npulse_amplitude = inf", False),
+        "[geometry]\nextent = nan",
+        "[sweep]\neps = 0.2, nan",
+        "[physics]\nshear_viscosity = nan",
+        "[numerics]\nsponge_width = nan",
+        "[initial]\npulse_amplitude = inf",
+        # two members that would share the snapshot directory eps_0p2
+        "[sweep]\neps = 0.2000001, 0.2",
     ], ids=["cutoff_order", "cutoff_extent", "modes_3", "modes_cap", "pulse_bound",
             "probe_width_0", "probe_width_negative", "probe_off_grid", "extent_nan", "eps_nan",
-            "viscosity_nan", "sponge_nan", "pulse_inf"])
-    def test_config_refused_without_traceback(self, entries, leaves_dir, tmp_path):
+            "viscosity_nan", "sponge_nan", "pulse_inf", "eps_shared_dir"])
+    def test_config_refused_without_traceback(self, entries, tmp_path):
         # each of these used to pass validation and then die with a
-        # traceback or write meaningless rows; only the data bound, checked
-        # on the first member's initial state, comes after the run directory
+        # traceback or write meaningless rows; each is refused before the run
+        # directory exists, the data bound on the members' initial states
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(MINI_CFG + "\n" + entries + "\n")
         out = tmp_path / "o"
@@ -685,7 +717,7 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
-        assert out.exists() == leaves_dir
+        assert not out.exists()
 
     def test_grid_beyond_cell_cap_exit_code(self, tmp_path, capsys):
         # 256x256 cells around the disk: refused on its active-cell count,

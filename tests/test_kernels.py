@@ -39,7 +39,7 @@ from machlab.operators import (
     upwind_transport,
     velocity_gradient_components,
 )
-from machlab.sweep import build_scenario, initial_data, initial_velocity
+from machlab.sweep import build_scenario, initial_velocity
 
 from conftest import (
     MINI_CFG,
@@ -546,7 +546,7 @@ def _march_against_oracle(text, eps, steps):
     cfg = parse_config(text)
     scenario = build_scenario(cfg)
     sol = scenario.solver
-    state = sol.init_state(initial_data(cfg, scenario.grid, eps, np.random.default_rng(0)))
+    state = sol.init_state(*scenario.initial_fields, eps)
     new, old = state, state
     led_new, led_old = EnergyLedger(0.0, 0.0), EnergyLedger(0.0, 0.0)
     for _ in range(steps):
