@@ -6,7 +6,7 @@ calculus with the acoustic wave propagator, and the convergence metrics of
 the singular limit as the Mach number tends to zero.
 """
 
-from .compressible import CompressibleSolver, EnergyRecord, FluidState
+from .compressible import CompressibleSolver, EnergyRecord, FluidState, RunSample
 from .config import ExperimentConfig, canonical_text, parse_config
 from .constitutive import (
     PressureLaw,
@@ -21,6 +21,7 @@ from .diagnostics import (
     EssResSplit,
     MetricsRecord,
     convergence_metrics,
+    member_metrics,
     split_ess_res,
     uniform_estimate_report,
 )

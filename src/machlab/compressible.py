@@ -13,8 +13,8 @@ field itself, on its support box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,11 +29,13 @@ from .errors import ConfigValidationError, NanDetected, VacuumState
 from .geometry import (
     CFL,
     ExplicitStepper,
+    ExtensionFieldSample,
     Grid,
     MotionPath,
     build_lifting,
     enforce_bc,
     eval_motion,
+    lifting_sample,
 )
 from .operators import (
     average_to_face,
@@ -84,14 +86,16 @@ class EnergyRecord:
     flag: bool
 
 
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: list
-    eps: float
-    energy: list = field(default_factory=list)
-    total_mass: list = field(default_factory=list)
-    sponge_mass: list = field(default_factory=list)
+class RunSample(NamedTuple):
+    """What `CompressibleSolver.run` yields at one sample time: the state,
+    the lifting field V there (zero without a lifting), the energy record,
+    the total mass and the sponge's cumulative mass flux."""
+
+    state: FluidState
+    ext: ExtensionFieldSample
+    energy: EnergyRecord
+    total_mass: float
+    sponge_mass: float
 
 
 def instant_energy(grid: Grid, law: PressureLaw, state: FluidState) -> float:
@@ -343,21 +347,21 @@ class CompressibleSolver(ExplicitStepper):
 
     # -- trajectory ----------------------------------------------------------
 
-    def run(self, state0: FluidState, sample_times: Sequence[float]) -> Trajectory:
-        """Advance from state0 hitting each sample time exactly.
+    def run(self, state: FluidState, sample_times: Sequence[float]) -> Iterator[RunSample]:
+        """Advance from the initial state hitting each sample time exactly,
+        yielding a RunSample there.
 
         Each step is the CFL bound of its state, shortened to land on the
-        next sample time; a fixed step is `step(state, dt)` in a loop.
-        Energy records, total mass, and the cumulative sponge mass flux are
-        logged at every sample time.
+        next sample time; a fixed step is `step(state, dt)` in a loop. As a
+        generator, run checks the schedule at the first `next()` and holds
+        a sampled state, the initial one too, only until the step that
+        follows it.
         """
         times = [float(s) for s in sample_times]
-        if times != sorted(times) or times[0] < state0.t - 1e-12:
-            raise ValueError("sample times must be increasing and start at t0")
+        if not times or times != sorted(times) or times[0] < state.t - 1e-12:
+            raise ValueError("sample times must be nonempty, increasing and start at t0")
 
-        ledger = self._open_ledger(state0)
-        traj = Trajectory(np.array(times), [], state0.eps)
-        state = state0
+        ledger = self._open_ledger(state)
         sponge_total = 0.0
         for target in times:
             while state.t < target - 1e-12:
@@ -366,23 +370,20 @@ class CompressibleSolver(ExplicitStepper):
                 sponge_total += new_state.sponge_mass
                 self._accumulate(ledger, state, dt)
                 state = new_state
-            traj.states.append(state)
-            traj.energy.append(self.energy_report(state, ledger))
-            traj.total_mass.append(self._total_mass(state))
-            traj.sponge_mass.append(sponge_total)
-        return traj
+            ext = lifting_sample(self.lifting, self.grid, state.t)
+            yield RunSample(state, ext, self.energy_report(state, ledger, ext),
+                            self._total_mass(state), sponge_total)
 
     def _total_mass(self, state: FluidState) -> float:
         return float(np.sum(state.rho[self.grid.active])) * self.grid.h**2
 
     # -- energy inequality monitor -------------------------------------------
 
-    def _v_coupling(self, state: FluidState) -> float:
+    def _v_coupling(self, state: FluidState, ext: ExtensionFieldSample) -> float:
         if self.lifting is None:
             return 0.0
         g = self.grid
         lay = g.layout
-        ext = self.lifting.sample(state.t)
         uc, vc = map(lay.cells, lay.centers(state.u, state.v))
         ecu, ecv = map(lay.cells, lay.centers(ext.u, ext.v))
         val = state.rho * (uc * ecu + vc * ecv)
@@ -391,7 +392,8 @@ class CompressibleSolver(ExplicitStepper):
     def _open_ledger(self, state0: FluidState) -> EnergyLedger:
         return EnergyLedger(
             initial_energy=instant_energy(self.grid, self.law, state0),
-            initial_v_coupling=self._v_coupling(state0),
+            initial_v_coupling=self._v_coupling(
+                state0, lifting_sample(self.lifting, self.grid, state0.t)),
         )
 
     def _accumulate(self, ledger: EnergyLedger, state: FluidState, dt: float):
@@ -443,8 +445,10 @@ class CompressibleSolver(ExplicitStepper):
         )
         ledger.v_work += dt * float(np.sum(integrand[lifting.box_active])) * g.h**2
 
-    def energy_report(self, state: FluidState, ledger: EnergyLedger) -> EnergyRecord:
-        """Both sides of the discrete energy inequality and the verdict flag.
+    def energy_report(self, state: FluidState, ledger: EnergyLedger,
+                      ext: ExtensionFieldSample) -> EnergyRecord:
+        """Both sides of the discrete energy inequality and the verdict flag;
+        ext is the lifting field V at state.t.
 
         The tolerance is TOL_ENERGY times the initial energy; runs
         started from rest with a moving obstacle fall back to the kinetic
@@ -453,13 +457,12 @@ class CompressibleSolver(ExplicitStepper):
         lhs = instant_energy(self.grid, self.law, state) + ledger.dissipation
         rhs = (
             ledger.initial_energy
-            + self._v_coupling(state)
+            + self._v_coupling(state, ext)
             - ledger.initial_v_coupling
             + ledger.v_work
         )
         scale = ledger.initial_energy
         if scale <= 0.0 and self.lifting is not None:
-            ext = self.lifting.sample(state.t)
             scale = 0.5 * self.law.rho_ref * self.grid.ops.face_l2norm(ext.u, ext.v) ** 2
         tol = TOL_ENERGY * scale
         return EnergyRecord(state.t, state.eps, lhs, rhs, bool(lhs <= rhs + tol))

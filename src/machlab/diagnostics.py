@@ -1,19 +1,21 @@
 """Essential/residual splitting, uniform-estimate monitors, and convergence metrics.
 
-These are pure readers of immutable snapshots: given compressible and
-incompressible trajectories on matched schedules, they produce the
-append-only records written to the metrics CSV.
+These are pure readers of immutable snapshots: given one compressible
+snapshot and the incompressible one at its time, they produce that
+snapshot's terms, as records; member_metrics reduces a member's terms, in
+time, to the append-only records written to the metrics CSV. The sweep
+holds one sampled state at a time, plus the one its loop is still on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constitutive import PressureLaw, essential_indicator
 from .errors import ScheduleMismatch
-from .geometry import Grid, MotionPath, lifting_sample
+from .geometry import ExtensionFieldSample, Grid, MotionPath
 from .spectral import shifted_momentum
 
 
@@ -78,121 +80,108 @@ def solenoidal_test_function(grid: Grid, r_inner: float, r_outer: float):
     return grid.ops.curl(psi)
 
 
-def _check_schedules(times_a, times_b):
-    ta = np.asarray(times_a, dtype=float)
-    tb = np.asarray(times_b, dtype=float)
-    if ta.shape != tb.shape or np.max(np.abs(ta - tb), initial=0.0) > 1e-10:
-        raise ScheduleMismatch("snapshot schedules do not match")
-    return ta
+def sup_t(eps, name, value, q=2.0):
+    """A sup_t record on the full domain: member_metrics keeps the largest
+    of a member's terms."""
+    return MetricsRecord(eps, name, q, "full", "sup_t", value)
 
 
-def uniform_estimate_report(traj, grid: Grid, law: PressureLaw, eps: float):
-    """Sup-in-time uniform-estimate monitors of one compressible trajectory.
+def integral_t(eps, name, value, window="full"):
+    """An integral_t record, an L2(0,T) norm: member_metrics integrates a
+    member's terms, which are squares."""
+    return MetricsRecord(eps, name, 2.0, window, "integral_t", value)
+
+
+def uniform_estimate_report(state, grid: Grid, law: PressureLaw):
+    """One compressible snapshot's terms of the uniform-estimate monitors.
 
     Covers the essential L2 bound on (rho - rho_ref)/eps, the residual
     L^gamma and indicator-L^1 smallness, the L^1 bound on the residual part
     of (rho - rho_ref)/eps, the dissipation
-    norm of u, and the sup-in-time L2 bound on sqrt(rho) u.
+    norm of u (its term squared), and the sup-in-time L2 bound on sqrt(rho) u.
     """
     rbar = law.rho_ref
-    sup = {
-        "ess_density_l2": 0.0,
-        "res_density_lgamma": 0.0,
-        "res_indicator_l1": 0.0,
-        "res_density_lq": 0.0,
-        "sqrt_rho_u_l2": 0.0,
-    }
-    grad_sq_time = []
     lay = grid.layout
-    for state in traj.states:
-        rho = state.rho
-        scaled = (rho - rbar) / eps
-        split_scaled = split_ess_res(rho, scaled, rbar)
-        split_rho = split_ess_res(rho, rho, rbar)
-        sup["ess_density_l2"] = max(
-            sup["ess_density_l2"], grid.l2norm(split_scaled.essential)
-        )
-        sup["res_density_lgamma"] = max(
-            sup["res_density_lgamma"], grid.lq_norm(split_rho.residual, law.gamma)
-        )
-        sup["res_indicator_l1"] = max(
-            sup["res_indicator_l1"], grid.lq_norm(1.0 - split_scaled.indicator, 1.0)
-        )
-        sup["res_density_lq"] = max(
-            sup["res_density_lq"], grid.lq_norm(split_scaled.residual, 1.0)
-        )
-        uc, vc = map(lay.cells, lay.centers(state.u, state.v))
-        speed_sq = np.where(grid.active, rho * (uc**2 + vc**2), 0.0)
-        sup["sqrt_rho_u_l2"] = max(
-            sup["sqrt_rho_u_l2"], float(np.sqrt(np.sum(speed_sq)) * grid.h)
-        )
-        gu = grid.ops.grad(uc)
-        gv = grid.ops.grad(vc)
-        grad_sq = (
-            grid.ops.face_l2norm(*gu) ** 2
-            + grid.ops.face_l2norm(*gv) ** 2
-            + grid.l2norm(uc) ** 2
-            + grid.l2norm(vc) ** 2
-        )
-        grad_sq_time.append(grad_sq)
-
-    records = [
-        MetricsRecord(eps, name, {"res_density_lgamma": law.gamma,
-                                  "res_indicator_l1": 1.0,
-                                  "res_density_lq": 1.0,
-                                  }.get(name, 2.0),
-                      "full", "sup_t", value)
-        for name, value in sup.items()
+    rho, eps = state.rho, state.eps
+    scaled = (rho - rbar) / eps
+    split_scaled = split_ess_res(rho, scaled, rbar)
+    split_rho = split_ess_res(rho, rho, rbar)
+    uc, vc = map(lay.cells, lay.centers(state.u, state.v))
+    speed_sq = np.where(grid.active, rho * (uc**2 + vc**2), 0.0)
+    gu = grid.ops.grad(uc)
+    gv = grid.ops.grad(vc)
+    grad_sq = (
+        grid.ops.face_l2norm(*gu) ** 2
+        + grid.ops.face_l2norm(*gv) ** 2
+        + grid.l2norm(uc) ** 2
+        + grid.l2norm(vc) ** 2
+    )
+    return [
+        sup_t(eps, "ess_density_l2", grid.l2norm(split_scaled.essential)),
+        sup_t(eps, "res_density_lgamma", grid.lq_norm(split_rho.residual, law.gamma),
+              law.gamma),
+        sup_t(eps, "res_indicator_l1", grid.lq_norm(1.0 - split_scaled.indicator, 1.0), 1.0),
+        sup_t(eps, "res_density_lq", grid.lq_norm(split_scaled.residual, 1.0), 1.0),
+        sup_t(eps, "sqrt_rho_u_l2", float(np.sqrt(np.sum(speed_sq)) * grid.h)),
+        integral_t(eps, "u_l2w12", grad_sq),
     ]
-    w12 = float(np.sqrt(np.trapezoid(grad_sq_time, traj.times)))
-    records.append(MetricsRecord(eps, "u_l2w12", 2.0, "full", "integral_t", w12))
-    return records
 
 
-def convergence_metrics(
-    comp_traj, inc_traj, grid: Grid, law: PressureLaw, path: MotionPath, lifting
-):
-    """The three limit metrics: density scale, velocity gap, solenoidal pairing.
+def convergence_metrics(cstate, istate, grid: Grid, law: PressureLaw, path: MotionPath,
+                        ext: ExtensionFieldSample):
+    """One snapshot's terms of the three limit metrics: density scale,
+    velocity gap, solenoidal pairing; ext is the lifting field V at cstate.t.
 
-    (i)  max over snapshots of ||rho - rho_ref||_L2 / eps;
-    (ii) space-time L2 distance of the velocities over the annulus window;
-    (iii) L2(0,T) distance of the shifted-momentum pairings with a fixed
+    (i)  ||rho - rho_ref||_L2 / eps, whose max over snapshots is the metric;
+    (ii) the squared L2 distance of the velocities over the annulus window;
+    (iii) the squared distance of the shifted-momentum pairings with a fixed
           solenoidal test function supported in that annulus. The test
           function is a discrete curl, so it is its own Helmholtz
           projection (to rounding) and both sides pair with it directly.
+    A reference snapshot more than 1e-10 away in time raises ScheduleMismatch.
     """
-    times = _check_schedules(comp_traj.times, inc_traj.times)
+    if abs(cstate.t - istate.t) > 1e-10:
+        raise ScheduleMismatch(f"snapshot at t = {cstate.t!r} paired with the "
+                               f"reference at t = {istate.t!r}")
     window = default_window(grid)
     phi = solenoidal_test_function(grid, *annulus_radii(grid))
-    eps = comp_traj.eps
+    eps = cstate.eps
     rbar = law.rho_ref
     h2 = grid.h**2
     lay = grid.layout
 
-    density_scale = 0.0
-    gap_sq = []
-    pair_comp = []
-    pair_inc = []
-    for cstate, istate in zip(comp_traj.states, inc_traj.states):
-        density_scale = max(density_scale, grid.l2norm(cstate.rho - rbar) / eps)
-        cu, cv = map(lay.cells, lay.centers(cstate.u, cstate.v))
-        iu, iv = map(lay.cells, lay.centers(istate.u, istate.v))
-        diff = np.where(window, (cu - iu) ** 2 + (cv - iv) ** 2, 0.0)
-        gap_sq.append(float(np.sum(diff)) * h2)
+    cu, cv = map(lay.cells, lay.centers(cstate.u, cstate.v))
+    iu, iv = map(lay.cells, lay.centers(istate.u, istate.v))
+    diff = np.where(window, (cu - iu) ** 2 + (cv - iv) ** 2, 0.0)
 
-        ext = lifting_sample(lifting, grid, cstate.t)
-        wu, wv = shifted_momentum(cstate, grid, path, law, ext)
-        pair_comp.append(grid.ops.face_dot(wu, wv, phi[0], phi[1]) * h2)
-        # face_dot reads the interior faces only
-        swu = rbar * (istate.u - ext.u)
-        swv = rbar * (istate.v - ext.v)
-        pair_inc.append(grid.ops.face_dot(swu, swv, phi[0], phi[1]) * h2)
-
-    velocity_gap = float(np.sqrt(np.trapezoid(gap_sq, times)))
-    pair_diff = (np.array(pair_comp) - np.array(pair_inc)) ** 2
-    pairing_gap = float(np.sqrt(np.trapezoid(pair_diff, times)))
+    wu, wv = shifted_momentum(cstate, grid, path, law, ext)
+    pair_comp = grid.ops.face_dot(wu, wv, phi[0], phi[1]) * h2
+    # face_dot reads the interior faces only
+    swu = rbar * (istate.u - ext.u)
+    swv = rbar * (istate.v - ext.v)
+    pair_inc = grid.ops.face_dot(swu, swv, phi[0], phi[1]) * h2
     return [
-        MetricsRecord(eps, "density_scale", 2.0, "full", "sup_t", density_scale),
-        MetricsRecord(eps, "velocity_gap", 2.0, "annulus", "integral_t", velocity_gap),
-        MetricsRecord(eps, "solenoidal_pairing_gap", 2.0, "full", "integral_t", pairing_gap),
+        sup_t(eps, "density_scale", grid.l2norm(cstate.rho - rbar) / eps),
+        integral_t(eps, "velocity_gap", float(np.sum(diff)) * h2, "annulus"),
+        integral_t(eps, "solenoidal_pairing_gap", np.square(pair_comp - pair_inc)),
     ]
+
+
+def member_metrics(terms, times):
+    """A member's metric records, reduced in time from its snapshots' terms.
+
+    `terms` holds one list of records per snapshot of `times`, all in one
+    order, each record's value that snapshot's term. A sup_t metric is the
+    largest of its terms, and 0 at least; an integral_t metric is the
+    square root of the trapezoid integral of its terms, which are squares,
+    taken component by component when the terms are arrays.
+    """
+    records = []
+    for series in zip(*terms):
+        values = [r.value for r in series]
+        if series[0].t_or_sup == "sup_t":
+            value = max([0.0, *values])
+        else:
+            value = np.sqrt(np.trapezoid(np.array(values), times, axis=0))
+        records.append(replace(series[0], value=value))
+    return records

@@ -117,8 +117,8 @@ class IncompressibleSolver(ExplicitStepper):
         the CFL bound of its state shortened to land on the next sample
         time; a fixed step is `step(state, dt)` in a loop."""
         times = [float(s) for s in sample_times]
-        if times != sorted(times) or times[0] < state0.t - 1e-12:
-            raise ValueError("sample times must be increasing and start at t0")
+        if not times or times != sorted(times) or times[0] < state0.t - 1e-12:
+            raise ValueError("sample times must be nonempty, increasing and start at t0")
         traj = IncompressibleTrajectory(np.array(times), [])
         state = state0
         for target in times:

@@ -6,16 +6,18 @@ member's initial state rho_ref + eps*rho1, (u0, v0), solves the Neumann
 eigenproblem once and tabulates the local-decay functional D(eps) from
 one probe and one horizon for every Mach number, all before it makes the
 run directory; the fluid scenario then runs one incompressible reference
-from (u0, v0) and, per Mach number, run_one_eps: the compressible run,
-its snapshots, forcing channels and diagnostics, returned as the member's
-table rows; everything is written to a run directory closed by a
-manifest. A member's trajectory never leaves run_one_eps, so the sweep
-holds one member's states at a time, and every member comes back as its
-rows, in process or from a worker. The members run in a process pool of
-one worker per member, up to the usable CPUs; MACHLAB_WORKERS, when set,
-gives the pool size instead, capped at the member count (read before
-anything is written; a value that is not an integer >= 1 is a config
-error), and a size of 1 runs the members in this process, with no pool.
+from (u0, v0) and, per Mach number, run_one_eps: one pass over the
+compressible run's samples, on the reference's schedule, which writes
+each snapshot and takes its forcing channels and diagnostics, reduced in
+time to the member's table rows; everything is written to a run
+directory closed by a manifest. The sweep holds one sampled state at a
+time (plus the one its loop is still on), and every member comes back
+as its rows, in process or from a worker. The members run in a process
+pool of one worker per member, up to the usable CPUs; MACHLAB_WORKERS,
+when set, gives the pool size instead, capped at the member count (read
+before anything is written; a value that is not an integer >= 1 is a
+config error), and a size of 1 runs the members in this process, with no
+pool.
 Each worker receives the scenario text, the parent's eigenpairs in their
 sector form and the reference trajectory once, at its start, so the
 sweep still makes one eigensolve and one reference run, and its files
@@ -41,12 +43,11 @@ from . import spectral as sp
 from .compressible import CompressibleSolver
 from .config import ExperimentConfig, canonical_text, parse_config
 from .constitutive import PressureLaw, ViscosityPair, pressure_slope
-from .diagnostics import MetricsRecord, convergence_metrics, uniform_estimate_report
+from .diagnostics import convergence_metrics, integral_t, member_metrics, uniform_estimate_report
 from .errors import ConfigValidationError
 from .geometry import (
     Grid,
     build_grid,
-    lifting_sample,
     linear_path,
     sinusoidal_path,
     static_path,
@@ -239,37 +240,38 @@ def run_one_eps(scenario: Scenario, dec, eps: float, reference, out_dir: Path):
     """One sweep member, from its initial data to its table rows.
 
     Runs the compressible member at the snapshot times of the
-    incompressible `reference` trajectory and writes each snapshot's rho,
-    u, v under out_dir/eps_<eps>, assembling its forcing from one lifting
-    sample. Returns the member's energy.csv rows, mass.csv rows and metric
-    records (uniform estimates, limit metrics, forcing channels). The
-    trajectory never leaves this function, so a pool worker returns the
-    same few rows as an in-process call.
+    incompressible `reference` trajectory and, in one pass over its
+    samples, writes each snapshot's rho, u, v under out_dir/eps_<eps> and
+    takes the snapshot's forcing channels, uniform estimates and limit
+    metrics, all from the sample's one lifting field. Returns the member's
+    energy.csv rows, mass.csv rows and metric records (uniform estimates,
+    limit metrics, forcing channels). Only rows leave this function, so a
+    pool worker returns the same few rows as an in-process call.
     """
-    grid, solver, lifting = scenario.grid, scenario.solver, scenario.solver.lifting
-    traj = solver.run(solver.init_state(*scenario.initial_fields, eps), reference.times)
-
+    grid, solver, law, path = scenario.grid, scenario.solver, scenario.law, scenario.path
     member_dir = out_dir / _eps_dirname(eps)
     member_dir.mkdir(parents=True, exist_ok=True)
-    vals = []
-    for i, state in enumerate(traj.states):
+    samples = solver.run(solver.init_state(*scenario.initial_fields, eps), reference.times)
+    energy_rows, mass_rows, terms = [], [], []
+    # indexed: enumerate over a zip would pin an early sample in zip's result cache
+    for i, (state, ext, rec, total_mass, sponge_mass) in enumerate(samples):
         write_snapshot(member_dir / f"snap_{i:03d}.dat", state.t,
                        {"rho": state.rho, "u": state.u, "v": state.v})
-        ext = lifting_sample(lifting, grid, state.t)
         densities = sp.assemble_forcing(
-            state, grid, scenario.law, scenario.visc, scenario.path, ext, lifting
+            state, grid, law, scenario.visc, path, ext, solver.lifting
         )
-        vals.append(sp.forcing_channel_norms(densities, dec))
-    # per-channel L2((0,T) x Omega) norms of the snapshot series
-    channels = np.sqrt(np.trapezoid(np.array(vals) ** 2, traj.times, axis=0))
+        channel_sq = sp.forcing_channel_norms(densities, dec) ** 2
+        terms.append(uniform_estimate_report(state, grid, law)
+                     + convergence_metrics(state, reference.states[i], grid, law, path, ext)
+                     + [integral_t(eps, "forcing_channels", channel_sq)])
+        energy_rows.append((rec.t, rec.eps, rec.lhs, rec.rhs, int(rec.flag)))
+        mass_rows.append((float(reference.times[i]), eps, total_mass, sponge_mass))
 
-    records = uniform_estimate_report(traj, grid, scenario.law, eps)
-    records += convergence_metrics(traj, reference, grid, scenario.law, scenario.path, lifting)
-    records += [_metric(eps, name, value) for name, value in zip(CHANNEL_NAMES, channels)]
-    records.append(_metric(eps, "forcing_channel_sum", float(np.sum(channels))))
-    energy_rows = [(rec.t, rec.eps, rec.lhs, rec.rhs, int(rec.flag)) for rec in traj.energy]
-    mass_rows = [(float(t), eps, m, s)
-                 for t, m, s in zip(traj.times, traj.total_mass, traj.sponge_mass)]
+    records = member_metrics(terms, reference.times)
+    # per-channel L2((0,T) x Omega) norms of the snapshot series
+    channels = records.pop().value
+    records += [integral_t(eps, name, value) for name, value in zip(CHANNEL_NAMES, channels)]
+    records.append(integral_t(eps, "forcing_channel_sum", float(np.sum(channels))))
     return energy_rows, mass_rows, records
 
 
@@ -427,10 +429,6 @@ def _fluid_sweep(scenario: Scenario, dec, decay, out_dir: Path, workers: int):
         ],
     )
     return summary_rows
-
-
-def _metric(eps, name, value):
-    return MetricsRecord(eps, name, 2.0, "full", "integral_t", value)
 
 
 # the scenario, decomposition, reference trajectory and run directory of a

@@ -1,15 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from machlab.compressible import CompressibleSolver
+from machlab.compressible import CompressibleSolver, FluidState
 from machlab.constitutive import PressureLaw, ViscosityPair
 from machlab.diagnostics import (
     convergence_metrics,
     default_window,
+    integral_t,
+    member_metrics,
     solenoidal_test_function,
     split_ess_res,
+    sup_t,
     uniform_estimate_report,
     window_annulus,
 )
@@ -68,18 +73,16 @@ def test_norm_homogeneity(alpha, q):
 
 
 class TestUniformEstimates:
-    def _traj(self, grid, rho1_fn=None, eps=0.1):
-        sol = CompressibleSolver(grid, LAW, ViscosityPair(0.01), static_path(1.0), 0.25)
-        rho1 = np.zeros((grid.nx, grid.ny))
-        if rho1_fn is not None:
-            rho1 = rho1_fn(grid)
-        return sol.run(sol.init_state(rho1, np.zeros((grid.nx + 1, grid.ny)),
-                                      np.zeros((grid.nx, grid.ny + 1)), eps),
-                       [0.0, 0.01])
-
     def test_rest_trajectory_all_zero(self):
         grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
-        records = uniform_estimate_report(self._traj(grid), grid, LAW, 0.1)
+        sol = CompressibleSolver(grid, LAW, ViscosityPair(0.01), static_path(1.0), 0.25)
+        times = [0.0, 0.01]
+        samples = sol.run(sol.init_state(np.zeros((grid.nx, grid.ny)),
+                                         np.zeros((grid.nx + 1, grid.ny)),
+                                         np.zeros((grid.nx, grid.ny + 1)), 0.1), times)
+        records = member_metrics(
+            [uniform_estimate_report(s.state, grid, LAW) for s in samples], times)
+        assert len(records) == 6
         for rec in records:
             assert rec.value == pytest.approx(0.0, abs=1e-14), rec.metric_name
 
@@ -90,64 +93,77 @@ class TestUniformEstimates:
         eps = 0.1
         xc, yc = grid.cell_centers()
         s = np.where(grid.active, 2.0 * np.cos(xc) * np.cos(yc), 0.0)
-        from machlab.compressible import FluidState, Trajectory
-
         state = FluidState(in_layout(grid, np.where(grid.active, 1.0 + eps * s, 1.0)),
                            in_layout(grid, np.zeros((grid.nx + 1, grid.ny))),
                            in_layout(grid, np.zeros((grid.nx, grid.ny + 1))), 0.0, eps)
-        traj = Trajectory(np.array([0.0]), [state], eps)
-        records = {r.metric_name: r.value
-                   for r in uniform_estimate_report(traj, grid, LAW, eps)}
+        terms = [uniform_estimate_report(state, grid, LAW)]
+        records = {r.metric_name: r.value for r in member_metrics(terms, [0.0])}
         assert records["res_indicator_l1"] == 0.0
         assert records["res_density_lq"] == 0.0
         assert records["ess_density_l2"] == pytest.approx(grid.l2norm(s), rel=1e-12)
 
 
 class TestConvergenceMetrics:
+    TIMES = np.linspace(0.0, 0.02, 3)
+
     def _pair(self, grid):
+        """The compressible samples of a pulse and the incompressible
+        reference at rest, on one schedule."""
         sol = CompressibleSolver(grid, LAW, ViscosityPair(0.01), static_path(1.0), 0.25)
         xc, yc = grid.cell_centers()
         r2 = (xc - 0.45) ** 2 + yc**2
         rho1 = np.where(r2 < 0.0144, (1 - r2 / 0.0144) ** 3, 0.0)
-        times = np.linspace(0.0, 0.02, 3)
-        comp = sol.run(sol.init_state(rho1, np.zeros((grid.nx + 1, grid.ny)),
-                                      np.zeros((grid.nx, grid.ny + 1)), 0.1), times)
+        comp = list(sol.run(sol.init_state(rho1, np.zeros((grid.nx + 1, grid.ny)),
+                                           np.zeros((grid.nx, grid.ny + 1)), 0.1),
+                            self.TIMES))
         inc = IncompressibleSolver(grid, 0.01, static_path(1.0))
         ref = inc.run(inc.init_state(np.zeros((grid.nx + 1, grid.ny)),
-                                     np.zeros((grid.nx, grid.ny + 1))), times)
-        return comp, ref
+                                     np.zeros((grid.nx, grid.ny + 1))), self.TIMES)
+        return comp, ref.states
+
+    def _metrics(self, grid, comp, ref_states):
+        terms = [convergence_metrics(s.state, ist, grid, LAW, static_path(1.0), s.ext)
+                 for s, ist in zip(comp, ref_states)]
+        return {r.metric_name: r.value for r in member_metrics(terms, self.TIMES)}
 
     def test_identical_trajectories_zero_gap(self):
         grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
-        comp, ref = self._pair(grid)
-        # feed the compressible trajectory as its own reference via a stub
-        class Stub:
-            times = comp.times
-            states = comp.states
-
-        records = convergence_metrics(comp, Stub(), grid, LAW, static_path(1.0),
-                                      None)
-        by_name = {r.metric_name: r.value for r in records}
+        comp, _ = self._pair(grid)
+        # the compressible states as their own reference
+        by_name = self._metrics(grid, comp, [s.state for s in comp])
         assert by_name["velocity_gap"] == pytest.approx(0.0, abs=1e-14)
 
     def test_schedule_mismatch_rejected(self):
         grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
         comp, ref = self._pair(grid)
-
-        class Skewed:
-            times = comp.times + 0.001
-            states = comp.states
-
+        skewed = ref[:1] + [replace(ref[1], t=ref[1].t + 0.001)] + ref[2:]
         with pytest.raises(ScheduleMismatch):
-            convergence_metrics(comp, Skewed(), grid, LAW, static_path(1.0), None)
+            self._metrics(grid, comp, skewed)
 
     def test_density_scale_metric(self):
         grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
         comp, ref = self._pair(grid)
-        records = convergence_metrics(comp, ref, grid, LAW, static_path(1.0), None)
-        by_name = {r.metric_name: r.value for r in records}
-        expected = max(grid.l2norm(s.rho - 1.0) / 0.1 for s in comp.states)
+        by_name = self._metrics(grid, comp, ref)
+        expected = max(grid.l2norm(s.state.rho - 1.0) / 0.1 for s in comp)
         assert by_name["density_scale"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_member_metrics_reduces_each_series_in_order():
+    # sup_t: the largest term, 0 at least; integral_t: the square root of
+    # the trapezoid integral of the (squared) terms, per component of an array
+    times = [0.0, 0.5, 2.0]
+    terms = [[sup_t(0.1, "a", -1.0, 1.0), sup_t(0.1, "b", 3.0),
+              integral_t(0.1, "c", 4.0, "annulus"), integral_t(0.1, "d", np.array([1.0, 0.0]))],
+             [sup_t(0.1, "a", -2.0, 1.0), sup_t(0.1, "b", 5.0),
+              integral_t(0.1, "c", 0.0, "annulus"), integral_t(0.1, "d", np.array([1.0, 2.0]))],
+             [sup_t(0.1, "a", -3.0, 1.0), sup_t(0.1, "b", 4.0),
+              integral_t(0.1, "c", 2.0, "annulus"), integral_t(0.1, "d", np.array([1.0, 2.0]))]]
+    a, b, c, d = member_metrics(terms, times)
+    assert (a.metric_name, a.q, a.t_or_sup, a.value) == ("a", 1.0, "sup_t", 0.0)
+    assert (b.metric_name, b.value) == ("b", 5.0)
+    assert (c.metric_name, c.window, c.t_or_sup) == ("c", "annulus", "integral_t")
+    assert c.value == pytest.approx(np.sqrt(0.5 * 2.0 + 1.5 * 1.0))
+    np.testing.assert_allclose(d.value, np.sqrt([2.0, 0.5 * 1.0 + 1.5 * 2.0]))
 
 
 def assembly_identity_residual(grid, wu, wv, psi, phi_u, phi_v):

@@ -27,7 +27,7 @@ from machlab.errors import (
     SnapshotFormatError,
     VacuumState,
 )
-from machlab.geometry import build_grid, lifting_sample
+from machlab.geometry import build_grid
 from machlab.incompressible import IncompressibleSolver
 from machlab.storage import (
     check_artifacts,
@@ -392,28 +392,37 @@ class TestSweep:
         assert errors[1] == errors[0]
 
     def test_member_reduced_before_next_starts(self, mini_cfg, tmp_path, monkeypatch):
-        # each member becomes its table rows inside run_one_eps; the last
-        # state of its compressible run must be gone before the next starts;
-        # the members run in this process, where the patches record
+        # each member becomes its table rows inside run_one_eps, in one pass
+        # over its samples: at every yield at most two of its sampled states
+        # are alive, the one just yielded and the one the loop still holds,
+        # and none is left when the next member starts; the members run in
+        # this process, where the patches record
         monkeypatch.setenv("MACHLAB_WORKERS", "1")
-        last_states = []
+        members = []
         solver_run = CompressibleSolver.run
         run_member = sweep.run_one_eps
 
+        def tracked(samples):
+            states = []
+            members.append(states)
+            for sample in samples:
+                states.append(weakref.ref(sample.state))
+                assert sum(ref() is not None for ref in states) <= 2, len(states)
+                yield sample
+
         def tracked_run(self, *args, **kwargs):
-            traj = solver_run(self, *args, **kwargs)
-            last_states.append(weakref.ref(traj.states[-1]))
-            return traj
+            # returns at once, so it pins no argument, the initial state
+            return tracked(solver_run(self, *args, **kwargs))
 
         def tracked_member(scenario, dec, eps, *args):
-            assert all(ref() is None for ref in last_states), eps
+            assert all(ref() is None for states in members for ref in states), eps
             return run_member(scenario, dec, eps, *args)
 
         monkeypatch.setattr(CompressibleSolver, "run", tracked_run)
         monkeypatch.setattr(sweep, "run_one_eps", tracked_member)
         run_sweep(mini_cfg, tmp_path / "reduced")
-        assert len(last_states) == len(mini_cfg["sweep"]["eps"])
-        assert all(ref() is None for ref in last_states)
+        assert [len(states) for states in members] == [5] * len(mini_cfg["sweep"]["eps"])
+        assert all(ref() is None for states in members for ref in states)
 
     def test_pool_job_returns_only_rows(self, mini_cfg, tmp_path, monkeypatch):
         # a worker sends back the member's table rows, not its trajectory
@@ -614,12 +623,10 @@ class TestStoredAcousticPair:
         sc = build_scenario(mini_cfg)
         out = {}
         for eps in mini_cfg["sweep"]["eps"]:
-            traj = sc.solver.run(sc.solver.init_state(*sc.initial_fields, eps),
-                                 sample_schedule(mini_cfg))
-            out[eps] = [sp.extract_acoustic_potential(
-                            st, sc.grid, sc.path, sc.law,
-                            lifting_sample(sc.solver.lifting, sc.grid, st.t))
-                        for st in traj.states]
+            samples = sc.solver.run(sc.solver.init_state(*sc.initial_fields, eps),
+                                    sample_schedule(mini_cfg))
+            out[eps] = [sp.extract_acoustic_potential(s.state, sc.grid, sc.path, sc.law, s.ext)
+                        for s in samples]
         return out
 
     @staticmethod
