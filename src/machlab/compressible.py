@@ -8,6 +8,12 @@ and a cosine-ramped sponge layer relaxes the rim toward the far-field
 state to emulate radiation to infinity. The energy ledger reads the
 lifting's velocity gradient and moving-frame derivative from the lifting
 field itself, on its support box.
+
+The step re-checks no invariant it keeps: active density is positive
+(init_state, the vacuum check) and other cells hold rho_ref (a fresh
+state's ghosts 0, read by exterior faces only), so pressure and sound
+speed skip the sign scan and the face density needs no positivity mask.
+The ledger reads active cells only, and the known faces its step built.
 """
 
 from __future__ import annotations
@@ -18,13 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .constitutive import (
-    PressureLaw,
-    ViscosityPair,
-    pressure,
-    pressure_slope,
-    relative_entropy,
-)
+from .constitutive import PressureLaw, ViscosityPair, pressure_slope, relative_entropy
 from .errors import ConfigValidationError, NanDetected, VacuumState
 from .geometry import (
     CFL,
@@ -37,12 +37,8 @@ from .geometry import (
     eval_motion,
     lifting_sample,
 )
-from .operators import (
-    average_to_face,
-    mirror_laplacian,
-    upwind_transport,
-    velocity_gradient_components,
-)
+from .operators import average_to_face, face_divergence, known_faces, known_gradient
+from .operators import mirror_laplacian, upwind_transport
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,7 @@ def _mass_flux(rho, wn, c_cell, masks):
     np.subtract(rho[s:], rho[:-s], out=jump)
     jump *= half_lam
     mid -= jump
-    np.copyto(f, 0.0, where=masks.exterior)
+    f[masks.exterior_faces] = 0.0
     return f
 
 
@@ -151,6 +147,7 @@ class CompressibleSolver(ExplicitStepper):
         self.sponge_width = sponge_width
         self._keep = self._sponge_keep()
         self.lifting = build_lifting(grid, path, sponge_width)
+        self._known_of = (None, None, None)  # the last step's state and known_faces
 
     def _sponge_keep(self):
         """The share 1 - s of the cell, x-face and y-face fields that the
@@ -235,9 +232,10 @@ class CompressibleSolver(ExplicitStepper):
         _, mp, _ = eval_motion(self.path, state.t)
 
         rho, u, v = lay.flat(state.rho), lay.flat(state.u), lay.flat(state.v)
-        wu = u - mp[0]
-        wv = v - mp[1]
-        c_cell = pressure_slope(law, np.maximum(rho, 1e-300))
+        # f - 0.0 is f bit for bit (f - -0.0 is not): a body at rest needs no copy
+        wu, wv = (f - m if m or math.copysign(1.0, m) < 0.0 else f for f, m in zip((u, v), mp))
+        # sqrt(p'(rho)) / eps and p(rho) as constitutive forms them, unchecked
+        c_cell = law.coeff * law.gamma * rho ** (law.gamma - 1.0)
         np.sqrt(c_cell, out=c_cell)
         c_cell /= eps
 
@@ -255,12 +253,15 @@ class CompressibleSolver(ExplicitStepper):
         mid -= fmy[:-s]
         mid *= dt / h
         np.subtract(rho[:-s], mid, out=mid)
-        np.copyto(rho_new, law.rho_ref, where=xm.inactive)
-        if np.any(rho_new <= 0.0, where=xm.active):
+        rho_new[xm.inactive_cells] = law.rho_ref
+        # rho_ref > 0 off the active cells; fmin skips NaN as `<=` does
+        if np.fmin.reduce(rho_new) <= 0.0:
             raise VacuumState(f"density lost positivity at t = {state.t:.6g}")
 
-        p_cell = pressure(law, rho)
-        div_full = lay.flat(g.ops.div(u, v, include_boundary_faces=True))
+        p_cell = law.coeff * rho**law.gamma
+        um, vm = known_faces(g, u, v)
+        self._known_of = (state, um, vm)
+        div_full = face_divergence(g, um, vm)
 
         u_new = self._momentum_update(
             rho, rho_new, u, wu, wv, p_cell, div_full, eps, dt, xm
@@ -274,10 +275,9 @@ class CompressibleSolver(ExplicitStepper):
         if self._keep is not None:
             keep_cell, keep_u, keep_v = self._keep
             before = float(np.sum(rho_new[xm.active]))
-            rho_new -= law.rho_ref
+            rho_new -= law.rho_ref  # a cell at rho_ref stays there, bit for bit
             rho_new *= keep_cell
             rho_new += law.rho_ref
-            np.copyto(rho_new, law.rho_ref, where=xm.inactive)
             sponge_mass = (float(np.sum(rho_new[xm.active])) - before) * h**2
             u_new *= keep_u
             v_new *= keep_v
@@ -286,11 +286,7 @@ class CompressibleSolver(ExplicitStepper):
         out = enforce_bc(g, self.path, FluidState(
             lay.cells(rho_new), lay.xfaces(u_new), lay.yfaces(v_new), state.t + dt, eps,
             sponge_mass))
-        if not (
-            np.all(np.isfinite(rho_new))
-            and np.all(np.isfinite(u_new))
-            and np.all(np.isfinite(v_new))
-        ):
+        if not all(np.isfinite(f).all() for f in (rho_new, u_new, v_new)):
             raise NanDetected(f"non-finite field value at t = {out.t:.6g}")
         return out
 
@@ -336,13 +332,11 @@ class CompressibleSolver(ExplicitStepper):
         visc += diff
         inner -= visc
 
-        # q - dt dq over the new face density, where that is positive
+        # q - dt dq over the new face density; its edges hold 1, reset below
         dq *= dt
         q -= dq
-        rho_f_new = average_to_face(rho_new, s, masks.layout)
-        np.copyto(rho_f_new, 1.0, where=~(rho_f_new > 0))
-        q /= rho_f_new
-        np.copyto(q, un, where=masks.exterior)
+        q /= average_to_face(rho_new, s, masks.layout, fill=1.0)
+        q[masks.exterior_faces] = un[masks.exterior_faces]
         return q
 
     # -- trajectory ----------------------------------------------------------
@@ -406,7 +400,9 @@ class CompressibleSolver(ExplicitStepper):
         g = self.grid
         lay = g.layout
         mu, eta = self.visc.shear, self.visc.bulk
-        (gxx, gxy, gyx, gyy), avgs = velocity_gradient_components(g, state.u, state.v)
+        um, vm = (self._known_of[1:] if self._known_of[0] is state
+                  else known_faces(g, state.u, state.v))
+        (gxx, gxy, gyx, gyy), avgs = known_gradient(g, um, vm)
         div = gxx + gyy
         shear = gxy + gyx
         # mu (2 (gxx^2 + gyy^2) + shear^2 - (2/3) div^2) + eta div^2, which
@@ -428,7 +424,7 @@ class CompressibleSolver(ExplicitStepper):
         lifting = self.lifting
         if lifting is None:
             return
-        gv, dv = lifting.box_fields(state.t)
+        gv, dv, shear_v = lifting.box_terms(state.t)
         box = lifting.box
         rho = state.rho[box]
         uc, vc = (lay.cells(c)[box] for c in avgs)
@@ -439,7 +435,7 @@ class CompressibleSolver(ExplicitStepper):
         sxy = mu * lay.cells(shear)[box]
         integrand = (
             (sxx - rho * uc * uc) * gv[..., 0, 0]
-            + (sxy - rho * uc * vc) * (gv[..., 0, 1] + gv[..., 1, 0])
+            + (sxy - rho * uc * vc) * shear_v
             + (syy - rho * vc * vc) * gv[..., 1, 1]
             - rho * (uc * dv[..., 0] + vc * dv[..., 1])
         )

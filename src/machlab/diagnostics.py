@@ -64,6 +64,10 @@ def default_window(grid: Grid) -> np.ndarray:
     return window_annulus(grid, *annulus_radii(grid))
 
 
+def observation_probes(grid: Grid):
+    return default_window(grid), solenoidal_test_function(grid, *annulus_radii(grid))
+
+
 def solenoidal_test_function(grid: Grid, r_inner: float, r_outer: float):
     """Fixed divergence-free C2 vortex patch supported in the annulus window.
 
@@ -128,9 +132,10 @@ def uniform_estimate_report(state, grid: Grid, law: PressureLaw):
 
 
 def convergence_metrics(cstate, istate, grid: Grid, law: PressureLaw, path: MotionPath,
-                        ext: ExtensionFieldSample):
+                        ext: ExtensionFieldSample, probes=None):
     """One snapshot's terms of the three limit metrics: density scale,
-    velocity gap, solenoidal pairing; ext is the lifting field V at cstate.t.
+    velocity gap, solenoidal pairing; ext is the lifting field V at cstate.t
+    and probes the grid's observation_probes, built here when not given.
 
     (i)  ||rho - rho_ref||_L2 / eps, whose max over snapshots is the metric;
     (ii) the squared L2 distance of the velocities over the annulus window;
@@ -143,8 +148,7 @@ def convergence_metrics(cstate, istate, grid: Grid, law: PressureLaw, path: Moti
     if abs(cstate.t - istate.t) > 1e-10:
         raise ScheduleMismatch(f"snapshot at t = {cstate.t!r} paired with the "
                                f"reference at t = {istate.t!r}")
-    window = default_window(grid)
-    phi = solenoidal_test_function(grid, *annulus_radii(grid))
+    window, phi = probes or observation_probes(grid)
     eps = cstate.eps
     rbar = law.rho_ref
     h2 = grid.h**2

@@ -219,10 +219,10 @@ def enforce_bc(grid: Grid, path: MotionPath, state):
     _, mp, _ = eval_motion(path, state.t)
     xm, ym = grid.component_masks
     u, v = grid.layout.flat(state.u), grid.layout.flat(state.v)
-    np.copyto(u, mp[0], where=xm.exterior)
-    np.copyto(v, mp[1], where=ym.exterior)
-    np.copyto(u, 0.0, where=xm.rim)
-    np.copyto(v, 0.0, where=ym.rim)
+    u[xm.exterior_faces] = mp[0]
+    v[ym.exterior_faces] = mp[1]
+    u[xm.rim_faces] = 0.0
+    v[ym.rim_faces] = 0.0
     return state
 
 
@@ -294,6 +294,8 @@ class ExtensionField:
     `sample` and `sample_dt` keep their own arithmetic on the full grid.
     """
 
+    _box_terms_of = (None, None)  # the bits of (m', m'') and box_terms there
+
     def __init__(self, grid: Grid, path: MotionPath, support_radius: float):
         g, R = grid, support_radius
         if not g.obstacle_radius < R:
@@ -340,18 +342,26 @@ class ExtensionField:
 
     def box_fields(self, t: float):
         """(grad V, dV/dt) at cell centres on `box`, shapes (bx, by, 2, 2)
-        and (bx, by, 2).
+        and (bx, by, 2)."""
+        return self.box_terms(t)[:2]
+
+    def box_terms(self, t: float):
+        """box_fields(t) and the shear dV_x/dy + dV_y/dx, shape (bx, by).
 
         The lifting lives on the fixed frame, so its physical time
         derivative picks up the advective correction:
-        dV/dt = m''_x V_x + m''_y V_y - (grad V) m'.
+        dV/dt = m''_x V_x + m''_y V_y - (grad V) m'. The last terms are kept,
+        keyed on the bits of (m', m''), and shared: no caller writes them.
         """
         _, mp, mpp = eval_motion(self.path, t)
-        (gx, gy), (cx, cy) = self._grads, self._centers
-        gv = mp[0] * gx + mp[1] * gy
-        dv = mpp[0] * cx + mpp[1] * cy
-        dv -= gv[..., 0] * mp[0] + gv[..., 1] * mp[1]
-        return gv, dv
+        key = (mp.tobytes(), mpp.tobytes())
+        if self._box_terms_of[0] != key:
+            (gx, gy), (cx, cy) = self._grads, self._centers
+            gv = mp[0] * gx + mp[1] * gy
+            dv = mpp[0] * cx + mpp[1] * cy
+            dv -= gv[..., 0] * mp[0] + gv[..., 1] * mp[1]
+            self._box_terms_of = (key, (gv, dv, gv[..., 0, 1] + gv[..., 1, 0]))
+        return self._box_terms_of[1]
 
 
 def lifting_sample(lifting, grid: Grid, t: float) -> ExtensionFieldSample:

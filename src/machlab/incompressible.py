@@ -108,7 +108,7 @@ class IncompressibleSolver(ExplicitStepper):
         du -= lap
         du *= dt
         np.subtract(un, du, out=du)
-        np.copyto(du, un, where=masks.exterior)
+        du[masks.exterior_faces] = un[masks.exterior_faces]
         return du
 
     def run(self, state0: IncompressibleState,

@@ -24,7 +24,8 @@ the offset ny+1, a step along y the offset 1, and every stencil shift is
 a contiguous 1-D slice. The y-component runs the x-component's code with
 the two strides swapped, reading the flat per-component face classes
 (ComponentMasks) that each grid derives once from its padded active
-mask; nothing is transposed.
+mask; nothing is transposed. Sparse classes are also index sets, as a
+write through one costs a fraction of a masked write over the buffer.
 """
 
 from __future__ import annotations
@@ -120,25 +121,17 @@ class DiscreteOperators:
         contribute; otherwise only interior faces are seen (the adjoint of
         grad, as used by the Neumann Laplacian and Helmholtz machinery).
         """
-        lay = self.grid.layout
-        s = lay.row
-        xm, ym = self.grid.component_masks
-        hidden = (xm.unknown, ym.unknown) if include_boundary_faces else (xm.exterior, ym.exterior)
-        um, vm = zeroed(lay.flat(u), hidden[0]), zeroed(lay.flat(v), hidden[1])
-        # cell k lies between x-faces k, k + s and y-faces k, k + 1
-        out = np.empty_like(um)
-        mid = np.subtract(um[s:], um[:-s], out=out[:-s])
-        mid += vm[1:1 - s]
-        mid -= vm[:-s]
-        mid /= self.h
-        np.copyto(out, 0.0, where=xm.inactive)
-        return lay.cells(out)
+        g = self.grid
+        um, vm = (known_faces(g, u, v) if include_boundary_faces else
+                  (zeroed(g.layout.flat(f), m.exterior_faces)
+                   for f, m in zip((u, v), g.component_masks)))
+        return g.layout.cells(face_divergence(g, um, vm))
 
     def curl(self, psi):
         """Masked nodal curl to faces; zero on boundary and dead faces."""
         u, v = nodal_curl(self.grid, psi)
         for f, m in zip((u, v), self.grid.component_masks):
-            np.copyto(self.grid.layout.flat(f), 0.0, where=m.exterior)
+            self.grid.layout.flat(f)[m.exterior_faces] = 0.0
         return u, v
 
     def face_dot(self, au, av, bu, bv):
@@ -200,11 +193,10 @@ class DiscreteOperators:
         unchanged: the pressure projection of the incompressible solver.
         """
         lay = self.grid.layout
-        xm, ym = self.grid.component_masks
         um, vm = lay.flat(u), lay.flat(v)
         if not include_boundary_faces:
-            um = zeroed(um, xm.exterior)
-            vm = zeroed(vm, ym.exterior)
+            um, vm = (zeroed(f, m.exterior_faces)
+                      for f, m in zip((um, vm), self.grid.component_masks))
         rhs = -self.pack(self.div(um, vm, include_boundary_faces))
         theta = self.unpack(self.poisson_solve(rhs))
         gu, gv = self.grad(theta)
@@ -290,11 +282,30 @@ class PaddedLayout:
         return f[:self.row], f[-self.row:]
 
 
-def zeroed(a, where):
-    """A copy of a that is zero where `where` holds: np.where(where, 0.0,
-    a) as a plain copy and a masked write, which cost less than it."""
+def zeroed(a, faces):
+    """A copy of a that is zero on the index set `faces`: a plain copy and
+    an indexed write, which cost less than np.where."""
     out = a.copy()
-    np.copyto(out, 0.0, where=where)
+    out[faces] = 0.0
+    return out
+
+
+def known_faces(grid, u, v):
+    """Flat copies of u and v with their unknown faces, dead or ghost, zeroed."""
+    return tuple(zeroed(grid.layout.flat(f), m.unknown_faces)
+                 for f, m in zip((u, v), grid.component_masks))
+
+
+def face_divergence(grid, um, vm):
+    """Flat divergence, zero off the active cells, of flat um, vm with hidden faces zero."""
+    s = grid.layout.row
+    # cell k lies between x-faces k, k + s and y-faces k, k + 1
+    out = np.empty_like(um)
+    mid = np.subtract(um[s:], um[:-s], out=out[:-s])
+    mid += vm[1:1 - s]
+    mid -= vm[:-s]
+    mid /= grid.h
+    out[grid.component_masks[0].inactive_cells] = 0.0
     return out
 
 
@@ -313,18 +324,18 @@ def gradient_to_face(c, m, h):
     the family with ComponentMasks m, zero on its exterior faces."""
     f = np.zeros(c.shape)
     np.divide(c[m.normal:] - c[:-m.normal], h, out=f[m.normal:])
-    np.copyto(f, 0.0, where=m.exterior)
+    f[m.exterior_faces] = 0.0
     return f
 
 
-def average_to_face(c, s, layout):
+def average_to_face(c, s, layout, fill=0.0):
     """Face averages (c[k] + c[k-s]) / 2 of a flat cell field along stride
-    s; the faces on the two box edges across s are zero."""
+    s; the faces on the two box edges across s hold `fill`."""
     out = np.empty_like(c)
     mid = np.add(c[s:], c[:-s], out=out[s:])
     mid *= 0.5
     for edge in layout.edges(out, s):  # the first edge holds out[:s]
-        edge[...] = 0.0
+        edge[...] = fill
     return out
 
 
@@ -332,24 +343,29 @@ def velocity_gradient_components(grid, u, v):
     """Cell-centred velocity gradient d u_i / d x_j and velocity, ((gxx,
     gxy, gyx, gyy), (uc, vc)), flat in the grid's padded layout; the
     gradient is zero on inactive cells and ghosts, and uc, vc average u, v
-    with their unknown faces zeroed (on active cells, plain averages).
+    with their unknown faces zeroed (on active cells, plain averages)."""
+    comps, avgs = known_gradient(grid, *known_faces(grid, u, v))
+    for comp in comps:
+        comp[grid.component_masks[0].inactive_cells] = 0.0
+    return comps, avgs
 
-    The tangential derivatives are central differences of the cell
-    averages and stay zero on the edge rows (gyx) and columns (gxy).
-    """
-    g = grid
-    h = g.h
-    lay = g.layout
+
+def known_gradient(grid, um, vm):
+    """velocity_gradient_components of known_faces' um, vm, but finite,
+    not zero, off the active cells, for readers of active cells only. The
+    tangential derivatives are central differences of the cell averages
+    and stay zero on the edge rows (gyx) and columns (gxy)."""
+    h = grid.h
+    lay = grid.layout
     s = lay.row
-    xm, ym = g.component_masks
-    um = zeroed(lay.flat(u), xm.unknown)
-    vm = zeroed(lay.flat(v), ym.unknown)
     gxx = np.empty_like(um)
     mid = np.subtract(um[s:], um[:-s], out=gxx[:-s])
     mid /= h
+    gxx[-s:] = 0.0
     gyy = np.empty_like(vm)
     mid = np.subtract(vm[1:], vm[:-1], out=gyy[:-1])
     mid /= h
+    gyy[-1] = 0.0
     uc = average_to_center(um, s)
     vc = average_to_center(vm, 1)
     gyx = np.empty_like(um)
@@ -362,8 +378,7 @@ def velocity_gradient_components(grid, u, v):
     mid /= 2 * h
     gxy[::s] = 0.0
     gxy[lay.ny - 1::s] = 0.0
-    for comp in (gxx, gxy, gyx, gyy):
-        np.copyto(comp, 0.0, where=xm.inactive)
+    gxy[-1] = 0.0
     return (gxx, gxy, gyx, gyy), (uc, vc)
 
 
@@ -410,20 +425,21 @@ class ComponentMasks:
         self.rim = np.zeros(layout.size, dtype=bool)
         for rim, edge in zip(layout.edges(self.rim, normal), layout.edges(boundary, normal)):
             rim[...] = edge
+        self.rim_faces = np.flatnonzero(self.rim)
         self.obstacle = boundary & ~self.rim
         # faces the update leaves as they are: prescribed, dead, edge, ghost
         self.exterior = ~self.interior
         self.exterior_faces = np.flatnonzero(self.exterior)
         self.unknown = ~(self.interior | boundary)
+        self.unknown_faces = np.flatnonzero(self.unknown)
         # corner k lies between faces k - transverse and k; it carries no
         # flux unless both carry unknowns
         st = self.transverse
         corner_open = np.zeros(layout.size, dtype=bool)
         np.logical_and(self.interior[st:], self.interior[:-st], out=corner_open[st:])
-        self.corner_closed = ~corner_open
+        self.closed_corners = np.flatnonzero(~corner_open)
         self.active = active
-        self.inactive = ~active
-        self.inactive_cells = np.flatnonzero(self.inactive)
+        self.inactive_cells = np.flatnonzero(~active)
         # the faces whose Laplacian mirrors a neighbor (not known, or beyond
         # the buffer) ahead or behind along the component, or across it,
         # with the four neighbors each selects, itself where it mirrors;
@@ -468,7 +484,7 @@ def upwind_transport(q, wn, wt, masks, h):
     jump = np.subtract(q[sn:], q[:-sn])
     jump *= half_lam
     mid -= jump
-    np.copyto(flux_n, 0.0, where=masks.inactive)
+    flux_n[masks.inactive_cells] = 0.0
 
     # transverse flux at corner k, between faces k - st and k, in the same
     # three temporaries; closures at walls reduce to zero flux (mirror
@@ -486,7 +502,7 @@ def upwind_transport(q, wn, wt, masks, h):
     jump = np.subtract(qb, qa, out=jump[:n - r])
     jump *= half_lam
     inner -= jump
-    np.copyto(flux_t, 0.0, where=masks.corner_closed)
+    flux_t[masks.closed_corners] = 0.0
 
     # face k: flux_n[k] - flux_n[k - sn] + flux_t[k + st] - flux_t[k]
     dq = np.empty_like(q)

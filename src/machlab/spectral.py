@@ -489,7 +489,7 @@ def tensor_divdiv(grid: Grid, tensor):
 
     gxx, gyy = (gradient_to_face(tensor[:, i, i], m, g.h) for i, m in enumerate(g.component_masks))
     out = lay.flat(g.ops.div(gxx, gyy)) + dxy(tensor[:, 0, 1]) + dxy(tensor[:, 1, 0])
-    np.copyto(out, 0.0, where=g.component_masks[0].inactive)
+    out[g.component_masks[0].inactive_cells] = 0.0
     return lay.cells(out)
 
 
@@ -628,7 +628,7 @@ def shifted_momentum(state, grid: Grid, path: MotionPath, law: PressureLaw, ext)
         s = masks.normal
         w = (average_to_face(rho, s, lay) * lay.flat(u) - rbar * lay.flat(e)
              - eps * m * average_to_face(r_cells, s, lay))
-        np.copyto(w, 0.0, where=masks.exterior)
+        w[masks.exterior_faces] = 0.0
         out.append(w)
     return lay.xfaces(out[0]), lay.yfaces(out[1])
 

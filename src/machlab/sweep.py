@@ -43,7 +43,8 @@ from . import spectral as sp
 from .compressible import CompressibleSolver
 from .config import ExperimentConfig, canonical_text, parse_config
 from .constitutive import PressureLaw, ViscosityPair, pressure_slope
-from .diagnostics import convergence_metrics, integral_t, member_metrics, uniform_estimate_report
+from .diagnostics import convergence_metrics, integral_t, member_metrics, observation_probes
+from .diagnostics import uniform_estimate_report
 from .errors import ConfigValidationError
 from .geometry import (
     Grid,
@@ -252,6 +253,7 @@ def run_one_eps(scenario: Scenario, dec, eps: float, reference, out_dir: Path):
     member_dir = out_dir / _eps_dirname(eps)
     member_dir.mkdir(parents=True, exist_ok=True)
     samples = solver.run(solver.init_state(*scenario.initial_fields, eps), reference.times)
+    probes = observation_probes(grid)
     energy_rows, mass_rows, terms = [], [], []
     # indexed: enumerate over a zip would pin an early sample in zip's result cache
     for i, (state, ext, rec, total_mass, sponge_mass) in enumerate(samples):
@@ -262,7 +264,8 @@ def run_one_eps(scenario: Scenario, dec, eps: float, reference, out_dir: Path):
         )
         channel_sq = sp.forcing_channel_norms(densities, dec) ** 2
         terms.append(uniform_estimate_report(state, grid, law)
-                     + convergence_metrics(state, reference.states[i], grid, law, path, ext)
+                     + convergence_metrics(state, reference.states[i], grid, law, path, ext,
+                                           probes)
                      + [integral_t(eps, "forcing_channels", channel_sq)])
         energy_rows.append((rec.t, rec.eps, rec.lhs, rec.rhs, int(rec.flag)))
         mass_rows.append((float(reference.times[i]), eps, total_mass, sponge_mass))

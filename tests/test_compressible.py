@@ -9,7 +9,7 @@ from machlab.compressible import (
     FluidState,
 )
 from machlab.constitutive import PressureLaw, ViscosityPair, stress
-from machlab.errors import CflViolation, VacuumState
+from machlab.errors import CflViolation, NanDetected, VacuumState
 from machlab.geometry import (
     Grid,
     build_grid,
@@ -221,6 +221,46 @@ class TestStep:
         speed = (front_radius(states[2]) - front_radius(states[1])) / 0.03
         expected = np.sqrt(2.0) / 0.1
         assert abs(speed - expected) <= 0.05 * expected
+
+
+class TestStepRefusals:
+    """The step re-checks none of the invariants it keeps (positive active
+    density, rho_ref elsewhere), yet a state that breaks them is refused
+    as it was when it checked them: with VacuumState where a density
+    reaches zero, NaN or not, and with NanDetected where only NaN does."""
+
+    U = 10.0  # the outflow speed, equal to the sound speed at rho = 1
+
+    def _state(self, sol, drained, nan):
+        """A static state at rho = 1, with the four neighbors of cell
+        (12, 12) at 0.01 when `drained` and that cell's four faces blowing
+        out at U, so the step empties it below zero; cell (50, 40) NaN
+        when `nan`."""
+        g = sol.grid
+        rho = np.ones((g.nx, g.ny))
+        u, v = np.zeros((g.nx + 1, g.ny)), np.zeros((g.nx, g.ny + 1))
+        i, j = 12, 12
+        if drained:
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                rho[i + di, j + dj] = 0.01
+            u[i + 1, j], u[i, j], v[i, j + 1], v[i, j] = self.U, -self.U, self.U, -self.U
+        if nan:
+            rho[50, 40] = np.nan
+        assert g.active[i, j] and g.active[50, 40]
+        return enforce_bc(g, sol.path, FluidState(
+            *(in_layout(g, a) for a in (rho, u, v)), 0.0, np.sqrt(2.0) / self.U))
+
+    @pytest.mark.parametrize("drained, nan, error", [
+        (True, False, VacuumState),
+        (False, True, NanDetected),
+        (True, True, VacuumState),
+    ])
+    def test_broken_state_refused(self, drained, nan, error):
+        sol = make_solver(sponge=False)
+        # the step of the finite state: a NaN state's CFL limit is NaN
+        dt = sol.cfl_limit(self._state(sol, drained, False))
+        with pytest.raises(error):
+            sol.step(self._state(sol, drained, nan), dt)
 
 
 class TestRun:

@@ -88,6 +88,21 @@ def test_known_faces_are_interior_or_prescribed():
         assert np.any(m.unknown & lay.padded(np.ones(behind.shape, dtype=bool), False))
 
 
+def test_sparse_classes_as_index_sets():
+    # each index set the kernels write through lists its class's entries
+    g = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
+    for m in g.component_masks:
+        for faces, mask in ((m.exterior_faces, m.exterior), (m.rim_faces, m.rim),
+                            (m.unknown_faces, m.unknown), (m.inactive_cells, ~m.active)):
+            np.testing.assert_array_equal(faces, np.flatnonzero(mask))
+        # corner k, between faces k - transverse and k, is open when both
+        # carry unknowns
+        st = m.transverse
+        corner_open = np.zeros(g.layout.size, dtype=bool)
+        corner_open[st:] = m.interior[st:] & m.interior[:-st]
+        np.testing.assert_array_equal(m.closed_corners, np.flatnonzero(~corner_open))
+
+
 def test_smoothstep_is_a_symmetric_step():
     x = np.linspace(-0.5, 1.5, 2001)
     s = smoothstep(x)

@@ -580,6 +580,29 @@ def test_thirty_stiff_steps_match_oracle():
     assert (led_new.dissipation, led_new.v_work) == (led_old.dissipation, led_old.v_work)
 
 
+# the stiff-static benchmark workload's shape on the mini grid: the disk at
+# rest, a seeded random velocity
+STATIC_MINI_CFG = MINI_CFG + """
+[motion]
+kind = static
+
+[initial]
+velocity_kind = random
+"""
+
+
+def test_thirty_static_steps_match_oracle():
+    """Thirty steps of the static mini config at eps = 0.025 with its
+    sponge on: with the body at rest the step transports with u and v
+    themselves, and still matches the oracle, which subtracts m' = 0,
+    fields and ledger totals bit for bit."""
+    cfg = parse_config(STATIC_MINI_CFG)
+    assert cfg["motion"]["kind"] == "static" and cfg["numerics"]["sponge_width"] > 0.0
+    led_new, led_old = _march_against_oracle(STATIC_MINI_CFG, 0.025, 30)
+    assert led_new.dissipation > 0.0
+    assert (led_new.dissipation, led_new.v_work) == (led_old.dissipation, led_old.v_work)
+
+
 def test_incompressible_steps_match_oracle():
     """Ten incompressible steps of the mini config against the oracle
     advection-diffusion followed by the solver's own projection."""
