@@ -5,15 +5,20 @@ and transport happens with the relative velocity u - m'(t): mass and
 momentum fluxes are Rusanov-stabilized first-order upwind, the pressure
 gradient (carrying the 1/eps^2 stiffness) and viscous terms are centered,
 and a cosine-ramped sponge layer relaxes the rim toward the far-field
-state to emulate radiation to infinity. The energy ledger reads the
-lifting's velocity gradient and moving-frame derivative from the lifting
-field itself, on its support box.
+state to emulate radiation to infinity. The energy ledger books as
+dissipation the work -<u, F_visc> of the viscous force each step applies,
+which the step reduces on the faces where it applies it (the face-based
+kinetic-energy balance of staggered schemes), and as lifting work the
+integral of S:grad V - rho (u x u):grad V - rho u.dV/dt, read from the
+lifting field itself on its support box; without a lifting the ledger
+forms no velocity gradient.
 
 The step re-checks no invariant it keeps: active density is positive
 (init_state, the vacuum check) and other cells hold rho_ref (a fresh
 state's ghosts 0, read by exterior faces only), so pressure and sound
 speed skip the sign scan and the face density needs no positivity mask.
-The ledger reads active cells only, and the known faces its step built.
+The lifting work reads active cells only, and the known faces its step
+built.
 """
 
 from __future__ import annotations
@@ -47,8 +52,10 @@ class FluidState:
 
     The fields are cell and face views of flat buffers in the grid's
     padded layout, which the next step reads without a copy. sponge_mass
-    is the mass the sponge added in the step that produced this state
-    (zero for initial states).
+    is the mass the sponge added in the step that produced this state,
+    viscous_work the energy its viscous force dissipated there,
+    -dt h^2 <u, F_visc> over the interior faces of both components (both
+    zero for initial states).
     """
 
     rho: np.ndarray  # (nx, ny)
@@ -57,6 +64,7 @@ class FluidState:
     t: float
     eps: float
     sponge_mass: float = 0.0
+    viscous_work: float = 0.0
 
 
 DATA_BOUND = 100.0  # init_state refuses rho1 with L2 + Linf norms above this
@@ -263,12 +271,13 @@ class CompressibleSolver(ExplicitStepper):
         self._known_of = (state, um, vm)
         div_full = face_divergence(g, um, vm)
 
-        u_new = self._momentum_update(
-            rho, rho_new, u, wu, wv, p_cell, div_full, eps, dt, xm
+        u_new, work_u = self._momentum_update(
+            rho, rho_new, u, um, wu, wv, p_cell, div_full, eps, dt, xm
         )
-        v_new = self._momentum_update(
-            rho, rho_new, v, wv, wu, p_cell, div_full, eps, dt, ym
+        v_new, work_v = self._momentum_update(
+            rho, rho_new, v, vm, wv, wu, p_cell, div_full, eps, dt, ym
         )
+        viscous_work = -dt * h**2 * (work_u + work_v)
 
         # sponge relaxation toward the far-field rest state, mass change logged
         sponge_mass = 0.0
@@ -285,21 +294,23 @@ class CompressibleSolver(ExplicitStepper):
         # enforce_bc writes u_new and v_new in place, ghosts included
         out = enforce_bc(g, self.path, FluidState(
             lay.cells(rho_new), lay.xfaces(u_new), lay.yfaces(v_new), state.t + dt, eps,
-            sponge_mass))
+            sponge_mass, viscous_work))
         if not all(np.isfinite(f).all() for f in (rho_new, u_new, v_new)):
             raise NanDetected(f"non-finite field value at t = {out.t:.6g}")
         return out
 
     def _momentum_update(
-        self, rho, rho_new, un, wn, wt, p_cell, div_full, eps, dt, masks,
+        self, rho, rho_new, un, um, wn, wt, p_cell, div_full, eps, dt, masks,
     ):
         """Update one velocity component; every array is flat in the padded
-        layout.
+        layout. Returns the new component and <um, F_visc>, the sum over
+        its interior faces of the velocity times the viscous force applied.
 
-        un is the component being updated, wn its frame-relative version,
-        wt the relative transverse component on the other face family,
-        masks its ComponentMasks, whose strides orient every stencil, so
-        both components share this code path. Face k lies between cells
+        un is the component being updated, um its copy with the unknown
+        faces zeroed, wn its frame-relative version, wt the relative
+        transverse component on the other face family, masks its
+        ComponentMasks, whose strides orient every stencil, so both
+        components share this code path. Face k lies between cells
         k - masks.normal and k.
         """
         h = self.grid.h
@@ -322,22 +333,30 @@ class CompressibleSolver(ExplicitStepper):
         diff /= h * eps**2
         inner += diff
 
-        # viscous mu*(lap u + (1/3) grad div u) + eta*grad div u
+        # viscous mu*(lap u + (1/3) grad div u) + eta*grad div u, then zero
+        # off the interior faces (the first s faces too, which visc skips):
+        # the last line resets q there
         mu, eta = self.visc.shear, self.visc.bulk
-        visc = mirror_laplacian(un, masks, h)[s:]
+        force = mirror_laplacian(un, masks, h)
+        visc = force[s:]
         visc *= mu
         np.subtract(div_full[s:], div_full[:-s], out=diff)
         diff /= h
         diff *= mu / 3.0 + eta
         visc += diff
+        force[masks.exterior_faces] = 0.0
         inner -= visc
+        # its work on the known faces: a plain pairwise sum, whose bits do
+        # not depend on a BLAS thread count as np.dot's may
+        force *= um
+        work = float(np.sum(force))
 
         # q - dt dq over the new face density; its edges hold 1, reset below
         dq *= dt
         q -= dq
         q /= average_to_face(rho_new, s, masks.layout, fill=1.0)
         q[masks.exterior_faces] = un[masks.exterior_faces]
-        return q
+        return q, work
 
     # -- trajectory ----------------------------------------------------------
 
@@ -362,6 +381,7 @@ class CompressibleSolver(ExplicitStepper):
                 dt = min(self._stable_dt(state), target - state.t)
                 new_state = self.step(state, dt)
                 sponge_total += new_state.sponge_mass
+                ledger.dissipation += new_state.viscous_work
                 self._accumulate(ledger, state, dt)
                 state = new_state
             ext = lifting_sample(self.lifting, self.grid, state.t)
@@ -391,12 +411,14 @@ class CompressibleSolver(ExplicitStepper):
         )
 
     def _accumulate(self, ledger: EnergyLedger, state: FluidState, dt: float):
-        """Add one step of viscous dissipation S:grad u and lifting work.
-
-        S:grad u is formed in closed form from the gradient components.
-        The lifting work S:grad V - rho (u x u):grad V - rho u.dV/dt is
-        integrated on the lifting's support box only, from its box fields.
+        """Add one step of lifting work S:grad V - rho (u x u):grad V -
+        rho u.dV/dt, integrated on the lifting's support box only, from its
+        box fields; the step books the dissipation. Without a lifting it
+        forms nothing.
         """
+        lifting = self.lifting
+        if lifting is None:
+            return
         g = self.grid
         lay = g.layout
         mu, eta = self.visc.shear, self.visc.bulk
@@ -405,25 +427,6 @@ class CompressibleSolver(ExplicitStepper):
         (gxx, gxy, gyx, gyy), avgs = known_gradient(g, um, vm)
         div = gxx + gyy
         shear = gxy + gyx
-        # mu (2 (gxx^2 + gyy^2) + shear^2 - (2/3) div^2) + eta div^2, which
-        # is mu (|G|^2 + G:G^T - (2/3) div^2) + eta div^2
-        div2 = np.square(div)
-        diss = np.square(gxx)
-        term = np.square(gyy)
-        diss += term
-        diss *= 2.0
-        np.square(shear, out=term)
-        diss += term
-        np.multiply(div2, 2.0 / 3.0, out=term)
-        diss -= term
-        diss *= mu
-        div2 *= eta
-        diss += div2
-        active = g.component_masks[0].active
-        ledger.dissipation += dt * float(np.sum(diss[active])) * g.h**2
-        lifting = self.lifting
-        if lifting is None:
-            return
         gv, dv, shear_v = lifting.box_terms(state.t)
         box = lifting.box
         rho = state.rho[box]

@@ -123,6 +123,26 @@ def _node_bump(grid: Grid, center, width):
     return np.where(r2 < w2, (1.0 - r2 / w2) ** 3, 0.0)
 
 
+def gaussian_smooth(x, sigma):
+    """scipy.ndimage.gaussian_filter(x, sigma) of a 2-D array, bit for bit,
+    without importing scipy.ndimage: the normalized Gaussian weights of
+    radius int(4 sigma + 0.5), reversed, correlated along axis 0 and then
+    axis 1 over the array's mirror image ("reflect", numpy's "symmetric"),
+    each entry summed in ndimage's symmetric-kernel order."""
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = (w / w.sum())[::-1]
+    for axis in (0, 1):
+        p = np.moveaxis(np.pad(x, [(r, r) if a == axis else (0, 0) for a in (0, 1)],
+                               "symmetric"), axis, 0)
+        n = x.shape[axis]
+        out = p[r:r + n] * w[r]
+        for j in range(r, 0, -1):
+            out += (p[r - j:r - j + n] + p[r + j:r + j + n]) * w[r + j]
+        x = np.moveaxis(out, 0, axis)
+    return x
+
+
 def initial_velocity(cfg: ExperimentConfig, grid: Grid, rng: np.random.Generator):
     """Solenoidal vortex patch plus a gradient component (or zero / random).
 
@@ -137,12 +157,10 @@ def initial_velocity(cfg: ExperimentConfig, grid: Grid, rng: np.random.Generator
         return u, v
     L = cfg["geometry"]["extent"]
     if kind == "random":
-        from scipy.ndimage import gaussian_filter
-
-        psi = gaussian_filter(rng.standard_normal((grid.nx + 1, grid.ny + 1)), 4.0)
+        psi = gaussian_smooth(rng.standard_normal((grid.nx + 1, grid.ny + 1)), 4.0)
         taper = _node_bump(grid, (0.0, 0.0), 0.7 * L)
         cu, cv = grid.ops.curl(psi * taper)
-        q = gaussian_filter(rng.standard_normal((grid.nx, grid.ny)), 4.0)
+        q = gaussian_smooth(rng.standard_normal((grid.nx, grid.ny)), 4.0)
         q *= _cell_bump(grid, (0.0, 0.0), 0.7 * L, 1.0)
     else:
         psi = _node_bump(grid, (-0.3 * L, -0.175 * L), 0.15 * L)

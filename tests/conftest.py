@@ -106,6 +106,23 @@ def sinusoidal_mini_run(tmp_path_factory):
     return run_sweep(parse_config(SINUSOIDAL_MINI_CFG), out)
 
 
+# the stiff-static benchmark workload's shape on the mini grid: the disk at
+# rest, a seeded random velocity
+STATIC_MINI_CFG = MINI_CFG + """
+[motion]
+kind = static
+
+[initial]
+velocity_kind = random
+"""
+
+
+@pytest.fixture(scope="session")
+def static_mini_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("static-mini-run")
+    return run_sweep(parse_config(STATIC_MINI_CFG), out)
+
+
 def rest_motion():
     return static_path(1.0)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from machlab import compressible
 from machlab.compressible import (
     DATA_BOUND,
     TOL_ENERGY,
@@ -8,6 +9,7 @@ from machlab.compressible import (
     EnergyLedger,
     FluidState,
 )
+from machlab.config import parse_config
 from machlab.constitutive import PressureLaw, ViscosityPair, stress
 from machlab.errors import CflViolation, NanDetected, VacuumState
 from machlab.geometry import (
@@ -22,8 +24,12 @@ from machlab.geometry import (
 )
 from machlab.incompressible import IncompressibleSolver
 from machlab.spectral import assemble_forcing
+from machlab.sweep import build_scenario
 
 from conftest import (
+    MINI_CFG,
+    STATIC_MINI_CFG,
+    face_masks,
     fixed_step,
     in_layout,
     oracle_center_to_xface,
@@ -374,16 +380,42 @@ def _moving_frame_derivative(grid, lifting, t):
     return grad_v, dv - np.einsum("xyij,j->xyi", grad_v, mp)
 
 
-def _tensor_ledger(sol, state, dt):
-    """Dissipation and lifting work of one step by the full-grid tensor
-    formulation: the stress tensor field, the lifting samples and einsums."""
+def _pair_terms(f, known, interior, axis):
+    """Sum over the pairs of neighbouring known faces along one axis, one
+    of them interior, of (a - b)^2 when both are, else a (a - b) with a the
+    interior one: minus <f, L f> over the interior faces, times h^2, for
+    the free-slip Laplacian L, summed by parts."""
+    f, known, interior = (np.moveaxis(x, axis, 0) for x in (f, known, interior))
+    a, b, ia, ib = f[:-1], f[1:], interior[:-1], interior[1:]
+    term = np.where(ia & ib, (a - b) ** 2,
+                    np.where(ia, a * (a - b), np.where(ib, b * (b - a), 0.0)))
+    return float(np.sum(term[known[:-1] & known[1:]]))
+
+
+def _booked_dissipation(sol, state, dt):
+    """The viscous work a step books, -dt h^2 <u, mu L u + (mu/3 + eta)
+    grad div u> over the interior faces, summed by parts: mu times the
+    pair terms of each component and (mu/3 + eta) times the cell sum of
+    the divergence of the known faces and that of the interior faces."""
     g = sol.grid
+    mu, eta = sol.visc.shear, sol.visc.bulk
+    (iu, iv), (ku, kv) = face_masks(g, "interior"), face_masks(g, "known")
+    pairs = sum(_pair_terms(f, k, i, axis) for f, k, i in ((state.u, ku, iu), (state.v, kv, iv))
+                for axis in (0, 1))
+    div_known = g.ops.div(state.u, state.v, include_boundary_faces=True)
+    div_interior = g.ops.div(state.u, state.v, include_boundary_faces=False)
+    cells = float(np.sum((div_known * div_interior)[g.active]))
+    return dt * g.h**2 * (mu * pairs / g.h**2 + (mu / 3.0 + eta) * cells)
+
+
+def _tensor_ledger(sol, state, dt):
+    """Lifting work of one step by the full-grid tensor formulation: the
+    stress tensor field, the lifting samples and einsums."""
+    g = sol.grid
+    if sol.lifting is None:
+        return 0.0
     grad_u = oracle_gradient(g, state.u, state.v)
     s_tensor = stress(sol.visc, grad_u)
-    diss = np.einsum("xyij,xyij->xy", s_tensor, grad_u)
-    dissipation = dt * float(np.sum(diss[g.active])) * g.h**2
-    if sol.lifting is None:
-        return dissipation, 0.0
     grad_v, dv_moving = _moving_frame_derivative(g, sol.lifting, state.t)
     vel = np.stack(oracle_face_to_center(state.u, state.v), axis=-1)
     uu = state.rho[..., None, None] * vel[..., :, None] * vel[..., None, :]
@@ -392,7 +424,7 @@ def _tensor_ledger(sol, state, dt):
         - np.einsum("xyij,xyij->xy", uu, grad_v)
         - state.rho * np.einsum("xyi,xyi->xy", vel, dv_moving)
     )
-    return dissipation, dt * float(np.sum(integrand[g.active])) * g.h**2
+    return dt * float(np.sum(integrand[g.active])) * g.h**2
 
 
 LEDGER_PATHS = {
@@ -415,16 +447,21 @@ def _random_state(sol):
 class TestLedgerOracle:
     @pytest.mark.parametrize("kind", sorted(LEDGER_PATHS))
     def test_accumulate_matches_tensor_formulation(self, obstacle_grid, kind):
+        """The step books the viscous work summed by parts, and the ledger
+        adds the lifting work of the tensor formulation and no dissipation."""
         g = obstacle_grid
         sol = CompressibleSolver(g, LAW, ViscosityPair(0.01, 0.004), LEDGER_PATHS[kind], 0.25)
         state = _random_state(sol)
         if kind == "sinusoidal":
             assert np.abs(eval_motion(sol.path, state.t)[2]).max() > 0.0
+        dt = sol.cfl_limit(state)
+        dissipation = _booked_dissipation(sol, state, dt)
+        assert dissipation > 0.0
+        assert sol.step(state, dt).viscous_work == pytest.approx(dissipation, rel=1e-12)
         ledger = EnergyLedger(initial_energy=0.0, initial_v_coupling=0.0)
         sol._accumulate(ledger, state, 1e-3)
-        dissipation, v_work = _tensor_ledger(sol, state, 1e-3)
-        assert dissipation > 0.0
-        assert ledger.dissipation == pytest.approx(dissipation, rel=1e-12)
+        v_work = _tensor_ledger(sol, state, 1e-3)
+        assert ledger.dissipation == 0.0
         if kind == "static":
             assert sol.lifting is None and ledger.v_work == 0.0
         else:
@@ -470,3 +507,43 @@ class TestLedgerOracle:
             )
             assert nonzero.any()
             assert not (nonzero & ~inside).any()
+
+
+class TestLedgerCost:
+    """A step books its own viscous work, so the ledger forms the velocity
+    gradient for the lifting work only: never without a lifting, once per
+    step with one."""
+
+    @staticmethod
+    def _run(text, horizon=0.02):
+        sc = build_scenario(parse_config(text))
+        sol = sc.solver
+        return sol, list(sol.run(sol.init_state(*sc.initial_fields, 0.1), [0.0, horizon]))
+
+    def test_static_run_forms_no_gradient(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a run without a lifting formed a velocity gradient")
+
+        monkeypatch.setattr(compressible, "known_gradient", refused)
+        sol, samples = self._run(STATIC_MINI_CFG)
+        assert sol.lifting is None
+        rec = samples[-1].energy
+        assert rec.flag and rec.lhs < rec.rhs
+
+    def test_moving_run_forms_one_gradient_per_step(self, monkeypatch):
+        steps, gradients = [], []
+        step, gradient = CompressibleSolver.step, compressible.known_gradient
+
+        def counted_step(self, state, dt):
+            steps.append(dt)
+            return step(self, state, dt)
+
+        def counted_gradient(*args):
+            gradients.append(args)
+            return gradient(*args)
+
+        monkeypatch.setattr(CompressibleSolver, "step", counted_step)
+        monkeypatch.setattr(compressible, "known_gradient", counted_gradient)
+        sol, _ = self._run(MINI_CFG)
+        assert sol.lifting is not None
+        assert len(steps) > 1 and len(gradients) == len(steps)

@@ -47,7 +47,7 @@ from machlab.sweep import (
 )
 from machlab.verify import stored_acoustic_pair, verify_run
 
-from conftest import MINI_CFG, SINUSOIDAL_MINI_CFG, face_masks
+from conftest import MINI_CFG, SINUSOIDAL_MINI_CFG, STATIC_MINI_CFG, face_masks
 
 
 class TestConfig:
@@ -290,12 +290,14 @@ class TestSweep:
         assert {"rho", "u", "v"} <= read
 
     @pytest.mark.parametrize("run, text", [("mini_run", MINI_CFG),
-                                           ("sinusoidal_mini_run", SINUSOIDAL_MINI_CFG)],
-                             ids=["mini", "sinusoidal"])
+                                           ("sinusoidal_mini_run", SINUSOIDAL_MINI_CFG),
+                                           ("static_mini_run", STATIC_MINI_CFG)],
+                             ids=["mini", "sinusoidal", "static"])
     def test_worker_pool_matches_sequential(self, run, text, tmp_path, monkeypatch,
                                             request):
         # the session's runs pool their two members wherever two CPUs are
-        # usable; the sinusoidal run adds the lifting's time derivative
+        # usable; the sinusoidal run adds the lifting's time derivative, the
+        # static run books its dissipation from the steps' viscous work alone
         pooled = request.getfixturevalue(run)
         monkeypatch.setenv("MACHLAB_WORKERS", "1")
         sequential = run_sweep(parse_config(text), tmp_path / "sequential")
@@ -450,6 +452,31 @@ class TestSweep:
         assert len(pickle.dumps(result)) < 64 * 1024
         assert (tmp_path / "eps_0p2" / "snap_004.dat").exists()
 
+
+    @pytest.mark.parametrize("shape", [(129, 129), (128, 128), (33, 33), (32, 32)])
+    def test_gaussian_smooth_matches_ndimage(self, shape):
+        from scipy.ndimage import gaussian_filter
+
+        for seed in range(4):
+            x = np.random.default_rng(seed).standard_normal(shape)
+            np.testing.assert_array_equal(sweep.gaussian_smooth(x, 4.0),
+                                          gaussian_filter(x, 4.0))
+
+    def test_random_velocity_leaves_ndimage_unimported(self):
+        # scipy.ndimage pulls in scipy.special, which a fresh process would
+        # pay for in time and memory just to smooth the random fields
+        code = (
+            "import sys\n"
+            "from machlab.config import parse_config\n"
+            "from machlab.sweep import build_scenario\n"
+            f"sc = build_scenario(parse_config({STATIC_MINI_CFG!r}))\n"
+            "rho1, u0, v0 = sc.initial_fields\n"
+            "assert abs(u0).max() > 0.0\n"
+            "print('scipy.ndimage' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_pool_job_takes_pickled_reference(self, mini_cfg, tmp_path, monkeypatch):
         # under the spawn and forkserver start methods the initializer's

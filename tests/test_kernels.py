@@ -44,6 +44,7 @@ from machlab.sweep import build_scenario, initial_velocity
 from conftest import (
     MINI_CFG,
     SINUSOIDAL_MINI_CFG,
+    STATIC_MINI_CFG,
     face_masks,
     in_layout,
     oracle_center_to_xface,
@@ -118,6 +119,8 @@ def oracle_mass_flux(rho, wn, c_cell, interior):
 
 def oracle_momentum(sol, rho, rho_new, un, wn, wt, p_cell, div_full, eps, dt,
                     interior, known, other_known, cell_act):
+    """The updated component and the viscous force applied to it, zero
+    off the interior faces."""
     h = sol.grid.h
     q = oracle_center_to_xface(rho) * un
     dq = oracle_transport(q, wn, wt, interior, other_known, cell_act, h)
@@ -126,10 +129,21 @@ def oracle_momentum(sol, rho, rho_new, un, wn, wt, p_cell, div_full, eps, dt,
     lap_u = oracle_laplacian(un, known, h)
     ddiv = np.zeros_like(un)
     ddiv[1:-1, :] = (div_full[1:, :] - div_full[:-1, :]) / h
-    dq[1:-1, :] -= mu * lap_u[1:-1, :] + (mu / 3.0 + eta) * ddiv[1:-1, :]
+    force = np.zeros_like(un)
+    force[1:-1, :] = mu * lap_u[1:-1, :] + (mu / 3.0 + eta) * ddiv[1:-1, :]
+    force[~interior] = 0.0
+    dq -= force
     q_new = q - dt * dq
     rho_f_new = oracle_center_to_xface(rho_new)
-    return np.where(interior, q_new / np.where(rho_f_new > 0, rho_f_new, 1.0), un)
+    return np.where(interior, q_new / np.where(rho_f_new > 0, rho_f_new, 1.0), un), force
+
+
+def oracle_work(grid, force, um, axis):
+    """<um, F> of one component as the step reduces it: the product of the
+    force and the known-face velocity (oriented as the oracles read them)
+    padded with zeros into the grid's layout, summed by np.sum."""
+    work = force * um
+    return float(np.sum(grid.layout.padded(work.T if axis else work)))
 
 
 def oracle_div(grid, u, v, include_boundary_faces=True):
@@ -164,7 +178,8 @@ def oracle_enforce_bc(grid, path, state):
     v[~iv] = mp[1]
     u[ru] = 0.0
     v[rv] = 0.0
-    return FluidState(state.rho, u, v, state.t, state.eps, state.sponge_mass)
+    return FluidState(state.rho, u, v, state.t, state.eps, state.sponge_mass,
+                      state.viscous_work)
 
 
 def oracle_step(sol, state, dt):
@@ -187,10 +202,15 @@ def oracle_step(sol, state, dt):
     p_cell = pressure(law, rho)
     div_full = oracle_div(g, u, v)
     x_masks, y_masks = oracle_masks(g)
-    u_new = oracle_momentum(sol, rho, rho_new, u, wu, wv, p_cell, div_full, eps, dt,
-                            *x_masks)
-    v_new = oracle_momentum(sol, rho.T, rho_new.T, v.T, wv.T, wu.T, p_cell.T,
-                            div_full.T, eps, dt, *y_masks).T
+    u_new, force_u = oracle_momentum(sol, rho, rho_new, u, wu, wv, p_cell, div_full, eps,
+                                     dt, *x_masks)
+    v_new, force_v = oracle_momentum(sol, rho.T, rho_new.T, v.T, wv.T, wu.T, p_cell.T,
+                                     div_full.T, eps, dt, *y_masks)
+    v_new = v_new.T
+    ku, kv = face_masks(g, "known")
+    work_u = oracle_work(g, force_u, np.where(ku, u, 0.0), 0)
+    work_v = oracle_work(g, force_v, np.where(kv, v, 0.0).T, 1)
+    viscous_work = -dt * h**2 * (work_u + work_v)
     sponge_mass = 0.0
     if sol.sponge_width > 0.0:
         sponge_cell, sponge_u, sponge_v = oracle_sponge(sol)
@@ -200,13 +220,16 @@ def oracle_step(sol, state, dt):
         sponge_mass = (float(np.sum(rho_new[g.active])) - before) * h**2
         u_new = u_new * (1.0 - sponge_u)
         v_new = v_new * (1.0 - sponge_v)
-    return oracle_enforce_bc(
-        g, sol.path, FluidState(rho_new, u_new, v_new, state.t + dt, eps, sponge_mass)
-    )
+    return oracle_enforce_bc(g, sol.path, FluidState(
+        rho_new, u_new, v_new, state.t + dt, eps, sponge_mass, viscous_work))
 
 
 def oracle_accumulate(sol, ledger, state, dt):
-    """The energy ledger read from the (nx, ny, 2, 2) gradient field."""
+    """The ledger's lifting work read from the (nx, ny, 2, 2) gradient
+    field; the step books the dissipation."""
+    lifting = sol.lifting
+    if lifting is None:
+        return
     g = sol.grid
     mu, eta = sol.visc.shear, sol.visc.bulk
     grad_u = oracle_gradient(g, state.u, state.v)
@@ -214,12 +237,6 @@ def oracle_accumulate(sol, ledger, state, dt):
     gyx, gyy = grad_u[..., 1, 0], grad_u[..., 1, 1]
     div = gxx + gyy
     shear = gxy + gyx
-    diss = mu * (2.0 * (gxx**2 + gyy**2) + shear**2 - (2.0 / 3.0) * div**2)
-    diss += eta * div**2
-    ledger.dissipation += dt * float(np.sum(diss[g.active])) * g.h**2
-    lifting = sol.lifting
-    if lifting is None:
-        return
     gv, dv = lifting.box_fields(state.t)
     box = lifting.box
     i, j = box
@@ -341,13 +358,19 @@ def _mass_flux_case(grid, axis, unknown):
 
 
 def _momentum_update_case(grid, axis, unknown):
+    # the known-face copy um holds zeros on its unknown faces and ghosts,
+    # as the step builds it; the viscous work is compared here, exactly
     args = _oriented(grid, 14, axis, unknown)
+    masks = oracle_masks(grid)[axis]
+    um = np.where(masks[1], args[2], 0.0)
     sol = CompressibleSolver(grid, LAW, VISC, static_path(1.0))
     eps, dt = 0.025, 1e-4
-    got = sol._momentum_update(*(_flat(grid, a, axis) for a in args), eps, dt,
-                               grid.component_masks[axis])
-    return _real(grid, got, axis), oracle_momentum(sol, *args, eps, dt,
-                                                   *oracle_masks(grid)[axis])
+    flat = [_flat(grid, a, axis) for a in args]
+    flat.insert(3, grid.layout.padded(um.T if axis else um))
+    got, got_work = sol._momentum_update(*flat, eps, dt, grid.component_masks[axis])
+    want, force = oracle_momentum(sol, *args, eps, dt, *masks)
+    assert np.isfinite(got_work) and got_work == oracle_work(grid, force, um, axis)
+    return _real(grid, got, axis), want
 
 
 def _incompressible_transport_case(grid, axis, unknown):
@@ -490,9 +513,9 @@ def test_one_layout_owner():
 
 
 def test_step_ghost_entries_never_leak(grid):
-    """One step, its CFL limit and its ledger on a state whose ghost
-    entries are NaN agree bit for bit with the oracle step and ledger on
-    plain 2-D arrays; every real output entry is finite."""
+    """One step, its CFL limit, its viscous work and its ledger on a state
+    whose ghost entries are NaN agree bit for bit with the oracle step and
+    ledger on plain 2-D arrays; every real output entry is finite."""
     lay = grid.layout
     path = linear_path((0.1, -0.05), 1.0)
     sol = CompressibleSolver(grid, LAW, VISC, path, 0.25)
@@ -509,6 +532,7 @@ def test_step_ghost_entries_never_leak(grid):
         assert np.all(np.isfinite(getattr(new, name)))
         np.testing.assert_array_equal(getattr(new, name), getattr(old, name))
     assert new.sponge_mass == old.sponge_mass != 0.0
+    assert np.isfinite(new.viscous_work) and new.viscous_work == old.viscous_work
     got, want = EnergyLedger(0.0, 0.0), EnergyLedger(0.0, 0.0)
     sol._accumulate(got, ghosted, dt)
     oracle_accumulate(sol, want, plain, dt)
@@ -518,8 +542,9 @@ def test_step_ghost_entries_never_leak(grid):
 
 def test_velocity_gradient_and_dissipation(grid):
     """The four 2-D gradient components stack to the old (nx, ny, 2, 2)
-    field, and the ledger read from them adds the same dissipation and
-    lifting work as the ledger read from that field."""
+    field, the ledger read from them adds the same lifting work as the
+    ledger read from that field, and a step books the oracle step's
+    viscous work, bit for bit."""
     lay = grid.layout
     _, u, v, _, _ = _fields(grid, 16)
     u, v = in_layout(grid, u), in_layout(grid, v)
@@ -531,34 +556,43 @@ def test_velocity_gradient_and_dissipation(grid):
         rho, _, _, _, _ = _fields(grid, 17)
         state = enforce_bc(grid, path, FluidState(
             *(in_layout(grid, a) for a in (rho, u, v)), 0.13, 0.1))
+        dt = sol.cfl_limit(state)
+        work = sol.step(state, dt).viscous_work
+        assert work > 0.0 and work == oracle_step(sol, state, dt).viscous_work
         got = EnergyLedger(0.0, 0.0)
         want = EnergyLedger(0.0, 0.0)
         sol._accumulate(got, state, 1e-3)
         oracle_accumulate(sol, want, state, 1e-3)
-        assert got.dissipation > 0.0
         assert (got.dissipation, got.v_work) == (want.dissipation, want.v_work)
 
 
 def _march_against_oracle(text, eps, steps):
     """`steps` steps of a config through the solver and the oracle step,
-    fields and sponge mass equal bit for bit after every step; returns the
-    solver's and the oracle's ledger."""
+    fields, sponge mass and viscous work equal bit for bit after every
+    step; returns the solver's and the oracle's ledger, each booking its
+    step's viscous work and its ledger's lifting work as run does, and the
+    solver's viscous work with the state it was booked on, per step."""
     cfg = parse_config(text)
     scenario = build_scenario(cfg)
     sol = scenario.solver
     state = sol.init_state(*scenario.initial_fields, eps)
     new, old = state, state
     led_new, led_old = EnergyLedger(0.0, 0.0), EnergyLedger(0.0, 0.0)
+    works = []
     for _ in range(steps):
         dt = sol.cfl_limit(new)
         new_next, old_next = sol.step(new, dt), oracle_step(sol, old, dt)
+        led_new.dissipation += new_next.viscous_work
+        led_old.dissipation += old_next.viscous_work
         sol._accumulate(led_new, new, dt)
         oracle_accumulate(sol, led_old, old, dt)
+        works.append((new, new_next.viscous_work))
         new, old = new_next, old_next
         for name in ("rho", "u", "v"):
             np.testing.assert_array_equal(getattr(new, name), getattr(old, name))
         assert new.sponge_mass == old.sponge_mass
-    return led_new, led_old
+        assert new.viscous_work == old.viscous_work
+    return led_new, led_old, works
 
 
 @pytest.mark.parametrize("text", [MINI_CFG, SINUSOIDAL_MINI_CFG], ids=["mini", "sinusoidal"])
@@ -566,7 +600,7 @@ def _march_against_oracle(text, eps, steps):
 def test_twenty_steps_match_oracle(text, eps):
     """Twenty steps of the mini config, the solver against the oracle step,
     fields and ledger totals equal bit for bit."""
-    led_new, led_old = _march_against_oracle(text, eps, 20)
+    led_new, led_old, _ = _march_against_oracle(text, eps, 20)
     assert led_new.dissipation > 0.0
     assert (led_new.dissipation, led_new.v_work) == (led_old.dissipation, led_old.v_work)
 
@@ -576,31 +610,46 @@ def test_thirty_stiff_steps_match_oracle():
     the production step against the step composed of the 2-D oracles:
     rho, u and v equal bit for bit after every step."""
     assert parse_config(MINI_CFG)["numerics"]["sponge_width"] > 0.0
-    led_new, led_old = _march_against_oracle(MINI_CFG, 0.025, 30)
+    led_new, led_old, _ = _march_against_oracle(MINI_CFG, 0.025, 30)
     assert (led_new.dissipation, led_new.v_work) == (led_old.dissipation, led_old.v_work)
 
 
-# the stiff-static benchmark workload's shape on the mini grid: the disk at
-# rest, a seeded random velocity
-STATIC_MINI_CFG = MINI_CFG + """
-[motion]
-kind = static
-
-[initial]
-velocity_kind = random
-"""
+def _work_by_face(sol, state):
+    """-u F_visc on each interior face of both components of a state, the
+    terms of the viscous work a step books (over dt h^2), as (component,
+    i, j, term) sorted by term, most negative first."""
+    g = sol.grid
+    h = g.h
+    mu, eta = sol.visc.shear, sol.visc.bulk
+    div_full = oracle_div(g, state.u, state.v)
+    terms = []
+    for axis, (un, dv) in enumerate(((state.u, div_full), (state.v.T, div_full.T))):
+        interior, known = oracle_masks(g)[axis][:2]
+        force = mu * oracle_laplacian(un, known, h)
+        force[1:-1] += (mu / 3.0 + eta) * (dv[1:] - dv[:-1]) / h
+        term = np.where(interior, -un * force, 0.0)
+        term = term.T if axis else term
+        terms += [("uv"[axis], int(i), int(j), float(term[i, j]))
+                  for i, j in zip(*np.nonzero(term))]
+    return sorted(terms, key=lambda t: t[3])
 
 
 def test_thirty_static_steps_match_oracle():
     """Thirty steps of the static mini config at eps = 0.025 with its
     sponge on: with the body at rest the step transports with u and v
     themselves, and still matches the oracle, which subtracts m' = 0,
-    fields and ledger totals bit for bit."""
+    fields and ledger totals bit for bit. Every step's viscous work is
+    nonnegative: with every prescribed face at rest the free-slip
+    Laplacian and grad div are symmetric negative semidefinite on the
+    interior faces."""
     cfg = parse_config(STATIC_MINI_CFG)
     assert cfg["motion"]["kind"] == "static" and cfg["numerics"]["sponge_width"] > 0.0
-    led_new, led_old = _march_against_oracle(STATIC_MINI_CFG, 0.025, 30)
+    led_new, led_old, works = _march_against_oracle(STATIC_MINI_CFG, 0.025, 30)
     assert led_new.dissipation > 0.0
     assert (led_new.dissipation, led_new.v_work) == (led_old.dissipation, led_old.v_work)
+    for state, work in works:
+        assert work >= 0.0, (state.t, work, _work_by_face(build_scenario(cfg).solver,
+                                                          state)[:10])
 
 
 def test_incompressible_steps_match_oracle():
