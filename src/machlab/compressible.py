@@ -24,7 +24,7 @@ built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -92,12 +92,13 @@ class EnergyRecord:
 
 class RunSample(NamedTuple):
     """What `CompressibleSolver.run` yields at one sample time: the state,
-    the lifting field V there (zero without a lifting), the energy record,
-    the total mass and the sponge's cumulative mass flux."""
+    a copy of the energy ledger there, the total mass and the sponge's
+    cumulative mass flux. The state and the ledger give the energy record
+    (energy_report); the state alone gives everything else a sample is
+    read for, so a stored snapshot can stand in for it."""
 
     state: FluidState
-    ext: ExtensionFieldSample
-    energy: EnergyRecord
+    ledger: EnergyLedger
     total_mass: float
     sponge_mass: float
 
@@ -368,7 +369,8 @@ class CompressibleSolver(ExplicitStepper):
         next sample time; a fixed step is `step(state, dt)` in a loop. As a
         generator, run checks the schedule at the first `next()` and holds
         a sampled state, the initial one too, only until the step that
-        follows it.
+        follows it. It samples the lifting field once, at the initial
+        state, for the ledger's initial coupling.
         """
         times = [float(s) for s in sample_times]
         if not times or times != sorted(times) or times[0] < state.t - 1e-12:
@@ -384,9 +386,7 @@ class CompressibleSolver(ExplicitStepper):
                 ledger.dissipation += new_state.viscous_work
                 self._accumulate(ledger, state, dt)
                 state = new_state
-            ext = lifting_sample(self.lifting, self.grid, state.t)
-            yield RunSample(state, ext, self.energy_report(state, ledger, ext),
-                            self._total_mass(state), sponge_total)
+            yield RunSample(state, replace(ledger), self._total_mass(state), sponge_total)
 
     def _total_mass(self, state: FluidState) -> float:
         return float(np.sum(state.rho[self.grid.active])) * self.grid.h**2
@@ -413,29 +413,32 @@ class CompressibleSolver(ExplicitStepper):
     def _accumulate(self, ledger: EnergyLedger, state: FluidState, dt: float):
         """Add one step of lifting work S:grad V - rho (u x u):grad V -
         rho u.dV/dt, integrated on the lifting's support box only, from its
-        box fields; the step books the dissipation. Without a lifting it
-        forms nothing.
+        box fields and the velocity gradient formed on the lifting's block
+        around the box; the step books the dissipation. Without a lifting
+        it forms nothing.
         """
         lifting = self.lifting
         if lifting is None:
             return
         g = self.grid
-        lay = g.layout
         mu, eta = self.visc.shear, self.visc.bulk
         um, vm = (self._known_of[1:] if self._known_of[0] is state
                   else known_faces(g, state.u, state.v))
-        (gxx, gxy, gyx, gyy), avgs = known_gradient(g, um, vm)
-        div = gxx + gyy
-        shear = gxy + gyx
+        block, blay = lifting.block, lifting.block_layout
+        um, vm = (f.reshape(g.layout.shape)[block].ravel() for f in (um, vm))
+        (gxx, gxy, gyx, gyy), avgs = known_gradient(g, um, vm, blay)
+
+        def box(f):  # the box cells of a flat block field
+            return blay.cells(f)[1:-1, 1:-1]
+
+        div_box = box(gxx + gyy)
         gv, dv, shear_v = lifting.box_terms(state.t)
-        box = lifting.box
-        rho = state.rho[box]
-        uc, vc = (lay.cells(c)[box] for c in avgs)
+        rho = state.rho[lifting.box]
+        uc, vc = map(box, avgs)
         lam = eta - (2.0 / 3.0) * mu
-        div_box = lay.cells(div)[box]
-        sxx = 2.0 * mu * lay.cells(gxx)[box] + lam * div_box
-        syy = 2.0 * mu * lay.cells(gyy)[box] + lam * div_box
-        sxy = mu * lay.cells(shear)[box]
+        sxx = 2.0 * mu * box(gxx) + lam * div_box
+        syy = 2.0 * mu * box(gyy) + lam * div_box
+        sxy = mu * box(gxy + gyx)
         integrand = (
             (sxx - rho * uc * uc) * gv[..., 0, 0]
             + (sxy - rho * uc * vc) * shear_v

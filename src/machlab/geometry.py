@@ -318,8 +318,15 @@ class ExtensionField:
         nonzero = g.active & np.any([np.any(f != 0.0, axis=-1) for f in fields], axis=0)
         rows = np.flatnonzero(nonzero.any(axis=1))
         cols = np.flatnonzero(nonzero.any(axis=0))
+        if min(rows[0], cols[0]) < 1 or rows[-1] > g.nx - 2 or cols[-1] > g.ny - 2:
+            raise ValueError("support box must keep one cell from the grid's edge")
         self.box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
         self.box_active = g.active[self.box].copy()
+        # the box with one padded entry before it and two after it on each
+        # axis: known_gradient on this block, in block_layout, forms the
+        # box cells' entries of the full grid's gradient
+        self.block = (slice(rows[0] - 1, rows[-1] + 3), slice(cols[0] - 1, cols[-1] + 3))
+        self.block_layout = PaddedLayout(rows[-1] - rows[0] + 3, cols[-1] - cols[0] + 3)
         # cell-centred values (bx, by, 2) and gradients (bx, by, 2, 2)
         self._centers = [f[self.box].copy() for f in fields[::2]]
         self._grads = [f[self.box].copy().reshape(*self.box_active.shape, 2, 2)

@@ -350,13 +350,17 @@ def velocity_gradient_components(grid, u, v):
     return comps, avgs
 
 
-def known_gradient(grid, um, vm):
+def known_gradient(grid, um, vm, layout=None):
     """velocity_gradient_components of known_faces' um, vm, but finite,
     not zero, off the active cells, for readers of active cells only. The
     tangential derivatives are central differences of the cell averages
-    and stay zero on the edge rows (gyx) and columns (gxy)."""
+    and stay zero on the edge rows (gyx) and columns (gxy).
+
+    um, vm are flat in `layout`, the grid's padded layout unless given: a
+    block cut from it with a margin around the cells read (a lifting's
+    `block`) gives those cells' entries of the full grid's result."""
     h = grid.h
-    lay = grid.layout
+    lay = layout or grid.layout
     s = lay.row
     gxx = np.empty_like(um)
     mid = np.subtract(um[s:], um[:-s], out=gxx[:-s])

@@ -518,6 +518,12 @@ def assemble_forcing(
     the lifting field V at state.t; the lifting (None when there is none)
     gives its moving-frame derivative on its support box, which is zero
     elsewhere.
+
+    A term that vanishes identically is not assembled: its density is an
+    exact zero array. These are the residual parts when no active cell
+    leaves the essential range, the translation terms when m' = 0, the
+    acceleration couplings when m'' = 0, and extension_accel without a
+    lifting.
     """
     g = grid
     lay = g.layout
@@ -532,34 +538,42 @@ def assemble_forcing(
     res_mask = active - ess_mask
     ess = ess_mask[..., None, None]
     res = res_mask[..., None, None]
+    residual = bool(res_mask.any())
 
     grads, centers = velocity_gradient_components(g, state.u, state.v)
     vel = np.stack(centers, axis=-1)
     uu = vel[..., :, None] * vel[..., None, :]
-    vext = np.stack(lay.centers(ext.u, ext.v), axis=-1)
-    mom = rho[..., None] * vel - rbar * vext  # momentum relative to lifting
-    r_cells = (rho - rbar) / eps
-    wmom = mom - eps * r_cells[..., None] * mp
-    outer_m = mom[..., :, None] * mp
-    outer_w = eps * mp[:, None] * wmom[..., None, :]
-    accel = -eps * r_cells[..., None] * mpp
-    dv_moving = np.zeros((lay.size, 2))
-    if lifting is not None:
-        dv_moving.reshape(*lay.shape, 2)[lifting.box] = lifting.box_fields(state.t)[1]
-
-    return {
+    terms = {
         "viscous": tensor_divdiv(g, stress(visc, np.stack(grads, -1).reshape(-1, 2, 2))),
         "convective_ess": tensor_divdiv(g, -(ess_mask * rho)[..., None, None] * uu),
-        "convective_res": tensor_divdiv(g, -(res_mask * rho)[..., None, None] * uu),
         "pressure": lay.cells(pressure_entropy(law, rho) / eps**2),
-        "extension_accel": _vector_div(g, -rbar * dv_moving),
-        "momentum_translation_ess": tensor_divdiv(g, ess * outer_m),
-        "momentum_translation_res": tensor_divdiv(g, res * outer_m),
-        "wave_translation_ess": tensor_divdiv(g, ess * outer_w),
-        "wave_translation_res": tensor_divdiv(g, res * outer_w),
-        "acceleration_coupling_ess": _vector_div(g, ess_mask[..., None] * accel),
-        "acceleration_coupling_res": _vector_div(g, res_mask[..., None] * accel),
     }
+    if residual:
+        terms["convective_res"] = tensor_divdiv(g, -(res_mask * rho)[..., None, None] * uu)
+    if lifting is not None:
+        dv_moving = np.zeros((lay.size, 2))
+        dv_moving.reshape(*lay.shape, 2)[lifting.box] = lifting.box_fields(state.t)[1]
+        terms["extension_accel"] = _vector_div(g, -rbar * dv_moving)
+    if mp.any() or mpp.any():
+        r_cells = (rho - rbar) / eps
+    if mp.any():
+        vext = np.stack(lay.centers(ext.u, ext.v), axis=-1)
+        mom = rho[..., None] * vel - rbar * vext  # momentum relative to lifting
+        wmom = mom - eps * r_cells[..., None] * mp
+        outer_m = mom[..., :, None] * mp
+        outer_w = eps * mp[:, None] * wmom[..., None, :]
+        terms["momentum_translation_ess"] = tensor_divdiv(g, ess * outer_m)
+        terms["wave_translation_ess"] = tensor_divdiv(g, ess * outer_w)
+        if residual:
+            terms["momentum_translation_res"] = tensor_divdiv(g, res * outer_m)
+            terms["wave_translation_res"] = tensor_divdiv(g, res * outer_w)
+    if mpp.any():
+        accel = -eps * r_cells[..., None] * mpp
+        terms["acceleration_coupling_ess"] = _vector_div(g, ess_mask[..., None] * accel)
+        if residual:
+            terms["acceleration_coupling_res"] = _vector_div(g, res_mask[..., None] * accel)
+    return {label: terms[label] if label in terms else lay.cells(np.zeros(lay.size))
+            for label in FORCING_TERMS}
 
 
 def forcing_channel_norms(densities: dict, dec: SpectralDecomposition):

@@ -2,30 +2,34 @@
 
 The Scenario holds what all Mach members share: the solver and the data
 rho1, (u0, v0), built once, from the seed. run_sweep builds each fluid
-member's initial state rho_ref + eps*rho1, (u0, v0), solves the Neumann
-eigenproblem once and tabulates the local-decay functional D(eps) from
-one probe and one horizon for every Mach number, all before it makes the
-run directory; the fluid scenario then runs one incompressible reference
-from (u0, v0) and, per Mach number, run_one_eps: one pass over the
-compressible run's samples, on the reference's schedule, which writes
-each snapshot and takes its forcing channels and diagnostics, reduced in
-time to the member's table rows; everything is written to a run
-directory closed by a manifest. The sweep holds one sampled state at a
-time (plus the one its loop is still on), and every member comes back
-as its rows, in process or from a worker. The members run in a process
-pool of one worker per member, up to the usable CPUs; MACHLAB_WORKERS,
-when set, gives the pool size instead, capped at the member count (read
-before anything is written; a value that is not an integer >= 1 is a
-config error), and a size of 1 runs the members in this process, with no
-pool.
-Each worker receives the scenario text, the parent's eigenpairs in their
-sector form and the reference trajectory once, at its start, so the
-sweep still makes one eigensolve and one reference run, and its files
-equal the sequential run's byte for byte. The first member that fails
-mid-run fails the sweep at once: the members still running are stopped
-and the member's own error is raised. At a fixed BLAS thread count
-all outputs are a pure function of (config, seed); the eigenpair
-residuals in eigenvalues.csv (%.3e) move at rounding level with it.
+member's initial state rho_ref + eps*rho1, (u0, v0) before it makes the
+run directory. It then starts the members stepping: run_one_eps runs one
+member over the sample schedule, writes each sampled snapshot and
+returns only what a snapshot cannot give, its mass rows and its energy
+ledger at each sample time. Meanwhile the parent solves the Neumann
+eigenproblem once, tabulates the local-decay functional D(eps) from one
+probe and one horizon for every Mach number and runs one incompressible
+reference from (u0, v0). As each member returns, member_records reads
+its snapshots back one at a time and takes each one's energy record,
+forcing channels and diagnostics, reduced in time to the member's table
+rows; a snapshot stores its fields exactly, so these equal the rows of
+the in-memory samples. Everything is written to a run directory closed
+by a manifest. A member holds one sampled state at a time (plus the one
+its loop is still on).
+
+The members run in a process pool of one worker per member, up to the
+usable CPUs; MACHLAB_WORKERS, when set, gives the pool size instead,
+capped at the member count (read before anything is written; a value
+that is not an integer >= 1 is a config error), and a size of 1 runs the
+members in this process, with no pool, each when the parent reaches it.
+Each worker receives only the canonical config text and the run
+directory, once, at its start; the eigenpairs and the reference stay in
+the parent, so the sweep makes one eigensolve and one reference run, and
+its files equal the sequential run's byte for byte. A failure in the
+parent or in any member fails the sweep: the members still running are
+stopped and the error is raised. At a fixed BLAS thread count all
+outputs are a pure function of (config, seed); the eigenpair residuals in
+eigenvalues.csv (%.3e) move at rounding level with it.
 """
 
 from __future__ import annotations
@@ -33,14 +37,15 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import spectral as sp
-from .compressible import CompressibleSolver
+from .compressible import CompressibleSolver, FluidState
 from .config import ExperimentConfig, canonical_text, parse_config
 from .constitutive import PressureLaw, ViscosityPair, pressure_slope
 from .diagnostics import convergence_metrics, integral_t, member_metrics, observation_probes
@@ -49,12 +54,13 @@ from .errors import ConfigValidationError
 from .geometry import (
     Grid,
     build_grid,
+    lifting_sample,
     linear_path,
     sinusoidal_path,
     static_path,
 )
 from .incompressible import IncompressibleSolver
-from .storage import write_csv, write_manifest, write_snapshot
+from .storage import read_snapshot, write_csv, write_manifest, write_snapshot
 
 CHANNEL_NAMES = tuple(f"forcing_channel_{i + 1}" for i in range(5))
 RAGE_HEADER = ["eps", "D", "T", "K", "truncation_remainder"]
@@ -206,6 +212,19 @@ def probe_field(cfg: ExperimentConfig, grid: Grid) -> np.ndarray:
     return x_field
 
 
+def _check_window_modes(cfg: ExperimentConfig, grid: Grid):
+    """Refuse a mode count K below 8: D(eps)'s spectral window rises up to
+    mode 5 and falls from mode K/2, so with K/2 < 4 its fall would begin
+    before its rise ends (make_spectral_window refused every such K on
+    the shipped grids, which have no double fifth eigenvalue). It needs no
+    eigenpair, so run_sweep checks it before the eigensolve and the run
+    directory; make_spectral_window checks the eigenvalues of larger K."""
+    k = min(cfg["numerics"]["modes"], grid.n_active)
+    if k < 8:
+        raise ConfigValidationError(
+            [f"modes = {k} leaves the spectral window no increasing positive breakpoints"])
+
+
 def rage_table(cfg: ExperimentConfig, scenario: Scenario, dec, x_field) -> list:
     """The rage.csv rows of every eps of the sweep: D(eps) of the probe
     x_field over one horizon, zero for an empty horizon.
@@ -255,38 +274,76 @@ def write_eigenvalues(path, dec: sp.SpectralDecomposition):
 # -- per-eps job ------------------------------------------------------------
 
 
-def run_one_eps(scenario: Scenario, dec, eps: float, reference, out_dir: Path):
-    """One sweep member, from its initial data to its table rows.
+def run_one_eps(scenario: Scenario, out_dir: Path, eps: float):
+    """Step one sweep member: the job a pool worker runs.
 
-    Runs the compressible member at the snapshot times of the
-    incompressible `reference` trajectory and, in one pass over its
-    samples, writes each snapshot's rho, u, v under out_dir/eps_<eps> and
-    takes the snapshot's forcing channels, uniform estimates and limit
-    metrics, all from the sample's one lifting field. Returns the member's
-    energy.csv rows, mass.csv rows and metric records (uniform estimates,
-    limit metrics, forcing channels). Only rows leave this function, so a
-    pool worker returns the same few rows as an in-process call.
+    Runs the compressible member from its initial data to each time of the
+    sample schedule and writes the sampled rho, u, v under
+    out_dir/eps_<eps>. Returns only what a snapshot cannot give: the
+    member's mass.csv rows and its energy ledger at each sample time
+    (which also carries the initial energy and lifting coupling);
+    member_records derives everything else from the stored snapshots.
     """
-    grid, solver, law, path = scenario.grid, scenario.solver, scenario.law, scenario.path
+    solver = scenario.solver
     member_dir = out_dir / _eps_dirname(eps)
     member_dir.mkdir(parents=True, exist_ok=True)
-    samples = solver.run(solver.init_state(*scenario.initial_fields, eps), reference.times)
-    probes = observation_probes(grid)
-    energy_rows, mass_rows, terms = [], [], []
-    # indexed: enumerate over a zip would pin an early sample in zip's result cache
-    for i, (state, ext, rec, total_mass, sponge_mass) in enumerate(samples):
+    times = sample_schedule(scenario.cfg)
+    samples = solver.run(solver.init_state(*scenario.initial_fields, eps), times)
+    mass_rows, ledgers = [], []
+    for i, (state, ledger, total_mass, sponge_mass) in enumerate(samples):
         write_snapshot(member_dir / f"snap_{i:03d}.dat", state.t,
                        {"rho": state.rho, "u": state.u, "v": state.v})
-        densities = sp.assemble_forcing(
-            state, grid, law, scenario.visc, path, ext, solver.lifting
-        )
-        channel_sq = sp.forcing_channel_norms(densities, dec) ** 2
-        terms.append(uniform_estimate_report(state, grid, law)
-                     + convergence_metrics(state, reference.states[i], grid, law, path, ext,
-                                           probes)
-                     + [integral_t(eps, "forcing_channels", channel_sq)])
+        mass_rows.append((float(times[i]), eps, total_mass, sponge_mass))
+        ledgers.append(ledger)
+    return mass_rows, ledgers
+
+
+def stored_state(out_dir: Path, eps: float, index: int, grid: Grid) -> FluidState:
+    """Snapshot `index` of the eps member under out_dir as the state it
+    stores, its fields entered in the grid's padded layout."""
+    meta, fields = read_snapshot(out_dir / _eps_dirname(eps) / f"snap_{index:03d}.dat")
+    lay = grid.layout
+    return FluidState(*(lay.enter(fields[name]) for name in ("rho", "u", "v")),
+                      meta["time"], eps)
+
+
+def snapshot_terms(scenario: Scenario, dec, state, ledger, reference_state, probes):
+    """One sample's energy record and metric terms, from the state, the
+    member's ledger at its time and the reference state there, all from
+    the sample's one lifting field: the energy report, then the forcing
+    channels, the uniform estimates and the limit metrics, the terms in
+    the order member_metrics reduces them. probes are the grid's
+    observation_probes."""
+    grid, solver, law, path = scenario.grid, scenario.solver, scenario.law, scenario.path
+    ext = lifting_sample(solver.lifting, grid, state.t)
+    energy = solver.energy_report(state, ledger, ext)
+    densities = sp.assemble_forcing(state, grid, law, scenario.visc, path, ext, solver.lifting)
+    channel_sq = sp.forcing_channel_norms(densities, dec) ** 2
+    terms = (uniform_estimate_report(state, grid, law)
+             + convergence_metrics(state, reference_state, grid, law, path, ext, probes)
+             + [integral_t(state.eps, "forcing_channels", channel_sq)])
+    return energy, terms
+
+
+def member_records(scenario: Scenario, dec, reference, eps: float, stepped, out_dir: Path):
+    """A stepped member's energy.csv rows, mass.csv rows and metric
+    records (uniform estimates, limit metrics, forcing channels).
+
+    `stepped` is what run_one_eps returned for the member. The snapshots
+    are read back from out_dir one at a time, each with its ledger and
+    the `reference` trajectory's state at its index, and member_metrics
+    reduces their terms in time. A snapshot stores its fields exactly, so
+    the rows equal those of the in-memory samples.
+    """
+    mass_rows, ledgers = stepped
+    probes = observation_probes(scenario.grid)
+    energy_rows, terms = [], []
+    for i, ledger in enumerate(ledgers):
+        state = stored_state(out_dir, eps, i, scenario.grid)
+        rec, snapshot = snapshot_terms(scenario, dec, state, ledger, reference.states[i],
+                                       probes)
         energy_rows.append((rec.t, rec.eps, rec.lhs, rec.rhs, int(rec.flag)))
-        mass_rows.append((float(reference.times[i]), eps, total_mass, sponge_mass))
+        terms.append(snapshot)
 
     records = member_metrics(terms, reference.times)
     # per-channel L2((0,T) x Omega) norms of the snapshot series
@@ -340,32 +397,34 @@ def _check_members(scenario: Scenario):
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Full pipeline for the configured scenario; returns the summary table.
 
-    Both scenarios tabulate D(eps) here, before the run directory is made,
-    so a config that the eigensolve, the probe or a fluid member's initial
-    data refuse leaves none (the probe and the members are checked first,
-    so their refusal costs no eigensolve); the spectral scenario stops
-    there, the fluid scenario runs the whole sweep. Both write config.txt,
-    rage.csv, eigenvalues.csv, summary.csv and the manifest the same way.
+    A config that the worker count, the probe, the mode count or a fluid
+    member's initial data refuse leaves no run directory: all four are
+    checked first. The spectral scenario then solves the eigenproblem and
+    tabulates D(eps) before it makes the run directory. The fluid
+    scenario makes it at once and starts its members stepping, in a pool
+    when it has one; meanwhile it solves the eigenproblem, tabulates
+    D(eps) and runs the reference, then derives each member's rows from
+    its snapshots as the member returns. Its eigensolve or reference
+    failing fails the started run as a failing member does, with no
+    manifest. Both scenarios write config.txt, rage.csv, eigenvalues.csv,
+    summary.csv and the manifest the same way.
     """
     workers = _worker_count(len(cfg["sweep"]["eps"]))
     scenario = build_scenario(cfg)
     x_field = probe_field(cfg, scenario.grid)
-    fluid = cfg["run"]["scenario"] != "spectral"
-    if fluid:
-        _check_members(scenario)
-    dec = decompose(cfg, scenario.grid)
-    rage_rows = rage_table(cfg, scenario, dec, x_field)
-
+    _check_window_modes(cfg, scenario.grid)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(canonical_text(cfg))
     run_id = cfg.digest()
-    if not fluid:
+    if cfg["run"]["scenario"] == "spectral":
+        dec = decompose(cfg, scenario.grid)
+        rage_rows = rage_table(cfg, scenario, dec, x_field)
+        _open_run_dir(out_dir, cfg)
         header = ["eps", "rage_d"]
         summary_rows = [(row[0], row[1]) for row in rage_rows]
     else:
-        decay = [row[1] for row in rage_rows]
-        summary_rows = _fluid_sweep(scenario, dec, decay, out_dir, workers)
+        _check_members(scenario)
+        _open_run_dir(out_dir, cfg)
+        dec, rage_rows, summary_rows = _fluid_sweep(scenario, x_field, out_dir, workers)
         header = SUMMARY_HEADER
 
     write_csv(out_dir / "rage.csv", RAGE_HEADER, rage_rows)
@@ -376,50 +435,44 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             "out_dir": str(out_dir)}
 
 
-def _fluid_sweep(scenario: Scenario, dec, decay, out_dir: Path, workers: int):
-    """Reference run, eps members and their tables; returns the summary.csv
-    rows, whose rage_d column is `decay` (one D value per eps). Every
-    member comes back as its rows, from run_one_eps in this process or
-    from a pool worker, in eps order."""
-    cfg = scenario.cfg
-    eps_list = cfg["sweep"]["eps"]
+def _open_run_dir(out_dir: Path, cfg: ExperimentConfig):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.txt").write_text(canonical_text(cfg))
 
-    # incompressible reference run (eps-independent), from the members' u0
+
+def reference_run(scenario: Scenario):
+    """The incompressible reference trajectory on the sample schedule,
+    from the members' u0 (eps-independent)."""
+    cfg = scenario.cfg
     nu = cfg["physics"]["shear_viscosity"] / cfg["physics"]["reference_density"]
     inc = IncompressibleSolver(scenario.grid, nu, scenario.path)
     _, u0, v0 = scenario.initial_fields
-    inc_traj = inc.run(inc.init_state(u0, v0), sample_schedule(cfg))
-    ref_dir = out_dir / "reference"
-    ref_dir.mkdir(exist_ok=True)
-    for i, st in enumerate(inc_traj.states):
-        write_snapshot(ref_dir / f"snap_{i:03d}.dat", st.t, {"u": st.u, "v": st.v})
+    return inc.run(inc.init_state(u0, v0), sample_schedule(cfg))
 
-    if workers == 1:
-        members = [run_one_eps(scenario, dec, eps, inc_traj, out_dir) for eps in eps_list]
-    else:
-        pairs = (dec.eigenvalues, dec.sectors, dec.residuals)
-        rows = {}
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(canonical_text(cfg), pairs, inc_traj,
-                                           out_dir)) as pool:
-            try:
-                # the smallest eps, the longest member, starts first
-                jobs = {pool.submit(_run_one_eps_job, eps): eps for eps in eps_list[::-1]}
-                for job in as_completed(jobs):
-                    rows[jobs[job]] = job.result()
-            except BaseException:
-                # the sweep has failed: terminate the running members with
-                # their workers (the executor offers no public call for this
-                # before Python 3.14), drop the members not started and reap
-                # the workers
-                for proc in list(pool._processes.values()):
-                    proc.terminate()
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
-        members = [rows[eps] for eps in eps_list]
+
+def _fluid_sweep(scenario: Scenario, x_field, out_dir: Path, workers: int):
+    """The fluid members, stepped while this process solves the
+    eigenproblem, tabulates D(eps) for the probe x_field and runs the
+    reference, then each member's rows, derived as it returns; writes
+    energy.csv, mass.csv and metrics.csv and returns the decomposition,
+    the rage.csv rows and the summary.csv rows, in eps order."""
+    cfg = scenario.cfg
+    eps_list = cfg["sweep"]["eps"]
+    members = {}
+    with _stepped_members(scenario, out_dir, workers) as stepped:
+        dec = decompose(cfg, scenario.grid)
+        rage_rows = rage_table(cfg, scenario, dec, x_field)
+        reference = reference_run(scenario)
+        ref_dir = out_dir / "reference"
+        ref_dir.mkdir(exist_ok=True)
+        for i, st in enumerate(reference.states):
+            write_snapshot(ref_dir / f"snap_{i:03d}.dat", st.t, {"u": st.u, "v": st.v})
+        for eps, run in stepped:
+            members[eps] = member_records(scenario, dec, reference, eps, run, out_dir)
 
     energy_rows, mass_rows, metric_records, summary_rows = [], [], [], []
-    for eps, d, (energy, mass, records) in zip(eps_list, decay, members):
+    for eps, rage_row in zip(eps_list, rage_rows):
+        energy, mass, records = members[eps]
         energy_rows += energy
         mass_rows += mass
         metric_records += records
@@ -430,7 +483,7 @@ def _fluid_sweep(scenario: Scenario, dec, decay, out_dir: Path, workers: int):
                 by_name["density_scale"],
                 by_name["velocity_gap"],
                 by_name["solenoidal_pairing_gap"],
-                d,
+                rage_row[1],
                 by_name["forcing_channel_sum"],
                 by_name["res_indicator_l1"],
                 int(all(row[4] for row in energy)),
@@ -449,29 +502,53 @@ def _fluid_sweep(scenario: Scenario, dec, decay, out_dir: Path, workers: int):
             for r in metric_records
         ],
     )
-    return summary_rows
+    return dec, rage_rows, summary_rows
 
 
-# the scenario, decomposition, reference trajectory and run directory of a
-# pool worker, set once by _init_worker
+@contextmanager
+def _stepped_members(scenario: Scenario, out_dir: Path, workers: int):
+    """Step every fluid member with run_one_eps beside the body of the
+    with-block, which iterates the yielded (eps, stepped member) pairs.
+
+    With one worker each member steps in this process when the iteration
+    reaches it, in eps order. Otherwise a pool of `workers` starts here,
+    each worker given only the canonical config text and the run
+    directory, the smallest eps, the longest member, first; the pairs come
+    as the members finish. Any failure in the block, a member's own error
+    included, terminates the running members with their workers, drops
+    the members not started and reaps the workers before it propagates.
+    """
+    eps_list = scenario.cfg["sweep"]["eps"]
+    if workers == 1:
+        yield ((eps, run_one_eps(scenario, out_dir, eps)) for eps in eps_list)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(canonical_text(scenario.cfg), out_dir))
+    try:
+        jobs = {pool.submit(_run_one_eps_job, eps): eps for eps in eps_list[::-1]}
+        yield ((jobs[job], job.result()) for job in as_completed(jobs))
+    except BaseException:
+        # the executor offers no public call that stops running jobs
+        # before Python 3.14
+        for proc in list(pool._processes.values()):
+            proc.terminate()
+        pool.shutdown(wait=True, cancel_futures=True)
+        raise
+    pool.shutdown()
+
+
+# the scenario and run directory of a pool worker, set once by _init_worker
 _worker_setup = None
 
 
-def _init_worker(cfg_text: str, pairs, reference, out_dir: Path):
+def _init_worker(cfg_text: str, out_dir: Path):
     """Worker-pool initializer: rebuilds the scenario from the canonical
-    text and the decomposition from the parent's eigenpairs in sector form
-    (no second eigensolve) and keeps the parent's reference trajectory, once
-    per worker, so each job carries only its eps. The reference states enter
-    the worker's layout: under spawn they arrive pickled, as plain arrays."""
+    text once per worker, so each job carries only its eps."""
     global _worker_setup
-    scenario = build_scenario(parse_config(cfg_text))
-    dec = sp.SpectralDecomposition(scenario.grid, *pairs)
-    lay = scenario.grid.layout
-    states = [replace(s, u=lay.enter(s.u), v=lay.enter(s.v)) for s in reference.states]
-    _worker_setup = (scenario, dec, replace(reference, states=states), out_dir)
+    _worker_setup = (build_scenario(parse_config(cfg_text)), out_dir)
 
 
 def _run_one_eps_job(eps: float):
-    """Worker-pool entry: one member on the worker's setup, as its rows."""
-    scenario, dec, reference, out_dir = _worker_setup
-    return run_one_eps(scenario, dec, eps, reference, out_dir)
+    """Worker-pool entry: one member stepped on the worker's setup."""
+    scenario, out_dir = _worker_setup
+    return run_one_eps(scenario, out_dir, eps)

@@ -34,9 +34,10 @@ def test_traced_child_run_on_mini_config(tmp_path):
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["verify_ok"], out["verify_failures"]
     assert out["counts"]["spectral.eigensolve_calls"] == 1
-    # per member: one sample opens the ledger, then one per snapshot, which
-    # the energy report, the wave forcing and the convergence metrics share;
-    # the ledger and the forcing read the lifting's cached box fields instead
+    # per member: one sample opens the ledger where the member steps, then
+    # one per stored snapshot, which the energy report, the wave forcing and
+    # the convergence metrics share where the parent derives them; the
+    # ledger and the forcing read the lifting's cached box fields instead
     assert out["counts"]["geometry.lifting_calls"] == 2 * (1 + 5)
     # per member and snapshot: one forcing assembly and one projection of
     # all its terms

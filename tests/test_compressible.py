@@ -23,11 +23,15 @@ from machlab.geometry import (
     static_path,
 )
 from machlab.incompressible import IncompressibleSolver
-from machlab.spectral import assemble_forcing
+from machlab import spectral
+from machlab.constitutive import essential_indicator, pressure_entropy
+from machlab.operators import known_faces, known_gradient, velocity_gradient_components
+from machlab.spectral import assemble_forcing, forcing_channel_norms, spectral_decompose
 from machlab.sweep import build_scenario
 
 from conftest import (
     MINI_CFG,
+    SINUSOIDAL_MINI_CFG,
     STATIC_MINI_CFG,
     face_masks,
     fixed_step,
@@ -323,17 +327,24 @@ class TestRun:
         assert order >= 0.8
 
 
+def energy_of(sol, sample):
+    """The energy record of a run sample: its state against its ledger,
+    with the lifting sampled at its time."""
+    ext = lifting_sample(sol.lifting, sol.grid, sample.state.t)
+    return sol.energy_report(sample.state, sample.ledger, ext)
+
+
 class TestEnergyInequality:
     def test_rest_static_both_sides_zero(self):
         sol = make_solver()
         *_, last = sol.run(sol.init_state(*rest_data(sol.grid)), [0.0, 0.01])
-        rec = last.energy
+        rec = energy_of(sol, last)
         assert rec.lhs == 0.0 and rec.rhs == 0.0 and rec.flag
 
     def test_pulse_run_flags_true(self):
         sol = make_solver()
-        energy = [s.energy for s in sol.run(sol.init_state(*pulse_data(sol.grid)),
-                                            np.linspace(0, 0.05, 6))]
+        energy = [energy_of(sol, s) for s in sol.run(sol.init_state(*pulse_data(sol.grid)),
+                                                     np.linspace(0, 0.05, 6))]
         e0 = energy[0].lhs
         for rec in energy:
             assert rec.lhs <= rec.rhs + 1e-3 * e0
@@ -343,8 +354,8 @@ class TestEnergyInequality:
         # the lifting-field terms populate the right-hand side; the
         # inequality still holds
         sol = make_solver(path=linear_path((0.1, 0.0), 10.0))
-        energy = [s.energy for s in sol.run(sol.init_state(*rest_data(sol.grid)),
-                                            np.linspace(0, 0.05, 6))]
+        energy = [energy_of(sol, s) for s in sol.run(sol.init_state(*rest_data(sol.grid)),
+                                                     np.linspace(0, 0.05, 6))]
         assert any(rec.rhs != 0.0 for rec in energy[1:])
         for rec in energy:
             assert rec.flag
@@ -527,7 +538,7 @@ class TestLedgerCost:
         monkeypatch.setattr(compressible, "known_gradient", refused)
         sol, samples = self._run(STATIC_MINI_CFG)
         assert sol.lifting is None
-        rec = samples[-1].energy
+        rec = energy_of(sol, samples[-1])
         assert rec.flag and rec.lhs < rec.rhs
 
     def test_moving_run_forms_one_gradient_per_step(self, monkeypatch):
@@ -547,3 +558,135 @@ class TestLedgerCost:
         sol, _ = self._run(MINI_CFG)
         assert sol.lifting is not None
         assert len(steps) > 1 and len(gradients) == len(steps)
+
+    @staticmethod
+    def _full_grid_v_work(sol, state, dt):
+        """One step's lifting work as the ledger formed it on the full grid:
+        known_gradient over every face, then cut to the lifting's box."""
+        g, lifting = sol.grid, sol.lifting
+        lay = g.layout
+        mu, eta = sol.visc.shear, sol.visc.bulk
+        (gxx, gxy, gyx, gyy), avgs = known_gradient(g, *known_faces(g, state.u, state.v))
+        div = gxx + gyy
+        shear = gxy + gyx
+        gv, dv, shear_v = lifting.box_terms(state.t)
+        box = lifting.box
+        rho = state.rho[box]
+        uc, vc = (lay.cells(c)[box] for c in avgs)
+        lam = eta - (2.0 / 3.0) * mu
+        div_box = lay.cells(div)[box]
+        sxx = 2.0 * mu * lay.cells(gxx)[box] + lam * div_box
+        syy = 2.0 * mu * lay.cells(gyy)[box] + lam * div_box
+        sxy = mu * lay.cells(shear)[box]
+        integrand = (
+            (sxx - rho * uc * uc) * gv[..., 0, 0]
+            + (sxy - rho * uc * vc) * shear_v
+            + (syy - rho * vc * vc) * gv[..., 1, 1]
+            - rho * (uc * dv[..., 0] + vc * dv[..., 1])
+        )
+        return dt * float(np.sum(integrand[lifting.box_active])) * g.h**2
+
+    @pytest.mark.parametrize("text", [MINI_CFG, SINUSOIDAL_MINI_CFG], ids=["linear", "sinusoidal"])
+    def test_box_gradient_matches_full_grid_over_a_march(self, text):
+        # the ledger forms the gradient on the lifting's block only; every
+        # step's lifting work equals the full-grid formulation's, bit for bit
+        sc = build_scenario(parse_config(text))
+        sol = sc.solver
+        state = sol.init_state(*sc.initial_fields, 0.1)
+        works = []
+        for _ in range(20):
+            dt = sol.cfl_limit(state)
+            new = sol.step(state, dt)
+            ledger = EnergyLedger(0.0, 0.0)
+            sol._accumulate(ledger, state, dt)
+            works.append(ledger.v_work)
+            assert ledger.v_work == self._full_grid_v_work(sol, state, dt), state.t
+            state = new
+        assert all(w != 0.0 for w in works)
+
+
+def _full_forcing(state, g, law, visc, path, ext, lifting):
+    """Every term of the wave source assembled, the ones that vanish
+    identically included: the assembly before zero terms were skipped."""
+    lay = g.layout
+    eps = state.eps
+    _, mp, mpp = eval_motion(path, state.t)
+    rho = lay.flat(state.rho)
+    rbar = law.rho_ref
+    active = g.component_masks[0].active
+    ess_mask = essential_indicator(rho, rbar) * active
+    res_mask = active - ess_mask
+    ess = ess_mask[..., None, None]
+    res = res_mask[..., None, None]
+    grads, centers = velocity_gradient_components(g, state.u, state.v)
+    vel = np.stack(centers, axis=-1)
+    uu = vel[..., :, None] * vel[..., None, :]
+    vext = np.stack(lay.centers(ext.u, ext.v), axis=-1)
+    mom = rho[..., None] * vel - rbar * vext
+    r_cells = (rho - rbar) / eps
+    wmom = mom - eps * r_cells[..., None] * mp
+    outer_m = mom[..., :, None] * mp
+    outer_w = eps * mp[:, None] * wmom[..., None, :]
+    accel = -eps * r_cells[..., None] * mpp
+    dv_moving = np.zeros((lay.size, 2))
+    if lifting is not None:
+        dv_moving.reshape(*lay.shape, 2)[lifting.box] = lifting.box_fields(state.t)[1]
+    divdiv, vdiv = spectral.tensor_divdiv, spectral._vector_div
+    return {
+        "viscous": divdiv(g, stress(visc, np.stack(grads, -1).reshape(-1, 2, 2))),
+        "convective_ess": divdiv(g, -(ess_mask * rho)[..., None, None] * uu),
+        "convective_res": divdiv(g, -(res_mask * rho)[..., None, None] * uu),
+        "pressure": lay.cells(pressure_entropy(law, rho) / eps**2),
+        "extension_accel": vdiv(g, -rbar * dv_moving),
+        "momentum_translation_ess": divdiv(g, ess * outer_m),
+        "momentum_translation_res": divdiv(g, res * outer_m),
+        "wave_translation_ess": divdiv(g, ess * outer_w),
+        "wave_translation_res": divdiv(g, res * outer_w),
+        "acceleration_coupling_ess": vdiv(g, ess_mask[..., None] * accel),
+        "acceleration_coupling_res": vdiv(g, res_mask[..., None] * accel),
+    }
+
+
+class TestForcingZeroTerms:
+    """assemble_forcing skips the terms that vanish identically: the
+    residual parts without a residual set, the translation terms at
+    m' = 0, the acceleration couplings at m'' = 0 and extension_accel
+    without a lifting. Each skipped density is an exact zero array, so
+    every density and every channel norm equals the full assembly's."""
+
+    RESIDUAL = ("convective_res", "momentum_translation_res", "wave_translation_res",
+                "acceleration_coupling_res")
+    SKIPPED = {
+        "static": {"extension_accel", "momentum_translation_ess", "momentum_translation_res",
+                   "wave_translation_ess", "wave_translation_res",
+                   "acceleration_coupling_ess", "acceleration_coupling_res"},
+        "linear": {"acceleration_coupling_ess", "acceleration_coupling_res"},
+        "sinusoidal": set(),
+    }
+
+    @pytest.fixture(scope="class")
+    def dec(self, obstacle_grid):
+        return spectral_decompose(obstacle_grid, 30)
+
+    @pytest.mark.parametrize("residual", [False, True], ids=["essential", "residual"])
+    @pytest.mark.parametrize("kind", sorted(LEDGER_PATHS))
+    def test_matches_full_assembly(self, obstacle_grid, dec, kind, residual):
+        g = obstacle_grid
+        sol = make_solver(grid=g, path=LEDGER_PATHS[kind])
+        state = _random_state(sol)
+        if residual:
+            # a few active cells above 2 rho_ref leave the essential range
+            far = np.zeros((g.nx, g.ny), dtype=bool)
+            far[g.nx // 8, ::7] = True
+            state.rho[far & g.active] = 3.0
+        ext = lifting_sample(sol.lifting, g, state.t)
+        args = (state, g, LAW, sol.visc, sol.path, ext, sol.lifting)
+        got, want = assemble_forcing(*args), _full_forcing(*args)
+        assert list(got) == list(want)
+        zero = {label for label, density in want.items() if not np.any(density)}
+        skipped = self.SKIPPED[kind] | (set() if residual else set(self.RESIDUAL))
+        assert zero == skipped, zero ^ skipped
+        for label, density in want.items():
+            np.testing.assert_array_equal(got[label], density, err_msg=label)
+        np.testing.assert_array_equal(forcing_channel_norms(got, dec),
+                                      forcing_channel_norms(want, dec))

@@ -19,7 +19,7 @@ from machlab.diagnostics import (
     window_annulus,
 )
 from machlab.errors import ScheduleMismatch
-from machlab.geometry import build_grid, static_path
+from machlab.geometry import build_grid, lifting_sample, static_path
 from machlab.incompressible import IncompressibleSolver
 
 from conftest import face_masks, in_layout
@@ -122,7 +122,9 @@ class TestConvergenceMetrics:
         return comp, ref.states
 
     def _metrics(self, grid, comp, ref_states):
-        terms = [convergence_metrics(s.state, ist, grid, LAW, static_path(1.0), s.ext)
+        # a body at rest has no lifting: V = 0
+        terms = [convergence_metrics(s.state, ist, grid, LAW, static_path(1.0),
+                                     lifting_sample(None, grid, s.state.t))
                  for s, ist in zip(comp, ref_states)]
         return {r.metric_name: r.value for r in member_metrics(terms, self.TIMES)}
 

@@ -19,15 +19,18 @@ from machlab import sweep, verify
 from machlab.cli import main as cli_main
 from machlab.compressible import CompressibleSolver, FluidState
 from machlab.config import SCHEMA, canonical_text, parse_config
+from machlab.diagnostics import observation_probes
 from machlab.errors import (
     ConfigParseError,
     ConfigValidationError,
+    EigensolverFailure,
     IncompleteRun,
     MissingArtifact,
+    NanDetected,
     SnapshotFormatError,
     VacuumState,
 )
-from machlab.geometry import build_grid
+from machlab.geometry import build_grid, lifting_sample
 from machlab.incompressible import IncompressibleSolver
 from machlab.storage import (
     check_artifacts,
@@ -394,11 +397,13 @@ class TestSweep:
         assert errors[1] == errors[0]
 
     def test_member_reduced_before_next_starts(self, mini_cfg, tmp_path, monkeypatch):
-        # each member becomes its table rows inside run_one_eps, in one pass
-        # over its samples: at every yield at most two of its sampled states
-        # are alive, the one just yielded and the one the loop still holds,
-        # and none is left when the next member starts; the members run in
-        # this process, where the patches record
+        # each member steps inside run_one_eps in one pass over its samples:
+        # at every yield at most two of its sampled states are alive, the
+        # one just yielded and the one the loop still holds, and none is
+        # left when the next member starts, since a stepped member comes
+        # back as its mass rows and ledgers and the parent reads its states
+        # back from the snapshots; the members run in this process, where
+        # the patches record
         monkeypatch.setenv("MACHLAB_WORKERS", "1")
         members = []
         solver_run = CompressibleSolver.run
@@ -416,9 +421,9 @@ class TestSweep:
             # returns at once, so it pins no argument, the initial state
             return tracked(solver_run(self, *args, **kwargs))
 
-        def tracked_member(scenario, dec, eps, *args):
+        def tracked_member(scenario, out_dir, eps):
             assert all(ref() is None for states in members for ref in states), eps
-            return run_member(scenario, dec, eps, *args)
+            return run_member(scenario, out_dir, eps)
 
         monkeypatch.setattr(CompressibleSolver, "run", tracked_run)
         monkeypatch.setattr(sweep, "run_one_eps", tracked_member)
@@ -427,16 +432,28 @@ class TestSweep:
         assert all(ref() is None for states in members for ref in states)
 
     def test_pool_job_returns_only_rows(self, mini_cfg, tmp_path, monkeypatch):
-        # a worker sends back the member's table rows, not its trajectory
-        sc = build_scenario(mini_cfg)
-        dec = sweep.decompose(mini_cfg, sc.grid)
-        u0, v0 = sweep.initial_velocity(mini_cfg, sc.grid, np.random.default_rng(0))
-        inc = IncompressibleSolver(sc.grid, 0.01, sc.path)
-        reference = inc.run(inc.init_state(u0, v0), sample_schedule(mini_cfg))
+        # a worker receives the canonical config text and the run directory
+        # only, no eigenpairs and no reference, and sends back the member's
+        # mass rows and ledger totals, not its trajectory
+        started = []
+
+        class PoolStarted(Exception):
+            pass
+
+        def record(**kwargs):
+            started.append(kwargs["initargs"])
+            raise PoolStarted
+
+        monkeypatch.setenv("MACHLAB_WORKERS", "2")
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", record)
+        out = tmp_path / "run"
+        with pytest.raises(PoolStarted):
+            run_sweep(mini_cfg, out)
+        [initargs] = started
+        assert initargs == (canonical_text(mini_cfg), out)
+        assert len(pickle.dumps(initargs)) < 4 * 1024
         monkeypatch.setattr(sweep, "_worker_setup", None)
-        sweep._init_worker(canonical_text(mini_cfg),
-                           (dec.eigenvalues, dec.sectors, dec.residuals),
-                           reference, tmp_path)
+        sweep._init_worker(*initargs)
         result = sweep._run_one_eps_job(0.2)
 
         def leaves(obj):
@@ -450,8 +467,37 @@ class TestSweep:
 
         assert not any(isinstance(x, (np.ndarray, FluidState)) for x in leaves(result))
         assert len(pickle.dumps(result)) < 64 * 1024
-        assert (tmp_path / "eps_0p2" / "snap_004.dat").exists()
+        assert (out / "eps_0p2" / "snap_004.dat").exists()
 
+    @pytest.mark.parametrize("stage, error", [
+        ("eigensolve", EigensolverFailure("ARPACK did not converge for sector 2")),
+        ("reference", NanDetected("non-finite velocity at t = 0.04")),
+    ])
+    def test_parent_failure_stops_pool(self, stage, error, tmp_path, monkeypatch, capsys):
+        # the parent solves the eigenproblem and runs the reference while
+        # the members step; either failing fails the started run as a
+        # failing member does: exit 1 with the same stderr line pooled or
+        # not, no worker left behind and no manifest
+        def fail(*args, **kwargs):
+            raise error
+
+        if stage == "eigensolve":
+            monkeypatch.setattr(sp, "spectral_decompose", fail)
+        else:
+            monkeypatch.setattr(IncompressibleSolver, "run", fail)
+        cfgfile = tmp_path / "mini.cfg"
+        cfgfile.write_text(MINI_CFG)
+        errors = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MACHLAB_WORKERS", workers)
+            out = tmp_path / f"o{workers}"
+            assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+            assert (out / "config.txt").exists()
+            assert not (out / "manifest.json").exists()
+            assert multiprocessing.active_children() == []
+        assert errors[0] == f"numerical failure: {error}\n"
+        assert errors[1] == errors[0]
 
     @pytest.mark.parametrize("shape", [(129, 129), (128, 128), (33, 33), (32, 32)])
     def test_gaussian_smooth_matches_ndimage(self, shape):
@@ -477,21 +523,6 @@ class TestSweep:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"]
-
-    def test_pool_job_takes_pickled_reference(self, mini_cfg, tmp_path, monkeypatch):
-        # under the spawn and forkserver start methods the initializer's
-        # arguments arrive pickled, the reference states as plain arrays
-        sc = build_scenario(mini_cfg)
-        dec = sweep.decompose(mini_cfg, sc.grid)
-        u0, v0 = sweep.initial_velocity(mini_cfg, sc.grid, np.random.default_rng(0))
-        inc = IncompressibleSolver(sc.grid, 0.01, sc.path)
-        reference = inc.run(inc.init_state(u0, v0), sample_schedule(mini_cfg))
-        expected = sweep.run_one_eps(sc, dec, 0.2, reference, tmp_path / "sequential")
-        monkeypatch.setattr(sweep, "_worker_setup", None)
-        sweep._init_worker(canonical_text(mini_cfg),
-                           (dec.eigenvalues, dec.sectors, dec.residuals),
-                           pickle.loads(pickle.dumps(reference)), tmp_path / "pooled")
-        assert sweep._run_one_eps_job(0.2) == expected
 
 
 class TestVerify:
@@ -652,8 +683,9 @@ class TestStoredAcousticPair:
         for eps in mini_cfg["sweep"]["eps"]:
             samples = sc.solver.run(sc.solver.init_state(*sc.initial_fields, eps),
                                     sample_schedule(mini_cfg))
-            out[eps] = [sp.extract_acoustic_potential(s.state, sc.grid, sc.path, sc.law, s.ext)
-                        for s in samples]
+            out[eps] = [sp.extract_acoustic_potential(
+                s.state, sc.grid, sc.path, sc.law,
+                lifting_sample(sc.solver.lifting, sc.grid, s.state.t)) for s in samples]
         return out
 
     @staticmethod
@@ -680,6 +712,48 @@ class TestStoredAcousticPair:
             for i, ref in enumerate(pairs[:-1]):
                 rebuilt = stored_acoustic_pair(mini_run["out_dir"], eps, i + shift)
                 assert not self._agrees(rebuilt, ref), (eps, i)
+
+
+class TestSnapshotRoundTrip:
+    """The parent derives every per-snapshot term from the stored
+    snapshots. They equal the terms of the in-memory samples bit for bit,
+    though a reloaded state's padded layout holds zero ghost entries where
+    the stepped state held rho_ref and the body's velocity."""
+
+    @staticmethod
+    def _same(a, b):
+        return ([(r.eps, r.metric_name, r.q, r.window, r.t_or_sup) for r in a]
+                == [(r.eps, r.metric_name, r.q, r.window, r.t_or_sup) for r in b]
+                and all(np.array_equal(x.value, y.value) for x, y in zip(a, b)))
+
+    @pytest.mark.parametrize("run, text", [("mini_run", MINI_CFG),
+                                           ("sinusoidal_mini_run", SINUSOIDAL_MINI_CFG),
+                                           ("static_mini_run", STATIC_MINI_CFG)],
+                             ids=["mini", "sinusoidal", "static"])
+    def test_stored_terms_match_in_memory(self, run, text, request):
+        out = Path(request.getfixturevalue(run)["out_dir"])
+        cfg = parse_config(text)
+        sc = build_scenario(cfg)
+        lay = sc.grid.layout
+        dec = sweep.decompose(cfg, sc.grid)
+        reference = sweep.reference_run(sc)
+        probes = observation_probes(sc.grid)
+        ghosts_moved = 0
+        for eps in cfg["sweep"]["eps"]:
+            samples = sc.solver.run(sc.solver.init_state(*sc.initial_fields, eps),
+                                    reference.times)
+            for i, sample in enumerate(samples):
+                stored = sweep.stored_state(out, eps, i, sc.grid)
+                ghosts_moved += not all(
+                    np.array_equal(lay.flat(getattr(stored, name)),
+                                   lay.flat(getattr(sample.state, name)))
+                    for name in ("rho", "u", "v"))
+                args = (sample.ledger, reference.states[i], probes)
+                energy, terms = sweep.snapshot_terms(sc, dec, sample.state, *args)
+                energy_back, terms_back = sweep.snapshot_terms(sc, dec, stored, *args)
+                assert energy_back == energy, (eps, i)
+                assert self._same(terms_back, terms), (eps, i)
+        assert ghosts_moved > 0
 
 
 class TestCli:
@@ -719,6 +793,7 @@ class TestCli:
         "[spectral]\ncutoff_one = 0.4\ncutoff_zero = 0.3",
         "[spectral]\ncutoff_zero = 1.5",  # not below extent = 1
         "[numerics]\nmodes = 3",  # no room for the spectral window
+        "[numerics]\nmodes = 7",  # its fall (from mode K/2) before its rise ends
         "[numerics]\nmodes = 2500",  # beyond spectral.DESK_MODE_CAP
         "[initial]\npulse_amplitude = 2000",  # ill-prepared data bound
         "[spectral]\nsource_width = 0",  # D(eps) = 0 at every eps
@@ -733,7 +808,7 @@ class TestCli:
         "[initial]\npulse_amplitude = inf",
         # two members that would share the snapshot directory eps_0p2
         "[sweep]\neps = 0.2000001, 0.2",
-    ], ids=["cutoff_order", "cutoff_extent", "modes_3", "modes_cap", "pulse_bound",
+    ], ids=["cutoff_order", "cutoff_extent", "modes_3", "modes_7", "modes_cap", "pulse_bound",
             "probe_width_0", "probe_width_negative", "probe_off_grid", "extent_nan", "eps_nan",
             "viscosity_nan", "sponge_nan", "pulse_inf", "eps_shared_dir"])
     def test_config_refused_without_traceback(self, entries, tmp_path):
