@@ -6,7 +6,7 @@ calculus with the acoustic wave propagator, and the convergence metrics of
 the singular limit as the Mach number tends to zero.
 """
 
-from .compressible import CompressibleSolver, EnergyRecord, FluidState, RunSample
+from .compressible import CompressibleSolver, EnergyLedger, EnergyRecord, FluidState
 from .config import ExperimentConfig, canonical_text, parse_config
 from .constitutive import (
     PressureLaw,

@@ -11,7 +11,11 @@ which the step reduces on the faces where it applies it (the face-based
 kinetic-energy balance of staggered schemes), and as lifting work the
 integral of S:grad V - rho (u x u):grad V - rho u.dV/dt, read from the
 lifting field itself on its support box; without a lifting the ledger
-forms no velocity gradient.
+forms no velocity gradient. run yields each sampled state with a copy of
+the ledger, the running per-step integrals that a stored snapshot cannot
+give (with the sponge's cumulative mass); energy_report reads them with
+the energy_terms of the initial state, which the sweep takes from a
+member's first stored snapshot, as every other term of a sample.
 
 The step re-checks no invariant it keeps: active density is positive
 (init_state, the vacuum check) and other cells hold rho_ref (a fresh
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +44,6 @@ from .geometry import (
     build_lifting,
     enforce_bc,
     eval_motion,
-    lifting_sample,
 )
 from .operators import average_to_face, face_divergence, known_faces, known_gradient
 from .operators import mirror_laplacian, upwind_transport
@@ -73,12 +76,13 @@ TOL_ENERGY = 1e-3  # energy flag slack, a share of the initial energy
 
 @dataclass
 class EnergyLedger:
-    """Running totals needed by the two sides of the energy inequality."""
+    """A member's running per-step integrals since its initial state: the
+    dissipation its steps booked, the lifting work v_work and the mass the
+    sponge added. These are what a stored snapshot cannot give."""
 
-    initial_energy: float
-    initial_v_coupling: float
     dissipation: float = 0.0
     v_work: float = 0.0
+    sponge_mass: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -88,19 +92,6 @@ class EnergyRecord:
     lhs: float
     rhs: float
     flag: bool
-
-
-class RunSample(NamedTuple):
-    """What `CompressibleSolver.run` yields at one sample time: the state,
-    a copy of the energy ledger there, the total mass and the sponge's
-    cumulative mass flux. The state and the ledger give the energy record
-    (energy_report); the state alone gives everything else a sample is
-    read for, so a stored snapshot can stand in for it."""
-
-    state: FluidState
-    ledger: EnergyLedger
-    total_mass: float
-    sponge_mass: float
 
 
 def instant_energy(grid: Grid, law: PressureLaw, state: FluidState) -> float:
@@ -304,7 +295,8 @@ class CompressibleSolver(ExplicitStepper):
         self, rho, rho_new, un, um, wn, wt, p_cell, div_full, eps, dt, masks,
     ):
         """Update one velocity component; every array is flat in the padded
-        layout. Returns the new component and <um, F_visc>, the sum over
+        layout. Returns the new component, on its interior faces only (the
+        caller's enforce_bc sets the rest), and <um, F_visc>, the sum over
         its interior faces of the velocity times the viscous force applied.
 
         un is the component being updated, um its copy with the unknown
@@ -324,8 +316,8 @@ class CompressibleSolver(ExplicitStepper):
         # upwind momentum transport on the advective scale |w| (the
         # acoustic-scale stabilization lives in the mass flux), which keeps
         # the effective viscosity Mach-uniform instead of O(h/eps). The
-        # update below also reaches the edge faces and ghosts, which the
-        # last line overwrites
+        # update below also reaches the edge faces and ghosts, which step's
+        # enforce_bc overwrites
         dq = upwind_transport(q, wn, wt, masks, h)
         inner = dq[s:]
 
@@ -335,8 +327,8 @@ class CompressibleSolver(ExplicitStepper):
         inner += diff
 
         # viscous mu*(lap u + (1/3) grad div u) + eta*grad div u, then zero
-        # off the interior faces (the first s faces too, which visc skips):
-        # the last line resets q there
+        # off the interior faces (the first s faces too, which visc skips),
+        # where it does no work
         mu, eta = self.visc.shear, self.visc.bulk
         force = mirror_laplacian(un, masks, h)
         visc = force[s:]
@@ -352,63 +344,47 @@ class CompressibleSolver(ExplicitStepper):
         force *= um
         work = float(np.sum(force))
 
-        # q - dt dq over the new face density; its edges hold 1, reset below
+        # q - dt dq over the new face density; its edges hold 1, so q stays
+        # finite on the exterior faces, which step's enforce_bc overwrites
         dq *= dt
         q -= dq
         q /= average_to_face(rho_new, s, masks.layout, fill=1.0)
-        q[masks.exterior_faces] = un[masks.exterior_faces]
         return q, work
 
     # -- trajectory ----------------------------------------------------------
 
-    def run(self, state: FluidState, sample_times: Sequence[float]) -> Iterator[RunSample]:
+    def run(self, state: FluidState,
+            sample_times: Sequence[float]) -> Iterator[tuple[FluidState, EnergyLedger]]:
         """Advance from the initial state hitting each sample time exactly,
-        yielding a RunSample there.
+        yielding the state there with a copy of the ledger.
 
-        Each step is the CFL bound of its state, shortened to land on the
-        next sample time; a fixed step is `step(state, dt)` in a loop. As a
+        ExplicitStepper checks the schedule and sizes the steps. As a
         generator, run checks the schedule at the first `next()` and holds
         a sampled state, the initial one too, only until the step that
-        follows it. It samples the lifting field once, at the initial
-        state, for the ledger's initial coupling.
+        follows it.
         """
-        times = [float(s) for s in sample_times]
-        if not times or times != sorted(times) or times[0] < state.t - 1e-12:
-            raise ValueError("sample times must be nonempty, increasing and start at t0")
-
-        ledger = self._open_ledger(state)
-        sponge_total = 0.0
-        for target in times:
-            while state.t < target - 1e-12:
-                dt = min(self._stable_dt(state), target - state.t)
-                new_state = self.step(state, dt)
-                sponge_total += new_state.sponge_mass
-                ledger.dissipation += new_state.viscous_work
-                self._accumulate(ledger, state, dt)
-                state = new_state
-            yield RunSample(state, replace(ledger), self._total_mass(state), sponge_total)
-
-    def _total_mass(self, state: FluidState) -> float:
-        return float(np.sum(state.rho[self.grid.active])) * self.grid.h**2
+        ledger = EnergyLedger()
+        for target in self._schedule(state, sample_times):
+            for before, dt, state in self._steps(state, target):
+                ledger.sponge_mass += state.sponge_mass
+                ledger.dissipation += state.viscous_work
+                self._accumulate(ledger, before, dt)
+            yield state, replace(ledger)
 
     # -- energy inequality monitor -------------------------------------------
 
-    def _v_coupling(self, state: FluidState, ext: ExtensionFieldSample) -> float:
+    def energy_terms(self, state: FluidState, ext: ExtensionFieldSample):
+        """The state's energy and its lifting coupling int rho u.V, ext the
+        lifting field V at state.t."""
+        energy = instant_energy(self.grid, self.law, state)
         if self.lifting is None:
-            return 0.0
+            return energy, 0.0
         g = self.grid
         lay = g.layout
         uc, vc = map(lay.cells, lay.centers(state.u, state.v))
         ecu, ecv = map(lay.cells, lay.centers(ext.u, ext.v))
         val = state.rho * (uc * ecu + vc * ecv)
-        return float(np.sum(val[g.active])) * g.h**2
-
-    def _open_ledger(self, state0: FluidState) -> EnergyLedger:
-        return EnergyLedger(
-            initial_energy=instant_energy(self.grid, self.law, state0),
-            initial_v_coupling=self._v_coupling(
-                state0, lifting_sample(self.lifting, self.grid, state0.t)),
-        )
+        return energy, float(np.sum(val[g.active])) * g.h**2
 
     def _accumulate(self, ledger: EnergyLedger, state: FluidState, dt: float):
         """Add one step of lifting work S:grad V - rho (u x u):grad V -
@@ -448,22 +424,20 @@ class CompressibleSolver(ExplicitStepper):
         ledger.v_work += dt * float(np.sum(integrand[lifting.box_active])) * g.h**2
 
     def energy_report(self, state: FluidState, ledger: EnergyLedger,
-                      ext: ExtensionFieldSample) -> EnergyRecord:
+                      ext: ExtensionFieldSample, initial) -> EnergyRecord:
         """Both sides of the discrete energy inequality and the verdict flag;
-        ext is the lifting field V at state.t.
+        ext is the lifting field V at state.t and initial the energy_terms
+        of the member's initial state.
 
         The tolerance is TOL_ENERGY times the initial energy; runs
         started from rest with a moving obstacle fall back to the kinetic
         scale of the lifting field so the comparison has a usable yardstick.
         """
-        lhs = instant_energy(self.grid, self.law, state) + ledger.dissipation
-        rhs = (
-            ledger.initial_energy
-            + self._v_coupling(state, ext)
-            - ledger.initial_v_coupling
-            + ledger.v_work
-        )
-        scale = ledger.initial_energy
+        energy, coupling = self.energy_terms(state, ext)
+        initial_energy, initial_coupling = initial
+        lhs = energy + ledger.dissipation
+        rhs = initial_energy + coupling - initial_coupling + ledger.v_work
+        scale = initial_energy
         if scale <= 0.0 and self.lifting is not None:
             scale = 0.5 * self.law.rho_ref * self.grid.ops.face_l2norm(ext.u, ext.v) ** 2
         tol = TOL_ENERGY * scale

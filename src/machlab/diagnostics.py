@@ -4,7 +4,9 @@ These are pure readers of immutable snapshots: given one compressible
 snapshot and the incompressible one at its time, they produce that
 snapshot's terms, as records; member_metrics reduces a member's terms, in
 time, to the append-only records written to the metrics CSV. The sweep
-holds one sampled state at a time, plus the one its loop is still on.
+calls them in the parent, on each member snapshot as it reads it back
+from the run directory, with the reference state the parent holds; the
+members themselves only step.
 """
 
 from __future__ import annotations
@@ -132,10 +134,11 @@ def uniform_estimate_report(state, grid: Grid, law: PressureLaw):
 
 
 def convergence_metrics(cstate, istate, grid: Grid, law: PressureLaw, path: MotionPath,
-                        ext: ExtensionFieldSample, probes=None):
+                        ext: ExtensionFieldSample, probes):
     """One snapshot's terms of the three limit metrics: density scale,
     velocity gap, solenoidal pairing; ext is the lifting field V at cstate.t
-    and probes the grid's observation_probes, built here when not given.
+    and probes the grid's observation_probes, which depend on the grid
+    alone, so a caller builds them once.
 
     (i)  ||rho - rho_ref||_L2 / eps, whose max over snapshots is the metric;
     (ii) the squared L2 distance of the velocities over the annulus window;
@@ -148,7 +151,7 @@ def convergence_metrics(cstate, istate, grid: Grid, law: PressureLaw, path: Moti
     if abs(cstate.t - istate.t) > 1e-10:
         raise ScheduleMismatch(f"snapshot at t = {cstate.t!r} paired with the "
                                f"reference at t = {istate.t!r}")
-    window, phi = probes or observation_probes(grid)
+    window, phi = probes
     eps = cstate.eps
     rbar = law.rho_ref
     h2 = grid.h**2

@@ -27,9 +27,10 @@ from .operators import (
     ComponentMasks,
     DiscreteOperators,
     PaddedLayout,
+    known_faces,
+    known_gradient,
     nodal_curl,
     smoothstep,
-    velocity_gradient_components,
 )
 
 
@@ -230,9 +231,10 @@ CFL = 0.4  # share of its state's stability bound that an explicit step takes
 
 
 class ExplicitStepper:
-    """The step policy both explicit solvers share. A subclass defines
-    cfl_limit(state), CFL times its stability bound; a step must be
-    positive and may exceed that limit by a 1e-9 relative slack only."""
+    """The step policy both explicit solvers share, and the schedule
+    their runs land on. A subclass defines cfl_limit(state), CFL times its
+    stability bound; a step must be positive and may exceed that limit by
+    a 1e-9 relative slack only."""
 
     _limit_of = None  # (state, cfl_limit(state)) of the last step
 
@@ -250,6 +252,25 @@ class ExplicitStepper:
         limit = self._stable_dt(state)
         if dt > limit * (1.0 + 1e-9):
             raise CflViolation(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e}")
+
+    @staticmethod
+    def _schedule(state, sample_times) -> list:
+        """The sample times of a run from state, as floats; ValueError
+        unless they are non-empty, increasing and start at state.t."""
+        times = [float(s) for s in sample_times]
+        if not times or times != sorted(times) or times[0] < state.t - 1e-12:
+            raise ValueError("sample times must be nonempty, increasing and start at t0")
+        return times
+
+    def _steps(self, state, target: float):
+        """The steps from state to the time target, as (state, dt, new
+        state): each the CFL bound of its state, shortened to land on
+        target; a fixed step is `step(state, dt)` in a loop."""
+        while state.t < target - 1e-12:
+            dt = min(self._stable_dt(state), target - state.t)
+            new_state = self.step(state, dt)
+            yield state, dt, new_state
+            state = new_state
 
 
 # -- divergence-free extension field ---------------------------------------
@@ -312,7 +333,7 @@ class ExtensionField:
         # each unit field's cell values (nx, ny, 2) and gradient (nx, ny, 4)
         fields = []
         for e in ((1.0, 0.0), (0.0, 1.0)):
-            comps, avgs = velocity_gradient_components(g, *self._curl_of(e))
+            comps, avgs = known_gradient(g, *known_faces(g, *self._curl_of(e)))
             fields += [np.stack([g.layout.cells(c) for c in part], axis=-1)
                        for part in (avgs, comps)]
         nonzero = g.active & np.any([np.any(f != 0.0, axis=-1) for f in fields], axis=0)

@@ -27,12 +27,6 @@ class IncompressibleState:
     t: float
 
 
-@dataclass
-class IncompressibleTrajectory:
-    times: np.ndarray
-    states: list
-
-
 class IncompressibleSolver(ExplicitStepper):
     def __init__(self, grid: Grid, kinematic_viscosity: float, path: MotionPath):
         if kinematic_viscosity <= 0.0:
@@ -111,19 +105,13 @@ class IncompressibleSolver(ExplicitStepper):
         du[masks.exterior_faces] = un[masks.exterior_faces]
         return du
 
-    def run(self, state0: IncompressibleState,
-            sample_times: Sequence[float]) -> IncompressibleTrajectory:
-        """Advance from state0 hitting each sample time exactly, each step
-        the CFL bound of its state shortened to land on the next sample
-        time; a fixed step is `step(state, dt)` in a loop."""
-        times = [float(s) for s in sample_times]
-        if not times or times != sorted(times) or times[0] < state0.t - 1e-12:
-            raise ValueError("sample times must be nonempty, increasing and start at t0")
-        traj = IncompressibleTrajectory(np.array(times), [])
-        state = state0
-        for target in times:
-            while state.t < target - 1e-12:
-                dt = min(self._stable_dt(state), target - state.t)
-                state = self.step(state, dt)
-            traj.states.append(state)
-        return traj
+    def run(self, state: IncompressibleState, sample_times: Sequence[float]) -> list:
+        """The states at the sample times, advancing from state and
+        hitting each time exactly; ExplicitStepper checks the schedule and
+        sizes the steps."""
+        states = []
+        for target in self._schedule(state, sample_times):
+            for *_, state in self._steps(state, target):
+                pass
+            states.append(state)
+        return states

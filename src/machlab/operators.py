@@ -339,22 +339,14 @@ def average_to_face(c, s, layout, fill=0.0):
     return out
 
 
-def velocity_gradient_components(grid, u, v):
-    """Cell-centred velocity gradient d u_i / d x_j and velocity, ((gxx,
-    gxy, gyx, gyy), (uc, vc)), flat in the grid's padded layout; the
-    gradient is zero on inactive cells and ghosts, and uc, vc average u, v
-    with their unknown faces zeroed (on active cells, plain averages)."""
-    comps, avgs = known_gradient(grid, *known_faces(grid, u, v))
-    for comp in comps:
-        comp[grid.component_masks[0].inactive_cells] = 0.0
-    return comps, avgs
-
-
 def known_gradient(grid, um, vm, layout=None):
-    """velocity_gradient_components of known_faces' um, vm, but finite,
-    not zero, off the active cells, for readers of active cells only. The
-    tangential derivatives are central differences of the cell averages
-    and stay zero on the edge rows (gyx) and columns (gxy).
+    """Cell-centred velocity gradient d u_i / d x_j and velocity, ((gxx,
+    gxy, gyx, gyy), (uc, vc)), of known_faces' um, vm: the cell averages
+    of um, vm (on active cells, plain averages of u, v) and their
+    differences, finite but not zero off the active cells, for readers of
+    active cells only. The tangential derivatives are central differences
+    of the cell averages and stay zero on the edge rows (gyx) and columns
+    (gxy).
 
     um, vm are flat in `layout`, the grid's padded layout unless given: a
     block cut from it with a margin around the cells read (a lifting's

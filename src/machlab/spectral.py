@@ -43,8 +43,7 @@ from .constitutive import (
 from .errors import ConfigValidationError, EigensolverFailure
 from .geometry import ExtensionField, ExtensionFieldSample, Grid, MotionPath, eval_motion
 from .operators import (
-    average_to_face, gradient_to_face, smoothstep, spd_factor,
-    velocity_gradient_components,
+    average_to_face, gradient_to_face, known_faces, known_gradient, smoothstep, spd_factor,
 )
 
 DESK_CELL_CAP = 128 * 128
@@ -540,7 +539,7 @@ def assemble_forcing(
     res = res_mask[..., None, None]
     residual = bool(res_mask.any())
 
-    grads, centers = velocity_gradient_components(g, state.u, state.v)
+    grads, centers = known_gradient(g, *known_faces(g, state.u, state.v))
     vel = np.stack(centers, axis=-1)
     uu = vel[..., :, None] * vel[..., None, :]
     terms = {

@@ -5,17 +5,19 @@ rho1, (u0, v0), built once, from the seed. run_sweep builds each fluid
 member's initial state rho_ref + eps*rho1, (u0, v0) before it makes the
 run directory. It then starts the members stepping: run_one_eps runs one
 member over the sample schedule, writes each sampled snapshot and
-returns only what a snapshot cannot give, its mass rows and its energy
-ledger at each sample time. Meanwhile the parent solves the Neumann
-eigenproblem once, tabulates the local-decay functional D(eps) from one
-probe and one horizon for every Mach number and runs one incompressible
-reference from (u0, v0). As each member returns, member_records reads
-its snapshots back one at a time and takes each one's energy record,
+returns only what a snapshot cannot give, its running per-step
+integrals at each sample time (the ledger's dissipation, lifting work
+and sponge mass). Meanwhile the parent solves the Neumann eigenproblem
+once, tabulates the local-decay functional D(eps) from one probe and one
+horizon for every Mach number and runs one incompressible reference from
+(u0, v0). As each member returns, member_records reads its snapshots
+back one at a time and takes each one's energy record, total mass,
 forcing channels and diagnostics, reduced in time to the member's table
-rows; a snapshot stores its fields exactly, so these equal the rows of
-the in-memory samples. Everything is written to a run directory closed
-by a manifest. A member holds one sampled state at a time (plus the one
-its loop is still on).
+rows; the first snapshot, the initial state, gives the initial energy
+and lifting coupling. A snapshot stores its fields exactly, so these
+rows equal those of the in-memory samples. Everything is written to a
+run directory closed by a manifest. A member holds one sampled state at
+a time (plus the one its loop is still on).
 
 The members run in a process pool of one worker per member, up to the
 usable CPUs; MACHLAB_WORKERS, when set, gives the pool size instead,
@@ -280,22 +282,20 @@ def run_one_eps(scenario: Scenario, out_dir: Path, eps: float):
     Runs the compressible member from its initial data to each time of the
     sample schedule and writes the sampled rho, u, v under
     out_dir/eps_<eps>. Returns only what a snapshot cannot give: the
-    member's mass.csv rows and its energy ledger at each sample time
-    (which also carries the initial energy and lifting coupling);
+    member's ledger at each sample time, its running per-step integrals;
     member_records derives everything else from the stored snapshots.
     """
     solver = scenario.solver
     member_dir = out_dir / _eps_dirname(eps)
     member_dir.mkdir(parents=True, exist_ok=True)
-    times = sample_schedule(scenario.cfg)
-    samples = solver.run(solver.init_state(*scenario.initial_fields, eps), times)
-    mass_rows, ledgers = [], []
-    for i, (state, ledger, total_mass, sponge_mass) in enumerate(samples):
+    samples = solver.run(solver.init_state(*scenario.initial_fields, eps),
+                         sample_schedule(scenario.cfg))
+    ledgers = []
+    for i, (state, ledger) in enumerate(samples):
         write_snapshot(member_dir / f"snap_{i:03d}.dat", state.t,
                        {"rho": state.rho, "u": state.u, "v": state.v})
-        mass_rows.append((float(times[i]), eps, total_mass, sponge_mass))
         ledgers.append(ledger)
-    return mass_rows, ledgers
+    return ledgers
 
 
 def stored_state(out_dir: Path, eps: float, index: int, grid: Grid) -> FluidState:
@@ -307,45 +307,48 @@ def stored_state(out_dir: Path, eps: float, index: int, grid: Grid) -> FluidStat
                       meta["time"], eps)
 
 
-def snapshot_terms(scenario: Scenario, dec, state, ledger, reference_state, probes):
-    """One sample's energy record and metric terms, from the state, the
-    member's ledger at its time and the reference state there, all from
-    the sample's one lifting field: the energy report, then the forcing
-    channels, the uniform estimates and the limit metrics, the terms in
-    the order member_metrics reduces them. probes are the grid's
-    observation_probes."""
+def snapshot_terms(scenario: Scenario, dec, state, ext, reference_state, probes):
+    """One sample's metric terms, from the state, the lifting field ext
+    at its time and the reference state there: the forcing channels, the
+    uniform estimates and the limit metrics, in the order member_metrics
+    reduces them. probes are the grid's observation_probes."""
     grid, solver, law, path = scenario.grid, scenario.solver, scenario.law, scenario.path
-    ext = lifting_sample(solver.lifting, grid, state.t)
-    energy = solver.energy_report(state, ledger, ext)
     densities = sp.assemble_forcing(state, grid, law, scenario.visc, path, ext, solver.lifting)
     channel_sq = sp.forcing_channel_norms(densities, dec) ** 2
-    terms = (uniform_estimate_report(state, grid, law)
-             + convergence_metrics(state, reference_state, grid, law, path, ext, probes)
-             + [integral_t(state.eps, "forcing_channels", channel_sq)])
-    return energy, terms
+    return (uniform_estimate_report(state, grid, law)
+            + convergence_metrics(state, reference_state, grid, law, path, ext, probes)
+            + [integral_t(state.eps, "forcing_channels", channel_sq)])
 
 
-def member_records(scenario: Scenario, dec, reference, eps: float, stepped, out_dir: Path):
+def member_records(scenario: Scenario, dec, reference, eps: float, ledgers, out_dir: Path):
     """A stepped member's energy.csv rows, mass.csv rows and metric
     records (uniform estimates, limit metrics, forcing channels).
 
-    `stepped` is what run_one_eps returned for the member. The snapshots
-    are read back from out_dir one at a time, each with its ledger and
-    the `reference` trajectory's state at its index, and member_metrics
-    reduces their terms in time. A snapshot stores its fields exactly, so
-    the rows equal those of the in-memory samples.
+    `ledgers` is what run_one_eps returned for the member. The snapshots
+    are read back from out_dir one at a time, each with its ledger, its
+    one lifting sample and the `reference` state at its index, and
+    member_metrics reduces their terms in time. The first snapshot is the
+    initial state, so it gives the energy terms every energy report
+    starts from; each snapshot's rho gives its total mass. A snapshot
+    stores its fields exactly, so the rows equal those of the in-memory
+    samples.
     """
-    mass_rows, ledgers = stepped
-    probes = observation_probes(scenario.grid)
-    energy_rows, terms = [], []
+    grid, solver = scenario.grid, scenario.solver
+    times = sample_schedule(scenario.cfg)
+    probes = observation_probes(grid)
+    energy_rows, mass_rows, terms = [], [], []
     for i, ledger in enumerate(ledgers):
-        state = stored_state(out_dir, eps, i, scenario.grid)
-        rec, snapshot = snapshot_terms(scenario, dec, state, ledger, reference.states[i],
-                                       probes)
+        state = stored_state(out_dir, eps, i, grid)
+        ext = lifting_sample(solver.lifting, grid, state.t)
+        if i == 0:  # the initial state: schedules start at t = 0
+            initial = solver.energy_terms(state, ext)
+        rec = solver.energy_report(state, ledger, ext, initial)
         energy_rows.append((rec.t, rec.eps, rec.lhs, rec.rhs, int(rec.flag)))
-        terms.append(snapshot)
+        total_mass = float(np.sum(state.rho[grid.active])) * grid.h**2
+        mass_rows.append((float(times[i]), eps, total_mass, ledger.sponge_mass))
+        terms.append(snapshot_terms(scenario, dec, state, ext, reference[i], probes))
 
-    records = member_metrics(terms, reference.times)
+    records = member_metrics(terms, times)
     # per-channel L2((0,T) x Omega) norms of the snapshot series
     channels = records.pop().value
     records += [integral_t(eps, name, value) for name, value in zip(CHANNEL_NAMES, channels)]
@@ -440,9 +443,9 @@ def _open_run_dir(out_dir: Path, cfg: ExperimentConfig):
     (out_dir / "config.txt").write_text(canonical_text(cfg))
 
 
-def reference_run(scenario: Scenario):
-    """The incompressible reference trajectory on the sample schedule,
-    from the members' u0 (eps-independent)."""
+def reference_run(scenario: Scenario) -> list:
+    """The incompressible reference's states at the sample times, from
+    the members' u0 (eps-independent)."""
     cfg = scenario.cfg
     nu = cfg["physics"]["shear_viscosity"] / cfg["physics"]["reference_density"]
     inc = IncompressibleSolver(scenario.grid, nu, scenario.path)
@@ -465,10 +468,10 @@ def _fluid_sweep(scenario: Scenario, x_field, out_dir: Path, workers: int):
         reference = reference_run(scenario)
         ref_dir = out_dir / "reference"
         ref_dir.mkdir(exist_ok=True)
-        for i, st in enumerate(reference.states):
+        for i, st in enumerate(reference):
             write_snapshot(ref_dir / f"snap_{i:03d}.dat", st.t, {"u": st.u, "v": st.v})
-        for eps, run in stepped:
-            members[eps] = member_records(scenario, dec, reference, eps, run, out_dir)
+        for eps, ledgers in stepped:
+            members[eps] = member_records(scenario, dec, reference, eps, ledgers, out_dir)
 
     energy_rows, mass_rows, metric_records, summary_rows = [], [], [], []
     for eps, rage_row in zip(eps_list, rage_rows):

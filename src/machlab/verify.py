@@ -1,5 +1,7 @@
 """Re-evaluation of a stored run directory: its invariants and, on demand,
-the acoustic pair of one of its snapshots."""
+the acoustic pair of one of its snapshots. Every member and the reference
+must store one snapshot per time of the sample schedule, so no check
+passes over a member whose snapshots are gone."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from .geometry import eval_motion, lifting_sample
 from .storage import (
     changed_artifacts, check_artifacts, read_csv, read_manifest, read_snapshot,
 )
-from .sweep import _eps_dirname, build_scenario
+from .sweep import _eps_dirname, build_scenario, sample_schedule
 
 TOL_DIV = 1e-8  # bound on the reference snapshots' discrete divergence
 
@@ -34,6 +36,15 @@ class CheckResult:
 def _snapshot_files(run_dir: Path, sub: str):
     d = run_dir / sub
     return sorted(d.glob("snap_*.dat")) if d.exists() else []
+
+
+def _snapshot_count(context, files, expected):
+    """The number of stored snapshots against the schedule's, the context
+    naming a shortfall or an excess."""
+    n = len(files)
+    if n != expected:
+        context = f"{context}: {n} snapshots stored for {expected} sample times"
+    return CheckResult("snapshot_count", context, float(n), float(expected), n == expected)
 
 
 def _snapshot_fields(path, grid, names):
@@ -88,8 +99,10 @@ def verify_run(run_dir) -> dict:
 
     sponge_w = cfg["numerics"]["sponge_width"]
     amp = cfg["initial"]["pulse_amplitude"]
+    samples = len(sample_schedule(cfg))
     for eps in eps_list:
         files = _snapshot_files(run_dir, _eps_dirname(eps))
+        checks.append(_snapshot_count(f"eps={eps:g}", files, samples))
         if not files:
             continue
         min_rho = np.inf
@@ -151,7 +164,9 @@ def verify_run(run_dir) -> dict:
 
     # reference snapshots stay divergence-free
     max_div = 0.0
-    for path in _snapshot_files(run_dir, "reference"):
+    files = _snapshot_files(run_dir, "reference")
+    checks.append(_snapshot_count("reference", files, samples))
+    for path in files:
         _, (u, v) = _snapshot_fields(path, grid, ("u", "v"))
         div = grid.ops.div(u, v, include_boundary_faces=True)
         max_div = max(max_div, float(np.abs(div[grid.active]).max()))

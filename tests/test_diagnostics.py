@@ -12,6 +12,7 @@ from machlab.diagnostics import (
     default_window,
     integral_t,
     member_metrics,
+    observation_probes,
     solenoidal_test_function,
     split_ess_res,
     sup_t,
@@ -81,7 +82,7 @@ class TestUniformEstimates:
                                          np.zeros((grid.nx + 1, grid.ny)),
                                          np.zeros((grid.nx, grid.ny + 1)), 0.1), times)
         records = member_metrics(
-            [uniform_estimate_report(s.state, grid, LAW) for s in samples], times)
+            [uniform_estimate_report(state, grid, LAW) for state, _ in samples], times)
         assert len(records) == 6
         for rec in records:
             assert rec.value == pytest.approx(0.0, abs=1e-14), rec.metric_name
@@ -113,18 +114,19 @@ class TestConvergenceMetrics:
         xc, yc = grid.cell_centers()
         r2 = (xc - 0.45) ** 2 + yc**2
         rho1 = np.where(r2 < 0.0144, (1 - r2 / 0.0144) ** 3, 0.0)
-        comp = list(sol.run(sol.init_state(rho1, np.zeros((grid.nx + 1, grid.ny)),
-                                           np.zeros((grid.nx, grid.ny + 1)), 0.1),
-                            self.TIMES))
+        comp = [state for state, _ in sol.run(
+            sol.init_state(rho1, np.zeros((grid.nx + 1, grid.ny)),
+                           np.zeros((grid.nx, grid.ny + 1)), 0.1), self.TIMES)]
         inc = IncompressibleSolver(grid, 0.01, static_path(1.0))
         ref = inc.run(inc.init_state(np.zeros((grid.nx + 1, grid.ny)),
                                      np.zeros((grid.nx, grid.ny + 1))), self.TIMES)
-        return comp, ref.states
+        return comp, ref
 
     def _metrics(self, grid, comp, ref_states):
         # a body at rest has no lifting: V = 0
-        terms = [convergence_metrics(s.state, ist, grid, LAW, static_path(1.0),
-                                     lifting_sample(None, grid, s.state.t))
+        probes = observation_probes(grid)
+        terms = [convergence_metrics(s, ist, grid, LAW, static_path(1.0),
+                                     lifting_sample(None, grid, s.t), probes)
                  for s, ist in zip(comp, ref_states)]
         return {r.metric_name: r.value for r in member_metrics(terms, self.TIMES)}
 
@@ -132,7 +134,7 @@ class TestConvergenceMetrics:
         grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
         comp, _ = self._pair(grid)
         # the compressible states as their own reference
-        by_name = self._metrics(grid, comp, [s.state for s in comp])
+        by_name = self._metrics(grid, comp, comp)
         assert by_name["velocity_gap"] == pytest.approx(0.0, abs=1e-14)
 
     def test_schedule_mismatch_rejected(self):
@@ -146,7 +148,7 @@ class TestConvergenceMetrics:
         grid = build_grid(2, 1.0, 0.15, 1.0 / 32.0)
         comp, ref = self._pair(grid)
         by_name = self._metrics(grid, comp, ref)
-        expected = max(grid.l2norm(s.state.rho - 1.0) / 0.1 for s in comp)
+        expected = max(grid.l2norm(s.rho - 1.0) / 0.1 for s in comp)
         assert by_name["density_scale"] == pytest.approx(expected, rel=1e-12)
 
 

@@ -128,12 +128,12 @@ class TestStep:
         for name in calls:
             monkeypatch.setattr(IncompressibleSolver, name, counted(name))
         sol = IncompressibleSolver(grid, 0.01, linear_path((0.1, 0.0), 1.0))
-        traj = sol.run(sol.init_state(*vortex_field(grid)), [0.0, 0.02, 0.04])
+        states = sol.run(sol.init_state(*vortex_field(grid)), [0.0, 0.02, 0.04])
         assert calls["step"] > 2
         assert calls["cfl_limit"] == calls["step"]
         # the guard of a second step from the same state reads the stored
         # limit and must still refuse a too-large dt
-        state = traj.states[-1]
+        state = states[-1]
         limit = sol.cfl_limit(state)
         sol.step(state, limit)
         with pytest.raises(CflViolation):
@@ -149,9 +149,8 @@ class TestStep:
 
     def test_kinetic_energy_non_increasing(self, grid):
         sol = IncompressibleSolver(grid, 0.01, static_path(10.0))
-        traj = sol.run(sol.init_state(*vortex_field(grid)),
-                       np.linspace(0.0, 0.5, 11))
-        ke = [kinetic_energy(grid, st) for st in traj.states]
+        states = sol.run(sol.init_state(*vortex_field(grid)), np.linspace(0.0, 0.5, 11))
+        ke = [kinetic_energy(grid, st) for st in states]
         assert all(a >= b - 1e-14 for a, b in zip(ke, ke[1:]))
         assert ke[-1] < ke[0]
 
@@ -200,6 +199,5 @@ class TestRun:
                              np.zeros((grid.nx, grid.ny + 1)))
         # the compatibility projection already installs the dipole flow
         assert np.abs(st0.u[face_masks(grid, "interior")[0]]).max() > 0.01
-        traj = sol.run(st0, np.linspace(0.0, 0.1, 6))
-        for st in traj.states:
+        for st in sol.run(st0, np.linspace(0.0, 0.1, 6)):
             assert max_divergence(grid, st) <= 1e-8, st.t
