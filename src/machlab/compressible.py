@@ -5,17 +5,17 @@ and transport happens with the relative velocity u - m'(t): mass and
 momentum fluxes are Rusanov-stabilized first-order upwind, the pressure
 gradient (carrying the 1/eps^2 stiffness) and viscous terms are centered,
 and a cosine-ramped sponge layer relaxes the rim toward the far-field
-state to emulate radiation to infinity. The energy ledger books as
-dissipation the work -<u, F_visc> of the viscous force each step applies,
-which the step reduces on the faces where it applies it (the face-based
-kinetic-energy balance of staggered schemes), and as lifting work the
-integral of S:grad V - rho (u x u):grad V - rho u.dV/dt, read from the
-lifting field itself on its support box; without a lifting the ledger
-forms no velocity gradient. run yields each sampled state with a copy of
-the ledger, the running per-step integrals that a stored snapshot cannot
-give (with the sponge's cumulative mass); energy_report reads them with
-the energy_terms of the initial state, which the sweep takes from a
-member's first stored snapshot, as every other term of a sample.
+state to emulate radiation to infinity. Each step books into the
+EnergyLedger it is handed: as dissipation the work -<u, F_visc> of the
+viscous force it applies, reduced on the faces where it applies it (the
+face-based kinetic-energy balance of staggered schemes), the mass its
+sponge adds, and as lifting work S:grad V - rho (u x u):grad V - rho
+u.dV/dt on the lifting's support box, from the known faces it built;
+without a lifting it forms no velocity gradient. run yields each sampled
+state, fields only, with a copy of the ledger, what a snapshot cannot
+give; energy_report reads it with the energy_terms of the initial state,
+which the sweep takes from a member's first stored snapshot, as every
+other term of a sample.
 
 The step re-checks no invariant it keeps: active density is positive
 (init_state, the vacuum check) and other cells hold rho_ref (a fresh
@@ -54,11 +54,7 @@ class FluidState:
     """Density at centers, velocity components at faces, in the fixed frame.
 
     The fields are cell and face views of flat buffers in the grid's
-    padded layout, which the next step reads without a copy. sponge_mass
-    is the mass the sponge added in the step that produced this state,
-    viscous_work the energy its viscous force dissipated there,
-    -dt h^2 <u, F_visc> over the interior faces of both components (both
-    zero for initial states).
+    padded layout, which the next step reads without a copy.
     """
 
     rho: np.ndarray  # (nx, ny)
@@ -66,8 +62,6 @@ class FluidState:
     v: np.ndarray  # (nx, ny+1)
     t: float
     eps: float
-    sponge_mass: float = 0.0
-    viscous_work: float = 0.0
 
 
 DATA_BOUND = 100.0  # init_state refuses rho1 with L2 + Linf norms above this
@@ -76,9 +70,9 @@ TOL_ENERGY = 1e-3  # energy flag slack, a share of the initial energy
 
 @dataclass
 class EnergyLedger:
-    """A member's running per-step integrals since its initial state: the
-    dissipation its steps booked, the lifting work v_work and the mass the
-    sponge added. These are what a stored snapshot cannot give."""
+    """A member's running per-step integrals since its initial state, each
+    step adding its own: the dissipation, the lifting work v_work and the
+    mass the sponge added. These are what a stored snapshot cannot give."""
 
     dissipation: float = 0.0
     v_work: float = 0.0
@@ -147,7 +141,6 @@ class CompressibleSolver(ExplicitStepper):
         self.sponge_width = sponge_width
         self._keep = self._sponge_keep()
         self.lifting = build_lifting(grid, path, sponge_width)
-        self._known_of = (None, None, None)  # the last step's state and known_faces
 
     def _sponge_keep(self):
         """The share 1 - s of the cell, x-face and y-face fields that the
@@ -217,8 +210,9 @@ class CompressibleSolver(ExplicitStepper):
 
     # -- single step ----------------------------------------------------------
 
-    def step(self, state: FluidState, dt: float) -> FluidState:
-        """One conservative explicit update; raises on CFL, vacuum, or NaN.
+    def step(self, state: FluidState, dt: float, ledger: EnergyLedger) -> FluidState:
+        """One conservative explicit update, booked into ledger; raises on
+        CFL, vacuum, or NaN.
 
         Every field is flat in the grid's padded layout, and both velocity
         components run the same kernels with their strides swapped.
@@ -260,7 +254,6 @@ class CompressibleSolver(ExplicitStepper):
 
         p_cell = law.coeff * rho**law.gamma
         um, vm = known_faces(g, u, v)
-        self._known_of = (state, um, vm)
         div_full = face_divergence(g, um, vm)
 
         u_new, work_u = self._momentum_update(
@@ -269,24 +262,23 @@ class CompressibleSolver(ExplicitStepper):
         v_new, work_v = self._momentum_update(
             rho, rho_new, v, vm, wv, wu, p_cell, div_full, eps, dt, ym
         )
-        viscous_work = -dt * h**2 * (work_u + work_v)
+        ledger.dissipation += -dt * h**2 * (work_u + work_v)
+        self._accumulate(ledger, state, um, vm, dt)
 
-        # sponge relaxation toward the far-field rest state, mass change logged
-        sponge_mass = 0.0
+        # sponge relaxation toward the far-field rest state, mass change booked
         if self._keep is not None:
             keep_cell, keep_u, keep_v = self._keep
             before = float(np.sum(rho_new[xm.active]))
             rho_new -= law.rho_ref  # a cell at rho_ref stays there, bit for bit
             rho_new *= keep_cell
             rho_new += law.rho_ref
-            sponge_mass = (float(np.sum(rho_new[xm.active])) - before) * h**2
+            ledger.sponge_mass += (float(np.sum(rho_new[xm.active])) - before) * h**2
             u_new *= keep_u
             v_new *= keep_v
 
         # enforce_bc writes u_new and v_new in place, ghosts included
         out = enforce_bc(g, self.path, FluidState(
-            lay.cells(rho_new), lay.xfaces(u_new), lay.yfaces(v_new), state.t + dt, eps,
-            sponge_mass, viscous_work))
+            lay.cells(rho_new), lay.xfaces(u_new), lay.yfaces(v_new), state.t + dt, eps))
         if not all(np.isfinite(f).all() for f in (rho_new, u_new, v_new)):
             raise NanDetected(f"non-finite field value at t = {out.t:.6g}")
         return out
@@ -356,19 +348,14 @@ class CompressibleSolver(ExplicitStepper):
     def run(self, state: FluidState,
             sample_times: Sequence[float]) -> Iterator[tuple[FluidState, EnergyLedger]]:
         """Advance from the initial state hitting each sample time exactly,
-        yielding the state there with a copy of the ledger.
+        yielding the state there with a copy of the ledger its steps booked.
 
-        ExplicitStepper checks the schedule and sizes the steps. As a
+        ExplicitStepper checks the schedule and lands the samples. As a
         generator, run checks the schedule at the first `next()` and holds
-        a sampled state, the initial one too, only until the step that
-        follows it.
+        one sampled state, the initial one too, until the next lands.
         """
         ledger = EnergyLedger()
-        for target in self._schedule(state, sample_times):
-            for before, dt, state in self._steps(state, target):
-                ledger.sponge_mass += state.sponge_mass
-                ledger.dissipation += state.viscous_work
-                self._accumulate(ledger, before, dt)
+        for state in self._samples(state, sample_times, ledger):
             yield state, replace(ledger)
 
     # -- energy inequality monitor -------------------------------------------
@@ -386,20 +373,18 @@ class CompressibleSolver(ExplicitStepper):
         val = state.rho * (uc * ecu + vc * ecv)
         return energy, float(np.sum(val[g.active])) * g.h**2
 
-    def _accumulate(self, ledger: EnergyLedger, state: FluidState, dt: float):
+    def _accumulate(self, ledger: EnergyLedger, state: FluidState, um, vm, dt: float):
         """Add one step of lifting work S:grad V - rho (u x u):grad V -
         rho u.dV/dt, integrated on the lifting's support box only, from its
-        box fields and the velocity gradient formed on the lifting's block
-        around the box; the step books the dissipation. Without a lifting
-        it forms nothing.
+        box fields and the velocity gradient of um, vm, the state's known
+        faces (flat), formed on the lifting's block around the box. Without
+        a lifting it forms nothing.
         """
         lifting = self.lifting
         if lifting is None:
             return
         g = self.grid
         mu, eta = self.visc.shear, self.visc.bulk
-        um, vm = (self._known_of[1:] if self._known_of[0] is state
-                  else known_faces(g, state.u, state.v))
         block, blay = lifting.block, lifting.block_layout
         um, vm = (f.reshape(g.layout.shape)[block].ravel() for f in (um, vm))
         (gxx, gxy, gyx, gyy), avgs = known_gradient(g, um, vm, blay)

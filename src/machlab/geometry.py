@@ -11,7 +11,9 @@ everything derived from it: its face samples, its two unit fields cut to
 its support box, and its velocity gradient and moving-frame derivative
 there, which the energy ledger and the wave forcing both read. Beside
 enforce_bc, the boundary condition of either solver's state, sit the CFL
-number and the step policy both explicit solvers share.
+number, the step policy both explicit solvers share and the one loop that
+lands either run on its sample times, handing each step the run's extra
+arguments (the compressible step's ledger).
 """
 
 from __future__ import annotations
@@ -231,16 +233,16 @@ CFL = 0.4  # share of its state's stability bound that an explicit step takes
 
 
 class ExplicitStepper:
-    """The step policy both explicit solvers share, and the schedule
-    their runs land on. A subclass defines cfl_limit(state), CFL times its
-    stability bound; a step must be positive and may exceed that limit by
-    a 1e-9 relative slack only."""
+    """The step policy both explicit solvers share, and the one loop that
+    lands their runs on a schedule. A subclass defines cfl_limit(state),
+    CFL times its stability bound; a step must be positive and may exceed
+    that limit by a 1e-9 relative slack only."""
 
     _limit_of = None  # (state, cfl_limit(state)) of the last step
 
     def _stable_dt(self, state) -> float:
-        """cfl_limit(state), evaluated once per state: run sizes the step
-        with it and step's guard reads the same value."""
+        """cfl_limit(state), evaluated once per state: _samples sizes the
+        step with it and step's guard reads the same value."""
         if self._limit_of is None or self._limit_of[0] is not state:
             self._limit_of = (state, self.cfl_limit(state))
         return self._limit_of[1]
@@ -253,24 +255,20 @@ class ExplicitStepper:
         if dt > limit * (1.0 + 1e-9):
             raise CflViolation(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e}")
 
-    @staticmethod
-    def _schedule(state, sample_times) -> list:
-        """The sample times of a run from state, as floats; ValueError
-        unless they are non-empty, increasing and start at state.t."""
+    def _samples(self, state, sample_times, *step_args):
+        """The states at sample_times, landed from state with steps
+        `step(state, dt, *step_args)`, each the CFL bound of its state
+        shortened to land on the next time; ValueError, at the first
+        `next()`, unless the times are non-empty, increasing and start at
+        state.t. A fixed step is `step` in a loop."""
         times = [float(s) for s in sample_times]
         if not times or times != sorted(times) or times[0] < state.t - 1e-12:
             raise ValueError("sample times must be nonempty, increasing and start at t0")
-        return times
-
-    def _steps(self, state, target: float):
-        """The steps from state to the time target, as (state, dt, new
-        state): each the CFL bound of its state, shortened to land on
-        target; a fixed step is `step(state, dt)` in a loop."""
-        while state.t < target - 1e-12:
-            dt = min(self._stable_dt(state), target - state.t)
-            new_state = self.step(state, dt)
-            yield state, dt, new_state
-            state = new_state
+        for target in times:
+            while state.t < target - 1e-12:
+                state = self.step(state, min(self._stable_dt(state), target - state.t),
+                                  *step_args)
+            yield state
 
 
 # -- divergence-free extension field ---------------------------------------

@@ -108,10 +108,5 @@ class IncompressibleSolver(ExplicitStepper):
     def run(self, state: IncompressibleState, sample_times: Sequence[float]) -> list:
         """The states at the sample times, advancing from state and
         hitting each time exactly; ExplicitStepper checks the schedule and
-        sizes the steps."""
-        states = []
-        for target in self._schedule(state, sample_times):
-            for *_, state in self._steps(state, target):
-                pass
-            states.append(state)
-        return states
+        lands the samples."""
+        return list(self._samples(state, sample_times))

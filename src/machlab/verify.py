@@ -1,7 +1,9 @@
 """Re-evaluation of a stored run directory: its invariants and, on demand,
 the acoustic pair of one of its snapshots. Every member and the reference
-must store one snapshot per time of the sample schedule, so no check
-passes over a member whose snapshots are gone."""
+must store one snapshot per time of the sample schedule, and every member
+its rows in the tables, so no check passes over a member whose snapshots
+or rows are gone. A table row belongs to the member whose eps the writer
+formats to the row's text (storage.FLOAT_FMT)."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from .config import parse_config
 from .errors import SnapshotFormatError
 from .geometry import eval_motion, lifting_sample
 from .storage import (
-    changed_artifacts, check_artifacts, read_csv, read_manifest, read_snapshot,
+    FLOAT_FMT, changed_artifacts, check_artifacts, read_csv, read_manifest, read_snapshot,
 )
 from .sweep import _eps_dirname, build_scenario, sample_schedule
 
@@ -63,6 +65,19 @@ def _snapshot_fields(path, grid, names):
     return meta["time"], out
 
 
+def _eps_rows(run_dir: Path, name: str, tags, checks: list):
+    """The header and rows of table `name`, after appending to checks
+    whether they are one row per configured eps, in order; tags are the
+    configured eps as the writer formats them."""
+    header, rows = read_csv(run_dir / name)
+    got = [r[0] for r in rows]
+    ok = got == tags
+    ctx = name if ok else (f"{name}: rows at eps {', '.join(got) or '(none)'} for the "
+                           f"configured {', '.join(tags)}")
+    checks.append(CheckResult("eps_rows", ctx, float(len(rows)), float(len(tags)), ok))
+    return header, rows
+
+
 def verify_run(run_dir) -> dict:
     """Machine-readable report over every stored invariant; refuses
     incomplete directories and names missing artifacts. The check
@@ -81,18 +96,20 @@ def verify_run(run_dir) -> dict:
         CheckResult("artifact_digests", ", ".join(changed) or "all",
                     float(len(changed)), 0.0, not changed),
     ]
+    eps_list = list(cfg["sweep"]["eps"])
+    tags = [FLOAT_FMT % eps for eps in eps_list]
+    checks.extend(_check_rage_table(_eps_rows(run_dir, "rage.csv", tags, checks)[1]))
     if cfg["run"]["scenario"] == "spectral":
-        checks.extend(_check_rage_table(run_dir))
+        _eps_rows(run_dir, "summary.csv", tags, checks)
         return _report(checks)
 
     scenario = build_scenario(cfg)
     grid = scenario.grid
     law = scenario.law
-    eps_list = list(cfg["sweep"]["eps"])
 
-    # energy table indexed by (eps, t) for snapshot cross-checks
+    # energy table indexed by (eps text, t) for snapshot cross-checks
     _, energy_rows = read_csv(run_dir / "energy.csv")
-    energy = {(float(r[1]), round(float(r[0]), 10)): (float(r[2]), float(r[3]), int(r[4]))
+    energy = {(r[1], round(float(r[0]), 10)): (float(r[2]), float(r[3]), int(r[4]))
               for r in energy_rows}
     flags_ok = all(int(r[4]) == 1 for r in energy_rows)
     checks.append(CheckResult("energy_flags", "all", float(not flags_ok), 0.0, flags_ok))
@@ -100,7 +117,7 @@ def verify_run(run_dir) -> dict:
     sponge_w = cfg["numerics"]["sponge_width"]
     amp = cfg["initial"]["pulse_amplitude"]
     samples = len(sample_schedule(cfg))
-    for eps in eps_list:
+    for eps, tag in zip(eps_list, tags):
         files = _snapshot_files(run_dir, _eps_dirname(eps))
         checks.append(_snapshot_count(f"eps={eps:g}", files, samples))
         if not files:
@@ -109,7 +126,7 @@ def verify_run(run_dir) -> dict:
         far_field = 0.0
         slip = 0.0
         energy_gap = -np.inf
-        start = energy.get((eps, 0.0))
+        start = energy.get((tag, 0.0))
         unbooked = []  # times of snapshots without an energy.csv row
         for path in files:
             t, (rho, u, v) = _snapshot_fields(path, grid, ("rho", "u", "v"))
@@ -124,7 +141,7 @@ def verify_run(run_dir) -> dict:
                 gap = np.abs(grid.layout.flat(f)[m.obstacle] - w)
                 slip = max(slip, float(gap.max(initial=0.0)))
             # recomputed instantaneous energy must stay below the stored rhs
-            key = (eps, round(t, 10))
+            key = (tag, round(t, 10))
             if key not in energy:
                 unbooked.append(f"{t:g}")
             elif start is not None:
@@ -149,18 +166,19 @@ def verify_run(run_dir) -> dict:
                         energy_gap <= 0.0)
         )
 
-    # mass accounting: total change equals the logged sponge flux
+    # mass accounting: total change equals the logged sponge flux, over
+    # one row per sample time
     _, mass_rows = read_csv(run_dir / "mass.csv")
-    by_eps = {}
-    for r in mass_rows:
-        by_eps.setdefault(float(r[1]), []).append((float(r[0]), float(r[2]), float(r[3])))
-    for eps, rows in by_eps.items():
-        rows.sort()
-        drift = abs((rows[-1][1] - rows[0][1]) - rows[-1][2])
-        tol = 1e-8 * max(rows[0][1], 1.0)
-        checks.append(
-            CheckResult("mass_accounting", f"eps={eps:g}", drift, tol, drift <= tol)
-        )
+    for eps, tag in zip(eps_list, tags):
+        rows = sorted((float(r[0]), float(r[2]), float(r[3])) for r in mass_rows if r[1] == tag)
+        ctx = f"eps={eps:g}"
+        if len(rows) == samples:
+            drift = abs((rows[-1][1] - rows[0][1]) - rows[-1][2])
+            tol = 1e-8 * max(rows[0][1], 1.0)
+        else:
+            ctx = f"{ctx}: mass.csv has {len(rows)} rows for {samples} sample times"
+            drift, tol = np.inf, 0.0
+        checks.append(CheckResult("mass_accounting", ctx, drift, tol, drift <= tol))
 
     # reference snapshots stay divergence-free
     max_div = 0.0
@@ -175,14 +193,13 @@ def verify_run(run_dir) -> dict:
     )
 
     # headline sweep behavior recorded in the summary table
-    header, summary = read_csv(run_dir / "summary.csv")
+    header, summary = _eps_rows(run_dir, "summary.csv", tags, checks)
     if len(summary) >= 2:
         gaps = [float(r[header.index("velocity_gap")]) for r in summary]
         mono = all(a > b for a, b in zip(gaps, gaps[1:]))
         checks.append(
             CheckResult("velocity_gap_decreasing", "sweep", float(not mono), 0.0, mono)
         )
-    checks.extend(_check_rage_table(run_dir))
     return _report(checks)
 
 
@@ -198,11 +215,9 @@ def stored_acoustic_pair(run_dir, eps: float, index: int) -> sp.AcousticState:
     return sp.extract_acoustic_potential(state, sc.grid, sc.path, sc.law, ext)
 
 
-def _check_rage_table(run_dir: Path):
+def _check_rage_table(rows):
     """D strictly decreasing over the rows of a non-empty rage.csv; an
     all-zero D column is right only on an empty horizon (every T = 0)."""
-    path = run_dir / "rage.csv"
-    rows = read_csv(path)[1] if path.exists() else []
     if not rows:
         return []
     ds = [float(r[1]) for r in rows]

@@ -127,11 +127,12 @@ def rest_motion():
     return static_path(1.0)
 
 
-def fixed_step(solver, state, dt, horizon):
-    """The state after round(horizon / dt) steps of dt; a solver's run
-    always steps at its CFL bound."""
+def fixed_step(solver, state, dt, horizon, *ledger):
+    """The state after round(horizon / dt) steps of dt, each handed the
+    ledger the compressible step books into; a solver's run always steps
+    at its CFL bound."""
     for _ in range(round(horizon / dt)):
-        state = solver.step(state, dt)
+        state = solver.step(state, dt, *ledger)
     return state
 
 

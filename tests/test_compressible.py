@@ -110,7 +110,7 @@ class TestInitState:
         assert np.array_equal(data[1], u0) and np.array_equal(data[2], v0)
         assert not np.array_equal(state.u, u0) and not np.array_equal(state.v, v0)
         # the step hands enforce_bc arrays it owns: fresh ones, not the input's
-        out = sol.step(state, 0.5 * sol.cfl_limit(state))
+        out = sol.step(state, 0.5 * sol.cfl_limit(state), EnergyLedger())
         assert not np.shares_memory(out.u, state.u)
         assert not np.shares_memory(out.v, state.v)
 
@@ -128,7 +128,7 @@ class TestStep:
     def test_rest_state_is_fixed_point(self):
         sol = make_solver()
         s0 = sol.init_state(*rest_data(sol.grid))
-        s1 = sol.step(s0, sol.cfl_limit(s0))
+        s1 = sol.step(s0, sol.cfl_limit(s0), EnergyLedger())
         np.testing.assert_array_equal(s1.rho, s0.rho)
         np.testing.assert_array_equal(s1.u, s0.u)
         np.testing.assert_array_equal(s1.v, s0.v)
@@ -137,10 +137,10 @@ class TestStep:
         sol = make_solver()
         s0 = sol.init_state(*pulse_data(sol.grid))
         with pytest.raises(CflViolation):
-            sol.step(s0, 10.0 * sol.cfl_limit(s0))
+            sol.step(s0, 10.0 * sol.cfl_limit(s0), EnergyLedger())
         for dt in (0.0, -1e-3):
             with pytest.raises(ValueError, match="dt must be positive"):
-                sol.step(s0, dt)
+                sol.step(s0, dt, EnergyLedger())
 
     def test_run_evaluates_cfl_limit_once_per_step(self, monkeypatch):
         calls = {"cfl_limit": 0, "step": 0}
@@ -164,18 +164,36 @@ class TestStep:
         # the first step from `state` stores its limit; the guard of the
         # second reads the stored value and must still refuse a too-large dt
         limit = sol.cfl_limit(state)
-        sol.step(state, limit)
+        sol.step(state, limit, EnergyLedger())
         with pytest.raises(CflViolation):
-            sol.step(state, 1.01 * limit)
+            sol.step(state, 1.01 * limit, EnergyLedger())
+
+    def test_step_writes_no_solver_state(self):
+        # a step books into the ledger it is handed and returns its state:
+        # of both solvers, it leaves every attribute the object __init__
+        # set, and writes only the step policy's cached CFL bound
+        sol = make_solver(path=linear_path((0.1, 0.0), 10.0))
+        assert sol.lifting is not None and sol.sponge_width > 0.0
+        inc = IncompressibleSolver(sol.grid, 0.01, sol.path)
+        rho1, u0, v0, eps = pulse_data(sol.grid)
+        for solver, state, ledger in ((sol, sol.init_state(rho1, u0, v0, eps), (EnergyLedger(),)),
+                                      (inc, inc.init_state(u0, v0), ())):
+            built = dict(vars(solver))
+            for _ in range(2):
+                state = solver.step(state, solver.cfl_limit(state), *ledger)
+            after = dict(vars(solver))
+            assert after.pop("_limit_of")[0] is not None
+            assert after.keys() == built.keys()
+            assert all(after[name] is built[name] for name in built), type(solver).__name__
 
     def test_mass_conserved_without_sponge(self):
         sol = make_solver(sponge=False)
         state = sol.init_state(*pulse_data(sol.grid))
         m0 = total_mass(sol, state)
-        state = sol.step(state, sol.cfl_limit(state))
+        state = sol.step(state, sol.cfl_limit(state), EnergyLedger())
         assert abs(total_mass(sol, state) - m0) <= 1e-12 * m0
         for _ in range(20):
-            state = sol.step(state, sol.cfl_limit(state))
+            state = sol.step(state, sol.cfl_limit(state), EnergyLedger())
         assert abs(total_mass(sol, state) - m0) <= 1e-12 * m0
 
     def test_mass_conserved_moving_obstacle(self):
@@ -183,7 +201,7 @@ class TestStep:
         state = sol.init_state(*rest_data(sol.grid))
         m0 = total_mass(sol, state)
         for _ in range(10):
-            state = sol.step(state, sol.cfl_limit(state))
+            state = sol.step(state, sol.cfl_limit(state), EnergyLedger())
         assert abs(total_mass(sol, state) - m0) <= 1e-12 * m0
 
     def test_commutes_with_diagonal_reflection(self, obstacle_grid):
@@ -197,9 +215,9 @@ class TestStep:
         s0 = sol.init_state(rho1, 0.05 * rng.standard_normal(u0.shape),
                             0.05 * rng.standard_normal(v0.shape), eps)
         dt = 0.5 * sol.cfl_limit(s0)
-        s1 = sol.step(s0, dt)
+        s1 = sol.step(s0, dt, EnergyLedger())
         r1 = sol.step(FluidState(*(in_layout(g, a.T) for a in (s0.rho, s0.v, s0.u)),
-                                 s0.t, s0.eps), dt)
+                                 s0.t, s0.eps), dt, EnergyLedger())
         assert np.abs(r1.rho - s1.rho.T).max() <= 1e-12
         assert np.abs(r1.u - s1.v.T).max() <= 1e-12
         assert np.abs(r1.v - s1.u.T).max() <= 1e-12
@@ -269,7 +287,7 @@ class TestStepRefusals:
         # the step of the finite state: a NaN state's CFL limit is NaN
         dt = sol.cfl_limit(self._state(sol, drained, False))
         with pytest.raises(error):
-            sol.step(self._state(sol, drained, nan), dt)
+            sol.step(self._state(sol, drained, nan), dt, EnergyLedger())
 
 
 class TestRun:
@@ -319,7 +337,7 @@ class TestRun:
         finals = []
         for level in range(3):
             dt = dt0 / 2**level
-            finals.append(fixed_step(sol, sol.init_state(*data), dt, horizon).rho)
+            finals.append(fixed_step(sol, sol.init_state(*data), dt, horizon, EnergyLedger()).rho)
         d1 = np.abs(finals[0] - finals[1]).sum()
         d2 = np.abs(finals[1] - finals[2]).sum()
         order = np.log2(d1 / d2)
@@ -467,8 +485,8 @@ def _random_state(sol):
 class TestLedgerOracle:
     @pytest.mark.parametrize("kind", sorted(LEDGER_PATHS))
     def test_accumulate_matches_tensor_formulation(self, obstacle_grid, kind):
-        """The step books the viscous work summed by parts, and the ledger
-        adds the lifting work of the tensor formulation and no dissipation."""
+        """The step books the viscous work summed by parts, and its
+        lifting work is the tensor formulation's, with no dissipation."""
         g = obstacle_grid
         sol = CompressibleSolver(g, LAW, ViscosityPair(0.01, 0.004), LEDGER_PATHS[kind], 0.25)
         state = _random_state(sol)
@@ -477,9 +495,11 @@ class TestLedgerOracle:
         dt = sol.cfl_limit(state)
         dissipation = _booked_dissipation(sol, state, dt)
         assert dissipation > 0.0
-        assert sol.step(state, dt).viscous_work == pytest.approx(dissipation, rel=1e-12)
         ledger = EnergyLedger()
-        sol._accumulate(ledger, state, 1e-3)
+        sol.step(state, dt, ledger)
+        assert ledger.dissipation == pytest.approx(dissipation, rel=1e-12)
+        ledger = EnergyLedger()
+        sol._accumulate(ledger, state, *known_faces(g, state.u, state.v), 1e-3)
         v_work = _tensor_ledger(sol, state, 1e-3)
         assert ledger.dissipation == 0.0
         if kind == "static":
@@ -554,9 +574,9 @@ class TestLedgerCost:
         steps, gradients = [], []
         step, gradient = CompressibleSolver.step, compressible.known_gradient
 
-        def counted_step(self, state, dt):
+        def counted_step(self, state, dt, ledger):
             steps.append(dt)
-            return step(self, state, dt)
+            return step(self, state, dt, ledger)
 
         def counted_gradient(*args):
             gradients.append(args)
@@ -597,7 +617,7 @@ class TestLedgerCost:
 
     @pytest.mark.parametrize("text", [MINI_CFG, SINUSOIDAL_MINI_CFG], ids=["linear", "sinusoidal"])
     def test_box_gradient_matches_full_grid_over_a_march(self, text):
-        # the ledger forms the gradient on the lifting's block only; every
+        # the step forms the gradient on the lifting's block only; every
         # step's lifting work equals the full-grid formulation's, bit for bit
         sc = build_scenario(parse_config(text))
         sol = sc.solver
@@ -605,9 +625,8 @@ class TestLedgerCost:
         works = []
         for _ in range(20):
             dt = sol.cfl_limit(state)
-            new = sol.step(state, dt)
             ledger = EnergyLedger()
-            sol._accumulate(ledger, state, dt)
+            new = sol.step(state, dt, ledger)
             works.append(ledger.v_work)
             assert ledger.v_work == self._full_grid_v_work(sol, state, dt), state.t
             state = new

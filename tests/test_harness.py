@@ -629,6 +629,39 @@ class TestVerify:
             "reference: 0 snapshots stored for 5 sample times",
         ]
 
+    @pytest.mark.parametrize("table, kept, failure", [
+        ("mass.csv", lambda row: row[1] != "0.1",
+         ("mass_accounting", "eps=0.1: mass.csv has 0 rows for 5 sample times")),
+        ("rage.csv", lambda row: False,
+         ("eps_rows", "rage.csv: rows at eps (none) for the configured 0.2, 0.1")),
+        ("summary.csv", lambda row: row[0] == "0.2",
+         ("eps_rows", "summary.csv: rows at eps 0.2 for the configured 0.2, 0.1")),
+    ], ids=["mass-member", "rage-all", "summary-member"])
+    def test_missing_rows_fail(self, table, kept, failure, mini_run, tmp_path):
+        # rows of a table dropped under a manifest that agrees: the check
+        # that read them must fail, naming the gap, instead of passing over
+        # the member whose rows are gone
+        broken = self._copy(mini_run["out_dir"], tmp_path, "rows")
+        header, rows = read_csv(broken / table)
+        left = [row for row in rows if kept(row)]
+        assert len(left) < len(rows)
+        write_csv(broken / table, header, left)
+        write_manifest(broken, read_manifest(broken)["config_digest"])
+        report = verify_run(broken)
+        assert [(c["name"], c["context"]) for c in report["checks"]
+                if not c["passed"]] == [failure]
+
+    def test_eps_matched_by_written_text(self, tmp_path):
+        # the tables write eps to 12 significant digits: a member whose eps
+        # has more is matched to its rows by that text, and its fresh run
+        # verifies
+        cfg = parse_config(MINI_CFG + "\n[sweep]\neps = 0.2, 0.1000000000001\n")
+        assert cfg["sweep"]["eps"][1] != 0.1
+        report = verify_run(run_sweep(cfg, tmp_path / "long-eps")["out_dir"])
+        assert report["ok"], [c for c in report["checks"] if not c["passed"]]
+        names = [c["name"] for c in report["checks"]]
+        assert names.count("mass_accounting") == 2 and names.count("eps_rows") == 2
+
     def test_every_missing_file_named(self, mini_run, tmp_path):
         broken = self._copy(mini_run["out_dir"], tmp_path, "missing-two")
         assert check_artifacts(broken, read_manifest(broken)) is None
